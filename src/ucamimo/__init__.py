@@ -4,7 +4,6 @@ from .channel import (
     APPROXIMATE,
     EXACT_DISTANCE,
     ChannelMatrix,
-    PhaseDiagonal,
     SvdConvergenceError,
     SvdTriple,
     build_channel,
@@ -47,6 +46,7 @@ from .transceiver import (
     Codebook,
     PrecoderMatrix,
     RateReport,
+    SingularChannelError,
     approx_power_allocation,
     build_codebook,
     precoder_from_angles,

@@ -51,33 +51,11 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
 
 
-@dataclass(frozen=True)
-class PhaseDiagonal:
-    """Diagonal matrix of unit-magnitude phasors, stored as a vector."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _readonly(np.asarray(self.values, dtype=complex))
-        if values.ndim != 1:
-            raise ValueError("phase diagonal must be a vector")
-        if np.max(np.abs(np.abs(values) - 1.0)) > 1e-12:
-            raise ValueError("phase diagonal entries must have unit magnitude")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.values)
-
-
-def tx_phase_diagonal(cfg: ArrayConfig, mis: Misalignment) -> PhaseDiagonal:
-    """Phase diagonal exp(-j*2*pi*tau_t/lambda) of the Tx displacements."""
-    return PhaseDiagonal(np.exp(-1j * TWO_PI / cfg.wavelength * tx_displacement(cfg, mis)))
-
-
-def rx_phase_diagonal(cfg: ArrayConfig, mis: Misalignment) -> PhaseDiagonal:
-    """Phase diagonal exp(-j*2*pi*tau_r/lambda) of the Rx displacements."""
-    return PhaseDiagonal(np.exp(-1j * TWO_PI / cfg.wavelength * rx_displacement(cfg, mis)))
+def _phase_factors(cfg: ArrayConfig, mis: Misalignment) -> tuple[np.ndarray, np.ndarray]:
+    """Phasors exp(-j*2*pi*tau/lambda) of the Tx and the Rx displacements."""
+    k = -1j * TWO_PI / cfg.wavelength
+    t_t = np.exp(k * tx_displacement(cfg, mis.theta_cs, mis.phi_cs))
+    return t_t, np.exp(k * rx_displacement(cfg, mis))
 
 
 @dataclass(frozen=True)
@@ -147,8 +125,7 @@ def build_channel(
     elif model == APPROXIMATE:
         _require_far_field(cfg, allow_close_range)
         h_a, _ = circulant_factor(cfg, mis.theta_o)
-        t_t = tx_phase_diagonal(cfg, mis).values
-        t_r = rx_phase_diagonal(cfg, mis).values
+        t_t, t_r = _phase_factors(cfg, mis)
         entries = t_r[:, None] * h_a * t_t.conj()[None, :]
     else:
         raise ValueError(f"unknown channel model {model!r}")
@@ -198,8 +175,7 @@ def closed_form_svd(
     sigma = np.abs(delta)
     s = np.where(sigma < ZERO_SIGMA_THRESHOLD, 1.0 + 0.0j, delta / np.where(sigma == 0.0, 1.0, sigma))
     q = dft_matrix(cfg.n_antennas)
-    t_t = tx_phase_diagonal(cfg, mis).values
-    t_r = rx_phase_diagonal(cfg, mis).values
+    t_t, t_r = _phase_factors(cfg, mis)
     u = t_r[:, None] * q * s[None, :]
     v = t_t[:, None] * q
     return SvdTriple(u=u, sigma=sigma, v=v)
@@ -211,6 +187,8 @@ def numerical_svd(matrix: np.ndarray) -> SvdTriple:
     Serves as an independent check of the closed form; backed by LAPACK.
     """
     matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ValueError("matrix must be 2-D")
     if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
         raise ValueError("matrix entries must be finite")
     try:

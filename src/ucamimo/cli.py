@@ -210,9 +210,8 @@ def cmd_design(args) -> int:
 def _write_capacity_curve(ns, theta_o, snr_db, beta_max, step, out) -> None:
     p_total = 10.0 ** (snr_db / 10.0)
     betas = np.arange(step, beta_max + step / 2.0, step)
-    lines = ["beta,capacity_bps_hz"]
-    for sig, beta in zip(spectrum.singular_values_many(ns, betas, theta_o), betas):
-        lines.append(f"{beta:.9g},{design.capacity(sig, p_total, 1.0):.9g}")
+    caps = design.capacity(spectrum.singular_values_many(ns, betas, theta_o), p_total, 1.0)
+    lines = ["beta,capacity_bps_hz", *(f"{b:.9g},{c:.9g}" for b, c in zip(betas, caps))]
     _emit("\n".join(lines) + "\n", out)
 
 
@@ -223,20 +222,21 @@ def cmd_spectrum(args) -> int:
     if args.axis == "beta":
         start = 0.0 if args.start is None else args.start
         stop = 14.0 if args.stop is None else args.stop
-        grid = np.linspace(start, stop, args.num)
-        if np.any(grid < 0.0):
+        betas = np.linspace(start, stop, args.num)
+        if np.any(betas < 0.0):
             raise ValueError("beta grid must be nonnegative")
-        rows = [(b, args.theta_o, spectrum.singular_values(args.ns, b, args.theta_o)) for b in grid]
+        thetas = np.full(args.num, args.theta_o)
     else:
         limit = math.pi / args.ns
         start = -limit if args.start is None else args.start
         stop = limit if args.stop is None else args.stop
-        grid = np.linspace(start, stop, args.num)
-        rows = [(args.beta, t, spectrum.singular_values(args.ns, args.beta, t)) for t in grid]
+        thetas = np.linspace(start, stop, args.num)
+        betas = np.full(args.num, args.beta)
 
+    sigmas = spectrum.singular_values_many(args.ns, betas, thetas)
     header = "beta,theta_o," + ",".join(f"sigma_{k}" for k in range(1, args.ns + 1))
     lines = [header]
-    for beta, theta, sig in rows:
+    for beta, theta, sig in zip(betas, thetas, sigmas):
         lines.append(f"{beta:.9g},{theta:.9g}," + ",".join(f"{s:.9g}" for s in sig))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -45,12 +45,45 @@ class PowerAllocation:
             raise ValueError("stream powers must sum to the total budget")
 
 
+def _water_fill_powers(sigmas: np.ndarray, p_total: float, noise: float) -> np.ndarray:
+    """Water-filling powers over the last axis of a (..., N) stack of gains.
+
+    The sorted-threshold rule of Palomar & Fonollosa (IEEE TSP 53(2),
+    2005): sort the inverse gains noise/sigma^2 ascending, take their
+    cumulative sum, and keep the largest active set whose water level lies
+    above its weakest member.  The smallest inverse gain is subtracted
+    before the sum, so the level does not cancel against it at low SNR.
+    Streams whose squared gain is zero or underflows get no power.
+    """
+    if not (p_total > 0.0 and noise > 0.0):
+        raise ValueError("p_total and noise must be positive")
+    if np.any(sigmas < 0.0):
+        raise ValueError("sigmas must be nonnegative")
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_gain = noise / sigmas**2
+    order = np.argsort(inv_gain, axis=-1, kind="stable")
+    sorted_inv = np.take_along_axis(inv_gain, order, axis=-1)
+    if not np.all(np.isfinite(sorted_inv[..., 0])):
+        raise ValueError("at least one stream gain must be positive")
+
+    n = sigmas.shape[-1]
+    excess = sorted_inv - sorted_inv[..., :1]
+    size = np.arange(1, n + 1)
+    level = (p_total + np.cumsum(excess, axis=-1)) / size
+    # The largest size whose level clears its weakest stream; size 1 always does.
+    active = n - np.argmax((level > excess)[..., ::-1], axis=-1)
+    water = np.take_along_axis(level, active[..., None] - 1, axis=-1)
+    sorted_powers = np.where(size <= active[..., None], water - excess, 0.0)
+    powers = np.empty_like(sorted_powers)
+    np.put_along_axis(powers, order, sorted_powers, axis=-1)
+    return powers
+
+
 def water_fill(sigmas, p_total: float, noise: float) -> PowerAllocation:
     """Water-filling power allocation over parallel streams.
 
     Solves max sum log2(1 + p_k sigma_k^2 / noise) subject to sum p_k =
-    p_total, p_k >= 0, by scanning active-set sizes over the inverse gains
-    sorted ascending.  Streams with sigma_k = 0 get exactly zero power.
+    p_total, p_k >= 0.  Streams with sigma_k = 0 get exactly zero power.
 
     Parameters
     ----------
@@ -61,28 +94,7 @@ def water_fill(sigmas, p_total: float, noise: float) -> PowerAllocation:
     noise : float
         Noise power.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if p_total <= 0.0 or noise <= 0.0:
-        raise ValueError("p_total and noise must be positive")
-    if np.any(sigmas < 0.0):
-        raise ValueError("sigmas must be nonnegative")
-    active = sigmas > 0.0
-    if not np.any(active):
-        raise ValueError("at least one stream gain must be positive")
-
-    inv_gain = np.full(sigmas.shape, np.inf)
-    inv_gain[active] = noise / sigmas[active] ** 2
-    order = np.argsort(inv_gain, kind="stable")
-    sorted_inv = inv_gain[order]
-
-    n_active = int(np.count_nonzero(active))
-    powers = np.zeros_like(sigmas)
-    for size in range(n_active, 0, -1):
-        level = (p_total + float(np.sum(sorted_inv[:size]))) / size
-        if level > sorted_inv[size - 1]:
-            chosen = order[:size]
-            powers[chosen] = level - inv_gain[chosen]
-            break
+    powers = _water_fill_powers(np.asarray(sigmas, dtype=float), p_total, noise)
     return PowerAllocation(powers=powers, total=p_total, noise=noise)
 
 
@@ -92,9 +104,16 @@ def allocated_capacity(sigmas, alloc: PowerAllocation) -> float:
     return float(np.sum(np.log2(1.0 + alloc.powers * sigmas**2 / alloc.noise)))
 
 
-def capacity(sigmas, p_total: float, noise: float) -> float:
-    """Water-filled capacity in bit/s/Hz of the given stream gains."""
-    return allocated_capacity(sigmas, water_fill(sigmas, p_total, noise))
+def capacity(sigmas, p_total: float, noise: float):
+    """Water-filled capacity in bit/s/Hz of the given stream gains.
+
+    A vector of N gains gives a float; a (G, N) stack gives an array of
+    G capacities, one per row.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    powers = _water_fill_powers(sigmas, p_total, noise)
+    caps = np.sum(np.log2(1.0 + powers * sigmas**2 / noise), axis=-1)
+    return float(caps) if caps.ndim == 0 else caps
 
 
 @dataclass(frozen=True)
@@ -152,14 +171,15 @@ def search_beta_opt(
     cell by golden section to 1e-4.  If `wavelength` and `distance` are
     supplied, the equal-radius solution realising the optimum is filled in.
     """
+    if not all(map(math.isfinite, (snr_db, theta_o, beta_max, resolution))):
+        raise ValueError("snr_db, theta_o, beta_max and resolution must be finite")
     if beta_max <= 0.0 or resolution <= 0.0:
         raise ValueError("beta_max and resolution must be positive")
     p_total = 10.0 ** (snr_db / 10.0)
     noise = 1.0
 
     grid = np.arange(resolution, beta_max + resolution / 2.0, resolution)
-    spectra = singular_values_many(n_s, grid, theta_o)
-    caps = np.array([capacity(spectra[g], p_total, noise) for g in range(grid.size)])
+    caps = capacity(singular_values_many(n_s, grid, theta_o), p_total, noise)
 
     best = float(np.max(caps))
     winner = int(np.flatnonzero(caps >= best - TIE_TOLERANCE_BITS)[0])

@@ -293,21 +293,6 @@ def rx_ring_harmonics(cfg: ArrayConfig, mis: Misalignment) -> tuple[np.ndarray, 
     return amps, phases
 
 
-def rx_antenna_position_aligned(cfg: ArrayConfig, mis: Misalignment, n: int) -> Coordinate3:
-    """Rx element position expressed in the shift-aligned frame.
-
-    Equals the xy-plane rotation by theta_cs applied to
-    :func:`rx_antenna_position`; the closed sinusoidal form is used here.
-    """
-    _check_index(cfg, n, "n")
-    theta = TWO_PI * n / cfg.n_antennas
-    amps, phases = rx_ring_harmonics(cfg, mis)
-    offs = np.array(
-        [0.0, cfg.distance * math.sin(mis.phi_cs), cfg.distance * math.cos(mis.phi_cs)]
-    )
-    return Coordinate3.from_array(offs + amps * np.cos(theta - phases))
-
-
 def _squared_distance(cfg: ArrayConfig, mis: Misalignment, theta_n, theta_m):
     """Squared Tx-Rx distance in closed form; broadcasts over the angles."""
     rt, rr, d = cfg.radius_tx, cfg.radius_rx, cfg.distance
@@ -377,9 +362,15 @@ def _require_far_field(cfg: ArrayConfig, allow_close_range: bool) -> None:
         )
 
 
-def tx_displacement(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
-    """Per-Tx-element path-length offset caused by the centre shift."""
-    return cfg.radius_tx * np.sin(cfg.antenna_angles + mis.theta_cs) * math.sin(mis.phi_cs)
+def tx_displacement(cfg: ArrayConfig, theta_cs, phi_cs) -> np.ndarray:
+    """Per-Tx-element path-length offset R_t sin(theta_m + theta_cs) sin(phi_cs).
+
+    This is the offset a centre shift by (theta_cs, phi_cs) causes.  The
+    angles broadcast against each other; the result has shape (..., N).
+    """
+    theta_cs = np.asarray(theta_cs, dtype=float)[..., None]
+    phi_cs = np.asarray(phi_cs, dtype=float)[..., None]
+    return cfg.radius_tx * np.sin(cfg.antenna_angles + theta_cs) * np.sin(phi_cs)
 
 
 def rx_displacement(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
@@ -423,6 +414,6 @@ def distance_approx(
     d_a = cfg.distance - (cfg.radius_tx * cfg.radius_rx / cfg.distance) * math.cos(
         theta_n - theta_m + mis.theta_o
     )
-    tau_t = float(tx_displacement(cfg, mis)[m - 1])
+    tau_t = float(tx_displacement(cfg, mis.theta_cs, mis.phi_cs)[m - 1])
     tau_r = float(rx_displacement(cfg, mis)[n - 1])
     return DistanceDecomposition(d_a=d_a, tau_t=tau_t, tau_r=tau_r)

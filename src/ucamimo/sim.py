@@ -16,11 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import APPROXIMATE, EXACT_DISTANCE, build_channel
-from .design import PowerAllocation, allocated_capacity, search_beta_opt, water_fill
+from .design import (
+    PowerAllocation,
+    allocated_capacity,
+    condition_number,
+    search_beta_opt,
+    water_fill,
+)
 from .geometry import ArrayConfig, Misalignment, _wrap_pi
 from .spectrum import singular_values
 from .transceiver import (
     Codebook,
+    SingularChannelError,
+    approx_power_allocation,
     build_codebook,
     dft_precoder,
     precoded_rate,
@@ -60,6 +68,10 @@ class TrialConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
+        finite = (self.snr_db, self.angle_range_small, self.theta_cs_range, self.wavelength,
+                  self.design_distance, *self.distances)
+        if not all(map(math.isfinite, finite)):
+            raise ValueError("snr_db, angle ranges, wavelength and distances must be finite")
         if self.angle_range_small < 0.0 or self.theta_cs_range < 0.0:
             raise ValueError("angle ranges must be nonnegative")
         if self.wavelength <= 0.0 or self.design_distance <= 0.0:
@@ -101,7 +113,8 @@ class ResultRow:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Counter-based substream for one trial, stable across platforms."""
     mask = (1 << 64) - 1
-    return np.random.Generator(np.random.Philox(key=[seed & mask, trial & mask]))
+    key = np.array([seed & mask, trial & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def draw_misalignment(
@@ -131,13 +144,6 @@ def draw_misalignment(
     return Misalignment(
         theta_o=theta_o, theta_cs=theta_cs, phi_cs=phi_cs, phi_x=phi_x, phi_y=phi_y
     )
-
-
-def _condition(sig: np.ndarray) -> float:
-    smallest = float(np.min(sig))
-    if smallest < 1e-10:
-        return math.inf
-    return float(np.max(sig)) / smallest
 
 
 def _design_radius(trial_cfg: TrialConfig, n_antennas: int) -> float:
@@ -177,7 +183,7 @@ def _rate_sweep_trial(
     def nulling_rate(receiver) -> float:
         try:
             return receiver(h, p_total, 1.0).rate
-        except ValueError:
+        except SingularChannelError:
             return 0.0
 
     optimal = precoder_from_angles(cfg, mis.theta_cs, mis.phi_cs)
@@ -190,7 +196,7 @@ def _rate_sweep_trial(
         "zf": nulling_rate(zf_rate),
         "zf-sic": nulling_rate(zf_sic_rate),
     }
-    return rates, _condition(sig)
+    return rates, condition_number(cfg.n_antennas, cfg.beta, mis.theta_o)
 
 
 def _run_trials(worker, n_trials: int, jobs: int) -> list:
@@ -220,9 +226,7 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
                 radius_rx=radius,
                 distance=dist,
             )
-            approx_alloc = water_fill(
-                singular_values(n, cfg.beta, 0.0), 10.0 ** (trial_cfg.snr_db / 10.0), 1.0
-            )
+            approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
             results = _run_trials(
                 lambda t: _rate_sweep_trial(trial_cfg, cfg, cb, approx_alloc, t),
                 trial_cfg.n_trials,
@@ -290,22 +294,20 @@ def run_codebook_bit_sweep(
         radius_rx=radius,
         distance=dist,
     )
-    p_total = 10.0 ** (trial_cfg.snr_db / 10.0)
-    approx_alloc = water_fill(singular_values(n, cfg.beta, 0.0), p_total, 1.0)
+    approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
     model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
 
     def one_trial(trial: int) -> tuple[dict, float]:
         rng = trial_rng(trial_cfg.seed, trial)
         mis = draw_misalignment(rng, trial_cfg, n)
         h = build_channel(cfg, mis, model)
-        sig = singular_values(n, cfg.beta, mis.theta_o)
         per_cb = {}
         for l1, l2 in bit_grid:
             for method in ("sine", "linear"):
                 cb = build_codebook(l1, l2, quantization=method)
                 _, rate = select_codebook_index(h, cb, approx_alloc)
                 per_cb[(l1, l2, method)] = rate
-        return per_cb, _condition(sig)
+        return per_cb, condition_number(n, cfg.beta, mis.theta_o)
 
     results = _run_trials(one_trial, trial_cfg.n_trials, jobs)
 

@@ -6,7 +6,7 @@ beta and the in-plane rotation theta_o:
 
     sigma_k = | sum_i exp(-j*[2*pi*i*(k-1)/N - beta*cos(2*pi*i/N + theta_o)]) |
 
-This module evaluates that sum directly — independently of the channel
+This module evaluates that sum as one FFT — independently of the channel
 factorisation — and provides executable checks of the spectrum's
 structural symmetries.
 """
@@ -26,28 +26,29 @@ def _check_even(n_s: int) -> None:
         raise ValueError("n_s must be an even integer >= 2")
 
 
-def singular_values(n_s: int, beta: float, theta_o: float) -> np.ndarray:
-    """All N singular values in DFT-index order k = 1..N."""
-    _check_even(n_s)
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    i = np.arange(n_s)
-    phasors = np.exp(1j * beta * np.cos(TWO_PI * i / n_s + theta_o))
-    w = np.exp(-2j * np.pi * np.outer(i, i) / n_s)
-    return np.abs(w @ phasors)
-
-
-def singular_values_many(n_s: int, betas, theta_o: float) -> np.ndarray:
-    """Singular values for an array of beta values; shape (len(betas), N)."""
+def _spectrum(n_s: int, betas, theta_o) -> np.ndarray:
+    """The one spectrum kernel: an FFT over the element phasors, shape (..., N)."""
     _check_even(n_s)
     betas = np.asarray(betas, dtype=float)
     if np.any(betas < 0.0):
-        raise ValueError("beta values must be nonnegative")
-    i = np.arange(n_s)
-    cos_i = np.cos(TWO_PI * i / n_s + theta_o)
-    phasors = np.exp(1j * betas[:, None] * cos_i[None, :])
-    w = np.exp(-2j * np.pi * np.outer(i, i) / n_s)
-    return np.abs(phasors @ w.T)
+        raise ValueError("beta must be nonnegative")
+    angles = TWO_PI * np.arange(n_s) / n_s + np.asarray(theta_o, dtype=float)[..., None]
+    phasors = np.exp(1j * betas[..., None] * np.cos(angles))
+    return np.abs(np.fft.fft(phasors, axis=-1))
+
+
+def singular_values(n_s: int, beta: float, theta_o: float) -> np.ndarray:
+    """All N singular values in DFT-index order k = 1..N."""
+    return _spectrum(n_s, beta, theta_o)
+
+
+def singular_values_many(n_s: int, betas, theta_o) -> np.ndarray:
+    """Singular values for arrays of beta and theta_o; shape (..., N).
+
+    `betas` and `theta_o` broadcast against each other, so a grid on
+    either axis is one call.
+    """
+    return _spectrum(n_s, betas, theta_o)
 
 
 def singular_value(n_s: int, beta: float, theta_o: float, k: int) -> float:

@@ -18,13 +18,17 @@ import numpy as np
 
 from .channel import ChannelMatrix, dft_matrix
 from .design import PowerAllocation, water_fill
-from .geometry import TWO_PI, ArrayConfig
+from .geometry import TWO_PI, ArrayConfig, tx_displacement
 from .spectrum import singular_values
 
 _LN2 = math.log(2.0)
 
 SINE_UNIFORM = "sine"
 LINEAR = "linear"
+
+
+class SingularChannelError(ValueError):
+    """Raised when a zero-forcing receiver meets a rank-deficient channel."""
 
 
 def _entries(h) -> np.ndarray:
@@ -130,12 +134,6 @@ class PrecoderMatrix:
             raise ValueError("precoder must be unitary")
 
 
-def _shift_phases(cfg: ArrayConfig, theta_cs: float, phi_cs: float) -> np.ndarray:
-    """Per-antenna correction phasors exp(-j*2*pi/lambda * R_t sin(theta_m+theta_cs) sin(phi_cs))."""
-    tau = cfg.radius_tx * np.sin(cfg.antenna_angles + theta_cs) * math.sin(phi_cs)
-    return np.exp(-1j * TWO_PI / cfg.wavelength * tau)
-
-
 def precoder_from_angles(
     cfg: ArrayConfig,
     theta_cs: float,
@@ -147,14 +145,10 @@ def precoder_from_angles(
     With the true angles this reproduces the right singular matrix of the
     separable-model channel; with quantised angles it is a codebook entry.
     """
-    t_bar = _shift_phases(cfg, theta_cs, phi_cs)
+    t_bar = np.exp(-1j * TWO_PI / cfg.wavelength * tx_displacement(cfg, theta_cs, phi_cs))
     return PrecoderMatrix(
         matrix=t_bar[:, None] * dft_matrix(cfg.n_antennas), provenance=provenance
     )
-
-
-def identity_precoder(n: int) -> PrecoderMatrix:
-    return PrecoderMatrix(matrix=np.eye(n, dtype=complex), provenance="identity")
 
 
 def dft_precoder(n: int) -> PrecoderMatrix:
@@ -214,16 +208,6 @@ def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> PowerAllocation:
     return water_fill(sig, 10.0 ** (snr_db / 10.0), 1.0)
 
 
-def _shift_phases_many(cfg: ArrayConfig, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Correction phasors for many (theta_cs, phi_cs) pairs; shape (pairs, N)."""
-    tau = (
-        cfg.radius_tx
-        * np.sin(cfg.antenna_angles[None, :] + thetas[:, None])
-        * np.sin(phis)[:, None]
-    )
-    return np.exp(-1j * TWO_PI / cfg.wavelength * tau)
-
-
 def codebook_rates(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> np.ndarray:
     """Achievable rate of every codebook entry, in index order.
 
@@ -233,7 +217,7 @@ def codebook_rates(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> np
     cfg = h.cfg
     hm = h.entries
     thetas, phis = cb.angle_pairs()
-    t_bar = _shift_phases_many(cfg, thetas, phis)
+    t_bar = np.exp(-1j * TWO_PI / cfg.wavelength * tx_displacement(cfg, thetas, phis))
     q = dft_matrix(cfg.n_antennas)
     g = (hm[None, :, :] * t_bar[:, None, :]) @ q
     g = g * np.sqrt(alloc.powers / alloc.noise)[None, None, :]
@@ -290,4 +274,4 @@ def zf_sic_rate(h, p_total: float, noise: float) -> RateReport:
 def _require_full_rank(h: np.ndarray) -> None:
     sig = np.linalg.svd(h, compute_uv=False)
     if sig[-1] <= 1e-12 * sig[0]:
-        raise ValueError("channel matrix is singular; ZF receivers need full rank")
+        raise SingularChannelError("channel matrix is singular; ZF receivers need full rank")

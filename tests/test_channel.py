@@ -16,8 +16,7 @@ from ucamimo import (
     dft_matrix,
     numerical_svd,
 )
-from ucamimo.channel import PhaseDiagonal, rx_phase_diagonal, tx_phase_diagonal
-from ucamimo.geometry import distance_matrix_exact
+from ucamimo.geometry import distance_matrix_exact, rx_displacement, tx_displacement
 from ucamimo.spectrum import singular_values
 
 
@@ -40,16 +39,6 @@ class TestDftMatrix:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             dft_matrix(0)
-
-
-class TestPhaseDiagonal:
-    def test_rejects_non_unit_entries(self):
-        with pytest.raises(ValueError):
-            PhaseDiagonal(np.array([1.0, 0.5j]))
-
-    def test_matrix_property(self):
-        values = np.exp(1j * np.array([0.1, -0.4]))
-        np.testing.assert_array_equal(PhaseDiagonal(values).matrix, np.diag(values))
 
 
 class TestBuildChannel:
@@ -85,8 +74,9 @@ class TestBuildChannel:
             mis = random_misalignment(rng, cfg.n_antennas)
             h = build_channel(cfg, mis)
             h_a, _ = circulant_factor(cfg, mis.theta_o)
-            t_t = tx_phase_diagonal(cfg, mis).values
-            t_r = rx_phase_diagonal(cfg, mis).values
+            k = -1j * 2 * np.pi / cfg.wavelength
+            t_t = np.exp(k * tx_displacement(cfg, mis.theta_cs, mis.phi_cs))
+            t_r = np.exp(k * rx_displacement(cfg, mis))
             recon = t_r[:, None] * h_a * t_t.conj()[None, :]
             np.testing.assert_allclose(h.entries, recon, atol=1e-12)
 
@@ -250,3 +240,8 @@ class TestNumericalSvd:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             numerical_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (4,), ()])
+    def test_rejects_non_matrix_input(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            numerical_svd(np.ones(shape))

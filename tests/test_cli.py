@@ -37,6 +37,18 @@ class TestParsers:
             parse_bit_grid(" , ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["design", "--snr-db", "nan"],
+        ["simulate", "--seed", "1", "--trials", "1", "--snr-db", "nan"],
+    ],
+)
+def test_non_finite_input_exits_2(args, capsys):
+    assert run_cli(args) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 class TestDesignCommand:
     def test_production_design_point(self, capsys):
         assert run_cli(["design", "--ns", "8", "--snr-db", "15", "--lambda", "0.004", "--dist", "100"]) == 0

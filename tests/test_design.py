@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,51 @@ from ucamimo.design import TIE_TOLERANCE_BITS, allocated_capacity
 from ucamimo.spectrum import singular_values
 
 SNR15 = 10**1.5
+
+
+def reference_water_fill(sigmas, p_total, noise):
+    """Water-filling by the scalar active-set loop, kept as the reference.
+
+    Scans active-set sizes from the largest down and takes the first whose
+    level lies above its weakest stream's inverse gain.  Accurate to
+    rounding while every positive gain has noise/sigma^2 <= p_total; beyond
+    that its level cancels against the inverse gains.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    active = sigmas > 0.0
+    inv_gain = np.full(sigmas.shape, np.inf)
+    inv_gain[active] = noise / sigmas[active] ** 2
+    order = np.argsort(inv_gain, kind="stable")
+    sorted_inv = inv_gain[order]
+    powers = np.zeros_like(sigmas)
+    for size in range(int(np.count_nonzero(active)), 0, -1):
+        level = (p_total + float(np.sum(sorted_inv[:size]))) / size
+        if level > sorted_inv[size - 1]:
+            chosen = order[:size]
+            powers[chosen] = level - inv_gain[chosen]
+            break
+    return powers
+
+
+def random_gain_stack(rng, n, rows, smallest):
+    """Gains of at least `smallest`, with some zeroed and some tied."""
+    gains = smallest * rng.uniform(1.0, 30.0, size=(rows, n))
+    gains[rng.random((rows, n)) < 0.2] = 0.0
+    ties = rng.random((rows, n)) < 0.2
+    gains[ties] = gains[:, :1].repeat(n, axis=1)[ties]
+    gains[:, rng.integers(n)] = smallest * rng.uniform(1.0, 30.0, size=rows)
+    return gains
+
+
+def assert_kkt(sigmas, powers, p_total, noise):
+    """Budget, equal water level over active streams, none below it idle."""
+    assert float(np.sum(powers)) == pytest.approx(p_total, rel=1e-9)
+    active = powers > 0.0
+    levels = powers[active] + noise / sigmas[active] ** 2
+    assert np.ptp(levels) <= 1e-12 * np.max(levels)
+    inactive = ~active & (sigmas > 0)
+    if np.any(inactive):
+        assert np.min(noise / sigmas[inactive] ** 2) >= np.max(levels) * (1.0 - 1e-12)
 
 
 class TestWaterFill:
@@ -40,14 +86,7 @@ class TestWaterFill:
                 continue
             p_total = float(rng.uniform(0.1, 100.0))
             noise = float(rng.uniform(0.1, 4.0))
-            alloc = water_fill(sigmas, p_total, noise)
-            assert float(np.sum(alloc.powers)) == pytest.approx(p_total, abs=1e-9 * p_total)
-            active = alloc.powers > 0.0
-            levels = alloc.powers[active] + noise / sigmas[active] ** 2
-            assert np.ptp(levels) <= 1e-9
-            inactive = ~active & (sigmas > 0)
-            if np.any(inactive):
-                assert np.min(noise / sigmas[inactive] ** 2) >= np.max(levels) - 1e-9
+            assert_kkt(sigmas, water_fill(sigmas, p_total, noise).powers, p_total, noise)
 
     def test_beats_equal_split(self):
         rng = np.random.default_rng(51)
@@ -57,6 +96,42 @@ class TestWaterFill:
             wf = capacity(sigmas, 10.0, 1.0)
             eq = float(np.sum(np.log2(1.0 + (10.0 / 8) * sigmas**2)))
             assert wf >= eq - 1e-12
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(52)
+        for n in range(2, 65):
+            p_total = float(10.0 ** rng.uniform(-1.0, 3.0))
+            noise = float(rng.uniform(0.1, 4.0))
+            stack = random_gain_stack(rng, n, 6, math.sqrt(noise / p_total))
+            caps = capacity(stack, p_total, noise)
+            for sigmas, cap in zip(stack, caps):
+                expected = reference_water_fill(sigmas, p_total, noise)
+                powers = water_fill(sigmas, p_total, noise).powers
+                np.testing.assert_allclose(powers, expected, rtol=0.0, atol=1e-12 * p_total)
+                ref_cap = float(np.sum(np.log2(1.0 + expected * sigmas**2 / noise)))
+                assert cap == pytest.approx(ref_cap, rel=1e-12)
+
+    def test_kkt_conditions_at_low_snr(self):
+        # inverse gains 1e6 to 1e12 times the budget, where the reference
+        # loop loses digits to cancellation
+        rng = np.random.default_rng(53)
+        for n in range(2, 65):
+            p_total = float(10.0 ** rng.uniform(-2.0, 1.0))
+            noise = float(rng.uniform(0.1, 4.0))
+            smallest = math.sqrt(noise / p_total) * 10.0 ** rng.uniform(-6.0, -3.0)
+            stack = random_gain_stack(rng, n, 6, smallest)
+            for sigmas in stack:
+                assert_kkt(sigmas, water_fill(sigmas, p_total, noise).powers, p_total, noise)
+
+    def test_low_snr_equal_gains(self):
+        alloc = water_fill(np.full(16, 1e-4), 31.6, 1.0)
+        np.testing.assert_allclose(alloc.powers, 31.6 / 16, rtol=1e-15)
+
+    def test_underflowing_gain_gets_zero_power_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc = water_fill(np.array([1.0, 1e-170]), 31.6, 1.0)
+        np.testing.assert_array_equal(alloc.powers, [31.6, 0.0])
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -68,6 +143,18 @@ class TestWaterFill:
 
 
 class TestCapacity:
+    def test_stack_gives_one_capacity_per_row(self):
+        rng = np.random.default_rng(54)
+        stack = rng.uniform(0.0, 4.0, size=(50, 8))
+        caps = capacity(stack, SNR15, 1.0)
+        assert caps.shape == (50,)
+        np.testing.assert_array_equal(caps, [capacity(row, SNR15, 1.0) for row in stack])
+        assert isinstance(capacity(stack[0], SNR15, 1.0), float)
+
+    def test_stack_with_a_dead_row_rejected(self):
+        with pytest.raises(ValueError):
+            capacity(np.array([[1.0, 2.0], [0.0, 0.0]]), SNR15, 1.0)
+
     def test_rank_one_limit_matches_high_snr_expansion(self):
         snr = 1e4
         n = 8
@@ -143,6 +230,24 @@ class TestSearchBetaOpt:
             search_beta_opt(8, 0.0, 15.0, beta_max=0.0)
         with pytest.raises(ValueError):
             search_beta_opt(8, 0.0, 15.0, resolution=-0.1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("snr_db", math.nan),
+            ("snr_db", math.inf),
+            ("theta_o", math.nan),
+            ("theta_o", -math.inf),
+            ("beta_max", math.nan),
+            ("beta_max", math.inf),
+            ("resolution", math.nan),
+            ("resolution", math.inf),
+        ],
+    )
+    def test_non_finite_arguments_rejected(self, name, value):
+        args = {"n_s": 8, "theta_o": 0.0, "snr_db": 15.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            search_beta_opt(**args)
 
 
 class TestRadiiFromBeta:

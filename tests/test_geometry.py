@@ -13,7 +13,7 @@ from ucamimo.geometry import (
     distance_matrix_exact,
     rotation_matrix,
     rx_antenna_position,
-    rx_antenna_position_aligned,
+    rx_ring_harmonics,
     tx_antenna_position,
 )
 
@@ -141,9 +141,11 @@ class TestAntennaPositions:
         for _ in range(25):
             cfg = random_config(rng)
             mis = random_misalignment(rng, cfg.n_antennas)
+            amps, phases = rx_ring_harmonics(cfg, mis)
+            offset = cfg.distance * np.array([0.0, math.sin(mis.phi_cs), math.cos(mis.phi_cs)])
             for n in (1, cfg.n_antennas // 2, cfg.n_antennas):
                 direct = rotation_matrix("xy", mis.theta_cs) @ rx_antenna_position(cfg, mis, n).as_array()
-                closed = rx_antenna_position_aligned(cfg, mis, n).as_array()
+                closed = offset + amps * np.cos(2 * math.pi * n / cfg.n_antennas - phases)
                 np.testing.assert_allclose(closed, direct, atol=1e-12)
 
     def test_center_vector_rotates_into_yz_plane(self):

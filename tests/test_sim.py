@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ucamimo import build_channel, zf_rate, zf_sic_rate
+from ucamimo import build_channel, sim, zf_rate, zf_sic_rate
 from ucamimo.design import water_fill
 from ucamimo.geometry import ArrayConfig
 from ucamimo.sim import (
@@ -30,6 +31,21 @@ def small_config(**kw):
     )
     defaults.update(kw)
     return TrialConfig(**defaults)
+
+
+class TestTrialRng:
+    def test_small_seeds_keep_their_streams(self):
+        for seed, trial in ((0, 0), (2024, 7), (2**63 - 1, 3)):
+            legacy = np.random.Generator(np.random.Philox(key=[seed, trial]))
+            np.testing.assert_array_equal(trial_rng(seed, trial).random(4), legacy.random(4))
+
+    @pytest.mark.parametrize("a, b", [(2**63 + 5, 2**63 + 6), (-1, 0), (2**64 - 1, 0)])
+    def test_large_and_negative_seeds_get_distinct_streams(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws_a = trial_rng(a, 0).random(4)
+            draws_b = trial_rng(b, 0).random(4)
+        assert not np.array_equal(draws_a, draws_b)
 
 
 class TestDrawMisalignment:
@@ -151,6 +167,15 @@ class TestRateSweep:
             if r.scheme == "capacity":
                 assert r.rate_bps_hz > 0.0
 
+    def test_receiver_faults_are_not_scored_as_zero(self, monkeypatch):
+        # only a singular channel scores zero; any other error propagates
+        def broken(h, p_total, noise):
+            raise ValueError("receiver fault")
+
+        monkeypatch.setattr(sim, "zf_rate", broken)
+        with pytest.raises(ValueError, match="receiver fault"):
+            run_rate_sweep(small_config(n_trials=1, distances=(100.0,)))
+
     def test_exact_geometry_flag(self):
         approx = run_rate_sweep(small_config(n_trials=2, distances=(100.0,)))
         exact = run_rate_sweep(small_config(n_trials=2, distances=(100.0,), exact_geometry=True))
@@ -216,3 +241,22 @@ class TestTrialConfigValidation:
             TrialConfig(seed=1, n_antennas_list=(5,))
         with pytest.raises(ValueError):
             TrialConfig(seed=1, wavelength=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("snr_db", math.nan),
+            ("snr_db", math.inf),
+            ("angle_range_small", math.nan),
+            ("angle_range_small", math.inf),
+            ("theta_cs_range", math.nan),
+            ("wavelength", math.inf),
+            ("wavelength", math.nan),
+            ("design_distance", math.inf),
+            ("distances", (100.0, math.nan)),
+            ("distances", (math.inf,)),
+        ],
+    )
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrialConfig(seed=1, **{name: value})

@@ -57,10 +57,21 @@ class TestSingularValue:
             singular_values(8, -0.5, 0.0)
 
     def test_many_matches_single(self):
+        # one kernel: a stacked row is bit-for-bit the scalar call
         betas = np.array([0.3, 1.7, 4.2])
         stacked = singular_values_many(8, betas, 0.11)
         for g, beta in enumerate(betas):
-            np.testing.assert_allclose(stacked[g], singular_values(8, float(beta), 0.11), atol=1e-14)
+            np.testing.assert_array_equal(stacked[g], singular_values(8, float(beta), 0.11))
+
+    def test_many_broadcasts_beta_against_rotation(self):
+        thetas = np.array([-0.3, 0.0, 0.25])
+        by_theta = singular_values_many(16, 5.9, thetas)
+        assert by_theta.shape == (3, 16)
+        for g, theta in enumerate(thetas):
+            np.testing.assert_array_equal(by_theta[g], singular_values(16, 5.9, float(theta)))
+        grid = singular_values_many(16, np.array([[1.0], [5.9]]), thetas)
+        assert grid.shape == (2, 3, 16)
+        np.testing.assert_array_equal(grid[1], by_theta)
 
     def test_matches_circulant_eigenvalues(self):
         # independent code path: direct sum vs FFT of the circulant core

@@ -21,9 +21,9 @@ from ucamimo.spectrum import singular_values
 from ucamimo.transceiver import (
     PrecoderMatrix,
     RateReport,
+    SingularChannelError,
     codebook_rates,
     dft_precoder,
-    identity_precoder,
     precoded_rate,
     precoder_from_angles,
 )
@@ -120,9 +120,7 @@ class TestPrecoders:
             PrecoderMatrix(matrix=np.array([[1.0, 0.0], [0.0, 0.5]]), provenance="x")
 
     def test_provenances(self):
-        assert identity_precoder(4).provenance == "identity"
         assert dft_precoder(4).provenance == "dft_only"
-        np.testing.assert_array_equal(identity_precoder(4).matrix, np.eye(4))
 
 
 class TestRateReports:
@@ -296,9 +294,9 @@ class TestZfReceivers:
     def test_singular_channel_rejected(self):
         cfg = design_point(8)
         h = build_channel(cfg, Misalignment(theta_o=math.pi / 8))
-        with pytest.raises(ValueError):
+        with pytest.raises(SingularChannelError):
             zf_rate(h, SNR15, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SingularChannelError):
             zf_sic_rate(h, SNR15, 1.0)
 
 
