@@ -26,16 +26,24 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
+def finite_float(text: str) -> float:
+    """A float option value; NaN and infinities are rejected here, at the boundary."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text.strip()!r}")
+    return value
+
+
 def parse_angle(text: str) -> float:
     """Radians from a CLI angle: plain float, or 'deg:<value>' in degrees."""
     text = text.strip()
     if text.startswith("deg:"):
-        return math.radians(float(text[4:]))
-    return float(text)
+        return math.radians(finite_float(text[4:]))
+    return finite_float(text)
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    return tuple(finite_float(x) for x in text.split(",") if x.strip())
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -98,12 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="optimal beta, radii and capacity for one configuration")
     _add_common(p)
     p.add_argument("--ns", type=int, default=8, help="number of antennas (even)")
-    p.add_argument("--snr-db", type=float, default=15.0)
-    p.add_argument("--lambda", dest="wavelength", type=float, default=0.004, help="wavelength [m]")
-    p.add_argument("--dist", type=float, default=100.0, help="centre distance [m]")
+    p.add_argument("--snr-db", type=finite_float, default=15.0)
+    p.add_argument("--lambda", dest="wavelength", type=finite_float, default=0.004, help="wavelength [m]")
+    p.add_argument("--dist", type=finite_float, default=100.0, help="centre distance [m]")
     p.add_argument("--theta-o", type=parse_angle, default=0.0, help="rotation angle [rad or deg:x]")
-    p.add_argument("--beta-max", type=float, default=14.0)
-    p.add_argument("--resolution", type=float, default=0.01)
+    p.add_argument("--beta-max", type=finite_float, default=14.0)
+    p.add_argument("--resolution", type=finite_float, default=0.01)
     p.add_argument("--curve-out", help="optional CSV of the capacity-vs-beta curve")
     p.set_defaults(func=cmd_design)
 
@@ -111,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ns", type=int, default=8)
     p.add_argument("--axis", choices=("beta", "theta_o"), default="beta")
-    p.add_argument("--beta", type=float, default=3.1, help="fixed beta for the theta_o axis")
+    p.add_argument("--beta", type=finite_float, default=3.1, help="fixed beta for the theta_o axis")
     p.add_argument("--theta-o", type=parse_angle, default=0.0, help="fixed rotation for the beta axis")
     p.add_argument("--start", type=parse_angle, default=None)
     p.add_argument("--stop", type=parse_angle, default=None)
@@ -122,10 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity-sweep", help="water-filled capacity against beta")
     _add_common(p)
     p.add_argument("--ns", type=int, default=8)
-    p.add_argument("--snr-db", type=float, default=15.0)
+    p.add_argument("--snr-db", type=finite_float, default=15.0)
     p.add_argument("--theta-o", type=parse_angle, default=0.0)
-    p.add_argument("--beta-max", type=float, default=14.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--beta-max", type=finite_float, default=14.0)
+    p.add_argument("--step", type=finite_float, default=0.01)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_capacity_sweep)
 
@@ -135,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--ns-list", type=parse_int_list, default=(4, 8, 12, 16))
     p.add_argument("--dist-list", type=parse_float_list, default=(100.0, 200.0, 300.0, 400.0, 500.0))
-    p.add_argument("--snr-db", type=float, default=15.0)
-    p.add_argument("--lambda", dest="wavelength", type=float, default=sim.DEFAULT_WAVELENGTH)
-    p.add_argument("--design-dist", type=float, default=100.0)
+    p.add_argument("--snr-db", type=finite_float, default=15.0)
+    p.add_argument("--lambda", dest="wavelength", type=finite_float, default=sim.DEFAULT_WAVELENGTH)
+    p.add_argument("--design-dist", type=finite_float, default=100.0)
     p.add_argument("--l1", type=int, default=5, help="azimuth codebook bits")
     p.add_argument("--l2", type=int, default=3, help="polar codebook bits")
     p.add_argument("--range-all", type=parse_angle, default=math.radians(10.0),
@@ -145,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
     p.add_argument("--exact-geometry", action="store_true",
                    help="build channels from exact distances instead of the separable model")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="accepted for compatibility; output and scheduling do not depend on it")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -154,15 +163,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--ns", type=int, default=16)
-    p.add_argument("--dist", type=float, default=300.0)
-    p.add_argument("--snr-db", type=float, default=15.0)
-    p.add_argument("--lambda", dest="wavelength", type=float, default=sim.DEFAULT_WAVELENGTH)
-    p.add_argument("--design-dist", type=float, default=100.0)
+    p.add_argument("--dist", type=finite_float, default=300.0)
+    p.add_argument("--snr-db", type=finite_float, default=15.0)
+    p.add_argument("--lambda", dest="wavelength", type=finite_float, default=sim.DEFAULT_WAVELENGTH)
+    p.add_argument("--design-dist", type=finite_float, default=100.0)
     p.add_argument("--bit-grid", type=parse_bit_grid, default=sim.DEFAULT_BIT_GRID,
                    help="comma-separated L1:L2 pairs")
     p.add_argument("--range-all", type=parse_angle, default=math.radians(10.0))
     p.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="accepted for compatibility; output and scheduling do not depend on it")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_codebook)
 
@@ -201,6 +211,12 @@ def cmd_design(args) -> int:
     print(f"radii_product_m2: {result.radii_product:.9g}")
     print(f"capacity_bps_hz: {result.capacity:.9g}")
     print(f"condition_number: {result.condition_number:.9g}")
+    if result.beta_opt >= args.beta_max - args.resolution:
+        print(
+            f"note: beta_opt {result.beta_opt:.9g} lies within --resolution of --beta-max "
+            f"{args.beta_max:g}; capacity may still rise beyond it, so raise --beta-max",
+            file=sys.stderr,
+        )
     if args.curve_out:
         _write_capacity_curve(args.ns, args.theta_o, args.snr_db, args.beta_max,
                               args.resolution, args.curve_out)

@@ -27,7 +27,11 @@ TIE_TOLERANCE_BITS = 1e-6
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-stream transmit powers summing to the total budget."""
+    """Per-stream transmit powers summing to the total budget.
+
+    `powers` is (N,) for one allocation or (..., N) for a stack of them,
+    each row summing to `total`.
+    """
 
     powers: np.ndarray
     total: float
@@ -41,7 +45,7 @@ class PowerAllocation:
             raise ValueError("total power and noise must be positive")
         if np.any(powers < 0.0):
             raise ValueError("stream powers must be nonnegative")
-        if abs(float(np.sum(powers)) - self.total) > 1e-9 * self.total:
+        if np.any(np.abs(np.sum(powers, axis=-1) - self.total) > 1e-9 * self.total):
             raise ValueError("stream powers must sum to the total budget")
 
 
@@ -88,7 +92,8 @@ def water_fill(sigmas, p_total: float, noise: float) -> PowerAllocation:
     Parameters
     ----------
     sigmas : array_like
-        Nonnegative stream gains (at least one must be positive).
+        Nonnegative stream gains (at least one must be positive), (N,) or
+        a (..., N) stack that is filled row by row.
     p_total : float
         Total power budget.
     noise : float
@@ -145,13 +150,20 @@ def _golden_max(fun, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
+def condition_numbers(sigmas) -> np.ndarray:
+    """Largest over smallest singular value along the last axis.
+
+    Infinite where the smallest singular value is below 1e-10.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    smallest = np.min(sigmas, axis=-1)
+    singular = smallest < 1e-10
+    return np.where(singular, math.inf, np.max(sigmas, axis=-1) / np.where(singular, 1.0, smallest))
+
+
 def condition_number(n_s: int, beta: float, theta_o: float) -> float:
     """Ratio of the largest to smallest singular value (inf if one is ~0)."""
-    sig = singular_values(n_s, beta, theta_o)
-    smallest = float(np.min(sig))
-    if smallest < 1e-10:
-        return math.inf
-    return float(np.max(sig)) / smallest
+    return float(condition_numbers(singular_values(n_s, beta, theta_o)))
 
 
 def search_beta_opt(

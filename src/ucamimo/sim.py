@@ -2,40 +2,37 @@
 
 Trials draw random misalignments from counter-based per-trial substreams
 keyed by (seed, trial index), so results are byte-reproducible and do not
-depend on execution order or parallelism.  The same trial index yields the
-same draw in every scenario cell, which pairs the comparisons across
-antenna counts, distances and codebook settings.
+depend on execution order.  The same trial index yields the same draw in
+every scenario cell, which pairs the comparisons across antenna counts,
+distances and codebook settings.  All trials of a cell are scored as one
+batch: the channels are stacked and each scheme is one stacked call.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import APPROXIMATE, EXACT_DISTANCE, build_channel
+from .channel import APPROXIMATE, EXACT_DISTANCE, ChannelMatrix, build_channel, dft_matrix
 from .design import (
     PowerAllocation,
-    allocated_capacity,
-    condition_number,
+    capacity,
+    condition_numbers,
     search_beta_opt,
     water_fill,
 )
 from .geometry import ArrayConfig, Misalignment, _wrap_pi
-from .spectrum import singular_values
+from .spectrum import singular_values_many
 from .transceiver import (
     Codebook,
-    SingularChannelError,
     approx_power_allocation,
     build_codebook,
-    dft_precoder,
-    precoded_rate,
-    precoder_from_angles,
+    nulling_rates,
+    precoded_rates,
+    precoder_matrices,
     select_codebook_index,
-    zf_rate,
-    zf_sic_rate,
 )
 
 CSV_HEADER = "scenario,n_antennas,distance_m,scheme,trial,rate_bps_hz,beta,cond_number"
@@ -158,52 +155,57 @@ def _design_radius(trial_cfg: TrialConfig, n_antennas: int) -> float:
     return float(result.radius_equal)
 
 
-def _rate_sweep_trial(
+def _cell_channels(trial_cfg: TrialConfig, cfg: ArrayConfig) -> list[ChannelMatrix]:
+    """One channel per trial of a scenario cell, each from its own substream."""
+    model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
+    n = cfg.n_antennas
+    return [
+        build_channel(cfg, draw_misalignment(trial_rng(trial_cfg.seed, t), trial_cfg, n), model)
+        for t in range(trial_cfg.n_trials)
+    ]
+
+
+def _misalignment_angles(channels: list[ChannelMatrix], name: str) -> np.ndarray:
+    return np.array([getattr(h.mis, name) for h in channels])
+
+
+def _rate_sweep_cell(
     trial_cfg: TrialConfig,
     cfg: ArrayConfig,
     cb: Codebook,
     approx_alloc: PowerAllocation,
-    trial: int,
-) -> tuple[dict[str, float], float]:
-    """Rates of every scheme for one trial; returns (rates, condition number).
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Rates of every scheme for all trials of a cell; returns (rates, condition numbers).
 
-    A draw clamped exactly onto the rotation bound yields a singular
-    channel; the nulling receivers cannot operate there and score zero
-    (the row's condition number is infinite, so such trials are visible).
+    Channels are built per trial.  Apart from the codebook search, which
+    also runs per trial, every scheme is one stacked call over the cell's
+    (T, N, N) channels.  A draw clamped exactly onto the rotation bound
+    yields a singular channel; the nulling receivers cannot operate there
+    and score zero (the row's condition number is infinite, so such trials
+    are visible).  The optimal precoder water-fills the closed-form
+    spectrum.  The capacity row and the condition number describe the
+    channel built: the closed-form spectrum on the separable model, the
+    channel's numerical singular values with exact geometry.
     """
-    rng = trial_rng(trial_cfg.seed, trial)
-    mis = draw_misalignment(rng, trial_cfg, cfg.n_antennas)
-    model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
-    h = build_channel(cfg, mis, model)
-
     p_total = 10.0 ** (trial_cfg.snr_db / 10.0)
-    sig = singular_values(cfg.n_antennas, cfg.beta, mis.theta_o)
-    exact_alloc = water_fill(sig, p_total, 1.0)
-
-    def nulling_rate(receiver) -> float:
-        try:
-            return receiver(h, p_total, 1.0).rate
-        except SingularChannelError:
-            return 0.0
-
-    optimal = precoder_from_angles(cfg, mis.theta_cs, mis.phi_cs)
-    _, cb_rate = select_codebook_index(h, cb, approx_alloc)
+    channels = _cell_channels(trial_cfg, cfg)
+    h = np.stack([c.entries for c in channels])
+    spectrum = singular_values_many(cfg.n_antennas, cfg.beta, _misalignment_angles(channels, "theta_o"))
+    exact_alloc = water_fill(spectrum, p_total, 1.0)
+    nulling = nulling_rates(h, p_total, 1.0)
+    sigma = nulling.sigma if trial_cfg.exact_geometry else spectrum
+    optimal = precoder_matrices(
+        cfg, _misalignment_angles(channels, "theta_cs"), _misalignment_angles(channels, "phi_cs")
+    )
     rates = {
-        "capacity": allocated_capacity(sig, exact_alloc),
-        "optimal-precoder": precoded_rate(h, optimal, exact_alloc, "optimal-precoder").rate,
-        "codebook": cb_rate,
-        "identity": precoded_rate(h, dft_precoder(cfg.n_antennas), approx_alloc, "identity").rate,
-        "zf": nulling_rate(zf_rate),
-        "zf-sic": nulling_rate(zf_sic_rate),
+        "capacity": capacity(sigma, p_total, 1.0),
+        "optimal-precoder": np.sum(precoded_rates(h, optimal, exact_alloc), axis=-1),
+        "codebook": np.array([select_codebook_index(c, cb, approx_alloc)[1] for c in channels]),
+        "identity": np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_alloc), axis=-1),
+        "zf": np.sum(nulling.zf, axis=-1),
+        "zf-sic": np.sum(nulling.zf_sic, axis=-1),
     }
-    return rates, condition_number(cfg.n_antennas, cfg.beta, mis.theta_o)
-
-
-def _run_trials(worker, n_trials: int, jobs: int) -> list:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, range(n_trials)))
-    return [worker(t) for t in range(n_trials)]
+    return rates, condition_numbers(sigma)
 
 
 def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
@@ -211,7 +213,9 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
 
     Radii are fixed per antenna count to the optimum at the design
     distance; sweeping the actual distance then scales beta inversely.
-    Appends one mean row per scheme after each scenario cell's trials.
+    Each cell's trials are scored as one batch.  Appends one mean row per
+    scheme after each scenario cell's trials.  `jobs` is accepted for
+    compatibility; neither the output nor the scheduling depends on it.
     """
     rows: list[ResultRow] = []
     l1, l2 = trial_cfg.codebook_bits
@@ -227,21 +231,17 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
                 distance=dist,
             )
             approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
-            results = _run_trials(
-                lambda t: _rate_sweep_trial(trial_cfg, cfg, cb, approx_alloc, t),
-                trial_cfg.n_trials,
-                jobs,
-            )
-            for trial, (rates, cond) in enumerate(results):
+            rates, cond = _rate_sweep_cell(trial_cfg, cfg, cb, approx_alloc)
+            for trial in range(trial_cfg.n_trials):
                 for scheme in RATE_SWEEP_SCHEMES:
                     rows.append(
                         ResultRow(
-                            "rate_sweep", n, dist, scheme, trial, rates[scheme], cfg.beta, cond
+                            "rate_sweep", n, dist, scheme, trial,
+                            float(rates[scheme][trial]), cfg.beta, float(cond[trial]),
                         )
                     )
-            mean_cond = float(np.mean([cond for _, cond in results]))
+            mean_cond = float(np.mean(cond))
             for scheme in RATE_SWEEP_SCHEMES:
-                mean_rate = float(np.mean([rates[scheme] for rates, _ in results]))
                 rows.append(
                     ResultRow(
                         "rate_sweep",
@@ -249,7 +249,7 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
                         dist,
                         scheme,
                         AGGREGATE_TRIAL,
-                        mean_rate,
+                        float(np.mean(rates[scheme])),
                         cfg.beta,
                         mean_cond,
                     )
@@ -282,7 +282,9 @@ def run_codebook_bit_sweep(
     Operates at the first entry of the antenna-count and distance lists
     (defaults target 16 antennas at 300 m with radii designed for the
     design distance).  Every (L1, L2) pair is evaluated with both
-    quantisation rules on the same per-trial channels.
+    quantisation rules on the same per-trial channels; each codebook is
+    built once.  `jobs` is accepted for compatibility; neither the output
+    nor the scheduling depends on it.
     """
     n = trial_cfg.n_antennas_list[0]
     dist = trial_cfg.distances[0]
@@ -295,38 +297,26 @@ def run_codebook_bit_sweep(
         distance=dist,
     )
     approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
-    model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
-
-    def one_trial(trial: int) -> tuple[dict, float]:
-        rng = trial_rng(trial_cfg.seed, trial)
-        mis = draw_misalignment(rng, trial_cfg, n)
-        h = build_channel(cfg, mis, model)
-        per_cb = {}
-        for l1, l2 in bit_grid:
-            for method in ("sine", "linear"):
-                cb = build_codebook(l1, l2, quantization=method)
-                _, rate = select_codebook_index(h, cb, approx_alloc)
-                per_cb[(l1, l2, method)] = rate
-        return per_cb, condition_number(n, cfg.beta, mis.theta_o)
-
-    results = _run_trials(one_trial, trial_cfg.n_trials, jobs)
+    channels = _cell_channels(trial_cfg, cfg)
+    cond = condition_numbers(
+        singular_values_many(n, cfg.beta, _misalignment_angles(channels, "theta_o"))
+    )
+    mean_cond = float(np.mean(cond))
 
     rows: list[ResultRow] = []
     for l1, l2 in bit_grid:
         scenario = f"bit_sweep_L1{l1}_L2{l2}"
         for method in ("sine", "linear"):
             scheme = f"codebook-{method}"
-            for trial, (per_cb, cond) in enumerate(results):
+            cb = build_codebook(l1, l2, quantization=method)
+            rates = np.array([select_codebook_index(h, cb, approx_alloc)[1] for h in channels])
+            for trial, rate in enumerate(rates):
                 rows.append(
-                    ResultRow(
-                        scenario, n, dist, scheme, trial, per_cb[(l1, l2, method)], cfg.beta, cond
-                    )
+                    ResultRow(scenario, n, dist, scheme, trial, float(rate), cfg.beta, float(cond[trial]))
                 )
-            mean_rate = float(np.mean([per_cb[(l1, l2, method)] for per_cb, _ in results]))
-            mean_cond = float(np.mean([cond for _, cond in results]))
             rows.append(
                 ResultRow(
-                    scenario, n, dist, scheme, AGGREGATE_TRIAL, mean_rate, cfg.beta, mean_cond
+                    scenario, n, dist, scheme, AGGREGATE_TRIAL, float(np.mean(rates)), cfg.beta, mean_cond
                 )
             )
     return rows

@@ -134,6 +134,19 @@ class PrecoderMatrix:
             raise ValueError("precoder must be unitary")
 
 
+def _shift_phasors(cfg: ArrayConfig, theta_cs, phi_cs) -> np.ndarray:
+    """Tx phasors exp(-j*2*pi*tau/lambda) of the shift angles' displacements; shape (..., N)."""
+    return np.exp(-1j * TWO_PI / cfg.wavelength * tx_displacement(cfg, theta_cs, phi_cs))
+
+
+def precoder_matrices(cfg: ArrayConfig, theta_cs, phi_cs) -> np.ndarray:
+    """Phase correction times the DFT for every angle pair; shape (..., N, N).
+
+    The angles broadcast against each other, as in `tx_displacement`.
+    """
+    return _shift_phasors(cfg, theta_cs, phi_cs)[..., :, None] * dft_matrix(cfg.n_antennas)
+
+
 def precoder_from_angles(
     cfg: ArrayConfig,
     theta_cs: float,
@@ -145,10 +158,7 @@ def precoder_from_angles(
     With the true angles this reproduces the right singular matrix of the
     separable-model channel; with quantised angles it is a codebook entry.
     """
-    t_bar = np.exp(-1j * TWO_PI / cfg.wavelength * tx_displacement(cfg, theta_cs, phi_cs))
-    return PrecoderMatrix(
-        matrix=t_bar[:, None] * dft_matrix(cfg.n_antennas), provenance=provenance
-    )
+    return PrecoderMatrix(matrix=precoder_matrices(cfg, theta_cs, phi_cs), provenance=provenance)
 
 
 def dft_precoder(n: int) -> PrecoderMatrix:
@@ -172,16 +182,27 @@ class RateReport:
 
 
 def _chain_per_stream(g: np.ndarray) -> np.ndarray:
-    """Per-stream rates whose sum is exactly log2 det(I + G^H G).
+    """Per-stream rates whose sum is exactly log2 det(I + G^H G), for a (..., M, N) stack.
 
     Uses the QR factorisation of G stacked on the identity: the squared
     diagonal of the triangular factor multiplies out to det(I + G^H G), so
     stream k contributes 2*log2|r_kk|.
     """
-    n = g.shape[1]
-    stacked = np.vstack([g, np.eye(n, dtype=complex)])
-    r = np.linalg.qr(stacked, mode="r")
-    return 2.0 * np.log2(np.abs(np.diag(r)))
+    n = g.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (*g.shape[:-2], n, n))
+    r = np.linalg.qr(np.concatenate([g, eye], axis=-2), mode="r")
+    return 2.0 * np.log2(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
+
+
+def precoded_rates(h: np.ndarray, f: np.ndarray, alloc: PowerAllocation) -> np.ndarray:
+    """Per-stream rates of precoded channels, shape (..., N).
+
+    `h` is a (..., N, N) stack of channels and `f` its precoders; the
+    powers of `alloc` are (N,) or one row per channel.  Row by row this is
+    the split of `precoded_rate`.
+    """
+    g = (h @ f) * np.sqrt(alloc.powers / alloc.noise)[..., None, :]
+    return _chain_per_stream(g)
 
 
 def precoded_rate(h, precoder, alloc: PowerAllocation, scheme: str = "codebook") -> RateReport:
@@ -190,10 +211,8 @@ def precoded_rate(h, precoder, alloc: PowerAllocation, scheme: str = "codebook")
     Stream k of the precoder carries power alloc.powers[k]; the per-stream
     split follows the interference-cancellation chain in natural order.
     """
-    h = _entries(h)
     f = precoder.matrix if isinstance(precoder, PrecoderMatrix) else np.asarray(precoder)
-    g = (h @ f) * np.sqrt(alloc.powers / alloc.noise)[None, :]
-    return RateReport(scheme=scheme, per_stream=_chain_per_stream(g))
+    return RateReport(scheme=scheme, per_stream=precoded_rates(_entries(h), f, alloc))
 
 
 def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> PowerAllocation:
@@ -211,18 +230,34 @@ def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> PowerAllocation:
 def codebook_rates(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> np.ndarray:
     """Achievable rate of every codebook entry, in index order.
 
-    Entry l scores log2 det(I + H F_l P F_l^H H^H) with P = diag(p_k /
-    noise); all entries are evaluated in one batched pass.
+    Entry l scores log2 det(I + G_l G_l^H) with G_l = H diag(t_l) Q P^(1/2),
+    t_l the entry's shift phasors, Q the DFT and P = diag(p_k / noise).
+    Columns of streams without power are zero, so with G~_l the r columns
+    of the active streams, Sylvester's identity gives det(I_r + G~_l^H
+    G~_l).  That r x r matrix is Hermitian with eigenvalues >= 1, so its
+    Cholesky factor exists and the log-determinant is 2 sum log L_kk.
+
+    The Gram matrices Q~^H diag(t_l)^H (H^H H) diag(t_l) Q~ of all entries
+    come from two matrix products over the whole codebook.  They are
+    formed transposed, entry-major, which gives their complex conjugates:
+    the same real Cholesky diagonal.
     """
     cfg = h.cfg
-    hm = h.entries
-    thetas, phis = cb.angle_pairs()
-    t_bar = np.exp(-1j * TWO_PI / cfg.wavelength * tx_displacement(cfg, thetas, phis))
-    q = dft_matrix(cfg.n_antennas)
-    g = (hm[None, :, :] * t_bar[:, None, :]) @ q
-    g = g * np.sqrt(alloc.powers / alloc.noise)[None, None, :]
-    m = np.eye(cfg.n_antennas)[None, :, :] + g @ np.conj(np.transpose(g, (0, 2, 1)))
-    _, logdet = np.linalg.slogdet(m)
+    n = cfg.n_antennas
+    active = np.flatnonzero(alloc.powers > 0.0)
+    q = dft_matrix(n)[:, active] * np.sqrt(alloc.powers[active] / alloc.noise)
+    r = active.size
+    t = _shift_phasors(cfg, *cb.angle_pairs())  # (L, N)
+    size = t.shape[0]
+    hh = h.entries.conj().T @ h.entries
+    x = (t[:, None, :] * q.T).reshape(size * r, n)  # rows of (diag(t_l) Q~)^T
+    y = (x @ hh.T).reshape(size, r, n)
+    y *= t.conj()[:, None, :]  # rows of (diag(t_l)^H H^H H diag(t_l) Q~)^T
+    gram = (y.reshape(size * r, n) @ q.conj()).reshape(size, r, r)
+    diag = np.arange(r)
+    gram[:, diag, diag] += 1.0
+    chol = np.linalg.cholesky(gram)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
     return logdet / _LN2
 
 
@@ -239,6 +274,34 @@ def select_codebook_index(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation
     return best + 1, float(rates[best])
 
 
+# Smallest-to-largest singular value ratio at or below which ZF rejects a channel.
+_RANK_TOL = 1e-12
+
+
+def _full_rank(sigma: np.ndarray) -> np.ndarray:
+    """Rank test of the nulling receivers on descending singular values (..., N)."""
+    return sigma[..., -1] > _RANK_TOL * sigma[..., 0]
+
+
+def _require_full_rank(h: np.ndarray) -> None:
+    if not _full_rank(np.linalg.svd(h, compute_uv=False)):
+        raise SingularChannelError("channel matrix is singular; ZF receivers need full rank")
+
+
+def _zf_per_stream(h: np.ndarray, p_total: float, noise: float) -> np.ndarray:
+    """Equal-power ZF stream rates of a (..., N, N) stack of invertible channels."""
+    p = p_total / h.shape[-1]
+    gram = np.swapaxes(h.conj(), -1, -2) @ h
+    diag_inv = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
+    return np.log2(1.0 + p / (noise * diag_inv))
+
+
+def _zf_sic_per_stream(h: np.ndarray, p_total: float, noise: float) -> np.ndarray:
+    """Equal-power ZF-SIC stream rates of a (..., N, N) stack of channels."""
+    p = p_total / h.shape[-1]
+    return _chain_per_stream(math.sqrt(p / noise) * h)
+
+
 def zf_rate(h, p_total: float, noise: float) -> RateReport:
     """Zero-forcing receiver with equal per-stream power.
 
@@ -246,13 +309,8 @@ def zf_rate(h, p_total: float, noise: float) -> RateReport:
     invertible channel.
     """
     h = _entries(h)
-    n = h.shape[0]
     _require_full_rank(h)
-    p = p_total / n
-    gram = h.conj().T @ h
-    diag_inv = np.real(np.diag(np.linalg.inv(gram)))
-    per_stream = np.log2(1.0 + p / (noise * diag_inv))
-    return RateReport(scheme="zf", per_stream=per_stream)
+    return RateReport(scheme="zf", per_stream=_zf_per_stream(h, p_total, noise))
 
 
 def zf_sic_rate(h, p_total: float, noise: float) -> RateReport:
@@ -264,14 +322,31 @@ def zf_sic_rate(h, p_total: float, noise: float) -> RateReport:
     is independent of the detection order.
     """
     h = _entries(h)
-    n = h.shape[0]
     _require_full_rank(h)
-    p = p_total / n
-    per_stream = _chain_per_stream(math.sqrt(p / noise) * h)
-    return RateReport(scheme="zf_sic", per_stream=per_stream)
+    return RateReport(scheme="zf_sic", per_stream=_zf_sic_per_stream(h, p_total, noise))
 
 
-def _require_full_rank(h: np.ndarray) -> None:
-    sig = np.linalg.svd(h, compute_uv=False)
-    if sig[-1] <= 1e-12 * sig[0]:
-        raise SingularChannelError("channel matrix is singular; ZF receivers need full rank")
+@dataclass(frozen=True)
+class NullingRates:
+    """Both nulling receivers on a (T, N, N) stack of channels.
+
+    `sigma` holds each channel's singular values, descending, from the
+    rank test; `zf` and `zf_sic` are (T, N) per-stream rates, zero on the
+    rows of rank-deficient channels, where `zf_rate` and `zf_sic_rate`
+    raise `SingularChannelError`.
+    """
+
+    sigma: np.ndarray
+    zf: np.ndarray
+    zf_sic: np.ndarray
+
+
+def nulling_rates(h: np.ndarray, p_total: float, noise: float) -> NullingRates:
+    """ZF and ZF-SIC rates of a stack of channels, row by row as the scalar receivers."""
+    sigma = np.linalg.svd(h, compute_uv=False)
+    full = _full_rank(sigma)
+    zf = np.zeros(h.shape[:-1])
+    zf_sic = np.zeros(h.shape[:-1])
+    zf[full] = _zf_per_stream(h[full], p_total, noise)
+    zf_sic[full] = _zf_sic_per_stream(h[full], p_total, noise)
+    return NullingRates(sigma=sigma, zf=zf, zf_sic=zf_sic)

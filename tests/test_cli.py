@@ -42,11 +42,22 @@ class TestParsers:
     [
         ["design", "--snr-db", "nan"],
         ["simulate", "--seed", "1", "--trials", "1", "--snr-db", "nan"],
+        ["spectrum", "--ns", "4", "--num", "2", "--theta-o", "nan"],
+        ["spectrum", "--ns", "4", "--num", "2", "--axis", "theta_o", "--beta", "nan"],
+        ["spectrum", "--ns", "4", "--num", "2", "--start", "nan"],
+        ["spectrum", "--ns", "4", "--num", "2", "--stop", "inf"],
+        ["spectrum", "--ns", "4", "--num", "2", "--axis", "theta_o", "--stop", "deg:-inf"],
+        ["capacity-sweep", "--ns", "4", "--theta-o", "nan"],
+        ["simulate", "--seed", "1", "--trials", "1", "--dist-list", "100,nan"],
     ],
 )
 def test_non_finite_input_exits_2(args, capsys):
+    # rejected at the command line, with a message naming the option
+    option = args[-2]
     assert run_cli(args) == 2
-    assert "finite" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be finite" in captured.err
 
 
 class TestDesignCommand:
@@ -65,6 +76,18 @@ class TestDesignCommand:
         assert float(values["beta_opt"]) == pytest.approx(
             search_beta_opt(8, math.pi / 8, 15.0).beta_opt, abs=1e-6
         )
+
+    def test_optimum_at_range_edge_noted_on_stderr(self, capsys):
+        # at 64 antennas and 15 dB capacity still rises at beta = 14
+        args = ["design", "--ns", "64", "--snr-db", "15"]
+        assert run_cli(args) == 0
+        captured = capsys.readouterr()
+        assert float(parse_kv(captured.out)["beta_opt"]) > 14.0 - 0.01
+        assert "within --resolution of --beta-max" in captured.err
+        assert run_cli(args + ["--beta-max", "40"]) == 0
+        captured = capsys.readouterr()
+        assert float(parse_kv(captured.out)["beta_opt"]) == pytest.approx(29.64, abs=0.01)
+        assert captured.err == ""
 
     def test_odd_antenna_count_exits_2(self, capsys):
         assert run_cli(["design", "--ns", "5"]) == 2

@@ -4,12 +4,29 @@ import warnings
 import numpy as np
 import pytest
 
-from ucamimo import build_channel, sim, zf_rate, zf_sic_rate
-from ucamimo.design import water_fill
+from ucamimo import (
+    APPROXIMATE,
+    EXACT_DISTANCE,
+    SingularChannelError,
+    approx_power_allocation,
+    build_channel,
+    build_codebook,
+    condition_number,
+    numerical_svd,
+    precoder_from_angles,
+    search_beta_opt,
+    select_codebook_index,
+    transceiver,
+    zf_rate,
+    zf_sic_rate,
+)
+from ucamimo.design import allocated_capacity, capacity, water_fill
 from ucamimo.geometry import ArrayConfig
 from ucamimo.sim import (
     AGGREGATE_TRIAL,
     CSV_HEADER,
+    RATE_SWEEP_SCHEMES,
+    ResultRow,
     TrialConfig,
     draw_misalignment,
     rows_to_csv,
@@ -18,6 +35,7 @@ from ucamimo.sim import (
     trial_rng,
 )
 from ucamimo.spectrum import singular_values
+from ucamimo.transceiver import dft_precoder, precoded_rate
 
 
 def small_config(**kw):
@@ -31,6 +49,149 @@ def small_config(**kw):
     )
     defaults.update(kw)
     return TrialConfig(**defaults)
+
+
+def cell_array(cfg, n, dist):
+    radius = search_beta_opt(
+        n, 0.0, cfg.snr_db, wavelength=cfg.wavelength, distance=cfg.design_distance
+    ).radius_equal
+    return ArrayConfig(n_antennas=n, wavelength=cfg.wavelength, radius_tx=radius, radius_rx=radius, distance=dist)
+
+
+def trial_channel(cfg, arr, trial):
+    mis = draw_misalignment(trial_rng(cfg.seed, trial), cfg, arr.n_antennas)
+    return build_channel(arr, mis, EXACT_DISTANCE if cfg.exact_geometry else APPROXIMATE)
+
+
+def reference_rate_sweep(cfg):
+    """The per-trial engine the batched one replaced, built from the scalar API.
+
+    Each trial builds its channel and scores every scheme with one call of
+    the public scalar functions; a singular channel scores zero for ZF and
+    ZF-SIC.  Capacity row and condition number come from the closed-form
+    spectrum.
+    """
+    p_total = 10.0 ** (cfg.snr_db / 10.0)
+    cb = build_codebook(*cfg.codebook_bits)
+
+    def nulling(receiver, h):
+        try:
+            return receiver(h, p_total, 1.0).rate
+        except SingularChannelError:
+            return 0.0
+
+    rows = []
+    for n in cfg.n_antennas_list:
+        for dist in cfg.distances:
+            arr = cell_array(cfg, n, dist)
+            approx_alloc = approx_power_allocation(arr, cfg.snr_db)
+            trials = []
+            for t in range(cfg.n_trials):
+                h = trial_channel(cfg, arr, t)
+                sig = singular_values(n, arr.beta, h.mis.theta_o)
+                exact_alloc = water_fill(sig, p_total, 1.0)
+                optimal = precoder_from_angles(arr, h.mis.theta_cs, h.mis.phi_cs)
+                rates = {
+                    "capacity": allocated_capacity(sig, exact_alloc),
+                    "optimal-precoder": precoded_rate(h, optimal, exact_alloc).rate,
+                    "codebook": select_codebook_index(h, cb, approx_alloc)[1],
+                    "identity": precoded_rate(h, dft_precoder(n), approx_alloc).rate,
+                    "zf": nulling(zf_rate, h),
+                    "zf-sic": nulling(zf_sic_rate, h),
+                }
+                trials.append((rates, condition_number(n, arr.beta, h.mis.theta_o)))
+            for t, (rates, cond) in enumerate(trials):
+                rows += [ResultRow("rate_sweep", n, dist, s, t, rates[s], arr.beta, cond)
+                         for s in RATE_SWEEP_SCHEMES]
+            mean_cond = float(np.mean([cond for _, cond in trials]))
+            rows += [
+                ResultRow("rate_sweep", n, dist, s, AGGREGATE_TRIAL,
+                          float(np.mean([rates[s] for rates, _ in trials])), arr.beta, mean_cond)
+                for s in RATE_SWEEP_SCHEMES
+            ]
+    return rows
+
+
+def assert_rows_equal(rows, ref, check_capacity_and_cond=True):
+    """Bit-for-bit equality of two row lists, optionally leaving out capacity rows and cond."""
+    assert len(rows) == len(ref)
+    for r, e in zip(rows, ref):
+        assert (r.scenario, r.n_antennas, r.distance_m, r.scheme, r.trial, r.beta) == (
+            e.scenario, e.n_antennas, e.distance_m, e.scheme, e.trial, e.beta)
+        if check_capacity_and_cond or r.scheme != "capacity":
+            assert r.rate_bps_hz == e.rate_bps_hz, (r, e)
+        if check_capacity_and_cond:
+            assert r.cond_number == e.cond_number, (r, e)
+
+
+class TestBatchedEngineMatchesPerTrialReference:
+    def test_separable(self):
+        cfg = small_config(n_trials=6, n_antennas_list=(4, 8), distances=(100.0, 400.0))
+        assert_rows_equal(run_rate_sweep(cfg), reference_rate_sweep(cfg))
+
+    def test_exact_geometry_outside_capacity_row_and_cond(self):
+        cfg = small_config(n_trials=6, n_antennas_list=(8,), distances=(100.0, 500.0),
+                           angle_range_small=math.radians(15.0), exact_geometry=True)
+        assert_rows_equal(run_rate_sweep(cfg), reference_rate_sweep(cfg), check_capacity_and_cond=False)
+
+    def test_clamped_singular_draws(self):
+        cfg = small_config(n_trials=40, n_antennas_list=(20,), distances=(100.0,),
+                           angle_range_small=math.radians(12.0))
+        rows = run_rate_sweep(cfg)
+        assert_rows_equal(rows, reference_rate_sweep(cfg))
+        singular = {r.trial for r in rows if r.trial >= 0 and math.isinf(r.cond_number)}
+        assert singular and len(singular) < cfg.n_trials
+        for r in rows:
+            if r.trial in singular and r.scheme in ("zf", "zf-sic"):
+                assert r.rate_bps_hz == 0.0
+
+    def test_bit_sweep(self):
+        cfg = small_config(n_trials=4, n_antennas_list=(8,), distances=(300.0,))
+        grid = ((2, 1), (1, 3))
+        rows = run_codebook_bit_sweep(cfg, grid)
+        arr = cell_array(cfg, 8, 300.0)
+        alloc = approx_power_allocation(arr, cfg.snr_db)
+        channels = [trial_channel(cfg, arr, t) for t in range(cfg.n_trials)]
+        k = 0
+        for l1, l2 in grid:
+            for method in ("sine", "linear"):
+                cb = build_codebook(l1, l2, quantization=method)
+                for t, h in enumerate(channels):
+                    assert rows[k].rate_bps_hz == select_codebook_index(h, cb, alloc)[1]
+                    assert rows[k].cond_number == condition_number(8, arr.beta, h.mis.theta_o)
+                    k += 1
+                k += 1  # the mean row
+
+
+class TestExactGeometryCapacityRow:
+    CFG = small_config(n_trials=8, n_antennas_list=(8, 16), distances=(100.0, 500.0),
+                       angle_range_small=math.radians(15.0), exact_geometry=True)
+
+    def test_row_is_capacity_of_the_built_channel(self):
+        cfg = self.CFG
+        p_total = 10.0 ** (cfg.snr_db / 10.0)
+        rows = run_rate_sweep(cfg)
+        checked = 0
+        for n in cfg.n_antennas_list:
+            for dist in cfg.distances:
+                arr = cell_array(cfg, n, dist)
+                for t in range(cfg.n_trials):
+                    sigma = numerical_svd(trial_channel(cfg, arr, t).entries).sigma
+                    trial = {r.scheme: r for r in rows
+                             if (r.n_antennas, r.distance_m, r.trial) == (n, dist, t)}
+                    assert trial["capacity"].rate_bps_hz == pytest.approx(
+                        capacity(sigma, p_total, 1.0), rel=1e-12)
+                    assert trial["capacity"].cond_number == pytest.approx(
+                        sigma[0] / sigma[-1], rel=1e-9)
+                    checked += 1
+        assert checked == 4 * cfg.n_trials
+
+    def test_no_scheme_beats_the_row(self):
+        rows = run_rate_sweep(self.CFG)
+        caps = {(r.n_antennas, r.distance_m, r.trial): r.rate_bps_hz
+                for r in rows if r.scheme == "capacity"}
+        for r in rows:
+            assert r.rate_bps_hz <= caps[(r.n_antennas, r.distance_m, r.trial)] + 1e-9
 
 
 class TestTrialRng:
@@ -172,7 +333,7 @@ class TestRateSweep:
         def broken(h, p_total, noise):
             raise ValueError("receiver fault")
 
-        monkeypatch.setattr(sim, "zf_rate", broken)
+        monkeypatch.setattr(transceiver, "_zf_per_stream", broken)
         with pytest.raises(ValueError, match="receiver fault"):
             run_rate_sweep(small_config(n_trials=1, distances=(100.0,)))
 
