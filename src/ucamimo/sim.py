@@ -29,10 +29,10 @@ from .transceiver import (
     Codebook,
     approx_power_allocation,
     build_codebook,
+    codebook_rates_many,
     nulling_rates,
     precoded_rates,
     precoder_matrices,
-    select_codebook_index,
 )
 
 CSV_HEADER = "scenario,n_antennas,distance_m,scheme,trial,rate_bps_hz,beta,cond_number"
@@ -177,15 +177,16 @@ def _rate_sweep_cell(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Rates of every scheme for all trials of a cell; returns (rates, condition numbers).
 
-    Channels are built per trial.  Apart from the codebook search, which
-    also runs per trial, every scheme is one stacked call over the cell's
-    (T, N, N) channels.  A draw clamped exactly onto the rotation bound
-    yields a singular channel; the nulling receivers cannot operate there
-    and score zero (the row's condition number is infinite, so such trials
-    are visible).  The optimal precoder water-fills the closed-form
-    spectrum.  The capacity row and the condition number describe the
-    channel built: the closed-form spectrum on the separable model, the
-    channel's numerical singular values with exact geometry.
+    Channels are built per trial; every scheme is then one stacked call
+    over the cell's (T, N, N) channels, and the codebook row is the best
+    entry's rate, as `select_codebook_index` reports it.  A draw clamped
+    exactly onto the rotation bound yields a singular channel; the nulling
+    receivers cannot operate there and score zero (the row's condition
+    number is infinite, so such trials are visible).  The optimal precoder
+    water-fills the closed-form spectrum.  The capacity row and the
+    condition number describe the channel built: the closed-form spectrum
+    on the separable model, the channel's numerical singular values with
+    exact geometry.
     """
     p_total = 10.0 ** (trial_cfg.snr_db / 10.0)
     channels = _cell_channels(trial_cfg, cfg)
@@ -200,7 +201,7 @@ def _rate_sweep_cell(
     rates = {
         "capacity": capacity(sigma, p_total, 1.0),
         "optimal-precoder": np.sum(precoded_rates(h, optimal, exact_alloc), axis=-1),
-        "codebook": np.array([select_codebook_index(c, cb, approx_alloc)[1] for c in channels]),
+        "codebook": np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1),
         "identity": np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_alloc), axis=-1),
         "zf": np.sum(nulling.zf, axis=-1),
         "zf-sic": np.sum(nulling.zf_sic, axis=-1),
@@ -283,8 +284,10 @@ def run_codebook_bit_sweep(
     (defaults target 16 antennas at 300 m with radii designed for the
     design distance).  Every (L1, L2) pair is evaluated with both
     quantisation rules on the same per-trial channels; each codebook is
-    built once.  `jobs` is accepted for compatibility; neither the output
-    nor the scheduling depends on it.
+    built once and scores the stacked channels in one call.  The condition
+    number describes the channel built, as in `run_rate_sweep`.  `jobs` is
+    accepted for compatibility; neither the output nor the scheduling
+    depends on it.
     """
     n = trial_cfg.n_antennas_list[0]
     dist = trial_cfg.distances[0]
@@ -298,9 +301,12 @@ def run_codebook_bit_sweep(
     )
     approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
     channels = _cell_channels(trial_cfg, cfg)
-    cond = condition_numbers(
-        singular_values_many(n, cfg.beta, _misalignment_angles(channels, "theta_o"))
-    )
+    h = np.stack([c.entries for c in channels])
+    if trial_cfg.exact_geometry:
+        sigma = np.linalg.svd(h, compute_uv=False)
+    else:
+        sigma = singular_values_many(n, cfg.beta, _misalignment_angles(channels, "theta_o"))
+    cond = condition_numbers(sigma)
     mean_cond = float(np.mean(cond))
 
     rows: list[ResultRow] = []
@@ -309,7 +315,7 @@ def run_codebook_bit_sweep(
         for method in ("sine", "linear"):
             scheme = f"codebook-{method}"
             cb = build_codebook(l1, l2, quantization=method)
-            rates = np.array([select_codebook_index(h, cb, approx_alloc)[1] for h in channels])
+            rates = np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1)
             for trial, rate in enumerate(rates):
                 rows.append(
                     ResultRow(scenario, n, dist, scheme, trial, float(rate), cfg.beta, float(cond[trial]))

@@ -227,8 +227,10 @@ def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> PowerAllocation:
     return water_fill(sig, 10.0 ** (snr_db / 10.0), 1.0)
 
 
-def codebook_rates(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> np.ndarray:
-    """Achievable rate of every codebook entry, in index order.
+def codebook_rates_many(
+    cfg: ArrayConfig, h: np.ndarray, cb: Codebook, alloc: PowerAllocation
+) -> np.ndarray:
+    """Achievable rate of every codebook entry for a (T, N, N) stack of channels; shape (T, L).
 
     Entry l scores log2 det(I + G_l G_l^H) with G_l = H diag(t_l) Q P^(1/2),
     t_l the entry's shift phasors, Q the DFT and P = diag(p_k / noise).
@@ -240,25 +242,40 @@ def codebook_rates(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> np
     The Gram matrices Q~^H diag(t_l)^H (H^H H) diag(t_l) Q~ of all entries
     come from two matrix products over the whole codebook.  They are
     formed transposed, entry-major, which gives their complex conjugates:
-    the same real Cholesky diagonal.
+    the same real Cholesky diagonal.  Everything that does not depend on
+    the channel (active set, Q~, phasors and the operand of the first
+    product) is built once per call; the channels are then scored one at
+    a time into the same buffers, so a row does not depend on the stack.
     """
-    cfg = h.cfg
     n = cfg.n_antennas
     active = np.flatnonzero(alloc.powers > 0.0)
     q = dft_matrix(n)[:, active] * np.sqrt(alloc.powers[active] / alloc.noise)
     r = active.size
     t = _shift_phasors(cfg, *cb.angle_pairs())  # (L, N)
     size = t.shape[0]
-    hh = h.entries.conj().T @ h.entries
     x = (t[:, None, :] * q.T).reshape(size * r, n)  # rows of (diag(t_l) Q~)^T
-    y = (x @ hh.T).reshape(size, r, n)
-    y *= t.conj()[:, None, :]  # rows of (diag(t_l)^H H^H H diag(t_l) Q~)^T
-    gram = (y.reshape(size * r, n) @ q.conj()).reshape(size, r, r)
-    diag = np.arange(r)
-    gram[:, diag, diag] += 1.0
-    chol = np.linalg.cholesky(gram)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
-    return logdet / _LN2
+    t_conj = t.conj()[:, None, :]
+    q_conj = q.conj()
+    y = np.empty((size * r, n), dtype=complex)
+    y_entries = y.reshape(size, r, n)
+    gram = np.empty((size * r, r), dtype=complex)
+    gram_diag = gram.reshape(size, r * r)[:, :: r + 1]
+    rates = np.empty((h.shape[0], size))
+    for trial, entries in enumerate(h):
+        hh = entries.conj().T @ entries
+        np.matmul(x, hh.T, out=y)
+        y_entries *= t_conj  # rows of (diag(t_l)^H H^H H diag(t_l) Q~)^T
+        np.matmul(y, q_conj, out=gram)
+        gram_diag += 1.0
+        chol = np.linalg.cholesky(gram.reshape(size, r, r))
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+        rates[trial] = logdet / _LN2
+    return rates
+
+
+def codebook_rates(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> np.ndarray:
+    """Achievable rate of every codebook entry, in index order: `codebook_rates_many` of one channel."""
+    return codebook_rates_many(h.cfg, h.entries[None], cb, alloc)[0]
 
 
 def select_codebook_index(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> tuple[int, float]:

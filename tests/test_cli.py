@@ -1,5 +1,6 @@
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +245,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module.design, "search_beta_opt", boom)
         assert run_cli(["design", "--ns", "4"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestGoldenBytes:
+    """Campaign CSVs must stay byte-identical to the committed copies in tests/data."""
+
+    @pytest.mark.parametrize("name, args", [
+        ("simulate_seed2024.csv", ["simulate", "--seed", "2024", "--lambda", "0.004", "--trials", "3",
+                                   "--ns-list", "4,16", "--dist-list", "100,500"]),
+        ("codebook_seed2024.csv", ["codebook", "--seed", "2024", "--trials", "2", "--bit-grid", "1:3,3:5"]),
+    ])
+    def test_csv_bytes_unchanged(self, tmp_path, name, args):
+        out = tmp_path / name
+        assert run_cli([*args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()

@@ -1,4 +1,4 @@
-"""Property-based checks of the codebook scorer over random geometries."""
+"""Property-based checks of the closed-form SVD and the codebook scorer over random geometries."""
 
 import math
 
@@ -14,9 +14,11 @@ from ucamimo import (
     approx_power_allocation,
     build_channel,
     build_codebook,
+    closed_form_svd,
+    numerical_svd,
     precoder_from_angles,
 )
-from ucamimo.transceiver import codebook_rates, precoded_rate
+from ucamimo.transceiver import codebook_rates, codebook_rates_many, precoded_rate
 
 WAVELENGTH = 0.004
 DISTANCE = 100.0
@@ -32,38 +34,66 @@ def array_with_beta(n: int, beta: float) -> ArrayConfig:
 
 
 @st.composite
-def links(draw):
-    """(array, misalignment): even N <= 16, beta in (0, 14], misalignment in the production ranges."""
-    n = draw(st.sampled_from(range(2, 17, 2)))
-    beta = draw(st.floats(0.05, 14.0))
+def misalignments(draw, n):
+    """A misalignment in the production ranges, the rotation within its bound pi/N."""
     small = math.radians(10.0)
-    mis = Misalignment(
+    return Misalignment(
         theta_o=draw(st.floats(-math.pi / n, math.pi / n)),
         theta_cs=draw(st.floats(-math.pi, math.pi)),
         phi_cs=draw(st.floats(0.0, small)),
         phi_x=draw(st.floats(-small, small)),
         phi_y=draw(st.floats(-small, small)),
     )
-    return array_with_beta(n, beta), mis
+
+
+@st.composite
+def links(draw, max_n=16):
+    """(array, misalignment): even N <= max_n, beta in (0, 14], misalignment in the production ranges."""
+    n = draw(st.sampled_from(range(2, max_n + 1, 2)))
+    beta = draw(st.floats(0.05, 14.0))
+    return array_with_beta(n, beta), draw(misalignments(n))
+
+
+@st.composite
+def stacks(draw, count=3):
+    """(array, misalignments): one array and `count` independent misalignments of it."""
+    cfg, mis = draw(links())
+    return cfg, (mis, *(draw(misalignments(cfg.n_antennas)) for _ in range(count - 1)))
 
 
 @PROPERTY
-@given(link=links(), model=st.sampled_from([APPROXIMATE, EXACT_DISTANCE]), snr_db=st.floats(-10.0, 30.0))
-# one active stream, and every stream active
-@example(link=(array_with_beta(4, 0.1), Misalignment(theta_cs=1.0, phi_cs=0.1)), model=APPROXIMATE, snr_db=-10.0)
-@example(link=(array_with_beta(16, 6.0), Misalignment(theta_o=0.1, theta_cs=-2.0, phi_cs=0.15, phi_x=0.1)),
-         model=EXACT_DISTANCE, snr_db=30.0)
-def test_codebook_rates_match_per_entry_rates(link, model, snr_db):
+@given(link=links(max_n=64))
+def test_closed_form_svd_matches_numerical_svd(link):
     cfg, mis = link
-    h = build_channel(cfg, mis, model)
+    h = build_channel(cfg, mis)
+    closed = closed_form_svd(cfg, mis)
+    numeric = numerical_svd(h.entries).sigma
+    np.testing.assert_allclose(np.sort(closed.sigma), np.sort(numeric), rtol=0.0, atol=1e-13 * numeric[0])
+    assert np.max(np.abs(closed.reconstruct() - h.entries)) <= 1e-12
+
+
+@PROPERTY
+@given(stack=stacks(), model=st.sampled_from([APPROXIMATE, EXACT_DISTANCE]), snr_db=st.floats(-10.0, 30.0))
+# one active stream, and every stream active
+@example(stack=(array_with_beta(4, 0.1), (Misalignment(theta_cs=1.0, phi_cs=0.1), Misalignment(),
+                                          Misalignment(theta_o=-0.5, theta_cs=-3.0, phi_cs=0.17))),
+         model=APPROXIMATE, snr_db=-10.0)
+@example(stack=(array_with_beta(16, 6.0), (Misalignment(theta_o=0.1, theta_cs=-2.0, phi_cs=0.15, phi_x=0.1),
+                                           Misalignment(theta_o=-0.19, theta_cs=0.5, phi_cs=0.02, phi_y=-0.1),
+                                           Misalignment(theta_cs=3.1, phi_cs=0.17))),
+         model=EXACT_DISTANCE, snr_db=30.0)
+def test_codebook_rates_match_per_entry_rates(stack, model, snr_db):
+    cfg, mises = stack
+    channels = [build_channel(cfg, mis, model) for mis in mises]
     alloc = approx_power_allocation(cfg, snr_db)
-    rates = codebook_rates(h, CODEBOOK, alloc)
     thetas, phis = CODEBOOK.angle_pairs()
     expected = [
-        precoded_rate(h, precoder_from_angles(cfg, theta, phi), alloc).rate
-        for theta, phi in zip(thetas, phis)
+        [precoded_rate(h, precoder_from_angles(cfg, theta, phi), alloc).rate for theta, phi in zip(thetas, phis)]
+        for h in channels
     ]
-    np.testing.assert_allclose(rates, expected, rtol=1e-10, atol=0.0)
+    many = codebook_rates_many(cfg, np.stack([h.entries for h in channels]), CODEBOOK, alloc)
+    np.testing.assert_allclose(many, expected, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(codebook_rates(channels[0], CODEBOOK, alloc), expected[0], rtol=1e-10, atol=0.0)
 
 
 @PROPERTY

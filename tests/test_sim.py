@@ -361,6 +361,17 @@ class TestCodebookBitSweep:
         grid = ((2, 1),)
         assert rows_to_csv(run_codebook_bit_sweep(cfg, grid)) == rows_to_csv(run_codebook_bit_sweep(cfg, grid, jobs=3))
 
+    def test_exact_geometry_cond_matches_rate_sweep(self):
+        # clamped draws are singular only under the separable model
+        cfg = TrialConfig(seed=3, n_trials=40, wavelength=0.004, angle_range_small=math.radians(15.0),
+                          n_antennas_list=(16,), distances=(500.0,), codebook_bits=(1, 1),
+                          exact_geometry=True)
+        bit_cond = [r.cond_number for r in run_codebook_bit_sweep(cfg, ((1, 1),))
+                    if r.scheme == "codebook-sine" and r.trial >= 0]
+        rate_cond = [r.cond_number for r in run_rate_sweep(cfg) if r.scheme == "capacity" and r.trial >= 0]
+        assert bit_cond == rate_cond
+        assert all(map(math.isfinite, bit_cond))
+
 
 class TestCsv:
     def test_header_and_formatting(self):

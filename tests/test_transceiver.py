@@ -5,6 +5,8 @@ import pytest
 
 from conftest import random_misalignment
 from ucamimo import (
+    APPROXIMATE,
+    EXACT_DISTANCE,
     ArrayConfig,
     Misalignment,
     approx_power_allocation,
@@ -23,6 +25,7 @@ from ucamimo.transceiver import (
     RateReport,
     SingularChannelError,
     codebook_rates,
+    codebook_rates_many,
     dft_precoder,
     precoded_rate,
     precoder_from_angles,
@@ -238,6 +241,43 @@ class TestCodebookSelection:
         assert np.ptp(rates) <= 1e-12
         index, _ = select_codebook_index(h, cb, alloc)
         assert index == 1
+
+
+def stream_allocation(n, active):
+    """Equal power on the first `active` streams, none on the others."""
+    powers = np.zeros(n)
+    powers[:active] = SNR15 / active
+    return PowerAllocation(powers=powers, total=SNR15, noise=1.0)
+
+
+class TestStackedCodebookScorer:
+    def stack(self, cfg, model, count, seed=67):
+        rng = np.random.default_rng(seed)
+        channels = [build_channel(cfg, random_misalignment(rng, cfg.n_antennas), model) for _ in range(count)]
+        return channels, np.stack([h.entries for h in channels])
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    @pytest.mark.parametrize("active", [1, 8])
+    def test_rows_equal_one_channel_scorer(self, count, model, active):
+        cfg = design_point(8, 300.0)
+        cb = build_codebook(3, 2)
+        alloc = stream_allocation(8, active)
+        channels, h = self.stack(cfg, model, count)
+        rates = codebook_rates_many(cfg, h, cb, alloc)
+        assert rates.shape == (count, cb.size)
+        for row, channel in zip(rates, channels):
+            np.testing.assert_array_equal(row, codebook_rates(channel, cb, alloc))
+
+    def test_row_does_not_depend_on_its_position(self):
+        cfg = design_point(8, 300.0)
+        cb = build_codebook(3, 2)
+        alloc = approx_power_allocation(cfg, 15.0)
+        _, h = self.stack(cfg, EXACT_DISTANCE, 5)
+        rates = codebook_rates_many(cfg, h, cb, alloc)
+        order = np.array([3, 0, 4, 2, 1])
+        np.testing.assert_array_equal(codebook_rates_many(cfg, h[order], cb, alloc), rates[order])
+        np.testing.assert_array_equal(codebook_rates_many(cfg, h[2:3], cb, alloc), rates[2:3])
 
 
 class TestApproxPowerAllocation:
