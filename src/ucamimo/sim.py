@@ -155,14 +155,35 @@ def _design_radius(trial_cfg: TrialConfig, n_antennas: int) -> float:
     return float(result.radius_equal)
 
 
-def _cell_channels(trial_cfg: TrialConfig, cfg: ArrayConfig) -> list[ChannelMatrix]:
-    """One channel per trial of a scenario cell, each from its own substream."""
+def _cell_channels(
+    trial_cfg: TrialConfig, cfg: ArrayConfig
+) -> tuple[list[ChannelMatrix], np.ndarray, np.ndarray]:
+    """The channels of a scenario cell, their (T, N, N) stack and their closed-form spectra.
+
+    Each trial's channel comes from its own substream.
+    """
     model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
     n = cfg.n_antennas
-    return [
+    channels = [
         build_channel(cfg, draw_misalignment(trial_rng(trial_cfg.seed, t), trial_cfg, n), model)
         for t in range(trial_cfg.n_trials)
     ]
+    h = np.stack([c.entries for c in channels])
+    spectrum = singular_values_many(n, cfg.beta, _misalignment_angles(channels, "theta_o"))
+    return channels, h, spectrum
+
+
+def _built_sigma(
+    trial_cfg: TrialConfig, h: np.ndarray, spectrum: np.ndarray, numerical: np.ndarray | None = None
+) -> np.ndarray:
+    """Singular values of the channels built, one row per trial.
+
+    The closed-form `spectrum` on the separable model; with exact geometry
+    the numerical singular values of `h`, computed here unless given.
+    """
+    if not trial_cfg.exact_geometry:
+        return spectrum
+    return np.linalg.svd(h, compute_uv=False) if numerical is None else numerical
 
 
 def _misalignment_angles(channels: list[ChannelMatrix], name: str) -> np.ndarray:
@@ -189,12 +210,10 @@ def _rate_sweep_cell(
     exact geometry.
     """
     p_total = 10.0 ** (trial_cfg.snr_db / 10.0)
-    channels = _cell_channels(trial_cfg, cfg)
-    h = np.stack([c.entries for c in channels])
-    spectrum = singular_values_many(cfg.n_antennas, cfg.beta, _misalignment_angles(channels, "theta_o"))
+    channels, h, spectrum = _cell_channels(trial_cfg, cfg)
     exact_alloc = water_fill(spectrum, p_total, 1.0)
     nulling = nulling_rates(h, p_total, 1.0)
-    sigma = nulling.sigma if trial_cfg.exact_geometry else spectrum
+    sigma = _built_sigma(trial_cfg, h, spectrum, nulling.sigma)
     optimal = precoder_matrices(
         cfg, _misalignment_angles(channels, "theta_cs"), _misalignment_angles(channels, "phi_cs")
     )
@@ -300,13 +319,8 @@ def run_codebook_bit_sweep(
         distance=dist,
     )
     approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
-    channels = _cell_channels(trial_cfg, cfg)
-    h = np.stack([c.entries for c in channels])
-    if trial_cfg.exact_geometry:
-        sigma = np.linalg.svd(h, compute_uv=False)
-    else:
-        sigma = singular_values_many(n, cfg.beta, _misalignment_angles(channels, "theta_o"))
-    cond = condition_numbers(sigma)
+    _, h, spectrum = _cell_channels(trial_cfg, cfg)
+    cond = condition_numbers(_built_sigma(trial_cfg, h, spectrum))
     mean_cond = float(np.mean(cond))
 
     rows: list[ResultRow] = []
