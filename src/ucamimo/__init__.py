@@ -34,14 +34,7 @@ from .geometry import (
     tx_antenna_position,
 )
 from .sim import ResultRow, TrialConfig, draw_misalignment, run_codebook_bit_sweep, run_rate_sweep
-from .spectrum import (
-    SpectrumPoint,
-    SpectrumStructureReport,
-    check_spectrum_structure,
-    singular_value,
-    singular_values,
-    spectrum_sweep,
-)
+from .spectrum import singular_values
 from .transceiver import (
     Codebook,
     PrecoderMatrix,

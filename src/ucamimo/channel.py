@@ -60,7 +60,7 @@ def _phase_factors(cfg: ArrayConfig, mis: Misalignment) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """N x N unit-modulus channel with its construction provenance."""
+    """N x N unit-modulus channel with the model, array and misalignment that built it."""
 
     entries: np.ndarray
     model: str

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -153,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
     p.add_argument("--exact-geometry", action="store_true",
                    help="build channels from exact distances instead of the separable model")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="accepted for compatibility; output and scheduling do not depend on it")
+    p.add_argument("--jobs", type=int, help="deprecated and ignored; to be removed")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -171,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated L1:L2 pairs")
     p.add_argument("--range-all", type=parse_angle, default=math.radians(10.0))
     p.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="accepted for compatibility; output and scheduling do not depend on it")
+    p.add_argument("--jobs", type=int, help="deprecated and ignored; to be removed")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_codebook)
 
@@ -267,6 +264,9 @@ def cmd_capacity_sweep(args) -> int:
 
 
 def _trial_config(args, ns_list, dist_list) -> sim.TrialConfig:
+    if args.jobs is not None:
+        print("note: --jobs is deprecated and ignored; campaigns run without a worker pool",
+              file=sys.stderr)
     return sim.TrialConfig(
         seed=args.seed,
         n_trials=args.trials,
@@ -286,7 +286,7 @@ def cmd_simulate(args) -> int:
     for ns in args.ns_list:
         _check_even_ns(ns)
     trial_cfg = _trial_config(args, tuple(args.ns_list), tuple(args.dist_list))
-    rows = sim.run_rate_sweep(trial_cfg, jobs=max(1, args.jobs))
+    rows = sim.run_rate_sweep(trial_cfg)
     _emit(sim.rows_to_csv(rows), args.out)
     return 0
 
@@ -294,7 +294,7 @@ def cmd_simulate(args) -> int:
 def cmd_codebook(args) -> int:
     _check_even_ns(args.ns)
     trial_cfg = _trial_config(args, (args.ns,), (args.dist,))
-    rows = sim.run_codebook_bit_sweep(trial_cfg, bit_grid=args.bit_grid, jobs=max(1, args.jobs))
+    rows = sim.run_codebook_bit_sweep(trial_cfg, bit_grid=args.bit_grid)
     _emit(sim.rows_to_csv(rows), args.out)
     return 0
 

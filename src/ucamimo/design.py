@@ -222,19 +222,14 @@ def radii_from_beta(
     beta: float,
     wavelength: float,
     distance: float,
-    equal_radii: bool = True,
 ) -> tuple[float, float]:
-    """Radii realising a target beta at the given wavelength and distance.
+    """Equal radii realising a target beta at the given wavelength and distance.
 
     The product is fixed at R_t * R_r = beta * wavelength * distance /
-    (2*pi).  With ``equal_radii`` both radii are its square root; otherwise
-    the split is unconstrained and the pair (product, 1.0) is returned so
-    callers can rescale to any factorisation they like.
+    (2*pi); both radii are its square root.
     """
     if beta <= 0.0 or wavelength <= 0.0 or distance <= 0.0:
         raise ValueError("beta, wavelength and distance must be positive")
     product = beta * wavelength * distance / TWO_PI
-    if equal_radii:
-        r = math.sqrt(product)
-        return r, r
-    return product, 1.0
+    r = math.sqrt(product)
+    return r, r

@@ -116,10 +116,10 @@ class Misalignment:
     phi_x     tilt toward the xz-plane
     phi_y     tilt toward the yz-plane
 
-    The plain constructor checks only the angle ranges that do not depend
-    on the array (`theta_cs` in [-pi, pi], `phi_cs` in [0, pi/2)); use
-    :meth:`create` to also enforce or normalise the rotation bound
-    |theta_o| <= pi/N.
+    The constructor checks only the angle ranges that do not depend on
+    the array (`theta_cs` in [-pi, pi], `phi_cs` in [0, pi/2)); the
+    rotation bound |theta_o| <= pi/N is left to the caller, as
+    `sim.draw_misalignment` clamps it.
     """
 
     theta_o: float = 0.0
@@ -138,44 +138,6 @@ class Misalignment:
             raise ValueError("theta_cs must lie in [-pi, pi]")
         if not 0.0 <= self.phi_cs < math.pi / 2:
             raise ValueError("phi_cs must lie in [0, pi/2)")
-
-    @classmethod
-    def create(
-        cls,
-        *,
-        n_antennas: int,
-        theta_o: float = 0.0,
-        theta_cs: float = 0.0,
-        phi_cs: float = 0.0,
-        phi_x: float = 0.0,
-        phi_y: float = 0.0,
-        permissive: bool = False,
-    ) -> "Misalignment":
-        """Build a misalignment, enforcing the rotation bound |theta_o| <= pi/N.
-
-        With ``permissive=True`` out-of-range angles are normalised instead
-        of rejected: theta_o is wrapped into [-pi/N, pi/N] (the channel is
-        periodic in theta_o with period 2*pi/N), theta_cs is wrapped into
-        [-pi, pi], and a negative polar shift is reflected through the
-        boresight axis, (theta_cs, -phi) -> (theta_cs + pi, phi).
-        """
-        bound = math.pi / n_antennas
-        if permissive:
-            theta_cs = _wrap_pi(theta_cs)
-            if phi_cs < 0.0:
-                phi_cs = -phi_cs
-                theta_cs = _wrap_pi(theta_cs + math.pi)
-            theta_o = math.remainder(theta_o, 2.0 * bound)
-        elif abs(theta_o) > bound + cls._TOL:
-            raise ValueError(f"|theta_o| must not exceed pi/{n_antennas}")
-        return cls(theta_o=theta_o, theta_cs=theta_cs, phi_cs=phi_cs, phi_x=phi_x, phi_y=phi_y)
-
-    @property
-    def is_aligned(self) -> bool:
-        return all(
-            getattr(self, name) == 0.0
-            for name in ("theta_o", "theta_cs", "phi_cs", "phi_x", "phi_y")
-        )
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,10 @@ class TrialConfig:
             raise ValueError("snr_db, angle ranges, wavelength and distances must be finite")
         if self.angle_range_small < 0.0 or self.theta_cs_range < 0.0:
             raise ValueError("angle ranges must be nonnegative")
+        if self.theta_cs_range > math.pi:
+            raise ValueError("theta_cs_range must not exceed pi")
+        if self.angle_range_small >= math.pi / 2:
+            raise ValueError("angle_range_small must be below pi/2")
         if self.wavelength <= 0.0 or self.design_distance <= 0.0:
             raise ValueError("wavelength and design_distance must be positive")
         if not self.distances or any(d <= 0.0 for d in self.distances):

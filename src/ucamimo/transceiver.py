@@ -26,6 +26,9 @@ _LN2 = math.log(2.0)
 SINE_UNIFORM = "sine"
 LINEAR = "linear"
 
+# Polar range (radians) the codebook's centre-shift entries cover.
+_PHI_RANGE = (-0.175, 0.175)
+
 
 class SingularChannelError(ValueError):
     """Raised when a zero-forcing receiver meets a rank-deficient channel."""
@@ -52,7 +55,6 @@ class Codebook:
     l2_bits: int
     theta_angles: np.ndarray
     phi_angles: np.ndarray
-    phi_range: tuple[float, float]
     quantization: str
 
     @property
@@ -78,26 +80,24 @@ class Codebook:
 def build_codebook(
     l1_bits: int,
     l2_bits: int,
-    phi_range: tuple[float, float] = (-0.175, 0.175),
     quantization: str = SINE_UNIFORM,
 ) -> Codebook:
     """Quantise the centre-shift angles into 2^L1 x 2^L2 pairs.
 
     With sine-uniform quantisation the azimuth entries have sines at the
     midpoints of 2^L1 equal cells over [-1, 1], and the polar entries have
-    sines at midpoints of 2^L2 cells over [sin(lo), sin(hi)].  Because only
-    sines enter the correction phases, the azimuth range can be folded to
-    [-pi/2, pi/2]; the signed polar range then stands in for the opposite
-    azimuth, so together the entries cover the full shift disc once.
+    sines at midpoints of 2^L2 cells over [sin(lo), sin(hi)], with
+    (lo, hi) = `_PHI_RANGE`.  Because only sines enter the correction
+    phases, the azimuth range can be folded to [-pi/2, pi/2]; the signed
+    polar range then stands in for the opposite azimuth, so together the
+    entries cover the full shift disc once.
     Linear quantisation is the baseline without that folding: it places
     midpoints uniformly over the raw angular ranges, azimuth across the
-    full circle [-pi, pi] and polar across `phi_range`.
+    full circle [-pi, pi] and polar across `_PHI_RANGE`.
     """
     if l1_bits < 0 or l2_bits < 0:
         raise ValueError("bit counts must be nonnegative")
-    lo, hi = phi_range
-    if not (-math.pi / 2 < lo < hi < math.pi / 2):
-        raise ValueError("phi_range must be a nonempty interval inside (-pi/2, pi/2)")
+    lo, hi = _PHI_RANGE
     if quantization == SINE_UNIFORM:
         theta = np.arcsin(_midpoints(-1.0, 1.0, 2**l1_bits))
         phi = np.arcsin(_midpoints(math.sin(lo), math.sin(hi), 2**l2_bits))
@@ -111,17 +111,15 @@ def build_codebook(
         l2_bits=l2_bits,
         theta_angles=theta,
         phi_angles=phi,
-        phi_range=(lo, hi),
         quantization=quantization,
     )
 
 
 @dataclass(frozen=True)
 class PrecoderMatrix:
-    """Unitary precoder with a record of how it was produced."""
+    """Square unitary precoder."""
 
     matrix: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -151,19 +149,13 @@ def precoder_from_angles(
     cfg: ArrayConfig,
     theta_cs: float,
     phi_cs: float,
-    provenance: str = "optimal_svd",
 ) -> PrecoderMatrix:
     """Phase correction for the given centre-shift angles, times the DFT.
 
     With the true angles this reproduces the right singular matrix of the
     separable-model channel; with quantised angles it is a codebook entry.
     """
-    return PrecoderMatrix(matrix=precoder_matrices(cfg, theta_cs, phi_cs), provenance=provenance)
-
-
-def dft_precoder(n: int) -> PrecoderMatrix:
-    """DFT-only precoder: no phase correction applied (the zero-feedback baseline)."""
-    return PrecoderMatrix(matrix=dft_matrix(n), provenance="dft_only")
+    return PrecoderMatrix(matrix=precoder_matrices(cfg, theta_cs, phi_cs))
 
 
 @dataclass(frozen=True)
@@ -273,11 +265,6 @@ def codebook_rates_many(
     return rates
 
 
-def codebook_rates(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> np.ndarray:
-    """Achievable rate of every codebook entry, in index order: `codebook_rates_many` of one channel."""
-    return codebook_rates_many(h.cfg, h.entries[None], cb, alloc)[0]
-
-
 def select_codebook_index(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> tuple[int, float]:
     """Best codebook entry for the given channel and power allocation.
 
@@ -286,7 +273,7 @@ def select_codebook_index(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation
     """
     if cb.size < 1:
         raise ValueError("codebook must be non-empty")
-    rates = codebook_rates(h, cb, alloc)
+    rates = codebook_rates_many(h.cfg, h.entries[None], cb, alloc)[0]
     best = int(np.argmax(rates))
     return best + 1, float(rates[best])
 

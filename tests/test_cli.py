@@ -154,10 +154,12 @@ class TestSimulateCommand:
     BASE = ["simulate", "--seed", "11", "--trials", "3", "--ns-list", "4",
             "--dist-list", "100,300", "--lambda", "0.004"]
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(self.BASE + ["--out", str(out1)]) == 0
+        assert capsys.readouterr().err == ""
         assert run_cli(self.BASE + ["--jobs", "3", "--out", str(out2)]) == 0
+        assert capsys.readouterr().err == "note: --jobs is deprecated and ignored; campaigns run without a worker pool\n"
         h1 = hashlib.sha256(out1.read_bytes()).hexdigest()
         h2 = hashlib.sha256(out2.read_bytes()).hexdigest()
         assert h1 == h2
@@ -192,6 +194,14 @@ class TestSimulateCommand:
 
     def test_missing_seed_is_usage_error(self):
         assert run_cli(["simulate", "--trials", "2"]) == 2
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_out_of_range_azimuth_is_usage_error_for_every_seed(self, seed, capsys):
+        assert run_cli(["simulate", "--seed", seed, "--trials", "3", "--ns-list", "4",
+                        "--dist-list", "100", "--theta-cs-range", "3.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "theta_cs_range" in captured.err
 
 
 class TestCodebookCommand:

@@ -261,10 +261,6 @@ class TestRadiiFromBeta:
         rt, rr = radii_from_beta(2 * math.pi, 1.0, 1.0)
         assert rt * rr == pytest.approx(1.0, rel=1e-15)
 
-    def test_unconstrained_split_keeps_product(self):
-        rt, rr = radii_from_beta(3.0, 0.004, 100.0, equal_radii=False)
-        assert rt * rr == pytest.approx(3.0 * 0.004 * 100.0 / (2 * math.pi), rel=1e-12)
-
     def test_positive_inputs_required(self):
         with pytest.raises(ValueError):
             radii_from_beta(0.0, 1.0, 1.0)

@@ -81,24 +81,6 @@ class TestConfigAndMisalignment:
         with pytest.raises(ValueError):
             Misalignment(theta_cs=3.5)
 
-    def test_create_rejects_large_rotation(self):
-        with pytest.raises(ValueError):
-            Misalignment.create(n_antennas=8, theta_o=0.5)
-
-    def test_create_permissive_wraps_rotation(self):
-        # period is one antenna spacing, 2*pi/N
-        mis = Misalignment.create(n_antennas=8, theta_o=0.1 + 2 * math.pi / 8, permissive=True)
-        assert mis.theta_o == pytest.approx(0.1, abs=1e-12)
-
-    def test_create_permissive_reflects_negative_polar(self):
-        mis = Misalignment.create(n_antennas=8, theta_cs=0.3, phi_cs=-0.1, permissive=True)
-        assert mis.phi_cs == pytest.approx(0.1)
-        assert mis.theta_cs == pytest.approx(0.3 - math.pi)
-
-    def test_is_aligned(self):
-        assert Misalignment().is_aligned
-        assert not Misalignment(theta_o=0.1).is_aligned
-
 
 class TestAntennaPositions:
     def test_tx_last_element_on_x_axis(self):

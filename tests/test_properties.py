@@ -1,4 +1,4 @@
-"""Property-based checks of the closed-form SVD and the codebook scorer over random geometries."""
+"""Property-based checks of the closed-form SVD, the spectrum, water-filling and the codebook scorer."""
 
 import math
 
@@ -17,8 +17,10 @@ from ucamimo import (
     closed_form_svd,
     numerical_svd,
     precoder_from_angles,
+    singular_values,
+    water_fill,
 )
-from ucamimo.transceiver import codebook_rates, codebook_rates_many, precoded_rate
+from ucamimo.transceiver import codebook_rates_many, precoded_rate
 
 WAVELENGTH = 0.004
 DISTANCE = 100.0
@@ -93,7 +95,8 @@ def test_codebook_rates_match_per_entry_rates(stack, model, snr_db):
     ]
     many = codebook_rates_many(cfg, np.stack([h.entries for h in channels]), CODEBOOK, alloc)
     np.testing.assert_allclose(many, expected, rtol=1e-10, atol=0.0)
-    np.testing.assert_allclose(codebook_rates(channels[0], CODEBOOK, alloc), expected[0], rtol=1e-10, atol=0.0)
+    one = codebook_rates_many(cfg, channels[0].entries[None], CODEBOOK, alloc)[0]
+    np.testing.assert_allclose(one, expected[0], rtol=1e-10, atol=0.0)
 
 
 @PROPERTY
@@ -104,6 +107,52 @@ def test_codebook_rates_do_not_depend_on_rx_tilt_under_separable_model(link, snr
     cfg, mis = link
     untilted = Misalignment(theta_o=mis.theta_o, theta_cs=mis.theta_cs, phi_cs=mis.phi_cs)
     alloc = approx_power_allocation(cfg, snr_db)
-    tilted_rates = codebook_rates(build_channel(cfg, mis), CODEBOOK, alloc)
-    untilted_rates = codebook_rates(build_channel(cfg, untilted), CODEBOOK, alloc)
+    tilted_rates = codebook_rates_many(cfg, build_channel(cfg, mis).entries[None], CODEBOOK, alloc)[0]
+    untilted_rates = codebook_rates_many(cfg, build_channel(cfg, untilted).entries[None], CODEBOOK, alloc)[0]
     np.testing.assert_allclose(tilted_rates, untilted_rates, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def spectrum_points(draw):
+    """(N, beta, theta_o): even N <= 64, beta in [0, 14], |theta_o| <= pi/N."""
+    n = draw(st.sampled_from(range(2, 65, 2)))
+    return n, draw(st.floats(0.0, 14.0)), draw(st.floats(-math.pi / n, math.pi / n))
+
+
+@PROPERTY
+@given(point=spectrum_points())
+@example(point=(64, 14.0, math.pi / 64))
+def test_spectrum_symmetries_and_energy(point):
+    n, beta, theta_o = point
+    sig = singular_values(n, beta, theta_o)
+    tol = 1e-12 * n
+    np.testing.assert_allclose(singular_values(n, beta, -theta_o), sig, rtol=0.0, atol=tol)
+    # the spectrum has period one antenna spacing in theta_o
+    np.testing.assert_allclose(singular_values(n, beta, theta_o + 2.0 * math.pi / n), sig, rtol=0.0, atol=tol)
+    # sigma_k = sigma_{N+2-k}
+    np.testing.assert_allclose(sig[1:], sig[1:][::-1], rtol=0.0, atol=tol)
+    # Parseval: the element phasors have unit modulus
+    assert abs(float(np.sum(sig**2)) - n * n) <= tol
+
+
+@st.composite
+def gain_vectors(draw):
+    """Stream gains with at least one positive entry and some zeros, in random order."""
+    positive = draw(st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=32))
+    zeros = draw(st.integers(0, 8))
+    return np.array(draw(st.permutations(positive + [0.0] * zeros)))
+
+
+@PROPERTY
+@given(sigmas=gain_vectors(), p_total=st.floats(0.1, 1000.0))
+def test_water_filling_kkt(sigmas, p_total):
+    powers = water_fill(sigmas, p_total, 1.0).powers
+    assert np.all(powers >= 0.0)
+    assert abs(float(np.sum(powers)) - p_total) <= 1e-12 * p_total
+    active = powers > 0.0
+    levels = powers[active] + 1.0 / sigmas[active] ** 2
+    level = float(np.max(levels))
+    assert np.ptp(levels) <= 1e-12 * level
+    with np.errstate(divide="ignore"):
+        inactive_inv = 1.0 / sigmas[~active] ** 2
+    assert np.all(inactive_inv >= level * (1.0 - 1e-12))

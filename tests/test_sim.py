@@ -7,11 +7,13 @@ import pytest
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
+    Misalignment,
     SingularChannelError,
     approx_power_allocation,
     build_channel,
     build_codebook,
     condition_number,
+    dft_matrix,
     numerical_svd,
     precoder_from_angles,
     search_beta_opt,
@@ -35,7 +37,7 @@ from ucamimo.sim import (
     trial_rng,
 )
 from ucamimo.spectrum import singular_values
-from ucamimo.transceiver import dft_precoder, precoded_rate
+from ucamimo.transceiver import precoded_rate
 
 
 def small_config(**kw):
@@ -95,7 +97,7 @@ def reference_rate_sweep(cfg):
                     "capacity": allocated_capacity(sig, exact_alloc),
                     "optimal-precoder": precoded_rate(h, optimal, exact_alloc).rate,
                     "codebook": select_codebook_index(h, cb, approx_alloc)[1],
-                    "identity": precoded_rate(h, dft_precoder(n), approx_alloc).rate,
+                    "identity": precoded_rate(h, dft_matrix(n), approx_alloc).rate,
                     "zf": nulling(zf_rate, h),
                     "zf-sic": nulling(zf_sic_rate, h),
                 }
@@ -221,17 +223,28 @@ class TestDrawMisalignment:
     def test_zero_ranges_give_aligned_draws(self):
         cfg = small_config(angle_range_small=0.0, theta_cs_range=0.0)
         mis = draw_misalignment(trial_rng(1, 0), cfg, 8)
-        assert mis.is_aligned
+        assert mis == Misalignment()
 
     def test_ranges_and_polar_fold(self):
         cfg = small_config()
+        small = cfg.angle_range_small
         rng = trial_rng(5, 0)
+        raw = trial_rng(5, 0)
         for _ in range(500):
             mis = draw_misalignment(rng, cfg, 8)
-            assert 0.0 <= mis.phi_cs <= cfg.angle_range_small
+            assert 0.0 <= mis.phi_cs <= small
             assert -math.pi <= mis.theta_cs <= math.pi
-            assert abs(mis.theta_o) <= cfg.angle_range_small
-            assert abs(mis.phi_x) <= cfg.angle_range_small
+            assert abs(mis.theta_o) <= small
+            assert abs(mis.phi_x) <= small
+            # a negative polar draw is reflected to the opposite azimuth
+            raw.uniform(-small, small)
+            theta_cs = raw.uniform(-math.pi, math.pi)
+            phi_cs = raw.uniform(-small, small)
+            raw.uniform(-small, small, size=2)
+            if phi_cs < 0.0:
+                phi_cs, theta_cs = -phi_cs, theta_cs + math.pi
+            assert mis.phi_cs == phi_cs
+            assert math.remainder(mis.theta_cs - theta_cs, 2 * math.pi) == pytest.approx(0.0, abs=1e-12)
 
     def test_rotation_clamped_to_antenna_bound(self):
         cfg = small_config()
@@ -413,6 +426,12 @@ class TestTrialConfigValidation:
             TrialConfig(seed=1, n_antennas_list=(5,))
         with pytest.raises(ValueError):
             TrialConfig(seed=1, wavelength=0.0)
+        # out-of-range angle ranges fail here, whatever the seed
+        with pytest.raises(ValueError, match="theta_cs_range"):
+            TrialConfig(seed=1, theta_cs_range=3.3)
+        with pytest.raises(ValueError, match="angle_range_small"):
+            TrialConfig(seed=1, angle_range_small=math.pi / 2)
+        TrialConfig(seed=1, theta_cs_range=math.pi, angle_range_small=math.nextafter(math.pi / 2, 0.0))
 
     @pytest.mark.parametrize(
         "name, value",

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ucamimo import ArrayConfig, check_spectrum_structure, singular_value, singular_values
+from ucamimo import ArrayConfig, singular_values
 from ucamimo.channel import circulant_factor
-from ucamimo.spectrum import (
-    SpectrumPoint,
-    leading_dominance_bound,
-    singular_values_many,
-    spectrum_sweep,
-)
+from ucamimo.spectrum import leading_dominance_bound, singular_values_many
 
 
 def sigma_n4_closed(beta):
@@ -27,13 +22,13 @@ def sigma_n4_closed(beta):
 
 class TestSingularValue:
     def test_zero_beta_concentrates_on_first_mode(self):
-        assert singular_value(8, 0.0, 0.0, 1) == pytest.approx(8.0, abs=1e-12)
-        for k in range(2, 9):
-            assert singular_value(8, 0.0, 0.0, k) <= 1e-10
+        sig = singular_values(8, 0.0, 0.0)
+        assert sig[0] == pytest.approx(8.0, abs=1e-12)
+        assert np.max(sig[1:]) <= 1e-10
 
     def test_half_mode_null_at_max_rotation(self):
         for beta in (0.5, 2.0, 3.1, 7.7):
-            assert singular_value(8, beta, math.pi / 8, 5) <= 1e-10
+            assert singular_values(8, beta, math.pi / 8)[4] <= 1e-10
 
     def test_four_antenna_closed_form(self):
         rng = np.random.default_rng(40)
@@ -48,11 +43,9 @@ class TestSingularValue:
 
     def test_index_and_parity_validation(self):
         with pytest.raises(ValueError):
-            singular_value(8, 1.0, 0.0, 0)
-        with pytest.raises(ValueError):
-            singular_value(8, 1.0, 0.0, 9)
-        with pytest.raises(ValueError):
             singular_values(7, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            singular_values_many(5, [1.0], 0.0)
         with pytest.raises(ValueError):
             singular_values(8, -0.5, 0.0)
 
@@ -84,45 +77,36 @@ class TestSingularValue:
 
 class TestSpectrumSweep:
     def test_degenerate_point(self):
-        points = spectrum_sweep(8, 0.0, [0.0])
-        assert isinstance(points[0], SpectrumPoint)
-        np.testing.assert_allclose(points[0].sigmas, [8, 0, 0, 0, 0, 0, 0, 0], atol=1e-12)
+        sig = singular_values_many(8, [0.0], 0.0)
+        np.testing.assert_allclose(sig, [[8, 0, 0, 0, 0, 0, 0, 0]], atol=1e-12)
 
     def test_grid_order_and_energy(self):
         grid = np.arange(0.0, 6.0, 0.01)
-        points = spectrum_sweep(4, 0.0, grid)
-        assert [p.beta for p in points] == pytest.approx(list(grid))
-        for p in points[::25]:
-            assert float(np.sum(p.sigmas**2)) == pytest.approx(16.0, abs=1e-9)
+        sig = singular_values_many(4, grid, 0.0)
+        assert sig.shape == (grid.size, 4)
+        np.testing.assert_allclose(sig, [sigma_n4_closed(b) for b in grid], atol=1e-12)
+        np.testing.assert_allclose(np.sum(sig[::25] ** 2, axis=-1), 16.0, atol=1e-9)
 
     def test_all_modes_cross_near_quarter_period(self):
         grid = np.arange(0.0, 6.0, 0.01)
-        points = spectrum_sweep(4, 0.0, grid)
-        spreads = [float(np.max(p.sigmas) - np.min(p.sigmas)) for p in points]
-        best = int(np.argmin(spreads))
-        assert 1.45 <= points[best].beta <= 1.7
-        np.testing.assert_allclose(points[best].sigmas, 2.0, atol=0.05)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            spectrum_sweep(4, 0.0, [])
+        sig = singular_values_many(4, grid, 0.0)
+        best = int(np.argmin(np.max(sig, axis=-1) - np.min(sig, axis=-1)))
+        assert 1.45 <= grid[best] <= 1.7
+        np.testing.assert_allclose(sig[best], 2.0, atol=0.05)
 
 
 class TestStructureChecks:
     def test_all_pass_at_nominal_point(self):
-        report = check_spectrum_structure(8, 3.09, 0.0)
-        assert report.all_pass
-        # dominance bound, small-beta limit and half-mode null do not apply here
-        assert set(report.vacuous) == {"leading_dominance", "small_beta_limit", "half_mode_null"}
+        # pairing holds at the N = 8 design point, which lies beyond the dominance bound
+        sig = singular_values(8, 3.09, 0.0)
+        np.testing.assert_allclose(sig[1:], sig[1:][::-1], atol=1e-10)
+        assert 3.09 > leading_dominance_bound(8, 0.0)
 
     def test_dominance_applies_below_bound(self):
         bound = leading_dominance_bound(4, math.pi / 8)
         total = sum(abs(math.cos(2 * math.pi * i / 4 + math.pi / 8)) for i in range(4))
         assert bound == pytest.approx(math.pi * 4 / (4 * total), rel=1e-12)
         assert bound > 0.5
-        report = check_spectrum_structure(4, 0.5, math.pi / 8)
-        assert "leading_dominance" not in report.vacuous
-        assert report.leading_dominance
         sig = singular_values(4, 0.5, math.pi / 8)
         assert sig[0] >= np.max(sig[1:])
 
@@ -133,15 +117,14 @@ class TestStructureChecks:
             )
 
     def test_half_mode_null_applies_at_bound(self):
-        report = check_spectrum_structure(8, 2.0, math.pi / 8)
-        assert "half_mode_null" not in report.vacuous
-        assert report.half_mode_null
+        for theta in (math.pi / 8, -math.pi / 8):
+            assert singular_values(8, 2.0, theta)[4] <= 1e-10
 
     def test_small_beta_limit_applies(self):
         for beta in (0.0, 1e-8):
-            report = check_spectrum_structure(8, beta, 0.05)
-            assert "small_beta_limit" not in report.vacuous
-            assert report.small_beta_limit
+            sig = singular_values(8, beta, 0.05)
+            assert abs(sig[0] - 8) <= 1e-6
+            assert np.max(sig[1:]) <= 1e-6
 
     def test_pair_symmetry_random_grid(self):
         rng = np.random.default_rng(41)
@@ -151,5 +134,6 @@ class TestStructureChecks:
             np.testing.assert_allclose(sig[1:], sig[1:][::-1], atol=1e-10)
 
     def test_odd_count_rejected(self):
-        with pytest.raises(ValueError):
-            check_spectrum_structure(5, 1.0, 0.0)
+        for n in (1, 3, 5):
+            with pytest.raises(ValueError):
+                leading_dominance_bound(n, 0.0)
