@@ -7,6 +7,7 @@ from .channel import (
     SvdConvergenceError,
     SvdTriple,
     build_channel,
+    build_channels,
     circulant_factor,
     closed_form_svd,
     dft_matrix,

@@ -52,7 +52,7 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 def _phase_factors(cfg: ArrayConfig, mis: Misalignment) -> tuple[np.ndarray, np.ndarray]:
-    """Phasors exp(-j*2*pi*tau/lambda) of the Tx and the Rx displacements."""
+    """Phasors exp(-j*2*pi*tau/lambda) of the Tx and the Rx displacements; shape (..., N)."""
     k = -1j * TWO_PI / cfg.wavelength
     t_t = np.exp(k * tx_displacement(cfg, mis.theta_cs, mis.phi_cs))
     return t_t, np.exp(k * rx_displacement(cfg, mis))
@@ -69,22 +69,32 @@ class ChannelMatrix:
 
     def __post_init__(self):
         entries = _readonly(np.asarray(self.entries, dtype=complex))
-        n = self.cfg.n_antennas
-        if entries.shape != (n, n):
-            raise ValueError(f"channel must be {n}x{n}")
-        if self.model not in (EXACT_DISTANCE, APPROXIMATE):
-            raise ValueError(f"unknown channel model {self.model!r}")
-        if np.max(np.abs(np.abs(entries) - 1.0)) > 1e-12:
-            raise ValueError("channel entries must have unit magnitude")
+        _check_model(self.model)
+        _check_entries(entries, (self.cfg.n_antennas,) * 2)
         object.__setattr__(self, "entries", entries)
+
+
+def _check_model(model: str) -> None:
+    if model not in (EXACT_DISTANCE, APPROXIMATE):
+        raise ValueError(f"unknown channel model {model!r}")
+
+
+def _check_entries(entries: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Channels must have the given shape and unit-magnitude entries."""
+    if entries.shape != shape:
+        raise ValueError(f"channel must be {shape[-2]}x{shape[-1]}")
+    if (np.abs(np.abs(entries) - 1.0) > 1e-12).any():
+        raise ValueError("channel entries must have unit magnitude")
 
 
 def aligned_first_column(cfg: ArrayConfig, theta_o: float) -> np.ndarray:
     """First column of the rotation-only circulant core.
 
     Entry p (0-based) is exp(-j*2*pi*D/lambda) * exp(+j*beta*cos(2*pi*p/N + theta_o)).
+    An array of rotations gives one column per rotation, shape (..., N).
     """
     p = np.arange(cfg.n_antennas)
+    theta_o = np.asarray(theta_o, dtype=float)[..., None]
     global_phase = np.exp(-1j * TWO_PI * cfg.distance / cfg.wavelength)
     return global_phase * np.exp(1j * cfg.beta * np.cos(TWO_PI * p / cfg.n_antennas + theta_o))
 
@@ -98,12 +108,44 @@ def circulant_factor(cfg: ArrayConfig, theta_o: float) -> tuple[np.ndarray, np.n
     column-circulant matrix and this sign convention the eigenvalues are
     the unnormalised inverse DFT of the first column.
     """
-    n = cfg.n_antennas
     col = aligned_first_column(cfg, theta_o)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    h_a = col[idx]
-    delta = n * np.fft.ifft(col)
-    return h_a, delta
+    return _circulant(col), cfg.n_antennas * np.fft.ifft(col)
+
+
+def _circulant(col: np.ndarray) -> np.ndarray:
+    """Column-circulant matrices c[(n - m) mod N] from first columns of shape (..., N)."""
+    n = col.shape[-1]
+    return col[..., (np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+
+
+def build_channels(
+    cfg: ArrayConfig,
+    mis: Misalignment,
+    model: str = APPROXIMATE,
+    *,
+    allow_close_range: bool = False,
+) -> np.ndarray:
+    """Construct the channels h(n, m) = exp(-j*2*pi*d(n, m)/lambda) of a stack of trials.
+
+    `mis` holds one misalignment per trial, as angle arrays of shape (T,);
+    the result has shape (T, N, N), and row t is the channel of trial t
+    alone.  With ``model="approximate"`` the separable far-field distances
+    are used and each matrix is assembled as T_r * H_a * T_t^H; with
+    ``model="exact_distance"`` each entry uses the exact distance.  The
+    model, the far-field guard and the unit magnitude of the entries are
+    checked once per call.
+    """
+    _check_model(model)
+    if model == EXACT_DISTANCE:
+        d = distance_matrix_exact(cfg, mis)
+        entries = np.exp(-1j * TWO_PI / cfg.wavelength * d)
+    else:
+        _require_far_field(cfg, allow_close_range)
+        h_a = _circulant(aligned_first_column(cfg, mis.theta_o))
+        t_t, t_r = _phase_factors(cfg, mis)
+        entries = t_r[..., :, None] * h_a * t_t.conj()[..., None, :]
+    _check_entries(entries, np.shape(mis.theta_o) + (cfg.n_antennas,) * 2)
+    return entries
 
 
 def build_channel(
@@ -113,22 +155,8 @@ def build_channel(
     *,
     allow_close_range: bool = False,
 ) -> ChannelMatrix:
-    """Construct the channel h(n, m) = exp(-j*2*pi*d(n, m)/lambda).
-
-    With ``model="approximate"`` the separable far-field distances are used
-    and the matrix is assembled as T_r * H_a * T_t^H; with
-    ``model="exact_distance"`` each entry uses the exact distance.
-    """
-    if model == EXACT_DISTANCE:
-        d = distance_matrix_exact(cfg, mis)
-        entries = np.exp(-1j * TWO_PI / cfg.wavelength * d)
-    elif model == APPROXIMATE:
-        _require_far_field(cfg, allow_close_range)
-        h_a, _ = circulant_factor(cfg, mis.theta_o)
-        t_t, t_r = _phase_factors(cfg, mis)
-        entries = t_r[:, None] * h_a * t_t.conj()[None, :]
-    else:
-        raise ValueError(f"unknown channel model {model!r}")
+    """The channel of one trial: `build_channels` on a misalignment of floats."""
+    entries = build_channels(cfg, mis, model, allow_close_range=allow_close_range)
     return ChannelMatrix(entries=entries, model=model, cfg=cfg, mis=mis)
 
 

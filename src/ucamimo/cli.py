@@ -208,7 +208,7 @@ def cmd_design(args) -> int:
     print(f"radii_product_m2: {result.radii_product:.9g}")
     print(f"capacity_bps_hz: {result.capacity:.9g}")
     print(f"condition_number: {result.condition_number:.9g}")
-    if result.beta_opt >= args.beta_max - args.resolution:
+    if result.at_edge:
         print(
             f"note: beta_opt {result.beta_opt:.9g} lies within --resolution of --beta-max "
             f"{args.beta_max:g}; capacity may still rise beyond it, so raise --beta-max",

@@ -123,13 +123,18 @@ def capacity(sigmas, p_total: float, noise: float):
 
 @dataclass(frozen=True)
 class DesignResult:
-    """Outcome of the one-dimensional beta search."""
+    """Outcome of the one-dimensional beta search.
+
+    `at_edge` is set when the optimum lies within one grid step of the
+    top of the searched range, where capacity may still rise beyond it.
+    """
 
     beta_opt: float
     capacity: float
     condition_number: float
     radii_product: float | None = None
     radius_equal: float | None = None
+    at_edge: bool = False
 
 
 def _golden_max(fun, lo: float, hi: float, xtol: float) -> float:
@@ -182,6 +187,8 @@ def search_beta_opt(
     the smallest beta (within TIE_TOLERANCE_BITS), then refines the winning
     cell by golden section to 1e-4.  If `wavelength` and `distance` are
     supplied, the equal-radius solution realising the optimum is filled in.
+    The result is flagged `at_edge` when the optimum lies within
+    `resolution` of `beta_max`.
     """
     if not all(map(math.isfinite, (snr_db, theta_o, beta_max, resolution))):
         raise ValueError("snr_db, theta_o, beta_max and resolution must be finite")
@@ -215,6 +222,7 @@ def search_beta_opt(
         condition_number=condition_number(n_s, beta_opt, theta_o),
         radii_product=radii_product,
         radius_equal=radius_equal,
+        at_edge=bool(beta_opt >= beta_max - resolution),
     )
 
 

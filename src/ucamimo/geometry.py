@@ -28,23 +28,29 @@ class ModelValidityError(ValueError):
     """Raised when the far-field approximation is requested out of range."""
 
 
-def rotation_matrix(plane: str, angle: float) -> np.ndarray:
+def rotation_matrix(plane: str, angle) -> np.ndarray:
     """Return the 3x3 rotation by `angle` in the given coordinate plane.
 
     `plane` selects which pair of axes rotates: "xy" (about z), "xz"
-    (about y) or "yz" (about x).  All are proper rotations (det +1).
+    (about y) or "yz" (about x).  All are proper rotations (det +1).  An
+    array of angles gives a stack of rotations, shape (..., 3, 3).
     """
-    if not math.isfinite(angle):
+    angle = np.asarray(angle, dtype=float)
+    if not np.isfinite(angle).all():
         raise ValueError("rotation angle must be finite")
-    c = math.cos(angle)
-    s = math.sin(angle)
-    if plane == "xy":
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    if plane == "xz":
-        return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    if plane == "yz":
-        return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    raise ValueError(f"unknown rotation plane {plane!r} (use xy, xz or yz)")
+    # the rotating pair of axes (a, b) and the fixed axis f
+    axes = {"xy": (0, 1, 2), "xz": (0, 2, 1), "yz": (1, 2, 0)}.get(plane)
+    if axes is None:
+        raise ValueError(f"unknown rotation plane {plane!r} (use xy, xz or yz)")
+    a, b, f = axes
+    c = np.cos(angle)
+    s = np.sin(angle)
+    m = np.zeros(angle.shape + (3, 3))
+    m[..., a, a] = m[..., b, b] = c
+    m[..., a, b] = -s
+    m[..., b, a] = s
+    m[..., f, f] = 1.0
+    return m
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,9 @@ def _wrap_pi(angle: float) -> float:
     return wrapped
 
 
+ANGLE_NAMES = ("theta_o", "theta_cs", "phi_cs", "phi_x", "phi_y")
+
+
 @dataclass(frozen=True)
 class Misalignment:
     """The five displacement angles of the receive array (radians).
@@ -115,6 +124,10 @@ class Misalignment:
     phi_cs    polar angle of the centre shift, measured from boresight
     phi_x     tilt toward the xz-plane
     phi_y     tilt toward the yz-plane
+
+    Each angle is a float for one trial, or all five are arrays of one
+    shape, (T,) for a stack of T trials; the geometry and channel
+    functions then broadcast over that leading trial axis.
 
     The constructor checks only the angle ranges that do not depend on
     the array (`theta_cs` in [-pi, pi], `phi_cs` in [0, pi/2)); the
@@ -131,13 +144,31 @@ class Misalignment:
     _TOL = 1e-12
 
     def __post_init__(self):
-        for name in ("theta_o", "theta_cs", "phi_cs", "phi_x", "phi_y"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not -math.pi - self._TOL <= self.theta_cs <= math.pi + self._TOL:
+        values = [getattr(self, name) for name in ANGLE_NAMES]
+        if len({getattr(v, "shape", ()) for v in values}) > 1:
+            raise ValueError("misalignment angles must all have one shape")
+        angles = np.array(values, dtype=float)
+        if angles.ndim > 1:
+            angles.setflags(write=False)
+            for name, row in zip(ANGLE_NAMES, angles):
+                object.__setattr__(self, name, row)
+        finite = np.isfinite(angles.reshape(len(ANGLE_NAMES), -1)).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{ANGLE_NAMES[int(np.argmin(finite))]} must be finite")
+        _, theta_cs, phi_cs, _, _ = angles
+        if not ((-math.pi - self._TOL <= theta_cs) & (theta_cs <= math.pi + self._TOL)).all():
             raise ValueError("theta_cs must lie in [-pi, pi]")
-        if not 0.0 <= self.phi_cs < math.pi / 2:
+        if not ((0.0 <= phi_cs) & (phi_cs < math.pi / 2)).all():
             raise ValueError("phi_cs must lie in [0, pi/2)")
+
+
+def _angle(mis: Misalignment, name: str, tail: int = 0) -> np.ndarray:
+    """One misalignment angle as an array with `tail` unit axes appended.
+
+    The unit axes let a stack of trials broadcast against element angles.
+    """
+    a = np.asarray(getattr(mis, name), dtype=float)
+    return a.reshape(a.shape + (1,) * tail)
 
 
 @dataclass(frozen=True)
@@ -224,7 +255,7 @@ def rx_antenna_position(cfg: ArrayConfig, mis: Misalignment, n: int) -> Coordina
 
 
 def attitude_matrix(mis: Misalignment) -> np.ndarray:
-    """Tilt cascade pre-rotated by the shift azimuth.
+    """Tilt cascade pre-rotated by the shift azimuth; shape (..., 3, 3).
 
     Product of the xy-plane rotation by theta_cs with the two tilt
     rotations; its rows determine how each coordinate of the Rx ring
@@ -242,30 +273,38 @@ def rx_ring_harmonics(cfg: ArrayConfig, mis: Misalignment) -> tuple[np.ndarray, 
 
     In the frame rotated so the centre shift lies in the yz-plane, each
     coordinate of Rx element n is a sinusoid amp_i * cos(theta_n - phase_i)
-    plus the centre offset.  Returns (amplitudes, phases), one per axis.
-    A degenerate axis (zero amplitude) gets phase 0; its term vanishes.
+    plus the centre offset.  Returns (amplitudes, phases), one per axis in
+    the last dimension, shape (..., 3).  A degenerate axis (zero
+    amplitude) gets phase 0; its term vanishes.
     """
     b = attitude_matrix(mis)
-    amps = cfg.radius_rx * np.hypot(b[:, 0], b[:, 1])
+    amps = cfg.radius_rx * np.hypot(b[..., 0], b[..., 1])
     phases = np.where(
         amps > 0.0,
-        np.arctan2(b[:, 1], b[:, 0]) - mis.theta_o,
+        np.arctan2(b[..., 1], b[..., 0]) - _angle(mis, "theta_o", 1),
         0.0,
     )
     return amps, phases
 
 
 def _squared_distance(cfg: ArrayConfig, mis: Misalignment, theta_n, theta_m):
-    """Squared Tx-Rx distance in closed form; broadcasts over the angles."""
-    rt, rr, d = cfg.radius_tx, cfg.radius_rx, cfg.distance
-    amps, phases = rx_ring_harmonics(cfg, mis)
-    sin_pcs = math.sin(mis.phi_cs)
-    cos_pcs = math.cos(mis.phi_cs)
-    shx = math.sin(mis.phi_x / 2.0) ** 2
-    shy = math.sin(mis.phi_y / 2.0) ** 2
-    sxsy = math.sin(mis.phi_x) * math.sin(mis.phi_y)
+    """Squared Tx-Rx distance in closed form.
 
-    rot = -2.0 * rt * rr * np.cos(theta_n - theta_m + mis.theta_o)
+    The element angles broadcast against each other; a stack of
+    misalignments adds its leading axes in front of theirs.
+    """
+    rt, rr, d = cfg.radius_tx, cfg.radius_rx, cfg.distance
+    tail = max(np.ndim(theta_n), np.ndim(theta_m))
+    theta_o, theta_cs, phi_cs, phi_x, phi_y = (_angle(mis, name, tail) for name in ANGLE_NAMES)
+    amps, phases = rx_ring_harmonics(cfg, mis)
+    amps, phases = ([a[..., i].reshape(theta_o.shape) for i in range(3)] for a in (amps, phases))
+    sin_pcs = np.sin(phi_cs)
+    cos_pcs = np.cos(phi_cs)
+    shx = np.sin(phi_x / 2.0) ** 2
+    shy = np.sin(phi_y / 2.0) ** 2
+    sxsy = np.sin(phi_x) * np.sin(phi_y)
+
+    rot = -2.0 * rt * rr * np.cos(theta_n - theta_m + theta_o)
     ring = 0.5 * sum(
         amps[i] ** 2 * np.cos(2.0 * (theta_n - phases[i])) for i in range(3)
     )
@@ -274,9 +313,9 @@ def _squared_distance(cfg: ArrayConfig, mis: Misalignment, theta_n, theta_m):
         * rt
         * rr
         * (
-            shx * np.cos(theta_m) * np.cos(theta_n + mis.theta_o)
-            + shy * np.sin(theta_m) * np.sin(theta_n + mis.theta_o)
-            + 0.5 * sxsy * np.cos(theta_m) * np.sin(theta_n + mis.theta_o)
+            shx * np.cos(theta_m) * np.cos(theta_n + theta_o)
+            + shy * np.sin(theta_m) * np.sin(theta_n + theta_o)
+            + 0.5 * sxsy * np.cos(theta_m) * np.sin(theta_n + theta_o)
         )
     )
     shift = (
@@ -285,7 +324,7 @@ def _squared_distance(cfg: ArrayConfig, mis: Misalignment, theta_n, theta_m):
         * (
             amps[1] * np.cos(theta_n - phases[1]) * sin_pcs
             + amps[2] * np.cos(theta_n - phases[2]) * cos_pcs
-            - rt * np.sin(theta_m + mis.theta_cs) * sin_pcs
+            - rt * np.sin(theta_m + theta_cs) * sin_pcs
         )
     )
     return d * d + rt * rt + rr * rr + rot + ring + tilt + shift
@@ -307,7 +346,7 @@ def distance_exact(cfg: ArrayConfig, mis: Misalignment, n: int, m: int) -> float
 
 
 def distance_matrix_exact(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
-    """All N x N exact distances; entry (n, m) is Rx n to Tx m."""
+    """All N x N exact distances, shape (..., N, N); entry (n, m) is Rx n to Tx m."""
     th = cfg.antenna_angles
     d = cfg.distance
     sq = _squared_distance(cfg, mis, th[:, None], th[None, :])
@@ -336,20 +375,22 @@ def tx_displacement(cfg: ArrayConfig, theta_cs, phi_cs) -> np.ndarray:
 
 
 def rx_displacement(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
-    """Per-Rx-element path-length offset from all three misalignments.
+    """Per-Rx-element path-length offset from all three misalignments; shape (..., N).
 
     Combines the second-order ring curvature term with the first-order
     projections of the tilted ring onto the shift direction.
     """
     th = cfg.antenna_angles
     amps, phases = rx_ring_harmonics(cfg, mis)
+    amps, phases = ([a[..., i, None] for i in range(3)] for a in (amps, phases))
     curvature = sum(
         amps[i] ** 2 * np.cos(2.0 * (th - phases[i])) for i in range(3)
     ) / (4.0 * cfg.distance)
+    phi_cs = _angle(mis, "phi_cs", 1)
     return (
         curvature
-        + amps[1] * np.cos(th - phases[1]) * math.sin(mis.phi_cs)
-        + amps[2] * np.cos(th - phases[2]) * math.cos(mis.phi_cs)
+        + amps[1] * np.cos(th - phases[1]) * np.sin(phi_cs)
+        + amps[2] * np.cos(th - phases[2]) * np.cos(phi_cs)
     )
 
 

@@ -2,10 +2,12 @@
 
 Trials draw random misalignments from counter-based per-trial substreams
 keyed by (seed, trial index), so results are byte-reproducible and do not
-depend on execution order.  The same trial index yields the same draw in
-every scenario cell, which pairs the comparisons across antenna counts,
-distances and codebook settings.  All trials of a cell are scored as one
-batch: the channels are stacked and each scheme is one stacked call.
+depend on execution order.  Each trial is drawn once per campaign and the
+same draw serves every scenario cell, which pairs the comparisons across
+antenna counts, distances and codebook settings; only the rotation clamp
+to [-pi/N, pi/N] depends on the cell.  All trials of a cell are scored as
+one batch: its channels are built as one (T, N, N) stack and each scheme
+is one stacked call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import APPROXIMATE, EXACT_DISTANCE, ChannelMatrix, build_channel, dft_matrix
+from .channel import APPROXIMATE, EXACT_DISTANCE, build_channels, dft_matrix
 from .design import (
     PowerAllocation,
     capacity,
@@ -118,6 +120,26 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _trial_angles(rng: np.random.Generator, trial_cfg: TrialConfig) -> tuple[float, ...]:
+    """`draw_misalignment` before the rotation clamp, in `Misalignment` field order."""
+    small = trial_cfg.angle_range_small
+    theta_o = float(rng.uniform(-small, small))
+    theta_cs = float(rng.uniform(-trial_cfg.theta_cs_range, trial_cfg.theta_cs_range))
+    phi_cs = float(rng.uniform(-small, small))
+    phi_x = float(rng.uniform(-small, small))
+    phi_y = float(rng.uniform(-small, small))
+    if phi_cs < 0.0:
+        phi_cs = -phi_cs
+        theta_cs = _wrap_pi(theta_cs + math.pi)
+    return theta_o, theta_cs, phi_cs, phi_x, phi_y
+
+
+def _clamp_rotation(theta_o, n_antennas: int):
+    """Clamp rotations into [-pi/N, pi/N]."""
+    bound = math.pi / n_antennas
+    return np.minimum(np.maximum(theta_o, -bound), bound)
+
+
 def draw_misalignment(
     rng: np.random.Generator, trial_cfg: TrialConfig, n_antennas: int
 ) -> Misalignment:
@@ -130,21 +152,15 @@ def draw_misalignment(
     [-pi/N, pi/N] should the range exceed that bound.  The draw order is
     fixed (rotation, azimuth, polar, tilt-x, tilt-y) for reproducibility.
     """
-    small = trial_cfg.angle_range_small
-    theta_o = float(rng.uniform(-small, small))
-    theta_cs = float(rng.uniform(-trial_cfg.theta_cs_range, trial_cfg.theta_cs_range))
-    phi_cs = float(rng.uniform(-small, small))
-    phi_x = float(rng.uniform(-small, small))
-    phi_y = float(rng.uniform(-small, small))
+    theta_o, *rest = _trial_angles(rng, trial_cfg)
+    return Misalignment(float(_clamp_rotation(theta_o, n_antennas)), *rest)
 
-    bound = math.pi / n_antennas
-    theta_o = min(max(theta_o, -bound), bound)
-    if phi_cs < 0.0:
-        phi_cs = -phi_cs
-        theta_cs = _wrap_pi(theta_cs + math.pi)
-    return Misalignment(
-        theta_o=theta_o, theta_cs=theta_cs, phi_cs=phi_cs, phi_x=phi_x, phi_y=phi_y
-    )
+
+def _campaign_draws(trial_cfg: TrialConfig) -> np.ndarray:
+    """Every trial's angles before the rotation clamp, shape (5, T); one substream per trial."""
+    return np.array(
+        [_trial_angles(trial_rng(trial_cfg.seed, t), trial_cfg) for t in range(trial_cfg.n_trials)]
+    ).T
 
 
 def _design_radius(trial_cfg: TrialConfig, n_antennas: int) -> float:
@@ -160,67 +176,67 @@ def _design_radius(trial_cfg: TrialConfig, n_antennas: int) -> float:
 
 
 def _cell_channels(
-    trial_cfg: TrialConfig, cfg: ArrayConfig
-) -> tuple[list[ChannelMatrix], np.ndarray, np.ndarray]:
-    """The channels of a scenario cell, their (T, N, N) stack and their closed-form spectra.
+    trial_cfg: TrialConfig, cfg: ArrayConfig, draws: np.ndarray
+) -> tuple[Misalignment, np.ndarray]:
+    """The misalignments of a scenario cell and its (T, N, N) stack of channels.
 
-    Each trial's channel comes from its own substream.
+    The campaign's `draws` are clamped to the cell's rotation bound, so
+    trial t equals `draw_misalignment(trial_rng(seed, t), trial_cfg, N)`.
     """
+    theta_o, *rest = draws
+    mis = Misalignment(_clamp_rotation(theta_o, cfg.n_antennas), *rest)
     model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
-    n = cfg.n_antennas
-    channels = [
-        build_channel(cfg, draw_misalignment(trial_rng(trial_cfg.seed, t), trial_cfg, n), model)
-        for t in range(trial_cfg.n_trials)
-    ]
-    h = np.stack([c.entries for c in channels])
-    spectrum = singular_values_many(n, cfg.beta, _misalignment_angles(channels, "theta_o"))
-    return channels, h, spectrum
+    return mis, build_channels(cfg, mis, model)
 
 
 def _built_sigma(
-    trial_cfg: TrialConfig, h: np.ndarray, spectrum: np.ndarray, numerical: np.ndarray | None = None
+    trial_cfg: TrialConfig,
+    cfg: ArrayConfig,
+    mis: Misalignment,
+    h: np.ndarray,
+    spectrum: np.ndarray | None = None,
+    numerical: np.ndarray | None = None,
 ) -> np.ndarray:
     """Singular values of the channels built, one row per trial.
 
-    The closed-form `spectrum` on the separable model; with exact geometry
-    the numerical singular values of `h`, computed here unless given.
+    On the separable model the closed-form spectrum, evaluated here
+    unless `spectrum` is given; with exact geometry the numerical singular
+    values of `h`, computed here unless `numerical` is given.
     """
-    if not trial_cfg.exact_geometry:
-        return spectrum
-    return np.linalg.svd(h, compute_uv=False) if numerical is None else numerical
-
-
-def _misalignment_angles(channels: list[ChannelMatrix], name: str) -> np.ndarray:
-    return np.array([getattr(h.mis, name) for h in channels])
+    if trial_cfg.exact_geometry:
+        return np.linalg.svd(h, compute_uv=False) if numerical is None else numerical
+    if spectrum is None:
+        return singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
+    return spectrum
 
 
 def _rate_sweep_cell(
     trial_cfg: TrialConfig,
     cfg: ArrayConfig,
+    draws: np.ndarray,
     cb: Codebook,
     approx_alloc: PowerAllocation,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Rates of every scheme for all trials of a cell; returns (rates, condition numbers).
 
-    Channels are built per trial; every scheme is then one stacked call
-    over the cell's (T, N, N) channels, and the codebook row is the best
-    entry's rate, as `select_codebook_index` reports it.  A draw clamped
-    exactly onto the rotation bound yields a singular channel; the nulling
-    receivers cannot operate there and score zero (the row's condition
-    number is infinite, so such trials are visible).  The optimal precoder
-    water-fills the closed-form spectrum.  The capacity row and the
+    The cell's channels are built from the campaign's `draws` as one
+    (T, N, N) stack; every scheme is then one stacked call over it, and
+    the codebook row is the best entry's rate, as `select_codebook_index`
+    reports it.  A draw clamped exactly onto the rotation bound yields a
+    singular channel; the nulling receivers cannot operate there and score
+    zero (the row's condition number is infinite, so such trials are
+    visible).  The optimal precoder water-fills the closed-form spectrum.  The capacity row and the
     condition number describe the channel built: the closed-form spectrum
     on the separable model, the channel's numerical singular values with
     exact geometry.
     """
     p_total = 10.0 ** (trial_cfg.snr_db / 10.0)
-    channels, h, spectrum = _cell_channels(trial_cfg, cfg)
+    mis, h = _cell_channels(trial_cfg, cfg, draws)
+    spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
     exact_alloc = water_fill(spectrum, p_total, 1.0)
     nulling = nulling_rates(h, p_total, 1.0)
-    sigma = _built_sigma(trial_cfg, h, spectrum, nulling.sigma)
-    optimal = precoder_matrices(
-        cfg, _misalignment_angles(channels, "theta_cs"), _misalignment_angles(channels, "phi_cs")
-    )
+    sigma = _built_sigma(trial_cfg, cfg, mis, h, spectrum, nulling.sigma)
+    optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
     rates = {
         "capacity": capacity(sigma, p_total, 1.0),
         "optimal-precoder": np.sum(precoded_rates(h, optimal, exact_alloc), axis=-1),
@@ -237,13 +253,15 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
 
     Radii are fixed per antenna count to the optimum at the design
     distance; sweeping the actual distance then scales beta inversely.
-    Each cell's trials are scored as one batch.  Appends one mean row per
-    scheme after each scenario cell's trials.  `jobs` is accepted for
-    compatibility; neither the output nor the scheduling depends on it.
+    Each trial is drawn once, and each cell's trials are scored as one
+    batch.  Appends one mean row per scheme after each scenario cell's
+    trials.  `jobs` is accepted for compatibility; neither the output nor
+    the scheduling depends on it.
     """
     rows: list[ResultRow] = []
     l1, l2 = trial_cfg.codebook_bits
     cb = build_codebook(l1, l2)
+    draws = _campaign_draws(trial_cfg)
     for n in trial_cfg.n_antennas_list:
         radius = _design_radius(trial_cfg, n)
         for dist in trial_cfg.distances:
@@ -255,7 +273,7 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
                 distance=dist,
             )
             approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
-            rates, cond = _rate_sweep_cell(trial_cfg, cfg, cb, approx_alloc)
+            rates, cond = _rate_sweep_cell(trial_cfg, cfg, draws, cb, approx_alloc)
             for trial in range(trial_cfg.n_trials):
                 for scheme in RATE_SWEEP_SCHEMES:
                     rows.append(
@@ -323,8 +341,8 @@ def run_codebook_bit_sweep(
         distance=dist,
     )
     approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
-    _, h, spectrum = _cell_channels(trial_cfg, cfg)
-    cond = condition_numbers(_built_sigma(trial_cfg, h, spectrum))
+    mis, h = _cell_channels(trial_cfg, cfg, _campaign_draws(trial_cfg))
+    cond = condition_numbers(_built_sigma(trial_cfg, cfg, mis, h))
     mean_cond = float(np.mean(cond))
 
     rows: list[ResultRow] = []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ucamimo import (
     Misalignment,
     ModelValidityError,
     build_channel,
+    build_channels,
     circulant_factor,
     closed_form_svd,
     dft_matrix,
@@ -115,6 +117,67 @@ class TestBuildChannel:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             build_channel(mmwave_config(), Misalignment(), "other")
+
+
+def production_stack(**overrides):
+    """Three production misalignments as a stack; each override replaces the last trial's angle."""
+    angles = {
+        "theta_o": [0.1, -0.2, 0.05],
+        "theta_cs": [1.2, -3.0, 0.4],
+        "phi_cs": [0.08, 0.0, 0.15],
+        "phi_x": [0.05, -0.1, 0.0],
+        "phi_y": [-0.03, 0.12, 0.0],
+    }
+    for name, value in overrides.items():
+        angles[name][-1] = value
+    return {name: np.array(values) for name, values in angles.items()}
+
+
+class TestBuildChannelsBoundary:
+    """The stacked build rejects what the one-trial build rejects, with the same error."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("theta_o", math.nan), ("theta_cs", math.inf), ("phi_cs", math.nan),
+        ("phi_x", -math.inf), ("phi_y", math.nan),
+        ("theta_cs", math.pi + 1e-9), ("theta_cs", -3.2),
+        ("phi_cs", -1e-12), ("phi_cs", math.pi / 2),
+    ])
+    def test_bad_angles(self, name, value):
+        cfg = mmwave_config()
+        with pytest.raises(ValueError) as one:
+            build_channel(cfg, Misalignment(**{name: value}))
+        for model in (APPROXIMATE, EXACT_DISTANCE):
+            with pytest.raises(type(one.value), match=f"^{re.escape(str(one.value))}$"):
+                build_channels(cfg, Misalignment(**production_stack(**{name: value})), model)
+
+    def test_range_edges_accepted(self):
+        stack = production_stack()
+        stack["theta_cs"][:2] = (math.pi, -math.pi)
+        h = build_channels(mmwave_config(), Misalignment(**stack))
+        assert h.shape == (3, 8, 8)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), ()])
+    def test_mismatched_angle_shapes(self, shape):
+        stack = production_stack()
+        stack["phi_y"] = np.zeros(shape)
+        with pytest.raises(ValueError, match="^misalignment angles must all have one shape$"):
+            build_channels(mmwave_config(), Misalignment(**stack))
+
+    def test_unknown_model(self):
+        with pytest.raises(ValueError) as one:
+            build_channel(mmwave_config(), Misalignment(), "other")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+            build_channels(mmwave_config(), Misalignment(**production_stack()), "other")
+
+    def test_far_field_guard(self):
+        cfg = ArrayConfig(n_antennas=4, wavelength=0.004, radius_tx=2.0, radius_rx=2.0, distance=10.0)
+        stack = Misalignment(**production_stack())
+        with pytest.raises(ModelValidityError) as one:
+            build_channel(cfg, Misalignment())
+        with pytest.raises(ModelValidityError, match=f"^{re.escape(str(one.value))}$"):
+            build_channels(cfg, stack)
+        assert build_channels(cfg, stack, allow_close_range=True).shape == (3, 4, 4)
+        assert build_channels(cfg, stack, EXACT_DISTANCE).shape == (3, 4, 4)
 
 
 class TestCirculantFactor:

@@ -267,6 +267,9 @@ class TestGoldenBytes:
         ("simulate_seed2024.csv", ["simulate", "--seed", "2024", "--lambda", "0.004", "--trials", "3",
                                    "--ns-list", "4,16", "--dist-list", "100,500"]),
         ("codebook_seed2024.csv", ["codebook", "--seed", "2024", "--trials", "2", "--bit-grid", "1:3,3:5"]),
+        ("simulate_exact_seed2024.csv", ["simulate", "--seed", "2024", "--lambda", "0.004", "--trials", "3",
+                                         "--ns-list", "8,16", "--dist-list", "100,500",
+                                         "--range-all", "deg:15", "--exact-geometry"]),
     ])
     def test_csv_bytes_unchanged(self, tmp_path, name, args):
         out = tmp_path / name

@@ -225,6 +225,18 @@ class TestSearchBetaOpt:
         assert sized.radius_equal == pytest.approx(math.sqrt(sized.beta_opt * 0.004 * 100 / (2 * math.pi)))
         assert sized.radii_product == pytest.approx(sized.radius_equal**2)
 
+    def test_optimum_clipped_by_beta_max_is_at_edge(self):
+        # the four-antenna optimum at 15 dB is beta = 1.5708; a range ending at 1.0 clips it
+        clipped = search_beta_opt(4, 0.0, 15.0, beta_max=1.0)
+        assert clipped.at_edge
+        assert 1.0 - 0.01 <= clipped.beta_opt <= 1.0
+
+    def test_interior_optimum_is_not_at_edge(self):
+        for beta_max in (14.0, 1.6):
+            result = search_beta_opt(4, 0.0, 15.0, beta_max=beta_max)
+            assert result.beta_opt == pytest.approx(1.5708, abs=2e-3)
+            assert not result.at_edge
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             search_beta_opt(8, 0.0, 15.0, beta_max=0.0)

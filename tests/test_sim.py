@@ -23,7 +23,8 @@ from ucamimo import (
     zf_sic_rate,
 )
 from ucamimo.design import allocated_capacity, capacity, water_fill
-from ucamimo.geometry import ArrayConfig
+from ucamimo import sim
+from ucamimo.geometry import ANGLE_NAMES, ArrayConfig
 from ucamimo.sim import (
     AGGREGATE_TRIAL,
     CSV_HEADER,
@@ -272,6 +273,55 @@ class TestDrawMisalignment:
         assert np.all(np.abs(draws.mean(axis=0)) <= tol)
         # the polar angle is folded to nonnegative values: mean is half-range
         assert abs(phi.mean() - cfg.angle_range_small / 2) <= 3.0 * (cfg.angle_range_small / math.sqrt(12)) / math.sqrt(n)
+
+
+class TestCampaignDraws:
+    """Each trial is drawn once per campaign; only the rotation clamp depends on the cell."""
+
+    def test_cell_draws_equal_one_trial_draws(self):
+        cfg = small_config(n_trials=40, angle_range_small=math.radians(15.0), n_antennas_list=(4, 8, 16, 64))
+        draws = sim._campaign_draws(cfg)
+        for n in cfg.n_antennas_list:
+            mis, _ = sim._cell_channels(cfg, cell_array(cfg, n, 300.0), draws)
+            for t in range(cfg.n_trials):
+                one = draw_misalignment(trial_rng(cfg.seed, t), cfg, n)
+                for name in ANGLE_NAMES:
+                    assert getattr(mis, name)[t] == getattr(one, name), (n, t, name)
+                    assert math.copysign(1.0, getattr(mis, name)[t]) == math.copysign(1.0, getattr(one, name))
+
+    def test_hand_count_of_clamped_draws(self):
+        # 13 of the 40 rotations at 15 degrees exceed pi/16 for seed 3 and are clamped onto it
+        cfg = TrialConfig(seed=3, n_trials=40, angle_range_small=math.radians(15.0),
+                          n_antennas_list=(16,), distances=(500.0,), wavelength=0.004)
+        mis, _ = sim._cell_channels(cfg, cell_array(cfg, 16, 500.0), sim._campaign_draws(cfg))
+        assert np.count_nonzero(np.abs(mis.theta_o) == math.pi / 16) == 13
+        assert np.count_nonzero(np.abs(mis.theta_o) > math.pi / 16) == 0
+
+    @pytest.mark.parametrize("exact_geometry", [False, True])
+    def test_one_substream_per_trial_and_one_build_per_cell(self, monkeypatch, exact_geometry):
+        cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 200.0, 300.0),
+                           exact_geometry=exact_geometry)
+        keys, builds = [], []
+        trial_rng_, build_channels_ = sim.trial_rng, sim.build_channels
+
+        def counted_rng(seed, trial):
+            keys.append((seed, trial))
+            return trial_rng_(seed, trial)
+
+        def counted_build(cfg_, mis, model):
+            builds.append(np.shape(mis.theta_o))
+            return build_channels_(cfg_, mis, model)
+
+        monkeypatch.setattr(sim, "trial_rng", counted_rng)
+        monkeypatch.setattr(sim, "build_channels", counted_build)
+        run_rate_sweep(cfg)
+        assert keys == [(cfg.seed, t) for t in range(cfg.n_trials)]
+        assert builds == [(cfg.n_trials,)] * 6
+        keys.clear()
+        builds.clear()
+        run_codebook_bit_sweep(cfg, ((1, 1),))
+        assert keys == [(cfg.seed, t) for t in range(cfg.n_trials)]
+        assert builds == [(cfg.n_trials,)]
 
 
 class TestRateSweep:
