@@ -221,7 +221,7 @@ def cmd_design(args) -> int:
 
 
 def _write_capacity_curve(ns, theta_o, snr_db, beta_max, step, out) -> None:
-    p_total = 10.0 ** (snr_db / 10.0)
+    p_total = design.power_from_db(snr_db)
     betas = np.arange(step, beta_max + step / 2.0, step)
     caps = design.capacity(spectrum.singular_values_many(ns, betas, theta_o), p_total, 1.0)
     lines = ["beta,capacity_bps_hz", *(f"{b:.9g},{c:.9g}" for b, c in zip(betas, caps))]
@@ -259,6 +259,8 @@ def cmd_capacity_sweep(args) -> int:
     _check_even_ns(args.ns)
     if args.step <= 0.0 or args.beta_max <= 0.0:
         raise ValueError("--step and --beta-max must be positive")
+    if args.step > args.beta_max:
+        raise ValueError(f"--step {args.step:g} exceeds --beta-max {args.beta_max:g}; the beta grid is empty")
     _write_capacity_curve(args.ns, args.theta_o, args.snr_db, args.beta_max, args.step, args.out)
     return 0
 

@@ -10,6 +10,7 @@ for a given wavelength and distance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,25 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Capacity differences below this are treated as ties; the smallest beta
 # among tied grid points wins, which keeps the arrays as small as possible.
 TIE_TOLERANCE_BITS = 1e-6
+
+# Smallest normal float.  A budget below it can underflow the water level
+# of tied streams to their inverse gain, so water-filling rejects it.
+_SMALLEST_BUDGET = sys.float_info.min
+
+
+def power_from_db(snr_db: float) -> float:
+    """Linear power ratio of a level in dB.
+
+    Raises ValueError where the ratio overflows a float or falls below
+    the smallest budget that water-filling accepts.
+    """
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not _SMALLEST_BUDGET <= ratio < math.inf:
+        raise ValueError(f"snr_db {snr_db:g} dB is outside the range of a float power ratio")
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -41,9 +61,9 @@ class PowerAllocation:
         powers = np.array(self.powers, dtype=float)
         powers.setflags(write=False)
         object.__setattr__(self, "powers", powers)
-        if self.total <= 0.0 or self.noise <= 0.0:
-            raise ValueError("total power and noise must be positive")
-        if np.any(powers < 0.0):
+        if not (0.0 < self.total < math.inf and 0.0 < self.noise < math.inf):
+            raise ValueError("total power and noise must be positive and finite")
+        if not (powers >= 0.0).all():
             raise ValueError("stream powers must be nonnegative")
         if np.any(np.abs(np.sum(powers, axis=-1) - self.total) > 1e-9 * self.total):
             raise ValueError("stream powers must sum to the total budget")
@@ -57,30 +77,35 @@ def _water_fill_powers(sigmas: np.ndarray, p_total: float, noise: float) -> np.n
     cumulative sum, and keep the largest active set whose water level lies
     above its weakest member.  The smallest inverse gain is subtracted
     before the sum, so the level does not cancel against it at low SNR.
-    Streams whose squared gain is zero or underflows get no power.
+    Each stream then takes the level less its own inverse gain if that
+    does not exceed the weakest active one, so tied gains get the same
+    power.  Streams whose squared gain is zero or underflows get no power.
     """
-    if not (p_total > 0.0 and noise > 0.0):
-        raise ValueError("p_total and noise must be positive")
-    if np.any(sigmas < 0.0):
-        raise ValueError("sigmas must be nonnegative")
+    if not (_SMALLEST_BUDGET <= p_total < math.inf and 0.0 < noise < math.inf):
+        raise ValueError("p_total and noise must be positive and finite, p_total a normal float")
+    if sigmas.ndim == 0 or sigmas.shape[-1] == 0:
+        raise ValueError("sigmas must hold at least one stream gain")
+    if not (sigmas >= 0.0).all():
+        raise ValueError("sigmas must be nonnegative and not NaN")
     with np.errstate(divide="ignore", over="ignore"):
         inv_gain = noise / sigmas**2
-    order = np.argsort(inv_gain, axis=-1, kind="stable")
-    sorted_inv = np.take_along_axis(inv_gain, order, axis=-1)
-    if not np.all(np.isfinite(sorted_inv[..., 0])):
+    sorted_inv = np.sort(inv_gain, axis=-1)
+    strongest = sorted_inv[..., :1]
+    if not (strongest < math.inf).all():
         raise ValueError("at least one stream gain must be positive")
 
     n = sigmas.shape[-1]
-    excess = sorted_inv - sorted_inv[..., :1]
+    excess = sorted_inv - strongest
     size = np.arange(1, n + 1)
-    level = (p_total + np.cumsum(excess, axis=-1)) / size
+    level = (p_total + excess.cumsum(axis=-1)) / size
     # The largest size whose level clears its weakest stream; size 1 always does.
-    active = n - np.argmax((level > excess)[..., ::-1], axis=-1)
-    water = np.take_along_axis(level, active[..., None] - 1, axis=-1)
-    sorted_powers = np.where(size <= active[..., None], water - excess, 0.0)
-    powers = np.empty_like(sorted_powers)
-    np.put_along_axis(powers, order, sorted_powers, axis=-1)
-    return powers
+    active = n - (level > excess)[..., ::-1].argmax(axis=-1)
+    # Flat index of each row's weakest active rank, shaped (..., 1).
+    at = (np.arange(0, level.size, n).reshape(active.shape) + active - 1)[..., None]
+    water = level.reshape(-1)[at]
+    weakest = excess.reshape(-1)[at]
+    own = inv_gain - strongest
+    return np.where(own <= weakest, water - own, 0.0)
 
 
 def water_fill(sigmas, p_total: float, noise: float) -> PowerAllocation:
@@ -117,7 +142,7 @@ def capacity(sigmas, p_total: float, noise: float):
     """
     sigmas = np.asarray(sigmas, dtype=float)
     powers = _water_fill_powers(sigmas, p_total, noise)
-    caps = np.sum(np.log2(1.0 + powers * sigmas**2 / noise), axis=-1)
+    caps = np.log2(1.0 + powers * sigmas**2 / noise).sum(axis=-1)
     return float(caps) if caps.ndim == 0 else caps
 
 
@@ -194,7 +219,9 @@ def search_beta_opt(
         raise ValueError("snr_db, theta_o, beta_max and resolution must be finite")
     if beta_max <= 0.0 or resolution <= 0.0:
         raise ValueError("beta_max and resolution must be positive")
-    p_total = 10.0 ** (snr_db / 10.0)
+    if resolution > beta_max:
+        raise ValueError(f"resolution {resolution:g} exceeds beta_max {beta_max:g}; the beta grid is empty")
+    p_total = power_from_db(snr_db)
     noise = 1.0
 
     grid = np.arange(resolution, beta_max + resolution / 2.0, resolution)
@@ -208,7 +235,7 @@ def search_beta_opt(
     beta_opt = _golden_max(
         lambda b: capacity(singular_values(n_s, b, theta_o), p_total, noise), lo, hi, 1e-4
     )
-    cap_opt = capacity(singular_values(n_s, beta_opt, theta_o), p_total, noise)
+    sigma_opt = singular_values(n_s, beta_opt, theta_o)
 
     radii_product = None
     radius_equal = None
@@ -218,8 +245,8 @@ def search_beta_opt(
         radius_equal = radius_tx
     return DesignResult(
         beta_opt=float(beta_opt),
-        capacity=cap_opt,
-        condition_number=condition_number(n_s, beta_opt, theta_o),
+        capacity=capacity(sigma_opt, p_total, noise),
+        condition_number=float(condition_numbers(sigma_opt)),
         radii_product=radii_product,
         radius_equal=radius_equal,
         at_edge=bool(beta_opt >= beta_max - resolution),

@@ -22,6 +22,7 @@ from .design import (
     PowerAllocation,
     capacity,
     condition_numbers,
+    power_from_db,
     search_beta_opt,
     water_fill,
 )
@@ -71,6 +72,7 @@ class TrialConfig:
                   self.design_distance, *self.distances)
         if not all(map(math.isfinite, finite)):
             raise ValueError("snr_db, angle ranges, wavelength and distances must be finite")
+        power_from_db(self.snr_db)  # raises where the SNR's power ratio is out of range
         if self.angle_range_small < 0.0 or self.theta_cs_range < 0.0:
             raise ValueError("angle ranges must be nonnegative")
         if self.theta_cs_range > math.pi:
@@ -230,7 +232,7 @@ def _rate_sweep_cell(
     on the separable model, the channel's numerical singular values with
     exact geometry.
     """
-    p_total = 10.0 ** (trial_cfg.snr_db / 10.0)
+    p_total = power_from_db(trial_cfg.snr_db)
     mis, h = _cell_channels(trial_cfg, cfg, draws)
     spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
     exact_alloc = water_fill(spectrum, p_total, 1.0)

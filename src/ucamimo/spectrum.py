@@ -26,13 +26,20 @@ def _check_even(n_s: int) -> None:
 
 
 def _spectrum(n_s: int, betas, theta_o) -> np.ndarray:
-    """The one spectrum kernel: an FFT over the element phasors, shape (..., N)."""
+    """The one spectrum kernel: an FFT over the element phasors, shape (..., N).
+
+    The phasors exp(j*beta*cos(angle)) are written as their cosine and
+    sine straight into the real and imaginary parts of one complex array.
+    """
     _check_even(n_s)
     betas = np.asarray(betas, dtype=float)
-    if np.any(betas < 0.0):
+    if (betas < 0.0).any():
         raise ValueError("beta must be nonnegative")
     angles = TWO_PI * np.arange(n_s) / n_s + np.asarray(theta_o, dtype=float)[..., None]
-    phasors = np.exp(1j * betas[..., None] * np.cos(angles))
+    arg = betas[..., None] * np.cos(angles)
+    phasors = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phasors.real)
+    np.sin(arg, out=phasors.imag)
     return np.abs(np.fft.fft(phasors, axis=-1))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelMatrix, dft_matrix
-from .design import PowerAllocation, water_fill
+from .design import PowerAllocation, power_from_db, water_fill
 from .geometry import TWO_PI, ArrayConfig, tx_displacement
 from .spectrum import singular_values
 
@@ -216,7 +216,7 @@ def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> PowerAllocation:
     slowly with rotation.
     """
     sig = singular_values(cfg.n_antennas, cfg.beta, 0.0)
-    return water_fill(sig, 10.0 ** (snr_db / 10.0), 1.0)
+    return water_fill(sig, power_from_db(snr_db), 1.0)
 
 
 def codebook_rates_many(

@@ -94,6 +94,23 @@ class TestDesignCommand:
         assert run_cli(["design", "--ns", "5"]) == 2
         assert "even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        # an empty grid, and a one-point grid beyond --beta-max
+        (["--beta-max", "0.005"], "resolution 0.01 exceeds beta_max 0.005"),
+        (["--resolution", "20"], "resolution 20 exceeds beta_max 14"),
+    ])
+    def test_grid_beyond_beta_max_exits_2(self, capsys, args, message):
+        assert run_cli(["design", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_overflowing_snr_exits_2(self, capsys):
+        assert run_cli(["design", "--snr-db", "4000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "snr_db 4000 dB is outside the range" in captured.err
+
     def test_curve_output(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         assert run_cli(["design", "--ns", "4", "--beta-max", "3", "--curve-out", str(out)]) == 0
@@ -149,6 +166,19 @@ class TestCapacitySweepCommand:
         best = max(rows, key=lambda r: r[1])
         assert best[0] == pytest.approx(math.pi / 2, abs=0.01)
 
+    @pytest.mark.parametrize("args", [["--step", "20"], ["--beta-max", "0.005"]])
+    def test_step_beyond_beta_max_exits_2(self, tmp_path, capsys, args):
+        out = tmp_path / "c.csv"
+        assert run_cli(["capacity-sweep", "--ns", "4", *args, "--out", str(out)]) == 2
+        assert "exceeds --beta-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_snr_exits_2(self, capsys):
+        assert run_cli(["capacity-sweep", "--ns", "4", "--snr-db", "4000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "snr_db 4000 dB" in captured.err
+
 
 class TestSimulateCommand:
     BASE = ["simulate", "--seed", "11", "--trials", "3", "--ns-list", "4",
@@ -194,6 +224,13 @@ class TestSimulateCommand:
 
     def test_missing_seed_is_usage_error(self):
         assert run_cli(["simulate", "--trials", "2"]) == 2
+
+    @pytest.mark.parametrize("command", [["simulate", "--ns-list", "4"], ["codebook", "--ns", "4"]])
+    def test_overflowing_snr_is_usage_error(self, capsys, command):
+        assert run_cli([*command, "--seed", "1", "--trials", "1", "--snr-db", "4000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "snr_db 4000 dB is outside the range" in captured.err
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     def test_out_of_range_azimuth_is_usage_error_for_every_seed(self, seed, capsys):
@@ -261,7 +298,7 @@ DATA = Path(__file__).parent / "data"
 
 
 class TestGoldenBytes:
-    """Campaign CSVs must stay byte-identical to the committed copies in tests/data."""
+    """Campaign CSVs and design outputs must stay byte-identical to the committed copies in tests/data."""
 
     @pytest.mark.parametrize("name, args", [
         ("simulate_seed2024.csv", ["simulate", "--seed", "2024", "--lambda", "0.004", "--trials", "3",
@@ -274,4 +311,20 @@ class TestGoldenBytes:
     def test_csv_bytes_unchanged(self, tmp_path, name, args):
         out = tmp_path / name
         assert run_cli([*args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize("ns", [4, 8, 16, 64])
+    @pytest.mark.parametrize("theta, suffix", [("0", "theta0"), ("deg:1.5", "theta1p5deg")])
+    def test_design_bytes_unchanged(self, capsys, ns, theta, suffix):
+        assert run_cli(["design", "--ns", str(ns), "--theta-o", theta]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / f"design_n{ns}_{suffix}.txt").read_bytes()
+
+    @pytest.mark.parametrize("name, args", [
+        # at theta_o = 0 many grid points hold exactly tied gains
+        ("capacity_sweep_n4_theta0.csv", ["--ns", "4"]),
+        ("capacity_sweep_n64_theta1p5deg.csv", ["--ns", "64", "--theta-o", "deg:1.5"]),
+    ])
+    def test_capacity_sweep_bytes_unchanged(self, tmp_path, name, args):
+        out = tmp_path / name
+        assert run_cli(["capacity-sweep", *args, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / name).read_bytes()

@@ -1,12 +1,24 @@
+import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ucamimo import capacity, condition_number, radii_from_beta, search_beta_opt, water_fill
-from ucamimo.design import TIE_TOLERANCE_BITS, allocated_capacity
-from ucamimo.spectrum import singular_values
+from conftest import bits, previous_water_fill_powers
+from ucamimo import (
+    PowerAllocation,
+    TrialConfig,
+    capacity,
+    condition_number,
+    radii_from_beta,
+    search_beta_opt,
+    water_fill,
+)
+from ucamimo.design import TIE_TOLERANCE_BITS, allocated_capacity, power_from_db
+from ucamimo.spectrum import singular_values, singular_values_many
 
 SNR15 = 10**1.5
 
@@ -140,6 +152,91 @@ class TestWaterFill:
             water_fill(np.ones(4), 0.0, 1.0)
         with pytest.raises(ValueError):
             water_fill(np.array([-1.0, 2.0]), 1.0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            water_fill([math.nan, 1.0], 1.0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            capacity(np.array([[1.0, 2.0], [1.0, math.nan]]), 1.0, 1.0)
+        for empty in ([], np.zeros((3, 0)), 2.0):
+            with pytest.raises(ValueError, match="at least one stream gain"):
+                water_fill(empty, 1.0, 1.0)
+        for p_total, noise in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                water_fill([1.0, 2.0], p_total, noise)
+        # a subnormal budget can underflow the water level of tied streams
+        with pytest.raises(ValueError, match="normal float"):
+            water_fill([1.0, 1.0], 5e-324, 1.0)
+        water_fill([1.0, 1.0], sys.float_info.min, 1.0)
+
+    @pytest.mark.parametrize("total, noise", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_allocation_with_bad_budget_rejected(self, total, noise):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PowerAllocation(powers=np.array([total, 0.0]), total=total, noise=noise)
+
+    def test_allocation_with_nan_power_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PowerAllocation(powers=np.array([math.nan, 1.0]), total=1.0, noise=1.0)
+
+
+class TestWaterFillMatchesPreviousRule:
+    """The value-sort rule gives the same bits as the stable-argsort/scatter rule it replaced."""
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 64])
+    def test_design_grid_spectra_with_exact_ties(self, n):
+        grid = np.arange(0.01, 14.005, 0.01)
+        aligned = singular_values_many(n, grid, 0.0)
+        # at theta_o = 0 many rows pair sigma_k with sigma_{N+2-k} exactly
+        # (the middle mode always matches itself)
+        assert np.count_nonzero(aligned[:, 1:] == aligned[:, 1:][:, ::-1]) > aligned.shape[0]
+        # at theta_o = pi/N the middle mode is a null
+        sigmas = np.concatenate([aligned, singular_values_many(n, grid, math.pi / n)])
+        for snr_db in (-10.0, 0.0, 15.0, 30.0, 60.0):
+            p_total = 10.0 ** (snr_db / 10.0)
+            for noise in (1.0, 0.37):
+                expected = previous_water_fill_powers(sigmas, p_total, noise)
+                np.testing.assert_array_equal(bits(water_fill(sigmas, p_total, noise).powers), bits(expected))
+
+    def test_random_stacks_with_zeros_ties_and_underflow(self):
+        rng = np.random.default_rng(55)
+        for n in range(1, 65):
+            p_total = float(10.0 ** rng.uniform(-3.0, 6.0))
+            stack = random_gain_stack(rng, n, 8, math.sqrt(1.0 / p_total) * 10.0 ** rng.uniform(-4.0, 1.0))
+            # gains that underflow when squared, sparing each row's largest
+            stack[(rng.random(stack.shape) < 0.1) & (stack < stack.max(axis=1, keepdims=True))] = 1e-170
+            expected = previous_water_fill_powers(stack, p_total, 1.0)
+            np.testing.assert_array_equal(bits(water_fill(stack, p_total, 1.0).powers), bits(expected))
+            for row, want in zip(stack, expected):
+                np.testing.assert_array_equal(bits(water_fill(row, p_total, 1.0).powers), bits(want))
+
+    def test_ties_straddling_the_active_set_share_power(self):
+        # Inverse gains (1, 4, 4) with a budget two ulps above 3: the water
+        # level of the first two streams lies above the tied inverse gain 4,
+        # that of all three rounds down onto it.  The previous rule gave the
+        # first tied stream a power of a few ulps and the second none; the
+        # value sort gives both that power, and the budget holds to rounding.
+        sigmas = np.array([1.0, 0.5, 0.5])
+        p_total = float.fromhex("0x1.8000000000002p+1")
+        powers = water_fill(sigmas, p_total, 1.0).powers
+        previous = previous_water_fill_powers(sigmas, p_total, 1.0)
+        assert previous[2] == 0.0 < previous[1]
+        np.testing.assert_array_equal(bits(powers[:2]), bits(previous[:2]))
+        assert powers[2] == powers[1]
+        assert abs(float(np.sum(powers)) - p_total) <= 2 * math.ulp(p_total)
+
+
+class TestPowerFromDb:
+    def test_same_bits_as_the_expression_it_replaced(self):
+        for snr_db in np.linspace(-3000.0, 3000.0, 4001):
+            assert power_from_db(snr_db) == 10.0 ** (float(snr_db) / 10.0)
+        assert power_from_db(np.float64(15.0)) == 10.0 ** (15.0 / 10.0)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, 3085.0, -3100.0, math.inf, math.nan])
+    def test_out_of_range_levels_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            power_from_db(snr_db)
+
+    def test_campaign_config_rejects_an_overflowing_snr(self):
+        with pytest.raises(ValueError, match="snr_db 4000"):
+            TrialConfig(seed=1, snr_db=4000.0)
 
 
 class TestCapacity:
@@ -242,6 +339,29 @@ class TestSearchBetaOpt:
             search_beta_opt(8, 0.0, 15.0, beta_max=0.0)
         with pytest.raises(ValueError):
             search_beta_opt(8, 0.0, 15.0, resolution=-0.1)
+        with pytest.raises(ValueError, match="snr_db 4000"):
+            search_beta_opt(8, 0.0, 4000.0)
+
+    @pytest.mark.parametrize("beta_max, resolution", [(0.005, 0.01), (14.0, 20.0), (14.0, 14.5)])
+    def test_grid_beyond_beta_max_rejected(self, beta_max, resolution):
+        with pytest.raises(ValueError, match=f"resolution {resolution:g} exceeds beta_max {beta_max:g}"):
+            search_beta_opt(8, 0.0, 15.0, beta_max=beta_max, resolution=resolution)
+
+    def test_resolution_equal_to_beta_max_is_one_grid_point(self):
+        result = search_beta_opt(4, 0.0, 15.0, beta_max=1.0, resolution=1.0)
+        assert 0.0 < result.beta_opt <= 1.0 and result.at_edge
+
+    def test_results_match_recorded_bits(self):
+        # recorded as float.hex before the value-sort water-filling and the
+        # cos/sin phasor kernel; every returned float must keep its bits
+        cases = json.loads((Path(__file__).parent / "data" / "search_beta_opt_hex.json").read_text())
+        assert len(cases) == 24
+        for case in cases:
+            result = search_beta_opt(case["n_s"], float.fromhex(case["theta_o"]), case["snr_db"])
+            got = (result.beta_opt, result.capacity, result.condition_number, result.at_edge)
+            want = (*(float.fromhex(case[k]) for k in ("beta_opt", "capacity", "condition_number")),
+                    case["at_edge"])
+            assert got == want, case
 
     @pytest.mark.parametrize(
         "name, value",

@@ -3,10 +3,12 @@ water-filling and the codebook scorer."""
 
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bits, previous_water_fill_powers
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
@@ -16,6 +18,7 @@ from ucamimo import (
     build_channel,
     build_channels,
     build_codebook,
+    capacity,
     closed_form_svd,
     numerical_svd,
     precoder_from_angles,
@@ -23,6 +26,7 @@ from ucamimo import (
     water_fill,
 )
 from ucamimo.geometry import ANGLE_NAMES
+from ucamimo.spectrum import singular_values_many
 from ucamimo.transceiver import codebook_rates_many, precoded_rate
 
 WAVELENGTH = 0.004
@@ -81,10 +85,6 @@ def edge_misalignments(draw, n):
 
 def stack_of(mis_list) -> Misalignment:
     return Misalignment(*(np.array([getattr(m, name) for m in mis_list]) for name in ANGLE_NAMES))
-
-
-def bits(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @PROPERTY
@@ -195,3 +195,67 @@ def test_water_filling_kkt(sigmas, p_total):
     with np.errstate(divide="ignore"):
         inactive_inv = 1.0 / sigmas[~active] ** 2
     assert np.all(inactive_inv >= level * (1.0 - 1e-12))
+
+
+def spectrum_oracle(n: int, beta: float, theta_o: float) -> np.ndarray:
+    """sigma_k = |sum_i exp(j*beta*cos(2*pi*i/N + theta_o)) exp(-j*2*pi*i*(k-1)/N)| at 50 digits.
+
+    The float arguments enter exactly; only the sum itself is evaluated in
+    extended precision.
+    """
+    with mpmath.workdps(50):
+        phasors = [mpmath.expj(beta * mpmath.cos(2 * mpmath.pi * i / n + theta_o)) for i in range(n)]
+        twiddles = [mpmath.expj(-2 * mpmath.pi * m / n) for m in range(n)]
+        return np.array([
+            float(abs(mpmath.fsum(phasors[i] * twiddles[(i * k) % n] for i in range(n)))) for k in range(n)
+        ])
+
+
+@PROPERTY
+@given(point=spectrum_points())
+@example(point=(64, 14.0, math.pi / 64))
+@example(point=(64, 14.0, 0.0))
+@example(point=(2, 0.0, 0.0))
+def test_spectrum_matches_extended_precision_oracle(point):
+    n, beta, theta_o = point
+    np.testing.assert_allclose(singular_values(n, beta, theta_o), spectrum_oracle(n, beta, theta_o),
+                               rtol=0.0, atol=1e-13 * n)
+
+
+@st.composite
+def tied_gain_stacks(draw):
+    """(rows, N) gains drawn from a small pool, so a row holds exact ties.
+
+    The pool also holds a zero and a gain whose square underflows; each
+    row keeps one gain from the pool's positive part.
+    """
+    n = draw(st.integers(1, 64))
+    rows = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.floats(1e-4, 1e3), min_size=1, max_size=6, unique=True)) + [0.0, 1e-170]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * n, max_size=rows * n))
+    gains = np.array(pool)[np.array(picks)].reshape(rows, n)
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows))
+    gains[np.arange(rows), keep] = pool[0]
+    return gains
+
+
+@st.composite
+def design_spectra(draw):
+    """(rows, N) spectra at theta_o = 0, where sigma_k and sigma_{N+2-k} often tie exactly, or at pi/N."""
+    n = draw(st.sampled_from(range(2, 65, 2)))
+    betas = draw(st.lists(st.floats(0.01, 14.0), min_size=1, max_size=8))
+    theta_o = draw(st.sampled_from([0.0, math.pi / n]))
+    return singular_values_many(n, np.array(betas), theta_o)
+
+
+@PROPERTY
+@given(sigmas=st.one_of(tied_gain_stacks(), design_spectra()), snr_db=st.floats(-30.0, 60.0),
+       noise=st.floats(0.1, 10.0))
+def test_water_filling_matches_previous_rule_bit_for_bit(sigmas, snr_db, noise):
+    # the value sort replaced a stable argsort, a gather and a scatter;
+    # the powers, and the capacity built from them, keep every bit
+    p_total = 10.0 ** (snr_db / 10.0)
+    expected = previous_water_fill_powers(sigmas, p_total, noise)
+    np.testing.assert_array_equal(bits(water_fill(sigmas, p_total, noise).powers), bits(expected))
+    caps = np.sum(np.log2(1.0 + expected * sigmas**2 / noise), axis=-1)
+    np.testing.assert_array_equal(bits(capacity(sigmas, p_total, noise)), bits(caps))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bits
 from ucamimo import ArrayConfig, singular_values
 from ucamimo.channel import circulant_factor
 from ucamimo.spectrum import leading_dominance_bound, singular_values_many
@@ -65,6 +66,17 @@ class TestSingularValue:
         grid = singular_values_many(16, np.array([[1.0], [5.9]]), thetas)
         assert grid.shape == (2, 3, 16)
         np.testing.assert_array_equal(grid[1], by_theta)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 12, 16, 64])
+    def test_phasors_from_cos_and_sin_keep_the_bits_of_the_complex_exponential(self, n):
+        # the kernel writes cos and sin into the phasors' real and imaginary
+        # parts; on the design grid this must give the bits of exp(1j*x)
+        grid = np.arange(0.01, 14.005, 0.01)
+        thetas = np.array([0.0, math.pi / n, -math.pi / n, 0.37 * math.pi / n, 1.0])
+        angles = 2.0 * math.pi * np.arange(n) / n + thetas[:, None, None]
+        expected = np.abs(np.fft.fft(np.exp(1j * grid[:, None] * np.cos(angles)), axis=-1))
+        got = singular_values_many(n, grid, thetas[:, None])
+        np.testing.assert_array_equal(bits(got), bits(expected))
 
     def test_matches_circulant_eigenvalues(self):
         # independent code path: direct sum vs FFT of the circulant core
