@@ -4,7 +4,6 @@ from .channel import (
     APPROXIMATE,
     EXACT_DISTANCE,
     ChannelMatrix,
-    SvdConvergenceError,
     SvdTriple,
     build_channel,
     build_channels,

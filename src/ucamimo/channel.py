@@ -33,10 +33,6 @@ APPROXIMATE = "approximate"
 ZERO_SIGMA_THRESHOLD = 1e-12
 
 
-class SvdConvergenceError(RuntimeError):
-    """Raised when the numerical SVD fails to converge."""
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.setflags(write=False)
@@ -51,25 +47,27 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
 
 
+def _phasors(cfg: ArrayConfig, tau: np.ndarray) -> np.ndarray:
+    """Phasors exp(-j*2*pi*tau/lambda) of path-length offsets tau."""
+    return np.exp(-1j * TWO_PI / cfg.wavelength * tau)
+
+
 def _phase_factors(cfg: ArrayConfig, mis: Misalignment) -> tuple[np.ndarray, np.ndarray]:
-    """Phasors exp(-j*2*pi*tau/lambda) of the Tx and the Rx displacements; shape (..., N)."""
-    k = -1j * TWO_PI / cfg.wavelength
-    t_t = np.exp(k * tx_displacement(cfg, mis.theta_cs, mis.phi_cs))
-    return t_t, np.exp(k * rx_displacement(cfg, mis))
+    """Phasors of the Tx and the Rx displacements; shape (..., N)."""
+    t_t = _phasors(cfg, tx_displacement(cfg, mis.theta_cs, mis.phi_cs))
+    return t_t, _phasors(cfg, rx_displacement(cfg, mis))
 
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """N x N unit-modulus channel with the model, array and misalignment that built it."""
+    """N x N unit-modulus channel with the array and misalignment that built it."""
 
     entries: np.ndarray
-    model: str
     cfg: ArrayConfig
     mis: Misalignment
 
     def __post_init__(self):
         entries = _readonly(np.asarray(self.entries, dtype=complex))
-        _check_model(self.model)
         _check_entries(entries, (self.cfg.n_antennas,) * 2)
         object.__setattr__(self, "entries", entries)
 
@@ -118,13 +116,7 @@ def _circulant(col: np.ndarray) -> np.ndarray:
     return col[..., (np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
 
 
-def build_channels(
-    cfg: ArrayConfig,
-    mis: Misalignment,
-    model: str = APPROXIMATE,
-    *,
-    allow_close_range: bool = False,
-) -> np.ndarray:
+def build_channels(cfg: ArrayConfig, mis: Misalignment, model: str = APPROXIMATE) -> np.ndarray:
     """Construct the channels h(n, m) = exp(-j*2*pi*d(n, m)/lambda) of a stack of trials.
 
     `mis` holds one misalignment per trial, as angle arrays of shape (T,);
@@ -133,14 +125,14 @@ def build_channels(
     are used and each matrix is assembled as T_r * H_a * T_t^H; with
     ``model="exact_distance"`` each entry uses the exact distance.  The
     model, the far-field guard and the unit magnitude of the entries are
-    checked once per call.
+    checked once per call.  The separable model needs D >= 10 * max(R);
+    at closer range use ``model="exact_distance"``.
     """
     _check_model(model)
     if model == EXACT_DISTANCE:
-        d = distance_matrix_exact(cfg, mis)
-        entries = np.exp(-1j * TWO_PI / cfg.wavelength * d)
+        entries = _phasors(cfg, distance_matrix_exact(cfg, mis))
     else:
-        _require_far_field(cfg, allow_close_range)
+        _require_far_field(cfg)
         h_a = _circulant(aligned_first_column(cfg, mis.theta_o))
         t_t, t_r = _phase_factors(cfg, mis)
         entries = t_r[..., :, None] * h_a * t_t.conj()[..., None, :]
@@ -148,16 +140,9 @@ def build_channels(
     return entries
 
 
-def build_channel(
-    cfg: ArrayConfig,
-    mis: Misalignment,
-    model: str = APPROXIMATE,
-    *,
-    allow_close_range: bool = False,
-) -> ChannelMatrix:
+def build_channel(cfg: ArrayConfig, mis: Misalignment, model: str = APPROXIMATE) -> ChannelMatrix:
     """The channel of one trial: `build_channels` on a misalignment of floats."""
-    entries = build_channels(cfg, mis, model, allow_close_range=allow_close_range)
-    return ChannelMatrix(entries=entries, model=model, cfg=cfg, mis=mis)
+    return ChannelMatrix(entries=build_channels(cfg, mis, model), cfg=cfg, mis=mis)
 
 
 @dataclass(frozen=True)
@@ -184,12 +169,7 @@ class SvdTriple:
         return (self.u * self.sigma[None, :]) @ self.v.conj().T
 
 
-def closed_form_svd(
-    cfg: ArrayConfig,
-    mis: Misalignment,
-    *,
-    allow_close_range: bool = False,
-) -> SvdTriple:
+def closed_form_svd(cfg: ArrayConfig, mis: Misalignment) -> SvdTriple:
     """Closed-form SVD of the separable-model channel.
 
     U = T_r Q S, sigma = |delta|, V = T_t Q, where delta is the eigenvalue
@@ -198,7 +178,7 @@ def closed_form_svd(
     value vanishes the corresponding phase in S is set to 1 so that U stays
     unitary.
     """
-    _require_far_field(cfg, allow_close_range)
+    _require_far_field(cfg)
     _, delta = circulant_factor(cfg, mis.theta_o)
     sigma = np.abs(delta)
     s = np.where(sigma < ZERO_SIGMA_THRESHOLD, 1.0 + 0.0j, delta / np.where(sigma == 0.0, 1.0, sigma))
@@ -212,15 +192,13 @@ def closed_form_svd(
 def numerical_svd(matrix: np.ndarray) -> SvdTriple:
     """Generic SVD with singular values sorted descending.
 
-    Serves as an independent check of the closed form; backed by LAPACK.
+    Serves as an independent check of the closed form; backed by LAPACK,
+    whose `LinAlgError` propagates if the SVD does not converge.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-D")
     if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
         raise ValueError("matrix entries must be finite")
-    try:
-        u, sigma, vh = np.linalg.svd(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(str(exc)) from exc
+    u, sigma, vh = np.linalg.svd(matrix)
     return SvdTriple(u=u, sigma=sigma, v=vh.conj().T)

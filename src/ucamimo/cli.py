@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import design, sim, spectrum
-from .channel import SvdConvergenceError
+from .geometry import _require_even
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-o", type=parse_angle, default=0.0, help="rotation angle [rad or deg:x]")
     p.add_argument("--beta-max", type=finite_float, default=14.0)
     p.add_argument("--resolution", type=finite_float, default=0.01)
-    p.add_argument("--curve-out", help="optional CSV of the capacity-vs-beta curve")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("spectrum", help="singular values along a beta or theta_o sweep")
@@ -152,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
     p.add_argument("--exact-geometry", action="store_true",
                    help="build channels from exact distances instead of the separable model")
-    p.add_argument("--jobs", type=int, help="deprecated and ignored; to be removed")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -169,16 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated L1:L2 pairs")
     p.add_argument("--range-all", type=parse_angle, default=math.radians(10.0))
     p.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
-    p.add_argument("--jobs", type=int, help="deprecated and ignored; to be removed")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_codebook)
 
     return parser
-
-
-def _check_even_ns(ns: int) -> None:
-    if ns < 2 or ns % 2 != 0:
-        raise ValueError(f"--ns must be an even integer >= 2, got {ns}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -190,7 +182,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_design(args) -> int:
-    _check_even_ns(args.ns)
+    _require_even(args.ns, "--ns")
     result = design.search_beta_opt(
         args.ns,
         args.theta_o,
@@ -214,22 +206,11 @@ def cmd_design(args) -> int:
             f"{args.beta_max:g}; capacity may still rise beyond it, so raise --beta-max",
             file=sys.stderr,
         )
-    if args.curve_out:
-        _write_capacity_curve(args.ns, args.theta_o, args.snr_db, args.beta_max,
-                              args.resolution, args.curve_out)
     return 0
 
 
-def _write_capacity_curve(ns, theta_o, snr_db, beta_max, step, out) -> None:
-    p_total = design.power_from_db(snr_db)
-    betas = np.arange(step, beta_max + step / 2.0, step)
-    caps = design.capacity(spectrum.singular_values_many(ns, betas, theta_o), p_total, 1.0)
-    lines = ["beta,capacity_bps_hz", *(f"{b:.9g},{c:.9g}" for b, c in zip(betas, caps))]
-    _emit("\n".join(lines) + "\n", out)
-
-
 def cmd_spectrum(args) -> int:
-    _check_even_ns(args.ns)
+    _require_even(args.ns, "--ns")
     if args.num < 1:
         raise ValueError("--num must be at least 1")
     if args.axis == "beta":
@@ -256,19 +237,20 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_capacity_sweep(args) -> int:
-    _check_even_ns(args.ns)
+    _require_even(args.ns, "--ns")
     if args.step <= 0.0 or args.beta_max <= 0.0:
         raise ValueError("--step and --beta-max must be positive")
     if args.step > args.beta_max:
         raise ValueError(f"--step {args.step:g} exceeds --beta-max {args.beta_max:g}; the beta grid is empty")
-    _write_capacity_curve(args.ns, args.theta_o, args.snr_db, args.beta_max, args.step, args.out)
+    p_total = design.power_from_db(args.snr_db)
+    betas = np.arange(args.step, args.beta_max + args.step / 2.0, args.step)
+    caps = design.capacity(spectrum.singular_values_many(args.ns, betas, args.theta_o), p_total, 1.0)
+    lines = ["beta,capacity_bps_hz", *(f"{b:.9g},{c:.9g}" for b, c in zip(betas, caps))]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _trial_config(args, ns_list, dist_list) -> sim.TrialConfig:
-    if args.jobs is not None:
-        print("note: --jobs is deprecated and ignored; campaigns run without a worker pool",
-              file=sys.stderr)
     return sim.TrialConfig(
         seed=args.seed,
         n_trials=args.trials,
@@ -286,7 +268,7 @@ def _trial_config(args, ns_list, dist_list) -> sim.TrialConfig:
 
 def cmd_simulate(args) -> int:
     for ns in args.ns_list:
-        _check_even_ns(ns)
+        _require_even(ns, "--ns-list entry")
     trial_cfg = _trial_config(args, tuple(args.ns_list), tuple(args.dist_list))
     rows = sim.run_rate_sweep(trial_cfg)
     _emit(sim.rows_to_csv(rows), args.out)
@@ -294,7 +276,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_codebook(args) -> int:
-    _check_even_ns(args.ns)
+    _require_even(args.ns, "--ns")
     trial_cfg = _trial_config(args, (args.ns,), (args.dist,))
     rows = sim.run_codebook_bit_sweep(trial_cfg, bit_grid=args.bit_grid)
     _emit(sim.rows_to_csv(rows), args.out)
@@ -327,7 +309,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (SvdConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # LinAlgError subclasses ValueError, so numerical failures go first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -29,6 +29,10 @@ TIE_TOLERANCE_BITS = 1e-6
 # of tied streams to their inverse gain, so water-filling rejects it.
 _SMALLEST_BUDGET = sys.float_info.min
 
+# Largest float.  A strongest stream whose SNR p_total*sigma^2/noise
+# exceeds it would make the capacity infinite, so water-filling rejects it.
+_LARGEST_FLOAT = sys.float_info.max
+
 
 def power_from_db(snr_db: float) -> float:
     """Linear power ratio of a level in dB.
@@ -80,6 +84,8 @@ def _water_fill_powers(sigmas: np.ndarray, p_total: float, noise: float) -> np.n
     Each stream then takes the level less its own inverse gain if that
     does not exceed the weakest active one, so tied gains get the same
     power.  Streams whose squared gain is zero or underflows get no power.
+    An infinite gain, or a strongest stream whose SNR overflows, is
+    rejected in the same test that rejects an all-zero gain vector.
     """
     if not (_SMALLEST_BUDGET <= p_total < math.inf and 0.0 < noise < math.inf):
         raise ValueError("p_total and noise must be positive and finite, p_total a normal float")
@@ -91,8 +97,10 @@ def _water_fill_powers(sigmas: np.ndarray, p_total: float, noise: float) -> np.n
         inv_gain = noise / sigmas**2
     sorted_inv = np.sort(inv_gain, axis=-1)
     strongest = sorted_inv[..., :1]
-    if not (strongest < math.inf).all():
-        raise ValueError("at least one stream gain must be positive")
+    if not ((strongest > p_total / _LARGEST_FLOAT) & (strongest < math.inf)).all():
+        if not (strongest < math.inf).all():
+            raise ValueError("at least one stream gain must be positive")
+        raise ValueError("stream gains must be finite, with p_total * sigma^2 / noise within float range")
 
     n = sigmas.shape[-1]
     excess = sorted_inv - strongest

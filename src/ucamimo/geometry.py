@@ -28,6 +28,12 @@ class ModelValidityError(ValueError):
     """Raised when the far-field approximation is requested out of range."""
 
 
+def _require_even(n: int, name: str) -> None:
+    """The one rule on antenna counts: an even integer, at least 2."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"{name} must be an even integer >= 2, got {n}")
+
+
 def rotation_matrix(plane: str, angle) -> np.ndarray:
     """Return the 3x3 rotation by `angle` in the given coordinate plane.
 
@@ -76,8 +82,7 @@ class ArrayConfig:
     distance: float
 
     def __post_init__(self):
-        if self.n_antennas < 2 or self.n_antennas % 2 != 0:
-            raise ValueError("n_antennas must be an even integer >= 2")
+        _require_even(self.n_antennas, "n_antennas")
         for name in ("wavelength", "radius_tx", "radius_rx", "distance"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -353,13 +358,13 @@ def distance_matrix_exact(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
     return d * np.sqrt(1.0 + (sq - d * d) / (d * d))
 
 
-def _require_far_field(cfg: ArrayConfig, allow_close_range: bool) -> None:
-    if not (allow_close_range or cfg.supports_far_field):
+def _require_far_field(cfg: ArrayConfig) -> None:
+    if not cfg.supports_far_field:
         raise ModelValidityError(
             "separable distance model needs distance >= "
             f"{APPROX_DISTANCE_RATIO:g} * max radius "
             f"(D={cfg.distance:g} m, radii {cfg.radius_tx:g}/{cfg.radius_rx:g} m); "
-            "pass allow_close_range=True to override"
+            "use model='exact_distance' at close range"
         )
 
 
@@ -394,14 +399,7 @@ def rx_displacement(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
     )
 
 
-def distance_approx(
-    cfg: ArrayConfig,
-    mis: Misalignment,
-    n: int,
-    m: int,
-    *,
-    allow_close_range: bool = False,
-) -> DistanceDecomposition:
+def distance_approx(cfg: ArrayConfig, mis: Misalignment, n: int, m: int) -> DistanceDecomposition:
     """Separable far-field approximation of the distance.
 
     The result splits into an aligned-with-rotation term depending on
@@ -411,7 +409,7 @@ def distance_approx(
     """
     _check_index(cfg, n, "n")
     _check_index(cfg, m, "m")
-    _require_far_field(cfg, allow_close_range)
+    _require_far_field(cfg)
     theta_n = TWO_PI * n / cfg.n_antennas
     theta_m = TWO_PI * m / cfg.n_antennas
     d_a = cfg.distance - (cfg.radius_tx * cfg.radius_rx / cfg.distance) * math.cos(

@@ -26,7 +26,7 @@ from .design import (
     search_beta_opt,
     water_fill,
 )
-from .geometry import ArrayConfig, Misalignment, _wrap_pi
+from .geometry import ArrayConfig, Misalignment, _require_even, _wrap_pi
 from .spectrum import singular_values_many
 from .transceiver import (
     Codebook,
@@ -83,8 +83,10 @@ class TrialConfig:
             raise ValueError("wavelength and design_distance must be positive")
         if not self.distances or any(d <= 0.0 for d in self.distances):
             raise ValueError("distances must be positive")
-        if not self.n_antennas_list or any(n < 2 or n % 2 for n in self.n_antennas_list):
-            raise ValueError("antenna counts must be even and >= 2")
+        if not self.n_antennas_list:
+            raise ValueError("n_antennas_list must not be empty")
+        for n in self.n_antennas_list:
+            _require_even(n, "antenna count")
 
 
 @dataclass(frozen=True)

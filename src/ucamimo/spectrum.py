@@ -17,12 +17,7 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
-
-def _check_even(n_s: int) -> None:
-    if n_s < 2 or n_s % 2 != 0:
-        raise ValueError("n_s must be an even integer >= 2")
+from .geometry import TWO_PI, _require_even
 
 
 def _spectrum(n_s: int, betas, theta_o) -> np.ndarray:
@@ -31,7 +26,7 @@ def _spectrum(n_s: int, betas, theta_o) -> np.ndarray:
     The phasors exp(j*beta*cos(angle)) are written as their cosine and
     sine straight into the real and imaginary parts of one complex array.
     """
-    _check_even(n_s)
+    _require_even(n_s, "n_s")
     betas = np.asarray(betas, dtype=float)
     if (betas < 0.0).any():
         raise ValueError("beta must be nonnegative")
@@ -62,7 +57,7 @@ def leading_dominance_bound(n_s: int, theta_o: float) -> float:
 
     Equals pi*N / (4 * sum_i |cos(2*pi*i/N + theta_o)|).
     """
-    _check_even(n_s)
+    _require_even(n_s, "n_s")
     i = np.arange(n_s)
     total = np.sum(np.abs(np.cos(TWO_PI * i / n_s + theta_o)))
     return math.pi * n_s / (4.0 * total)

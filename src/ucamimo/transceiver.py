@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, dft_matrix
+from .channel import ChannelMatrix, _phasors, dft_matrix
 from .design import PowerAllocation, power_from_db, water_fill
-from .geometry import TWO_PI, ArrayConfig, tx_displacement
+from .geometry import ArrayConfig, tx_displacement
 from .spectrum import singular_values
 
 _LN2 = math.log(2.0)
@@ -55,7 +55,6 @@ class Codebook:
     l2_bits: int
     theta_angles: np.ndarray
     phi_angles: np.ndarray
-    quantization: str
 
     @property
     def size(self) -> int:
@@ -106,13 +105,7 @@ def build_codebook(
         phi = _midpoints(lo, hi, 2**l2_bits)
     else:
         raise ValueError(f"unknown quantization {quantization!r}")
-    return Codebook(
-        l1_bits=l1_bits,
-        l2_bits=l2_bits,
-        theta_angles=theta,
-        phi_angles=phi,
-        quantization=quantization,
-    )
+    return Codebook(l1_bits=l1_bits, l2_bits=l2_bits, theta_angles=theta, phi_angles=phi)
 
 
 @dataclass(frozen=True)
@@ -132,17 +125,13 @@ class PrecoderMatrix:
             raise ValueError("precoder must be unitary")
 
 
-def _shift_phasors(cfg: ArrayConfig, theta_cs, phi_cs) -> np.ndarray:
-    """Tx phasors exp(-j*2*pi*tau/lambda) of the shift angles' displacements; shape (..., N)."""
-    return np.exp(-1j * TWO_PI / cfg.wavelength * tx_displacement(cfg, theta_cs, phi_cs))
-
-
 def precoder_matrices(cfg: ArrayConfig, theta_cs, phi_cs) -> np.ndarray:
     """Phase correction times the DFT for every angle pair; shape (..., N, N).
 
     The angles broadcast against each other, as in `tx_displacement`.
     """
-    return _shift_phasors(cfg, theta_cs, phi_cs)[..., :, None] * dft_matrix(cfg.n_antennas)
+    t = _phasors(cfg, tx_displacement(cfg, theta_cs, phi_cs))
+    return t[..., :, None] * dft_matrix(cfg.n_antennas)
 
 
 def precoder_from_angles(
@@ -160,9 +149,8 @@ def precoder_from_angles(
 
 @dataclass(frozen=True)
 class RateReport:
-    """Achievable rate of one scheme with its per-stream split."""
+    """Achievable rate with its per-stream split."""
 
-    scheme: str
     per_stream: np.ndarray
     rate: float = field(init=False)
 
@@ -197,14 +185,14 @@ def precoded_rates(h: np.ndarray, f: np.ndarray, alloc: PowerAllocation) -> np.n
     return _chain_per_stream(g)
 
 
-def precoded_rate(h, precoder, alloc: PowerAllocation, scheme: str = "codebook") -> RateReport:
+def precoded_rate(h, precoder, alloc: PowerAllocation) -> RateReport:
     """Rate log2 det(I + H F P F^H H^H) with P = diag(p_k / noise).
 
     Stream k of the precoder carries power alloc.powers[k]; the per-stream
     split follows the interference-cancellation chain in natural order.
     """
     f = precoder.matrix if isinstance(precoder, PrecoderMatrix) else np.asarray(precoder)
-    return RateReport(scheme=scheme, per_stream=precoded_rates(_entries(h), f, alloc))
+    return RateReport(per_stream=precoded_rates(_entries(h), f, alloc))
 
 
 def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> PowerAllocation:
@@ -243,7 +231,7 @@ def codebook_rates_many(
     active = np.flatnonzero(alloc.powers > 0.0)
     q = dft_matrix(n)[:, active] * np.sqrt(alloc.powers[active] / alloc.noise)
     r = active.size
-    t = _shift_phasors(cfg, *cb.angle_pairs())  # (L, N)
+    t = _phasors(cfg, tx_displacement(cfg, *cb.angle_pairs()))  # (L, N)
     size = t.shape[0]
     x = (t[:, None, :] * q.T).reshape(size * r, n)  # rows of (diag(t_l) Q~)^T
     t_conj = t.conj()[:, None, :]
@@ -314,7 +302,7 @@ def zf_rate(h, p_total: float, noise: float) -> RateReport:
     """
     h = _entries(h)
     _require_full_rank(h)
-    return RateReport(scheme="zf", per_stream=_zf_per_stream(h, p_total, noise))
+    return RateReport(per_stream=_zf_per_stream(h, p_total, noise))
 
 
 def zf_sic_rate(h, p_total: float, noise: float) -> RateReport:
@@ -327,7 +315,7 @@ def zf_sic_rate(h, p_total: float, noise: float) -> RateReport:
     """
     h = _entries(h)
     _require_full_rank(h)
-    return RateReport(scheme="zf_sic", per_stream=_zf_sic_per_stream(h, p_total, noise))
+    return RateReport(per_stream=_zf_sic_per_stream(h, p_total, noise))
 
 
 @dataclass(frozen=True)

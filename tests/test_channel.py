@@ -111,7 +111,7 @@ class TestBuildChannel:
         cfg = ArrayConfig(n_antennas=4, wavelength=0.004, radius_tx=2.0, radius_rx=2.0, distance=10.0)
         with pytest.raises(ModelValidityError):
             build_channel(cfg, Misalignment())
-        h = build_channel(cfg, Misalignment(), allow_close_range=True)
+        h = build_channel(cfg, Misalignment(), EXACT_DISTANCE)
         np.testing.assert_allclose(np.abs(h.entries), 1.0, atol=1e-12)
 
     def test_unknown_model_rejected(self):
@@ -176,7 +176,6 @@ class TestBuildChannelsBoundary:
             build_channel(cfg, Misalignment())
         with pytest.raises(ModelValidityError, match=f"^{re.escape(str(one.value))}$"):
             build_channels(cfg, stack)
-        assert build_channels(cfg, stack, allow_close_range=True).shape == (3, 4, 4)
         assert build_channels(cfg, stack, EXACT_DISTANCE).shape == (3, 4, 4)
 
 

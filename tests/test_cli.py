@@ -94,6 +94,13 @@ class TestDesignCommand:
         assert run_cli(["design", "--ns", "5"]) == 2
         assert "even" in capsys.readouterr().err
 
+    def test_curve_out_removed(self, tmp_path, capsys):
+        # `capacity-sweep --step <resolution>` writes the same curve
+        out = tmp_path / "curve.csv"
+        assert run_cli(["design", "--ns", "4", "--curve-out", str(out)]) == 2
+        assert "unrecognized arguments: --curve-out" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, message", [
         # an empty grid, and a one-point grid beyond --beta-max
         (["--beta-max", "0.005"], "resolution 0.01 exceeds beta_max 0.005"),
@@ -110,14 +117,6 @@ class TestDesignCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "snr_db 4000 dB is outside the range" in captured.err
-
-    def test_curve_output(self, tmp_path, capsys):
-        out = tmp_path / "curve.csv"
-        assert run_cli(["design", "--ns", "4", "--beta-max", "3", "--curve-out", str(out)]) == 0
-        capsys.readouterr()
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "beta,capacity_bps_hz"
-        assert len(lines) == 301
 
 
 class TestSpectrumCommand:
@@ -157,6 +156,15 @@ class TestSpectrumCommand:
 
 
 class TestCapacitySweepCommand:
+    def test_curve_output(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run_cli(["capacity-sweep", "--ns", "4", "--beta-max", "3", "--step", "0.01",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "beta,capacity_bps_hz"
+        assert len(lines) == 301
+
     def test_curve_peaks_at_optimum(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run_cli(["capacity-sweep", "--ns", "4", "--snr-db", "15", "--beta-max", "7",
@@ -188,8 +196,8 @@ class TestSimulateCommand:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(self.BASE + ["--out", str(out1)]) == 0
         assert capsys.readouterr().err == ""
-        assert run_cli(self.BASE + ["--jobs", "3", "--out", str(out2)]) == 0
-        assert capsys.readouterr().err == "note: --jobs is deprecated and ignored; campaigns run without a worker pool\n"
+        assert run_cli(self.BASE + ["--out", str(out2)]) == 0
+        assert capsys.readouterr().err == ""
         h1 = hashlib.sha256(out1.read_bytes()).hexdigest()
         h2 = hashlib.sha256(out2.read_bytes()).hexdigest()
         assert h1 == h2
@@ -247,11 +255,46 @@ class TestCodebookCommand:
         args = ["codebook", "--seed", "4", "--trials", "2", "--ns", "4", "--dist", "300",
                 "--lambda", "0.004", "--bit-grid", "2:1,1:2"]
         assert run_cli(args + ["--out", str(out1)]) == 0
-        assert run_cli(args + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert run_cli(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().strip().split("\n")
         assert lines[0].startswith("scenario,n_antennas,distance_m,scheme")
         assert {line.split(",")[3] for line in lines[1:]} == {"codebook-sine", "codebook-linear"}
+
+
+@pytest.mark.parametrize("command", [["simulate", "--ns-list", "4"], ["codebook", "--ns", "4"]])
+class TestJobsRemoved:
+    """`--jobs` is no longer an option: as a flag or a config key it is a usage error."""
+
+    def test_flag_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "a.csv"
+        assert run_cli([*command, "--seed", "1", "--trials", "1", "--jobs", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --jobs 2" in captured.err
+        assert not out.exists()
+
+    def test_config_key_exits_2(self, tmp_path, capsys, command):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = 1\ntrials = 1\njobs = 2\n")
+        out = tmp_path / "a.csv"
+        assert run_cli([*command, "--config", str(conf), "--out", str(out)]) == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--ns", "0", "--axis", "theta_o"],  # pi/N is computed before any library call
+    ["spectrum", "--ns", "3"],
+    ["capacity-sweep", "--ns", "-2"],
+    ["simulate", "--seed", "1", "--trials", "1", "--ns-list", "4,7"],
+    ["codebook", "--seed", "1", "--trials", "1", "--ns", "1"],
+])
+def test_odd_or_small_antenna_count_exits_2(args, capsys):
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be an even integer >= 2, got" in captured.err
 
 
 class TestConfigFile:

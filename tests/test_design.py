@@ -167,6 +167,24 @@ class TestWaterFill:
             water_fill([1.0, 1.0], 5e-324, 1.0)
         water_fill([1.0, 1.0], sys.float_info.min, 1.0)
 
+    @pytest.mark.parametrize("gains", [
+        [math.inf, 1.0],
+        [1e200, 1.0],  # the squared gain overflows
+        [[1.0, 2.0], [1.0, math.inf]],
+    ])
+    @pytest.mark.parametrize("fn", [water_fill, capacity])
+    def test_infinite_or_overflowing_gain_rejected(self, gains, fn):
+        with pytest.raises(ValueError, match="within float range"):
+            fn(gains, 1.0, 1.0)
+
+    def test_snr_at_the_float_limit(self):
+        # p * sigma^2 / noise = 1e308 is a float, so its capacity is finite
+        assert capacity([1e154, 1.0], 1.0, 1.0) == pytest.approx(math.log2(1e308), rel=1e-15)
+        # a larger budget or a smaller noise takes it past the largest float
+        for p_total, noise in ((100.0, 1.0), (1.0, 1e-10)):
+            with pytest.raises(ValueError, match="within float range"):
+                capacity([1e154, 1.0], p_total, noise)
+
     @pytest.mark.parametrize("total, noise", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
     def test_allocation_with_bad_budget_rejected(self, total, noise):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -276,5 +276,4 @@ class TestDistanceApprox:
         cfg = ArrayConfig(n_antennas=4, wavelength=0.004, radius_tx=2.0, radius_rx=2.0, distance=10.0)
         with pytest.raises(ModelValidityError):
             distance_approx(cfg, Misalignment(), 1, 1)
-        dec = distance_approx(cfg, Misalignment(), 1, 1, allow_close_range=True)
-        assert math.isfinite(dec.total)
+        assert math.isfinite(distance_exact(cfg, Misalignment(), 1, 1))

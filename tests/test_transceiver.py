@@ -109,7 +109,7 @@ class TestPrecoders:
             sig = singular_values(8, cfg.beta, mis.theta_o)
             alloc = water_fill(sig, SNR15, 1.0)
             f = precoder_from_angles(cfg, mis.theta_cs, mis.phi_cs)
-            rate = precoded_rate(h, f, alloc, "optimal").rate
+            rate = precoded_rate(h, f, alloc).rate
             assert rate == pytest.approx(allocated_capacity(sig, alloc), abs=1e-9)
 
     def test_non_unitary_rejected(self):
@@ -119,7 +119,7 @@ class TestPrecoders:
 
 class TestRateReports:
     def test_rate_is_per_stream_sum(self):
-        report = RateReport(scheme="x", per_stream=np.array([1.0, 2.5, 0.25]))
+        report = RateReport(per_stream=np.array([1.0, 2.5, 0.25]))
         assert report.rate == pytest.approx(3.75, rel=1e-15)
 
     def test_precoded_rate_matches_log_det(self):
@@ -130,7 +130,7 @@ class TestRateReports:
             h = build_channel(cfg, mis)
             alloc = approx_power_allocation(cfg, 15.0)
             f = dft_matrix(8)
-            report = precoded_rate(h, f, alloc, "identity")
+            report = precoded_rate(h, f, alloc)
             g = h.entries @ f @ np.diag(np.sqrt(alloc.powers / alloc.noise))
             ref = math.log2(np.linalg.det(np.eye(8) + g @ g.conj().T).real)
             assert report.rate == pytest.approx(ref, abs=1e-9)
@@ -146,7 +146,7 @@ class TestCodebookSelection:
         mis = Misalignment(theta_o=0.1, theta_cs=theta, phi_cs=phi)
         h = build_channel(cfg, mis)
         _, rate = select_codebook_index(h, cb, alloc)
-        optimal = precoded_rate(h, precoder_from_angles(cfg, theta, phi), alloc, "optimal").rate
+        optimal = precoded_rate(h, precoder_from_angles(cfg, theta, phi), alloc).rate
         assert rate == pytest.approx(optimal, abs=1e-9)
 
     def test_selection_matches_exhaustive_rescan(self):
@@ -164,7 +164,7 @@ class TestCodebookSelection:
             for pos in order:
                 theta, phi = cb.angles(int(pos) + 1)
                 f = precoder_from_angles(cfg, theta, phi)
-                r = precoded_rate(h, f, alloc, "entry").rate
+                r = precoded_rate(h, f, alloc).rate
                 if r > best_rate + 1e-12:
                     best_rate, best_index = r, int(pos) + 1
             assert rate == pytest.approx(best_rate, abs=1e-9)
@@ -179,7 +179,7 @@ class TestCodebookSelection:
         for l in range(1, cb.size + 1):
             theta, phi = cb.angles(l)
             f = precoder_from_angles(cfg, theta, phi)
-            assert rates[l - 1] == pytest.approx(precoded_rate(h, f, alloc, "entry").rate, abs=1e-9)
+            assert rates[l - 1] == pytest.approx(precoded_rate(h, f, alloc).rate, abs=1e-9)
 
     def test_zero_shift_equality_with_dft_baseline(self):
         # with the zero entry available and no centre shift, the selected
@@ -198,7 +198,7 @@ class TestCodebookSelection:
             )
             h = build_channel(cfg, mis)
             _, rate = select_codebook_index(h, cb, alloc)
-            baseline = precoded_rate(h, dft_matrix(8), alloc, "identity").rate
+            baseline = precoded_rate(h, dft_matrix(8), alloc).rate
             assert rate == pytest.approx(baseline, abs=1e-9)
 
     def test_mean_beats_no_correction_baseline(self):
@@ -211,7 +211,7 @@ class TestCodebookSelection:
             mis = random_misalignment(rng, 8)
             h = build_channel(cfg, mis)
             selected.append(select_codebook_index(h, cb, alloc)[1])
-            baseline.append(precoded_rate(h, dft_matrix(8), alloc, "identity").rate)
+            baseline.append(precoded_rate(h, dft_matrix(8), alloc).rate)
         assert np.mean(selected) >= np.mean(baseline)
 
     def test_single_entry_codebook_selects_it(self):
