@@ -58,8 +58,6 @@ def parse_bit_grid(text: str) -> tuple[tuple[int, int], ...]:
             continue
         l1, _, l2 = chunk.partition(":")
         pairs.append((int(l1), int(l2)))
-    if not pairs:
-        raise ValueError("empty bit grid")
     return tuple(pairs)
 
 
@@ -250,7 +248,8 @@ def cmd_capacity_sweep(args) -> int:
     return 0
 
 
-def _trial_config(args, ns_list, dist_list) -> sim.TrialConfig:
+def _trial_config(args, ns_list, dist_list, **campaign) -> sim.TrialConfig:
+    """The options both campaign commands share; `campaign` adds those only one of them has."""
     return sim.TrialConfig(
         seed=args.seed,
         n_trials=args.trials,
@@ -259,17 +258,17 @@ def _trial_config(args, ns_list, dist_list) -> sim.TrialConfig:
         snr_db=args.snr_db,
         distances=dist_list,
         n_antennas_list=ns_list,
-        codebook_bits=(getattr(args, "l1", 5), getattr(args, "l2", 3)),
         wavelength=args.wavelength,
         design_distance=args.design_dist,
-        exact_geometry=getattr(args, "exact_geometry", False),
+        **campaign,
     )
 
 
 def cmd_simulate(args) -> int:
     for ns in args.ns_list:
         _require_even(ns, "--ns-list entry")
-    trial_cfg = _trial_config(args, tuple(args.ns_list), tuple(args.dist_list))
+    trial_cfg = _trial_config(args, tuple(args.ns_list), tuple(args.dist_list),
+                              codebook_bits=(args.l1, args.l2), exact_geometry=args.exact_geometry)
     rows = sim.run_rate_sweep(trial_cfg)
     _emit(sim.rows_to_csv(rows), args.out)
     return 0

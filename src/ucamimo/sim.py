@@ -13,13 +13,13 @@ is one stacked call.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import APPROXIMATE, EXACT_DISTANCE, build_channels, dft_matrix
 from .design import (
-    PowerAllocation,
     capacity,
     condition_numbers,
     power_from_db,
@@ -167,16 +167,20 @@ def _campaign_draws(trial_cfg: TrialConfig) -> np.ndarray:
     ).T
 
 
-def _design_radius(trial_cfg: TrialConfig, n_antennas: int) -> float:
-    """Equal radius realising the optimal beta at the design distance."""
-    result = search_beta_opt(
-        n_antennas,
-        0.0,
-        trial_cfg.snr_db,
-        wavelength=trial_cfg.wavelength,
-        distance=trial_cfg.design_distance,
-    )
-    return float(result.radius_equal)
+def _cell_arrays(trial_cfg: TrialConfig) -> Iterator[ArrayConfig]:
+    """The array pair of each scenario cell, antenna count outermost.
+
+    Both radii are fixed per antenna count to the optimum at the design
+    distance, searched once per count; sweeping the actual distance then
+    scales beta inversely.
+    """
+    for n in trial_cfg.n_antennas_list:
+        design = search_beta_opt(
+            n, 0.0, trial_cfg.snr_db, wavelength=trial_cfg.wavelength, distance=trial_cfg.design_distance
+        )
+        radius = float(design.radius_equal)
+        for dist in trial_cfg.distances:
+            yield ArrayConfig(n, trial_cfg.wavelength, radius, radius, dist)
 
 
 def _cell_channels(
@@ -194,112 +198,78 @@ def _cell_channels(
 
 
 def _built_sigma(
-    trial_cfg: TrialConfig,
-    cfg: ArrayConfig,
-    mis: Misalignment,
-    h: np.ndarray,
-    spectrum: np.ndarray | None = None,
-    numerical: np.ndarray | None = None,
+    trial_cfg: TrialConfig, spectrum: Callable[[], np.ndarray], numerical: Callable[[], np.ndarray]
 ) -> np.ndarray:
     """Singular values of the channels built, one row per trial.
 
-    On the separable model the closed-form spectrum, evaluated here
-    unless `spectrum` is given; with exact geometry the numerical singular
-    values of `h`, computed here unless `numerical` is given.
+    On the separable model the closed-form spectrum, with exact geometry
+    the channels' numerical singular values.  Each runner passes how it
+    obtains the two, and only the one the model calls for is evaluated.
     """
-    if trial_cfg.exact_geometry:
-        return np.linalg.svd(h, compute_uv=False) if numerical is None else numerical
-    if spectrum is None:
-        return singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
-    return spectrum
+    return numerical() if trial_cfg.exact_geometry else spectrum()
 
 
 def _rate_sweep_cell(
-    trial_cfg: TrialConfig,
-    cfg: ArrayConfig,
-    draws: np.ndarray,
-    cb: Codebook,
-    approx_alloc: PowerAllocation,
+    trial_cfg: TrialConfig, cfg: ArrayConfig, draws: np.ndarray, cb: Codebook
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Rates of every scheme for all trials of a cell; returns (rates, condition numbers).
 
-    The cell's channels are built from the campaign's `draws` as one
-    (T, N, N) stack; every scheme is then one stacked call over it, and
-    the codebook row is the best entry's rate, as `select_codebook_index`
+    Every scheme is one stacked call over the cell's channels, and the
+    codebook row is the best entry's rate, as `select_codebook_index`
     reports it.  A draw clamped exactly onto the rotation bound yields a
     singular channel; the nulling receivers cannot operate there and score
     zero (the row's condition number is infinite, so such trials are
-    visible).  The optimal precoder water-fills the closed-form spectrum.  The capacity row and the
-    condition number describe the channel built: the closed-form spectrum
-    on the separable model, the channel's numerical singular values with
-    exact geometry.
+    visible).  The optimal precoder water-fills the closed-form spectrum;
+    the capacity row and the condition number describe the channel built.
     """
     p_total = power_from_db(trial_cfg.snr_db)
+    approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
     mis, h = _cell_channels(trial_cfg, cfg, draws)
     spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
-    exact_alloc = water_fill(spectrum, p_total, 1.0)
     nulling = nulling_rates(h, p_total, 1.0)
-    sigma = _built_sigma(trial_cfg, cfg, mis, h, spectrum, nulling.sigma)
+    sigma = _built_sigma(trial_cfg, lambda: spectrum, lambda: nulling.sigma)
     optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
-    rates = {
-        "capacity": capacity(sigma, p_total, 1.0),
-        "optimal-precoder": np.sum(precoded_rates(h, optimal, exact_alloc), axis=-1),
-        "codebook": np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1),
-        "identity": np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_alloc), axis=-1),
-        "zf": np.sum(nulling.zf, axis=-1),
-        "zf-sic": np.sum(nulling.zf_sic, axis=-1),
-    }
-    return rates, condition_numbers(sigma)
+    rates = (
+        capacity(sigma, p_total, 1.0),
+        np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total, 1.0)), axis=-1),
+        np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1),
+        np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_alloc), axis=-1),
+        np.sum(nulling.zf, axis=-1),
+        np.sum(nulling.zf_sic, axis=-1),
+    )
+    return dict(zip(RATE_SWEEP_SCHEMES, rates, strict=True)), condition_numbers(sigma)
+
+
+def _cell_rows(
+    scenario: str, cfg: ArrayConfig, rates: dict[str, np.ndarray], cond: np.ndarray
+) -> list[ResultRow]:
+    """A cell's rows: each trial's schemes in `rates` order, trial by trial, then one mean row per scheme."""
+    n, dist, beta = cfg.n_antennas, cfg.distance, cfg.beta
+    rows = [
+        ResultRow(scenario, n, dist, scheme, trial, float(rate[trial]), beta, float(cond[trial]))
+        for trial in range(len(cond))
+        for scheme, rate in rates.items()
+    ]
+    mean_cond = float(np.mean(cond))
+    rows += [
+        ResultRow(scenario, n, dist, scheme, AGGREGATE_TRIAL, float(np.mean(rate)), beta, mean_cond)
+        for scheme, rate in rates.items()
+    ]
+    return rows
 
 
 def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     """Rates of all schemes over the (antenna count, distance) grid.
 
-    Radii are fixed per antenna count to the optimum at the design
-    distance; sweeping the actual distance then scales beta inversely.
     Each trial is drawn once, and each cell's trials are scored as one
-    batch.  Appends one mean row per scheme after each scenario cell's
-    trials.  `jobs` is accepted for compatibility; neither the output nor
+    batch.  `jobs` is accepted for compatibility; neither the output nor
     the scheduling depends on it.
     """
-    rows: list[ResultRow] = []
-    l1, l2 = trial_cfg.codebook_bits
-    cb = build_codebook(l1, l2)
+    cb = build_codebook(*trial_cfg.codebook_bits)
     draws = _campaign_draws(trial_cfg)
-    for n in trial_cfg.n_antennas_list:
-        radius = _design_radius(trial_cfg, n)
-        for dist in trial_cfg.distances:
-            cfg = ArrayConfig(
-                n_antennas=n,
-                wavelength=trial_cfg.wavelength,
-                radius_tx=radius,
-                radius_rx=radius,
-                distance=dist,
-            )
-            approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
-            rates, cond = _rate_sweep_cell(trial_cfg, cfg, draws, cb, approx_alloc)
-            for trial in range(trial_cfg.n_trials):
-                for scheme in RATE_SWEEP_SCHEMES:
-                    rows.append(
-                        ResultRow(
-                            "rate_sweep", n, dist, scheme, trial,
-                            float(rates[scheme][trial]), cfg.beta, float(cond[trial]),
-                        )
-                    )
-            mean_cond = float(np.mean(cond))
-            for scheme in RATE_SWEEP_SCHEMES:
-                rows.append(
-                    ResultRow(
-                        "rate_sweep",
-                        n,
-                        dist,
-                        scheme,
-                        AGGREGATE_TRIAL,
-                        float(np.mean(rates[scheme])),
-                        cfg.beta,
-                        mean_cond,
-                    )
-                )
+    rows: list[ResultRow] = []
+    for cfg in _cell_arrays(trial_cfg):
+        rows += _cell_rows("rate_sweep", cfg, *_rate_sweep_cell(trial_cfg, cfg, draws, cb))
     return rows
 
 
@@ -334,37 +304,22 @@ def run_codebook_bit_sweep(
     accepted for compatibility; neither the output nor the scheduling
     depends on it.
     """
-    n = trial_cfg.n_antennas_list[0]
-    dist = trial_cfg.distances[0]
-    radius = _design_radius(trial_cfg, n)
-    cfg = ArrayConfig(
-        n_antennas=n,
-        wavelength=trial_cfg.wavelength,
-        radius_tx=radius,
-        radius_rx=radius,
-        distance=dist,
-    )
+    if not bit_grid:
+        raise ValueError("bit_grid must not be empty")
+    cfg = next(_cell_arrays(trial_cfg))
     approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
     mis, h = _cell_channels(trial_cfg, cfg, _campaign_draws(trial_cfg))
-    cond = condition_numbers(_built_sigma(trial_cfg, cfg, mis, h))
-    mean_cond = float(np.mean(cond))
-
+    cond = condition_numbers(_built_sigma(
+        trial_cfg,
+        lambda: singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o),
+        lambda: np.linalg.svd(h, compute_uv=False),
+    ))
     rows: list[ResultRow] = []
     for l1, l2 in bit_grid:
-        scenario = f"bit_sweep_L1{l1}_L2{l2}"
         for method in ("sine", "linear"):
-            scheme = f"codebook-{method}"
             cb = build_codebook(l1, l2, quantization=method)
             rates = np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1)
-            for trial, rate in enumerate(rates):
-                rows.append(
-                    ResultRow(scenario, n, dist, scheme, trial, float(rate), cfg.beta, float(cond[trial]))
-                )
-            rows.append(
-                ResultRow(
-                    scenario, n, dist, scheme, AGGREGATE_TRIAL, float(np.mean(rates)), cfg.beta, mean_cond
-                )
-            )
+            rows += _cell_rows(f"bit_sweep_L1{l1}_L2{l2}", cfg, {f"codebook-{method}": rates}, cond)
     return rows
 
 

@@ -9,6 +9,7 @@ from ucamimo import Misalignment, build_channel, search_beta_opt, zf_sic_rate
 from ucamimo.cli import main, parse_angle, parse_bit_grid, parse_float_list
 from ucamimo.design import water_fill
 from ucamimo.geometry import ArrayConfig
+from ucamimo.sim import TrialConfig, rows_to_csv, run_codebook_bit_sweep
 from ucamimo.spectrum import singular_values
 
 
@@ -34,8 +35,8 @@ class TestParsers:
 
     def test_bit_grid(self):
         assert parse_bit_grid("5:3,1:2") == ((5, 3), (1, 2))
-        with pytest.raises(ValueError):
-            parse_bit_grid(" , ")
+        # an empty grid parses; run_codebook_bit_sweep is the one place that rejects it
+        assert parse_bit_grid(" , ") == ()
 
 
 @pytest.mark.parametrize(
@@ -261,6 +262,16 @@ class TestCodebookCommand:
         assert lines[0].startswith("scenario,n_antennas,distance_m,scheme")
         assert {line.split(",")[3] for line in lines[1:]} == {"codebook-sine", "codebook-linear"}
 
+    @pytest.mark.parametrize("grid", [",", " , "])
+    def test_empty_bit_grid_exits_2(self, tmp_path, capsys, grid):
+        out = tmp_path / "a.csv"
+        assert run_cli(["codebook", "--seed", "1", "--trials", "1", "--ns", "4",
+                        "--bit-grid", grid, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bit_grid must not be empty" in captured.err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", [["simulate", "--ns-list", "4"], ["codebook", "--ns", "4"]])
 class TestJobsRemoved:
@@ -371,3 +382,11 @@ class TestGoldenBytes:
         out = tmp_path / name
         assert run_cli(["capacity-sweep", *args, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / name).read_bytes()
+
+    def test_exact_geometry_bit_sweep_bytes_unchanged(self):
+        # `codebook` has no --exact-geometry flag, so this campaign runs through the library;
+        # at 15 degrees some seed-3 rotations are clamped onto pi/16, which exercises the clamp
+        cfg = TrialConfig(seed=3, n_trials=8, angle_range_small=math.radians(15.0), n_antennas_list=(16,),
+                          distances=(500.0,), wavelength=0.004, exact_geometry=True)
+        csv = rows_to_csv(run_codebook_bit_sweep(cfg, ((1, 3), (3, 5))))
+        assert csv.encode() == (DATA / "codebook_exact_seed3.csv").read_bytes()

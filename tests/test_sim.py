@@ -323,6 +323,25 @@ class TestCampaignDraws:
         assert keys == [(cfg.seed, t) for t in range(cfg.n_trials)]
         assert builds == [(cfg.n_trials,)]
 
+    @pytest.mark.parametrize("exact_geometry", [False, True])
+    def test_stacked_svds_per_cell(self, monkeypatch, exact_geometry):
+        # the rate sweep's capacity row and condition number reuse the nulling receivers' SVD;
+        # the bit sweep needs one only for the exact-geometry condition number
+        cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 300.0), exact_geometry=exact_geometry)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        run_rate_sweep(cfg)
+        assert shapes == [(cfg.n_trials, n, n) for n in (4, 4, 8, 8)]
+        shapes.clear()
+        run_codebook_bit_sweep(cfg, ((1, 1), (2, 1)))
+        assert shapes == ([(cfg.n_trials, 4, 4)] if exact_geometry else [])
+
 
 class TestRateSweep:
     def test_row_layout_and_aggregates(self):
@@ -418,6 +437,10 @@ class TestCodebookBitSweep:
         scenarios = {r.scenario for r in rows}
         assert scenarios == {"bit_sweep_L12_L21", "bit_sweep_L11_L22"}
         assert len(rows) == 2 * 2 * (3 + 1)
+
+    def test_empty_bit_grid_rejected(self):
+        with pytest.raises(ValueError, match="bit_grid must not be empty"):
+            run_codebook_bit_sweep(small_config(), ())
 
     def test_deterministic(self):
         cfg = small_config(n_trials=3, n_antennas_list=(4,), distances=(300.0,))
