@@ -37,15 +37,17 @@ from .sim import ResultRow, TrialConfig, draw_misalignment, run_codebook_bit_swe
 from .spectrum import singular_values
 from .transceiver import (
     Codebook,
+    NullingRates,
     PrecoderMatrix,
     RateReport,
-    SingularChannelError,
     approx_power_allocation,
     build_codebook,
+    codebook_rates_many,
+    nulling_rates,
+    precoded_rate,
+    precoded_rates,
     precoder_from_angles,
-    select_codebook_index,
-    zf_rate,
-    zf_sic_rate,
+    precoder_matrices,
 )
 
 __version__ = "0.1.0"

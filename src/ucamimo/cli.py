@@ -312,7 +312,8 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError, so numerical failures go first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # MemoryError: NumPy refuses an array that an oversized request asks for
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -13,7 +13,7 @@ is one stacked call.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,26 +197,14 @@ def _cell_channels(
     return mis, build_channels(cfg, mis, model)
 
 
-def _built_sigma(
-    trial_cfg: TrialConfig, spectrum: Callable[[], np.ndarray], numerical: Callable[[], np.ndarray]
-) -> np.ndarray:
-    """Singular values of the channels built, one row per trial.
-
-    On the separable model the closed-form spectrum, with exact geometry
-    the channels' numerical singular values.  Each runner passes how it
-    obtains the two, and only the one the model calls for is evaluated.
-    """
-    return numerical() if trial_cfg.exact_geometry else spectrum()
-
-
 def _rate_sweep_cell(
     trial_cfg: TrialConfig, cfg: ArrayConfig, draws: np.ndarray, cb: Codebook
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Rates of every scheme for all trials of a cell; returns (rates, condition numbers).
 
     Every scheme is one stacked call over the cell's channels, and the
-    codebook row is the best entry's rate, as `select_codebook_index`
-    reports it.  A draw clamped exactly onto the rotation bound yields a
+    codebook row is the row maximum of `codebook_rates_many`, the best
+    entry's rate.  A draw clamped exactly onto the rotation bound yields a
     singular channel; the nulling receivers cannot operate there and score
     zero (the row's condition number is infinite, so such trials are
     visible).  The optimal precoder water-fills the closed-form spectrum;
@@ -227,7 +215,7 @@ def _rate_sweep_cell(
     mis, h = _cell_channels(trial_cfg, cfg, draws)
     spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
     nulling = nulling_rates(h, p_total, 1.0)
-    sigma = _built_sigma(trial_cfg, lambda: spectrum, lambda: nulling.sigma)
+    sigma = nulling.sigma if trial_cfg.exact_geometry else spectrum
     optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
     rates = (
         capacity(sigma, p_total, 1.0),
@@ -309,11 +297,11 @@ def run_codebook_bit_sweep(
     cfg = next(_cell_arrays(trial_cfg))
     approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
     mis, h = _cell_channels(trial_cfg, cfg, _campaign_draws(trial_cfg))
-    cond = condition_numbers(_built_sigma(
-        trial_cfg,
-        lambda: singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o),
-        lambda: np.linalg.svd(h, compute_uv=False),
-    ))
+    if trial_cfg.exact_geometry:
+        sigma = np.linalg.svd(h, compute_uv=False)
+    else:
+        sigma = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
+    cond = condition_numbers(sigma)
     rows: list[ResultRow] = []
     for l1, l2 in bit_grid:
         for method in ("sine", "linear"):

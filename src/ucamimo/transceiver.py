@@ -30,10 +30,6 @@ LINEAR = "linear"
 _PHI_RANGE = (-0.175, 0.175)
 
 
-class SingularChannelError(ValueError):
-    """Raised when a zero-forcing receiver meets a rank-deficient channel."""
-
-
 def _entries(h) -> np.ndarray:
     return h.entries if isinstance(h, ChannelMatrix) else np.asarray(h, dtype=complex)
 
@@ -253,69 +249,8 @@ def codebook_rates_many(
     return rates
 
 
-def select_codebook_index(h: ChannelMatrix, cb: Codebook, alloc: PowerAllocation) -> tuple[int, float]:
-    """Best codebook entry for the given channel and power allocation.
-
-    Returns the 1-based index maximising the achievable rate, ties broken
-    toward the smallest index, together with the achieved rate.
-    """
-    if cb.size < 1:
-        raise ValueError("codebook must be non-empty")
-    rates = codebook_rates_many(h.cfg, h.entries[None], cb, alloc)[0]
-    best = int(np.argmax(rates))
-    return best + 1, float(rates[best])
-
-
-# Smallest-to-largest singular value ratio at or below which ZF rejects a channel.
+# Smallest-to-largest singular value ratio at or below which a channel is rank-deficient.
 _RANK_TOL = 1e-12
-
-
-def _full_rank(sigma: np.ndarray) -> np.ndarray:
-    """Rank test of the nulling receivers on descending singular values (..., N)."""
-    return sigma[..., -1] > _RANK_TOL * sigma[..., 0]
-
-
-def _require_full_rank(h: np.ndarray) -> None:
-    if not _full_rank(np.linalg.svd(h, compute_uv=False)):
-        raise SingularChannelError("channel matrix is singular; ZF receivers need full rank")
-
-
-def _zf_per_stream(h: np.ndarray, p_total: float, noise: float) -> np.ndarray:
-    """Equal-power ZF stream rates of a (..., N, N) stack of invertible channels."""
-    p = p_total / h.shape[-1]
-    gram = np.swapaxes(h.conj(), -1, -2) @ h
-    diag_inv = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
-    return np.log2(1.0 + p / (noise * diag_inv))
-
-
-def _zf_sic_per_stream(h: np.ndarray, p_total: float, noise: float) -> np.ndarray:
-    """Equal-power ZF-SIC stream rates of a (..., N, N) stack of channels."""
-    p = p_total / h.shape[-1]
-    return _chain_per_stream(math.sqrt(p / noise) * h)
-
-
-def zf_rate(h, p_total: float, noise: float) -> RateReport:
-    """Zero-forcing receiver with equal per-stream power.
-
-    Stream k sees SNR p / (noise * [(H^H H)^{-1}]_kk); requires an
-    invertible channel.
-    """
-    h = _entries(h)
-    _require_full_rank(h)
-    return RateReport(per_stream=_zf_per_stream(h, p_total, noise))
-
-
-def zf_sic_rate(h, p_total: float, noise: float) -> RateReport:
-    """Zero-forcing with successive interference cancellation.
-
-    Streams are detected and subtracted in natural order with equal power
-    p = p_total/N.  Per-stream rates come from the noise-regularised QR
-    diagonal, so the sum equals log2 det(I + (p/noise) H^H H) exactly and
-    is independent of the detection order.
-    """
-    h = _entries(h)
-    _require_full_rank(h)
-    return RateReport(per_stream=_zf_sic_per_stream(h, p_total, noise))
 
 
 @dataclass(frozen=True)
@@ -324,8 +259,7 @@ class NullingRates:
 
     `sigma` holds each channel's singular values, descending, from the
     rank test; `zf` and `zf_sic` are (T, N) per-stream rates, zero on the
-    rows of rank-deficient channels, where `zf_rate` and `zf_sic_rate`
-    raise `SingularChannelError`.
+    rows of rank-deficient channels, where neither receiver can operate.
     """
 
     sigma: np.ndarray
@@ -334,11 +268,25 @@ class NullingRates:
 
 
 def nulling_rates(h: np.ndarray, p_total: float, noise: float) -> NullingRates:
-    """ZF and ZF-SIC rates of a stack of channels, row by row as the scalar receivers."""
+    """Equal-power ZF and ZF-SIC rates of a (T, N, N) stack of channels.
+
+    Each stream gets p = p_total/N.  ZF stream k sees SNR
+    p / (noise * [(H^H H)^{-1}]_kk).  ZF-SIC detects and subtracts the
+    streams in natural order; its per-stream rates come from the
+    noise-regularised QR diagonal, so their sum equals
+    log2 det(I + (p/noise) H^H H) exactly and does not depend on the
+    detection order.  A channel whose smallest singular value is at most
+    `_RANK_TOL` times its largest is rank-deficient and scores zero on
+    both receivers.
+    """
     sigma = np.linalg.svd(h, compute_uv=False)
-    full = _full_rank(sigma)
+    full = sigma[..., -1] > _RANK_TOL * sigma[..., 0]
+    p = p_total / h.shape[-1]
+    invertible = h[full]
+    gram = np.swapaxes(invertible.conj(), -1, -2) @ invertible
+    diag_inv = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
     zf = np.zeros(h.shape[:-1])
     zf_sic = np.zeros(h.shape[:-1])
-    zf[full] = _zf_per_stream(h[full], p_total, noise)
-    zf_sic[full] = _zf_sic_per_stream(h[full], p_total, noise)
+    zf[full] = np.log2(1.0 + p / (noise * diag_inv))
+    zf_sic[full] = _chain_per_stream(math.sqrt(p / noise) * invertible)
     return NullingRates(sigma=sigma, zf=zf, zf_sic=zf_sic)

@@ -19,6 +19,7 @@ from ucamimo import (
     build_channel,
     closed_form_svd,
     condition_number,
+    nulling_rates,
     numerical_svd,
     radii_from_beta,
     search_beta_opt,
@@ -75,29 +76,46 @@ CONDITION_HALF_TABLE = {
 }
 
 # Independent oracle for criteria 1 and 3: the LAPACK SVD behind
-# `numerical_svd`, taken over the whole stack of channels built by
-# `build_channel`, instead of the closed-form spectrum, and water-filling
-# by bisection on the water level instead of `water_fill`.  The grid scans
-# (0, 14] at step 1e-3, ten times finer than `search_beta_opt`'s scan.
+# `numerical_svd`, taken over a stack of aligned separable channels written
+# out from the paper's channel model (`oracle_channels`, which shares no
+# code with the library's channel build), instead of the closed-form
+# spectrum, and water-filling by bisection on the water level instead of
+# `water_fill`.  The grid scans (0, 14] at step 1e-3, ten times finer than
+# `search_beta_opt`'s scan.
 ORACLE_WAVELENGTH = 0.004
 ORACLE_DISTANCE = 100.0
 ORACLE_GRID = np.arange(1, 14_001) * 1e-3
 
 
+def oracle_channels(n, betas):
+    """Aligned separable-model channels, one (N, N) matrix per beta.
+
+    With the arrays aligned, the far-field distance between Tx element b
+    and Rx element a is D - (R_t R_r / D) cos(2 pi (a - b) / N), so the
+    channel is exp(-j 2 pi D / lambda) exp(j beta cos(2 pi (a - b) / N)),
+    beta = 2 pi R_t R_r / (lambda D).  One broadcast over the beta axis.
+    """
+    offset = np.subtract.outer(np.arange(n), np.arange(n))
+    betas = np.asarray(betas, dtype=float)[:, None, None]
+    channels = np.exp(1j * betas * np.cos(2.0 * np.pi * offset / n))
+    channels *= np.exp(-2j * np.pi * ORACLE_DISTANCE / ORACLE_WAVELENGTH)
+    return channels
+
+
 def oracle_spectra(n, betas):
-    """Descending singular values of the aligned built channel, one row per beta."""
-    channels = []
-    for beta in betas:
-        radius_tx, radius_rx = radii_from_beta(beta, ORACLE_WAVELENGTH, ORACLE_DISTANCE)
-        cfg = ArrayConfig(
-            n_antennas=n,
-            wavelength=ORACLE_WAVELENGTH,
-            radius_tx=radius_tx,
-            radius_rx=radius_rx,
-            distance=ORACLE_DISTANCE,
-        )
-        channels.append(build_channel(cfg, Misalignment()).entries)
-    return np.linalg.svd(np.array(channels), compute_uv=False)
+    """Descending singular values of the aligned separable channel, one row per beta."""
+    return np.linalg.svd(oracle_channels(n, betas), compute_uv=False)
+
+
+def test_oracle_channels_match_build_channel():
+    """The oracle's channel expression equals `build_channel` of the aligned arrays to 1e-12."""
+    betas = [0.5, 1.57, 3.09, 5.98, 13.9]
+    for n in ANTENNAS:
+        for beta, expected in zip(betas, oracle_channels(n, betas)):
+            radius_tx, radius_rx = radii_from_beta(beta, ORACLE_WAVELENGTH, ORACLE_DISTANCE)
+            cfg = ArrayConfig(n, ORACLE_WAVELENGTH, radius_tx, radius_rx, ORACLE_DISTANCE)
+            built = build_channel(cfg, Misalignment()).entries
+            assert np.max(np.abs(built - expected)) <= 1e-12, (n, beta)
 
 
 def oracle_capacity(spectra, snr_db):
@@ -342,18 +360,16 @@ def test_criterion_08_water_filling_kkt():
 
 def test_criterion_09_sic_determinant_identity():
     """SIC sum rate equals the log-det functional to 1e-9, 1000 channels."""
-    from ucamimo import zf_sic_rate
-
     rng = np.random.default_rng(99)
     for _ in range(1000):
         n = int(rng.choice([2, 4, 8, 16]))
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         p_total = float(rng.uniform(0.5, 100.0))
         noise = float(rng.uniform(0.2, 3.0))
-        report = zf_sic_rate(h, p_total, noise)
+        rate = np.sum(nulling_rates(h[None], p_total, noise).zf_sic[0])
         scale = p_total / (n * noise)
         sign, logdet = np.linalg.slogdet(np.eye(n) + scale * h.conj().T @ h)
-        assert abs(report.rate - logdet / math.log(2.0)) <= 1e-9
+        assert abs(rate - logdet / math.log(2.0)) <= 1e-9
     print("[criterion 9] PASS: 1000 channels satisfy the SIC determinant identity to 1e-9")
 
 

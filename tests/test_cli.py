@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ucamimo import Misalignment, build_channel, search_beta_opt, zf_sic_rate
+from ucamimo import Misalignment, build_channel, nulling_rates, search_beta_opt
 from ucamimo.cli import main, parse_angle, parse_bit_grid, parse_float_list
 from ucamimo.design import water_fill
 from ucamimo.geometry import ArrayConfig
@@ -229,7 +229,8 @@ class TestSimulateCommand:
         assert rates["optimal-precoder"] == pytest.approx(cap, abs=5e-6)
         assert rates["identity"] == pytest.approx(cap, abs=5e-6)
         h = build_channel(arr, Misalignment())
-        assert rates["zf-sic"] == pytest.approx(zf_sic_rate(h, 10**1.5, 1.0).rate, abs=5e-6)
+        zf_sic = np.sum(nulling_rates(h.entries[None], 10**1.5, 1.0).zf_sic[0])
+        assert rates["zf-sic"] == pytest.approx(zf_sic, abs=5e-6)
 
     def test_missing_seed_is_usage_error(self):
         assert run_cli(["simulate", "--trials", "2"]) == 2
@@ -346,6 +347,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module.design, "search_beta_opt", boom)
         assert run_cli(["design", "--ns", "4"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    # Each request needs one array of at least 1 PiB, past the 128 TiB a
+    # 64-bit process can map, so NumPy refuses it before any page is touched.
+    @pytest.mark.parametrize("argv", [
+        ["codebook", "--seed", "1", "--trials", "1", "--bit-grid", "50:3"],
+        ["simulate", "--seed", "1", "--trials", "1", "--l1", "50", "--ns-list", "4", "--dist-list", "100"],
+        ["design", "--resolution", "1e-13"],
+        ["spectrum", "--num", "1000000000000000"],
+    ])
+    def test_oversized_request_is_usage_error(self, capsys, argv):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 DATA = Path(__file__).parent / "data"

@@ -8,19 +8,16 @@ from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
     Misalignment,
-    SingularChannelError,
     approx_power_allocation,
     build_channel,
     build_codebook,
+    codebook_rates_many,
     condition_number,
     dft_matrix,
+    nulling_rates,
     numerical_svd,
     precoder_from_angles,
     search_beta_opt,
-    select_codebook_index,
-    transceiver,
-    zf_rate,
-    zf_sic_rate,
 )
 from ucamimo.design import allocated_capacity, capacity, water_fill
 from ucamimo import sim
@@ -67,21 +64,17 @@ def trial_channel(cfg, arr, trial):
 
 
 def reference_rate_sweep(cfg):
-    """The per-trial engine the batched one replaced, built from the scalar API.
+    """The per-trial engine the batched one replaced.
 
-    Each trial builds its channel and scores every scheme with one call of
-    the public scalar functions; a singular channel scores zero for ZF and
-    ZF-SIC.  Capacity row and condition number come from the closed-form
-    spectrum.
+    Each trial builds its channel alone and scores every scheme on it: the
+    precoded schemes with `precoded_rate`, the codebook and nulling
+    receivers with the stacked kernels on a stack of one, so a row cannot
+    depend on the rest of its cell.  A singular channel scores zero for ZF
+    and ZF-SIC.  Capacity row and condition number come from the
+    closed-form spectrum.
     """
     p_total = 10.0 ** (cfg.snr_db / 10.0)
     cb = build_codebook(*cfg.codebook_bits)
-
-    def nulling(receiver, h):
-        try:
-            return receiver(h, p_total, 1.0).rate
-        except SingularChannelError:
-            return 0.0
 
     rows = []
     for n in cfg.n_antennas_list:
@@ -94,13 +87,14 @@ def reference_rate_sweep(cfg):
                 sig = singular_values(n, arr.beta, h.mis.theta_o)
                 exact_alloc = water_fill(sig, p_total, 1.0)
                 optimal = precoder_from_angles(arr, h.mis.theta_cs, h.mis.phi_cs)
+                nulling = nulling_rates(h.entries[None], p_total, 1.0)
                 rates = {
                     "capacity": allocated_capacity(sig, exact_alloc),
                     "optimal-precoder": precoded_rate(h, optimal, exact_alloc).rate,
-                    "codebook": select_codebook_index(h, cb, approx_alloc)[1],
+                    "codebook": codebook_rates_many(arr, h.entries[None], cb, approx_alloc)[0].max(),
                     "identity": precoded_rate(h, dft_matrix(n), approx_alloc).rate,
-                    "zf": nulling(zf_rate, h),
-                    "zf-sic": nulling(zf_sic_rate, h),
+                    "zf": float(np.sum(nulling.zf[0])),
+                    "zf-sic": float(np.sum(nulling.zf_sic[0])),
                 }
                 trials.append((rates, condition_number(n, arr.beta, h.mis.theta_o)))
             for t, (rates, cond) in enumerate(trials):
@@ -160,7 +154,7 @@ class TestBatchedEngineMatchesPerTrialReference:
             for method in ("sine", "linear"):
                 cb = build_codebook(l1, l2, quantization=method)
                 for t, h in enumerate(channels):
-                    assert rows[k].rate_bps_hz == select_codebook_index(h, cb, alloc)[1]
+                    assert rows[k].rate_bps_hz == codebook_rates_many(arr, h.entries[None], cb, alloc)[0].max()
                     assert rows[k].cond_number == condition_number(8, arr.beta, h.mis.theta_o)
                     k += 1
                 k += 1  # the mean row
@@ -389,8 +383,9 @@ class TestRateSweep:
         alloc = water_fill(sig, 10**1.5, 1.0)
         cap = float(np.sum(np.log2(1.0 + alloc.powers * sig**2)))
         assert rows["capacity"] == pytest.approx(cap, abs=1e-9)
-        assert rows["zf"] == pytest.approx(zf_rate(h, 10**1.5, 1.0).rate, abs=1e-9)
-        assert rows["zf-sic"] == pytest.approx(zf_sic_rate(h, 10**1.5, 1.0).rate, abs=1e-9)
+        nulling = nulling_rates(h.entries[None], 10**1.5, 1.0)
+        assert rows["zf"] == pytest.approx(np.sum(nulling.zf[0]), abs=1e-9)
+        assert rows["zf-sic"] == pytest.approx(np.sum(nulling.zf_sic[0]), abs=1e-9)
 
     def test_singular_clamped_draws_score_zero_for_nulling(self):
         # ranges beyond the rotation bound clamp onto it, where the channel
@@ -411,11 +406,12 @@ class TestRateSweep:
                 assert r.rate_bps_hz > 0.0
 
     def test_receiver_faults_are_not_scored_as_zero(self, monkeypatch):
-        # only a singular channel scores zero; any other error propagates
-        def broken(h, p_total, noise):
+        # only a singular channel scores zero; any other error propagates.
+        # The ZF receiver's Gram inverse is the only inverse in the package.
+        def broken(a):
             raise ValueError("receiver fault")
 
-        monkeypatch.setattr(transceiver, "_zf_per_stream", broken)
+        monkeypatch.setattr(np.linalg, "inv", broken)
         with pytest.raises(ValueError, match="receiver fault"):
             run_rate_sweep(small_config(n_trials=1, distances=(100.0,)))
 

@@ -13,23 +13,30 @@ from ucamimo import (
     build_channel,
     build_codebook,
     closed_form_svd,
+    codebook_rates_many,
     dft_matrix,
-    select_codebook_index,
-    zf_rate,
-    zf_sic_rate,
+    nulling_rates,
 )
 from ucamimo.design import PowerAllocation, allocated_capacity, water_fill
 from ucamimo.spectrum import singular_values
 from ucamimo.transceiver import (
     PrecoderMatrix,
     RateReport,
-    SingularChannelError,
-    codebook_rates_many,
     precoded_rate,
     precoder_from_angles,
 )
 
 SNR15 = 10**1.5
+
+
+def best_codebook_rate(cfg, h, cb, alloc):
+    """The campaigns' codebook rate: the row maximum of the stacked scorer, on a stack of one."""
+    return codebook_rates_many(cfg, h.entries[None], cb, alloc)[0].max()
+
+
+def nulling(h, p_total, noise):
+    """Both nulling receivers on a stack of one channel."""
+    return nulling_rates(np.asarray(h)[None], p_total, noise)
 
 
 def design_point(n=8, dist=100.0):
@@ -145,7 +152,7 @@ class TestCodebookSelection:
         theta, phi = cb.angles(23)
         mis = Misalignment(theta_o=0.1, theta_cs=theta, phi_cs=phi)
         h = build_channel(cfg, mis)
-        _, rate = select_codebook_index(h, cb, alloc)
+        rate = best_codebook_rate(cfg, h, cb, alloc)
         optimal = precoded_rate(h, precoder_from_angles(cfg, theta, phi), alloc).rate
         assert rate == pytest.approx(optimal, abs=1e-9)
 
@@ -157,18 +164,14 @@ class TestCodebookSelection:
         for _ in range(5):
             mis = random_misalignment(rng, 8)
             h = build_channel(cfg, mis)
-            index, rate = select_codebook_index(h, cb, alloc)
+            rate = best_codebook_rate(cfg, h, cb, alloc)
             # independent pass: per-entry log-det rates in shuffled order
             order = rng.permutation(cb.size)
-            best_rate, best_index = -np.inf, None
-            for pos in order:
-                theta, phi = cb.angles(int(pos) + 1)
-                f = precoder_from_angles(cfg, theta, phi)
-                r = precoded_rate(h, f, alloc).rate
-                if r > best_rate + 1e-12:
-                    best_rate, best_index = r, int(pos) + 1
+            best_rate = max(
+                precoded_rate(h, precoder_from_angles(cfg, *cb.angles(int(pos) + 1)), alloc).rate
+                for pos in order
+            )
             assert rate == pytest.approx(best_rate, abs=1e-9)
-            assert index == best_index
 
     def test_rates_vector_matches_entry_evaluation(self):
         cfg = design_point(4, 300.0)
@@ -197,7 +200,7 @@ class TestCodebookSelection:
                 phi_y=float(rng.uniform(-0.17, 0.17)),
             )
             h = build_channel(cfg, mis)
-            _, rate = select_codebook_index(h, cb, alloc)
+            rate = best_codebook_rate(cfg, h, cb, alloc)
             baseline = precoded_rate(h, dft_matrix(8), alloc).rate
             assert rate == pytest.approx(baseline, abs=1e-9)
 
@@ -210,7 +213,7 @@ class TestCodebookSelection:
         for _ in range(30):
             mis = random_misalignment(rng, 8)
             h = build_channel(cfg, mis)
-            selected.append(select_codebook_index(h, cb, alloc)[1])
+            selected.append(best_codebook_rate(cfg, h, cb, alloc))
             baseline.append(precoded_rate(h, dft_matrix(8), alloc).rate)
         assert np.mean(selected) >= np.mean(baseline)
 
@@ -218,11 +221,11 @@ class TestCodebookSelection:
         cfg = design_point(4)
         h = build_channel(cfg, Misalignment())
         alloc = approx_power_allocation(cfg, 15.0)
-        index, rate = select_codebook_index(h, build_codebook(0, 0), alloc)
-        assert index == 1
-        assert rate > 0.0
+        rates = codebook_rates_many(cfg, h.entries[None], build_codebook(0, 0), alloc)
+        assert rates.shape == (1, 1)
+        assert rates.max() > 0.0
 
-    def test_ties_break_toward_smallest_index(self):
+    def test_zero_polar_bits_tie_every_entry(self):
         # with zero polar bits every entry has phi = 0, so all rates tie
         cfg = design_point(8, 300.0)
         cb = build_codebook(3, 0)
@@ -230,8 +233,6 @@ class TestCodebookSelection:
         h = build_channel(cfg, Misalignment(theta_o=0.1, theta_cs=0.7, phi_cs=0.05))
         rates = codebook_rates_many(cfg, h.entries[None], cb, alloc)[0]
         assert np.ptp(rates) <= 1e-12
-        index, _ = select_codebook_index(h, cb, alloc)
-        assert index == 1
 
 
 def stream_allocation(n, active):
@@ -303,14 +304,13 @@ class TestZfReceivers:
         h = build_channel(cfg, mis)
         sig = singular_values(4, cfg.beta, mis.theta_o)
         cap = allocated_capacity(sig, water_fill(sig, SNR15, 1.0))
-        assert zf_rate(h, SNR15, 1.0).rate == pytest.approx(cap, abs=0.01)
+        assert np.sum(nulling(h.entries, SNR15, 1.0).zf) == pytest.approx(cap, abs=0.01)
 
     def test_scaled_unitary_equalises_streams(self):
         rng = np.random.default_rng(68)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         h = 3.0 * q
-        report = zf_rate(h, 12.0, 1.0)
-        np.testing.assert_allclose(report.per_stream, math.log2(1.0 + 2.0 * 9.0), atol=1e-9)
+        np.testing.assert_allclose(nulling(h, 12.0, 1.0).zf[0], math.log2(1.0 + 2.0 * 9.0), atol=1e-9)
 
     def test_zf_below_capacity(self):
         cfg = design_point(8, 200.0)
@@ -320,15 +320,17 @@ class TestZfReceivers:
             h = build_channel(cfg, mis)
             sig = singular_values(8, cfg.beta, mis.theta_o)
             cap = allocated_capacity(sig, water_fill(sig, SNR15, 1.0))
-            assert zf_rate(h, SNR15, 1.0).rate <= cap + 1e-9
+            assert np.sum(nulling(h.entries, SNR15, 1.0).zf) <= cap + 1e-9
 
-    def test_singular_channel_rejected(self):
+    def test_rank_deficient_row_scores_zero(self):
         cfg = design_point(8)
-        h = build_channel(cfg, Misalignment(theta_o=math.pi / 8))
-        with pytest.raises(SingularChannelError):
-            zf_rate(h, SNR15, 1.0)
-        with pytest.raises(SingularChannelError):
-            zf_sic_rate(h, SNR15, 1.0)
+        singular = build_channel(cfg, Misalignment(theta_o=math.pi / 8)).entries
+        regular = build_channel(cfg, Misalignment()).entries
+        rates = nulling_rates(np.stack([singular, regular]), SNR15, 1.0)
+        assert rates.sigma[0, -1] <= 1e-12 * rates.sigma[0, 0]
+        np.testing.assert_array_equal(rates.zf[0], 0.0)
+        np.testing.assert_array_equal(rates.zf_sic[0], 0.0)
+        assert np.all(rates.zf[1] > 0.0) and np.all(rates.zf_sic[1] > 0.0)
 
 
 class TestZfSic:
@@ -339,16 +341,17 @@ class TestZfSic:
             h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             p_total = float(rng.uniform(0.5, 100.0))
             noise = float(rng.uniform(0.2, 3.0))
-            report = zf_sic_rate(h, p_total, noise)
+            rate = np.sum(nulling(h, p_total, noise).zf_sic)
             scale = p_total / (n * noise)
             ref = math.log2(np.linalg.det(np.eye(n) + scale * h.conj().T @ h).real)
-            assert report.rate == pytest.approx(ref, abs=1e-9)
+            assert rate == pytest.approx(ref, abs=1e-9)
 
     def test_orthogonal_columns_match_plain_zf(self):
         rng = np.random.default_rng(71)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
         h = 2.5 * q
-        assert zf_sic_rate(h, 10.0, 1.0).rate == pytest.approx(zf_rate(h, 10.0, 1.0).rate, abs=1e-9)
+        rates = nulling(h, 10.0, 1.0)
+        assert np.sum(rates.zf_sic) == pytest.approx(np.sum(rates.zf), abs=1e-9)
 
     def test_close_to_capacity_at_design_point(self):
         cfg = design_point(8)
@@ -358,12 +361,12 @@ class TestZfSic:
             h = build_channel(cfg, mis)
             sig = singular_values(8, cfg.beta, mis.theta_o)
             cap = allocated_capacity(sig, water_fill(sig, SNR15, 1.0))
-            assert abs(zf_sic_rate(h, SNR15, 1.0).rate - cap) <= 0.1
+            assert abs(np.sum(nulling(h.entries, SNR15, 1.0).zf_sic) - cap) <= 0.1
 
     def test_sum_rate_independent_of_stream_order(self):
         rng = np.random.default_rng(73)
         h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        base = zf_sic_rate(h, 5.0, 1.0).rate
+        base = np.sum(nulling(h, 5.0, 1.0).zf_sic)
         for _ in range(5):
             perm = rng.permutation(6)
-            assert zf_sic_rate(h[:, perm], 5.0, 1.0).rate == pytest.approx(base, abs=1e-12)
+            assert np.sum(nulling(h[:, perm], 5.0, 1.0).zf_sic) == pytest.approx(base, abs=1e-12)
