@@ -17,6 +17,7 @@ from ucamimo import (
     search_beta_opt,
     water_fill,
 )
+from ucamimo import design
 from ucamimo.design import TIE_TOLERANCE_BITS, allocated_capacity, power_from_db
 from ucamimo.spectrum import singular_values, singular_values_many
 
@@ -45,6 +46,46 @@ def reference_water_fill(sigmas, p_total, noise):
             powers[chosen] = level - inv_gain[chosen]
             break
     return powers
+
+
+def sequential_golden_max(fun, lo, hi, xtol):
+    """Golden-section maximiser with one objective call per step, kept as the reference.
+
+    `fun` is called on one abscissa at a time.  The batched `_golden_max`
+    must return the same abscissa bit for bit.
+    """
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > xtol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def result_bits(result):
+    """The floats of a DesignResult as float.hex, and its edge flag."""
+    floats = (result.beta_opt, result.capacity, result.condition_number)
+    return (*(float(x).hex() for x in floats), result.at_edge)
+
+
+def assert_recorded_bits(filename, count):
+    """search_beta_opt reproduces every case of a float.hex golden in tests/data."""
+    cases = json.loads((Path(__file__).parent / "data" / filename).read_text())
+    assert len(cases) == count
+    for case in cases:
+        grid = {k: float.fromhex(case[k]) for k in ("beta_max", "resolution") if k in case}
+        result = search_beta_opt(case["n_s"], float.fromhex(case["theta_o"]), case["snr_db"], **grid)
+        want = tuple(case[k] for k in ("beta_opt", "capacity", "condition_number", "at_edge"))
+        assert result_bits(result) == want, case
 
 
 def random_gain_stack(rng, n, rows, smallest):
@@ -180,6 +221,10 @@ class TestWaterFill:
     def test_snr_at_the_float_limit(self):
         # p * sigma^2 / noise = 1e308 is a float, so its capacity is finite
         assert capacity([1e154, 1.0], 1.0, 1.0) == pytest.approx(math.log2(1e308), rel=1e-15)
+        # so is it where p * sigma^2 alone would overflow but the SNR sigma^2 / noise is formed first
+        assert capacity([1e154, 1.0], 1e4, 1e4) == pytest.approx(math.log2(1e308), rel=1e-15)
+        alloc = water_fill([1e154, 1.0], 1e4, 1e4)
+        assert allocated_capacity([1e154, 1.0], alloc) == pytest.approx(math.log2(1e308), rel=1e-15)
         # a larger budget or a smaller noise takes it past the largest float
         for p_total, noise in ((100.0, 1.0), (1.0, 1e-10)):
             with pytest.raises(ValueError, match="within float range"):
@@ -372,14 +417,54 @@ class TestSearchBetaOpt:
     def test_results_match_recorded_bits(self):
         # recorded as float.hex before the value-sort water-filling and the
         # cos/sin phasor kernel; every returned float must keep its bits
-        cases = json.loads((Path(__file__).parent / "data" / "search_beta_opt_hex.json").read_text())
-        assert len(cases) == 24
-        for case in cases:
-            result = search_beta_opt(case["n_s"], float.fromhex(case["theta_o"]), case["snr_db"])
-            got = (result.beta_opt, result.capacity, result.condition_number, result.at_edge)
-            want = (*(float.fromhex(case[k]) for k in ("beta_opt", "capacity", "condition_number")),
-                    case["at_edge"])
-            assert got == want, case
+        assert_recorded_bits("search_beta_opt_hex.json", 24)
+
+    def test_edge_cells_match_recorded_bits(self):
+        # recorded as float.hex with one spectrum evaluation per golden-section
+        # step: winners in the first grid cell (lo clipped to resolution * 1e-3)
+        # and within one cell of beta_max, intervals already below 1e-4, one
+        # grid point, and coarse and fine grids
+        assert_recorded_bits("search_beta_opt_edges_hex.json", 13)
+
+    def test_batched_refinement_matches_one_point_rule(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        queries = [
+            (16, 0.1, -20.0, 14.0, 0.01),  # first grid cell wins
+            (4, 0.0, 15.0, 1.0, 0.01),  # winner within one cell of beta_max
+            (8, 0.0, 15.0, 0.01, 4e-5),  # interval already <= 1e-4
+        ]
+        for n in (4, 6, 8, 12, 16, 32, 64):
+            for _ in range(72):
+                resolution = float(10.0 ** rng.uniform(-2.3, -1.3))
+                queries.append((n, float(rng.uniform(-math.pi / n, math.pi / n)), float(rng.uniform(-20.0, 45.0)),
+                                float(rng.uniform(resolution, 14.0)), resolution))
+        batched = [search_beta_opt(n, t, s, beta_max=m, resolution=r) for n, t, s, m, r in queries]
+        assert batched[0].beta_opt < 0.01 and batched[1].at_edge
+        monkeypatch.setattr(design, "_golden_max", sequential_golden_max)
+        for (n, t, s, m, r), got in zip(queries, batched):
+            want = search_beta_opt(n, t, s, beta_max=m, resolution=r)
+            assert result_bits(got) == result_bits(want), (n, t, s, m, r)
+
+    def test_ties_replay_like_the_one_point_rule(self):
+        # flat and stepped objectives tie exactly, and a tie must take the same branch in both rules
+        objectives = (lambda x: 0.0 * x, lambda x: np.floor(8.0 * np.sin(3.0 * x)), lambda x: -np.abs(x - 0.3))
+        for fun in objectives:
+            for lo, hi, xtol in ((0.0, 1.0, 1e-4), (0.2, 0.21, 1e-6), (0.0, 2.0, 1e-9)):
+                got = design._golden_max(fun, lo, hi, xtol)
+                assert got.hex() == sequential_golden_max(fun, lo, hi, xtol).hex()
+
+    def test_spectrum_evaluations_per_search(self, monkeypatch):
+        # one grid, one golden-section pair, three batches of four steps and
+        # the final point; one point per step would make 14-16
+        calls = []
+        for name in ("singular_values", "singular_values_many"):
+            def counted(*args, spectrum=getattr(design, name), **kwargs):
+                calls.append(args)
+                return spectrum(*args, **kwargs)
+
+            monkeypatch.setattr(design, name, counted)
+        search_beta_opt(16, 0.0, 15.0)
+        assert len(calls) <= 6
 
     @pytest.mark.parametrize(
         "name, value",

@@ -25,6 +25,7 @@ from ucamimo import (
     singular_values,
     water_fill,
 )
+from ucamimo.design import condition_numbers, power_from_db
 from ucamimo.geometry import ANGLE_NAMES
 from ucamimo.spectrum import singular_values_many
 from ucamimo.transceiver import codebook_rates_many, precoded_rate
@@ -222,6 +223,24 @@ def test_spectrum_matches_extended_precision_oracle(point):
                                rtol=0.0, atol=1e-13 * n)
 
 
+@PROPERTY
+@given(point=spectrum_points(), betas=st.lists(st.floats(0.0, 14.0), min_size=1, max_size=40),
+       snr_db=st.floats(-20.0, 45.0))
+def test_stacked_rows_match_one_point_calls(point, betas, snr_db):
+    # the beta search evaluates its grid and its golden-section candidates as
+    # stacks and must return the floats of one-point evaluation
+    n, _, theta_o = point
+    p_total = power_from_db(snr_db)
+    stack = singular_values_many(n, np.array(betas), theta_o)
+    caps = capacity(stack, p_total, 1.0)
+    conds = condition_numbers(stack)
+    for k, beta in enumerate(betas):
+        one = singular_values(n, beta, theta_o)
+        np.testing.assert_array_equal(bits(stack[k]), bits(one))
+        assert float(caps[k]).hex() == capacity(one, p_total, 1.0).hex()
+        assert float(conds[k]).hex() == float(condition_numbers(one)).hex()
+
+
 @st.composite
 def tied_gain_stacks(draw):
     """(rows, N) gains drawn from a small pool, so a row holds exact ties.
@@ -257,5 +276,5 @@ def test_water_filling_matches_previous_rule_bit_for_bit(sigmas, snr_db, noise):
     p_total = 10.0 ** (snr_db / 10.0)
     expected = previous_water_fill_powers(sigmas, p_total, noise)
     np.testing.assert_array_equal(bits(water_fill(sigmas, p_total, noise).powers), bits(expected))
-    caps = np.sum(np.log2(1.0 + expected * sigmas**2 / noise), axis=-1)
+    caps = np.sum(np.log2(1.0 + expected * (sigmas**2 / noise)), axis=-1)
     np.testing.assert_array_equal(bits(capacity(sigmas, p_total, noise)), bits(caps))
