@@ -4,10 +4,11 @@ Link capacity under water-filling depends on the geometry only through the
 size parameter beta and the rotation angle, so the optimal antenna radii
 follow from a one-dimensional search over beta: scan a grid, refine the
 winning cell by golden section, then convert the optimal beta into radii
-for a given wavelength and distance.  The grid is one stacked spectrum
-evaluation, and so are the candidates of every 4 golden-section steps; a
-row of a stacked evaluation equals the one-point call bit for bit, so the
-search returns the floats of one evaluation per step.
+for a given wavelength and distance.  The grid is evaluated in stacked
+blocks of at most _GRID_BLOCK spectrum values, and the candidates of every
+4 golden-section steps are one stacked evaluation; a row of a stacked
+evaluation equals the one-point call bit for bit, so the search returns
+the floats of one evaluation per point.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps whose candidate abscissae (2 + 4 + ... + 2**_LOOKAHEAD
 # of them) share one spectrum evaluation; depths 3, 5 and 6 were no faster.
 _LOOKAHEAD = 4
+
+# Spectrum values (betas times N) per stacked evaluation of a capacity
+# curve.  Each temporary of a block is at most 128 KiB, so it stays in cache
+# and the allocator reuses it between queries; megabyte temporaries go back
+# to the kernel after each query and page-fault on the next.  8,192 is the
+# size measured with the benchmark; re-measure before changing it.
+_GRID_BLOCK = 8192
 
 # Capacity differences below this are treated as ties; the smallest beta
 # among tied grid points wins, which keeps the arrays as small as possible.
@@ -178,6 +186,20 @@ class DesignResult:
     at_edge: bool = False
 
 
+def _grid_capacities(n_s: int, betas: np.ndarray, theta_o: float, p_total: float, noise: float) -> np.ndarray:
+    """Water-filled capacity at each beta of a 1-D grid.
+
+    Evaluated over consecutive blocks of _GRID_BLOCK // n_s betas (at least
+    one); each value equals the one-point capacity bit for bit.
+    """
+    rows = max(1, _GRID_BLOCK // n_s)
+    caps = np.empty(len(betas))
+    for start in range(0, len(betas), rows):
+        block = betas[start : start + rows]
+        caps[start : start + rows] = capacity(singular_values_many(n_s, block, theta_o), p_total, noise)
+    return caps
+
+
 def _golden_max(fun_many, lo: float, hi: float, xtol: float) -> float:
     """Golden-section maximiser on [lo, hi]; returns the abscissa.
 
@@ -245,15 +267,17 @@ def search_beta_opt(
 ) -> DesignResult:
     """Find the capacity-maximising beta for the given rotation and SNR.
 
-    Scans capacity over (0, beta_max] at `resolution`, breaks ties toward
-    the smallest beta (within TIE_TOLERANCE_BITS), then refines the winning
-    cell by golden section to 1e-4.  If `wavelength` and `distance` are
-    supplied, the equal-radius solution realising the optimum is filled in.
-    The result is flagged `at_edge` when the optimum lies within
-    `resolution` of `beta_max`.
+    Scans capacity over (0, beta_max] at `resolution`, in blocks of at
+    most _GRID_BLOCK spectrum values, breaks ties toward the smallest beta
+    (within TIE_TOLERANCE_BITS), then refines the winning cell by golden
+    section to 1e-4.  If `wavelength` and `distance` are supplied, the
+    equal-radius solution realising the optimum is filled in.  The result
+    is flagged `at_edge` when the optimum lies within `resolution` of
+    `beta_max`.
     """
-    if not all(map(math.isfinite, (snr_db, theta_o, beta_max, resolution))):
-        raise ValueError("snr_db, theta_o, beta_max and resolution must be finite")
+    lengths = tuple(x for x in (wavelength, distance) if x is not None)
+    if not all(map(math.isfinite, (snr_db, theta_o, beta_max, resolution, *lengths))):
+        raise ValueError("snr_db, theta_o, beta_max, resolution, wavelength and distance must be finite")
     if beta_max <= 0.0 or resolution <= 0.0:
         raise ValueError("beta_max and resolution must be positive")
     if resolution > beta_max:
@@ -262,16 +286,14 @@ def search_beta_opt(
     noise = 1.0
 
     grid = np.arange(resolution, beta_max + resolution / 2.0, resolution)
-    caps = capacity(singular_values_many(n_s, grid, theta_o), p_total, noise)
+    caps = _grid_capacities(n_s, grid, theta_o, p_total, noise)
 
     best = float(np.max(caps))
     winner = int(np.flatnonzero(caps >= best - TIE_TOLERANCE_BITS)[0])
 
     lo = max(grid[winner] - resolution, resolution * 1e-3)
     hi = min(grid[winner] + resolution, beta_max)
-    beta_opt = _golden_max(
-        lambda betas: capacity(singular_values_many(n_s, betas, theta_o), p_total, noise), lo, hi, 1e-4
-    )
+    beta_opt = _golden_max(lambda betas: _grid_capacities(n_s, betas, theta_o, p_total, noise), lo, hi, 1e-4)
     sigma_opt = singular_values(n_s, beta_opt, theta_o)
 
     radii_product = None
@@ -300,8 +322,8 @@ def radii_from_beta(
     The product is fixed at R_t * R_r = beta * wavelength * distance /
     (2*pi); both radii are its square root.
     """
-    if beta <= 0.0 or wavelength <= 0.0 or distance <= 0.0:
-        raise ValueError("beta, wavelength and distance must be positive")
+    if not all(0.0 < x < math.inf for x in (beta, wavelength, distance)):
+        raise ValueError("beta, wavelength and distance must be positive and finite")
     product = beta * wavelength * distance / TWO_PI
     r = math.sqrt(product)
     return r, r

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -340,6 +341,24 @@ class TestCapacity:
         assert flat == pytest.approx(4 * math.log2(1.0 + 1e4), abs=1e-9)
 
 
+class TestGridCapacities:
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32, 64])
+    def test_blocks_match_one_stacked_call(self, n):
+        # the blocked curve keeps the bits of one call over the whole grid
+        block = design._GRID_BLOCK // n
+        fine = np.arange(0.003, 14.0015, 0.003)
+        assert fine.size == 4667
+        grids = [fine[:rows] for rows in (1, block - 1, block, block + 1)]
+        grids += [np.arange(0.01, 14.005, 0.01), fine]
+        for theta_o in (0.0, math.pi / (2 * n)):
+            for snr_db in (-10.0, 15.0, 40.0):
+                p_total = power_from_db(snr_db)
+                for grid in grids:
+                    got = design._grid_capacities(n, grid, theta_o, p_total, 1.0)
+                    want = capacity(singular_values_many(n, grid, theta_o), p_total, 1.0)
+                    assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
+
+
 class TestSearchBetaOpt:
     def test_refined_optima_at_15db(self):
         expected = {4: 1.5708, 8: 3.1116, 12: 4.5743, 16: 5.9923}
@@ -440,7 +459,9 @@ class TestSearchBetaOpt:
                                 float(rng.uniform(resolution, 14.0)), resolution))
         batched = [search_beta_opt(n, t, s, beta_max=m, resolution=r) for n, t, s, m, r in queries]
         assert batched[0].beta_opt < 0.01 and batched[1].at_edge
-        monkeypatch.setattr(design, "_golden_max", sequential_golden_max)
+        # the search's objective takes an array of abscissae; the reference steps one at a time
+        monkeypatch.setattr(design, "_golden_max", lambda fun, lo, hi, xtol: sequential_golden_max(
+            lambda x: fun(np.array([x]))[0], lo, hi, xtol))
         for (n, t, s, m, r), got in zip(queries, batched):
             want = search_beta_opt(n, t, s, beta_max=m, resolution=r)
             assert result_bits(got) == result_bits(want), (n, t, s, m, r)
@@ -454,17 +475,45 @@ class TestSearchBetaOpt:
                 assert got.hex() == sequential_golden_max(fun, lo, hi, xtol).hex()
 
     def test_spectrum_evaluations_per_search(self, monkeypatch):
-        # one grid, one golden-section pair, three batches of four steps and
-        # the final point; one point per step would make 14-16
+        # the grid in blocks of at most _GRID_BLOCK spectrum values, then one
+        # golden-section pair, three batches of four steps and the final
+        # point; one point per step would make 14-16 after the grid
         calls = []
         for name in ("singular_values", "singular_values_many"):
             def counted(*args, spectrum=getattr(design, name), **kwargs):
-                calls.append(args)
+                calls.append(np.atleast_1d(args[1]))
                 return spectrum(*args, **kwargs)
 
             monkeypatch.setattr(design, name, counted)
-        search_beta_opt(16, 0.0, 15.0)
-        assert len(calls) <= 6
+        grid = np.arange(0.01, 14.005, 0.01)
+        for n, grid_calls in ((16, 3), (64, 11)):
+            calls.clear()
+            search_beta_opt(n, 0.0, 15.0)
+            assert grid_calls == math.ceil(grid.size / (design._GRID_BLOCK // n))
+            assert np.array_equal(np.concatenate(calls[:grid_calls]), grid)
+            assert all(betas.size * n <= design._GRID_BLOCK for betas in calls)
+            assert len(calls) - grid_calls <= 5
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_search_peak_memory(self, n):
+        # NumPy reports its data buffers to tracemalloc; one stacked call over
+        # the whole grid peaked at 1.45 MiB (N = 16) and 5.6 MiB (N = 64)
+        search_beta_opt(n, 0.0, 15.0)
+        tracemalloc.start()
+        try:
+            search_beta_opt(n, 0.0, 15.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("name, value", [("wavelength", math.nan), ("wavelength", math.inf),
+                                             ("distance", math.nan), ("distance", -math.inf)])
+    def test_non_finite_lengths_rejected_before_the_search(self, monkeypatch, name, value):
+        monkeypatch.setattr(design, "singular_values_many", None)
+        args = {"n_s": 8, "theta_o": 0.0, "snr_db": 15.0, "wavelength": 0.004, "distance": 100.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            search_beta_opt(**args)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -499,6 +548,14 @@ class TestRadiiFromBeta:
     def test_positive_inputs_required(self):
         with pytest.raises(ValueError):
             radii_from_beta(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_finite_inputs_rejected(self, position, value):
+        args = [1.54, 0.004, 100.0]
+        args[position] = value
+        with pytest.raises(ValueError, match="finite"):
+            radii_from_beta(*args)
 
 
 class TestConditionNumber:
