@@ -29,6 +29,11 @@ LINEAR = "linear"
 # Polar range (radians) the codebook's centre-shift entries cover.
 _PHI_RANGE = (-0.175, 0.175)
 
+# Complex values of the codebook scorer's first-product operand per entry
+# block (256 KiB): with its y and Gram buffers the block stays in cache and
+# no buffer is handed back to the kernel between channels.
+_SCORE_BLOCK = 16384
+
 
 def _entries(h) -> np.ndarray:
     return h.entries if isinstance(h, ChannelMatrix) else np.asarray(h, dtype=complex)
@@ -215,37 +220,57 @@ def codebook_rates_many(
     G~_l).  That r x r matrix is Hermitian with eigenvalues >= 1, so its
     Cholesky factor exists and the log-determinant is 2 sum log L_kk.
 
-    The Gram matrices Q~^H diag(t_l)^H (H^H H) diag(t_l) Q~ of all entries
-    come from two matrix products over the whole codebook.  They are
-    formed transposed, entry-major, which gives their complex conjugates:
-    the same real Cholesky diagonal.  Everything that does not depend on
-    the channel (active set, Q~, phasors and the operand of the first
-    product) is built once per call; the channels are then scored one at
-    a time into the same buffers, so a row does not depend on the stack.
+    The Gram matrices Q~^H diag(t_l)^H (H^H H) diag(t_l) Q~ come from two
+    matrix products per entry block and channel.  They are formed
+    transposed, entry-major, which gives their complex conjugates: the
+    same real Cholesky diagonal.  The entries are scored in consecutive
+    blocks whose first-product operand (the rows of (diag(t_l) Q~)^T) holds
+    about _SCORE_BLOCK complex values: at least one entry, and an even
+    count when one stream is active.  The operand, product and Gram
+    buffers are allocated once per call; a block's phasors and operand are
+    built once, and every channel is scored against them.  A rate depends
+    neither on the block size nor on the stack: it equals the one-block,
+    one-channel score bit for bit.
     """
     n = cfg.n_antennas
+    if np.ndim(h) != 3 or np.shape(h)[1:] != (n, n):
+        raise ValueError(f"channels must have shape (T, {n}, {n}), got {np.shape(h)}")
+    if alloc.powers.shape != (n,):
+        raise ValueError(f"stream powers must have shape ({n},), got {alloc.powers.shape}")
     active = np.flatnonzero(alloc.powers > 0.0)
     q = dft_matrix(n)[:, active] * np.sqrt(alloc.powers[active] / alloc.noise)
     r = active.size
-    t = _phasors(cfg, tx_displacement(cfg, *cb.angle_pairs()))  # (L, N)
-    size = t.shape[0]
-    x = (t[:, None, :] * q.T).reshape(size * r, n)  # rows of (diag(t_l) Q~)^T
-    t_conj = t.conj()[:, None, :]
     q_conj = q.conj()
-    y = np.empty((size * r, n), dtype=complex)
-    y_entries = y.reshape(size, r, n)
-    gram = np.empty((size * r, r), dtype=complex)
-    gram_diag = gram.reshape(size, r * r)[:, :: r + 1]
-    rates = np.empty((h.shape[0], size))
-    for trial, entries in enumerate(h):
-        hh = entries.conj().T @ entries
-        np.matmul(x, hh.T, out=y)
-        y_entries *= t_conj  # rows of (diag(t_l)^H H^H H diag(t_l) Q~)^T
-        np.matmul(y, q_conj, out=gram)
-        gram_diag += 1.0
-        chol = np.linalg.cholesky(gram.reshape(size, r, r))
-        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
-        rates[trial] = logdet / _LN2
+    hh = [entries.conj().T @ entries for entries in h]
+    thetas, phis = cb.angle_pairs()
+    per = max(1, _SCORE_BLOCK // (r * n))
+    if r == 1:
+        # NumPy multiplies a one-row operand as a vector, which rounds
+        # differently; codebook sizes are powers of two, so even blocks leave
+        # no one-entry block unless the codebook has one entry.
+        per += per % 2
+    rows = min(per, cb.size) * r
+    x = np.empty((rows, n), dtype=complex)
+    y = np.empty((rows, n), dtype=complex)
+    gram = np.empty((rows, r), dtype=complex)
+    rates = np.empty((len(hh), cb.size))
+    for start in range(0, cb.size, per):
+        stop = min(start + per, cb.size)
+        b = stop - start
+        t = _phasors(cfg, tx_displacement(cfg, thetas[start:stop], phis[start:stop]))  # (b, N)
+        x_block, y_block, gram_block = x[: b * r], y[: b * r], gram[: b * r]
+        np.multiply(t[:, None, :], q.T, out=x_block.reshape(b, r, n))  # rows of (diag(t_l) Q~)^T
+        t_conj = t.conj()[:, None, :]
+        y_entries = y_block.reshape(b, r, n)
+        gram_diag = gram_block.reshape(b, r * r)[:, :: r + 1]
+        for trial, hh_trial in enumerate(hh):
+            np.matmul(x_block, hh_trial.T, out=y_block)
+            y_entries *= t_conj  # rows of (diag(t_l)^H H^H H diag(t_l) Q~)^T
+            np.matmul(y_block, q_conj, out=gram_block)
+            gram_diag += 1.0
+            chol = np.linalg.cholesky(gram_block.reshape(b, r, r))
+            logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+            rates[trial, start:stop] = logdet / _LN2
     return rates
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ucamimo import (
     dft_matrix,
     nulling_rates,
 )
+from ucamimo import transceiver
 from ucamimo.design import PowerAllocation, allocated_capacity, water_fill
 from ucamimo.spectrum import singular_values
 from ucamimo.transceiver import (
@@ -270,6 +272,79 @@ class TestStackedCodebookScorer:
         order = np.array([3, 0, 4, 2, 1])
         np.testing.assert_array_equal(codebook_rates_many(cfg, h[order], cb, alloc), rates[order])
         np.testing.assert_array_equal(codebook_rates_many(cfg, h[2:3], cb, alloc), rates[2:3])
+
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    @pytest.mark.parametrize("n, l1, l2, active", [(8, 3, 2, 1), (8, 3, 2, 5), (8, 3, 2, 8),
+                                                   (16, 7, 3, 1), (16, 7, 3, 9), (16, 7, 3, 16)])
+    def test_rates_do_not_depend_on_the_entry_block(self, monkeypatch, model, n, l1, l2, active):
+        # blocks of 1, per - 1, per and per + 1 entries, where per is the
+        # default block's entry count when that splits the codebook in at
+        # least three, each against one block larger than the codebook; with
+        # one active stream the scorer rounds a block up to an even count
+        cfg = design_point(n, 300.0)
+        cb = build_codebook(l1, l2)
+        alloc = stream_allocation(n, active)
+        _, h = self.stack(cfg, model, 3)
+        values = active * n
+        per = min(transceiver._SCORE_BLOCK // values, cb.size // 3)
+        monkeypatch.setattr(transceiver, "_SCORE_BLOCK", (cb.size + 1) * values)
+        whole = codebook_rates_many(cfg, h, cb, alloc)
+        for entries in (1, per - 1, per, per + 1):
+            monkeypatch.setattr(transceiver, "_SCORE_BLOCK", entries * values)
+            np.testing.assert_array_equal(codebook_rates_many(cfg, h, cb, alloc), whole)
+
+    def test_peak_memory(self):
+        # NumPy reports its data buffers to tracemalloc; buffers over the
+        # whole 1,024-entry codebook peaked at 8.9 MiB
+        cfg = design_point(16, 300.0)
+        cb = build_codebook(7, 3)
+        alloc = approx_power_allocation(cfg, 15.0)
+        _, h = self.stack(cfg, APPROXIMATE, 8)
+        codebook_rates_many(cfg, h, cb, alloc)
+        tracemalloc.start()
+        try:
+            codebook_rates_many(cfg, h, cb, alloc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize("n, l1, l2, active, block", [(8, 3, 2, 8, None), (16, 7, 3, 9, None),
+                                                          (16, 7, 3, 1, None), (16, 7, 3, 1, 5 * 16)])
+    def test_cholesky_calls_per_block(self, monkeypatch, n, l1, l2, active, block):
+        calls = []
+
+        def counted(a, *args, cholesky=np.linalg.cholesky, **kwargs):
+            calls.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        if block is not None:
+            monkeypatch.setattr(transceiver, "_SCORE_BLOCK", block)
+        cfg = design_point(n, 300.0)
+        cb = build_codebook(l1, l2)
+        _, h = self.stack(cfg, APPROXIMATE, 4)
+        codebook_rates_many(cfg, h, cb, stream_allocation(n, active))
+        per = max(1, transceiver._SCORE_BLOCK // (active * n))
+        per += per % 2 if active == 1 else 0
+        assert len(calls) == 4 * math.ceil(cb.size / per)
+        assert all(shape[0] <= per and shape[1:] == (active, active) for shape in calls)
+
+    @pytest.mark.parametrize(
+        "h_shape, powers_shape, match",
+        [
+            ((2, 8, 8), (2, 8), r"powers must have shape \(8,\)"),
+            ((2, 4, 4), (8,), r"channels must have shape \(T, 8, 8\)"),
+            ((2, 8, 4), (8,), r"channels must have shape \(T, 8, 8\)"),
+            ((8, 8), (8,), r"channels must have shape \(T, 8, 8\)"),
+        ],
+    )
+    def test_malformed_inputs_rejected(self, h_shape, powers_shape, match):
+        cfg = design_point(8, 300.0)
+        powers = np.full(powers_shape, SNR15 / 8)
+        alloc = PowerAllocation(powers=powers, total=SNR15, noise=1.0)
+        with pytest.raises(ValueError, match=match):
+            codebook_rates_many(cfg, np.ones(h_shape, dtype=complex), build_codebook(3, 2), alloc)
 
 
 class TestApproxPowerAllocation:
