@@ -33,6 +33,16 @@ def finite_float(text: str) -> float:
     return value
 
 
+def antenna_count(text: str) -> int:
+    """An antenna count option value; the one rule on antenna counts is checked here."""
+    value = int(text)
+    try:
+        _require_even(value, "antenna count")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def parse_angle(text: str) -> float:
     """Radians from a CLI angle: plain float, or 'deg:<value>' in degrees."""
     text = text.strip()
@@ -45,8 +55,8 @@ def parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(finite_float(x) for x in text.split(",") if x.strip())
 
 
-def parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def parse_antenna_list(text: str) -> tuple[int, ...]:
+    return tuple(antenna_count(x) for x in text.split(",") if x.strip())
 
 
 def parse_bit_grid(text: str) -> tuple[tuple[int, int], ...]:
@@ -89,8 +99,11 @@ def load_config_args(path: str) -> list[str]:
     return args
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file (flags override it)")
+def _common_parser() -> argparse.ArgumentParser:
+    """The parent of every subcommand; `main` also pre-scans argv with it."""
+    common = argparse.ArgumentParser(prog="ucamimo", add_help=False)
+    common.add_argument("--config", help="flat key=value config file (flags override it)")
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,10 +112,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design and simulate line-of-sight MIMO links between uniform circular arrays.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_parser()
+    campaign = argparse.ArgumentParser(add_help=False)  # the options simulate and codebook share
+    campaign.add_argument("--seed", type=int, required=True, help="RNG seed (runs are byte-reproducible)")
+    campaign.add_argument("--trials", type=int, default=100)
+    campaign.add_argument("--snr-db", type=finite_float, default=15.0)
+    campaign.add_argument("--lambda", dest="wavelength", type=finite_float, default=sim.DEFAULT_WAVELENGTH)
+    campaign.add_argument("--design-dist", type=finite_float, default=100.0)
+    campaign.add_argument("--range-all", type=parse_angle, default=math.radians(10.0),
+                          help="half-range of the small misalignment angles")
+    campaign.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
+    campaign.add_argument("--out", help="output CSV path (default stdout)")
 
-    p = sub.add_parser("design", help="optimal beta, radii and capacity for one configuration")
-    _add_common(p)
-    p.add_argument("--ns", type=int, default=8, help="number of antennas (even)")
+    p = sub.add_parser("design", parents=[common],
+                       help="optimal beta, radii and capacity for one configuration")
+    p.add_argument("--ns", type=antenna_count, default=8, help="number of antennas (even)")
     p.add_argument("--snr-db", type=finite_float, default=15.0)
     p.add_argument("--lambda", dest="wavelength", type=finite_float, default=0.004, help="wavelength [m]")
     p.add_argument("--dist", type=finite_float, default=100.0, help="centre distance [m]")
@@ -111,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=finite_float, default=0.01)
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("spectrum", help="singular values along a beta or theta_o sweep")
-    _add_common(p)
-    p.add_argument("--ns", type=int, default=8)
+    p = sub.add_parser("spectrum", parents=[common], help="singular values along a beta or theta_o sweep")
+    p.add_argument("--ns", type=antenna_count, default=8)
     p.add_argument("--axis", choices=("beta", "theta_o"), default="beta")
     p.add_argument("--beta", type=finite_float, default=3.1, help="fixed beta for the theta_o axis")
     p.add_argument("--theta-o", type=parse_angle, default=0.0, help="fixed rotation for the beta axis")
@@ -123,9 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("capacity-sweep", help="water-filled capacity against beta")
-    _add_common(p)
-    p.add_argument("--ns", type=int, default=8)
+    p = sub.add_parser("capacity-sweep", parents=[common], help="water-filled capacity against beta")
+    p.add_argument("--ns", type=antenna_count, default=8)
     p.add_argument("--snr-db", type=finite_float, default=15.0)
     p.add_argument("--theta-o", type=parse_angle, default=0.0)
     p.add_argument("--beta-max", type=finite_float, default=14.0)
@@ -133,39 +155,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_capacity_sweep)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo rate sweep over antennas and distances")
-    _add_common(p)
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (runs are byte-reproducible)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--ns-list", type=parse_int_list, default=(4, 8, 12, 16))
+    p = sub.add_parser("simulate", parents=[common, campaign],
+                       help="Monte-Carlo rate sweep over antennas and distances")
+    p.add_argument("--ns-list", type=parse_antenna_list, default=(4, 8, 12, 16))
     p.add_argument("--dist-list", type=parse_float_list, default=(100.0, 200.0, 300.0, 400.0, 500.0))
-    p.add_argument("--snr-db", type=finite_float, default=15.0)
-    p.add_argument("--lambda", dest="wavelength", type=finite_float, default=sim.DEFAULT_WAVELENGTH)
-    p.add_argument("--design-dist", type=finite_float, default=100.0)
     p.add_argument("--l1", type=int, default=5, help="azimuth codebook bits")
     p.add_argument("--l2", type=int, default=3, help="polar codebook bits")
-    p.add_argument("--range-all", type=parse_angle, default=math.radians(10.0),
-                   help="half-range of the small misalignment angles")
-    p.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
     p.add_argument("--exact-geometry", action="store_true",
                    help="build channels from exact distances instead of the separable model")
-    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("codebook", help="codebook rate against the bit budget")
-    _add_common(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--ns", type=int, default=16)
+    p = sub.add_parser("codebook", parents=[common, campaign], help="codebook rate against the bit budget")
+    p.add_argument("--ns", type=antenna_count, default=16)
     p.add_argument("--dist", type=finite_float, default=300.0)
-    p.add_argument("--snr-db", type=finite_float, default=15.0)
-    p.add_argument("--lambda", dest="wavelength", type=finite_float, default=sim.DEFAULT_WAVELENGTH)
-    p.add_argument("--design-dist", type=finite_float, default=100.0)
     p.add_argument("--bit-grid", type=parse_bit_grid, default=sim.DEFAULT_BIT_GRID,
                    help="comma-separated L1:L2 pairs")
-    p.add_argument("--range-all", type=parse_angle, default=math.radians(10.0))
-    p.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
-    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_codebook)
 
     return parser
@@ -180,7 +184,6 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_design(args) -> int:
-    _require_even(args.ns, "--ns")
     result = design.search_beta_opt(
         args.ns,
         args.theta_o,
@@ -208,7 +211,6 @@ def cmd_design(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _require_even(args.ns, "--ns")
     if args.num < 1:
         raise ValueError("--num must be at least 1")
     if args.axis == "beta":
@@ -235,7 +237,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_capacity_sweep(args) -> int:
-    _require_even(args.ns, "--ns")
     if args.step <= 0.0 or args.beta_max <= 0.0:
         raise ValueError("--step and --beta-max must be positive")
     if args.step > args.beta_max:
@@ -248,8 +249,8 @@ def cmd_capacity_sweep(args) -> int:
     return 0
 
 
-def _trial_config(args, ns_list, dist_list, **campaign) -> sim.TrialConfig:
-    """The options both campaign commands share; `campaign` adds those only one of them has."""
+def _trial_config(args, ns_list, dist_list, **own) -> sim.TrialConfig:
+    """The options both campaign commands share; `own` adds those only one of them has."""
     return sim.TrialConfig(
         seed=args.seed,
         n_trials=args.trials,
@@ -260,13 +261,11 @@ def _trial_config(args, ns_list, dist_list, **campaign) -> sim.TrialConfig:
         n_antennas_list=ns_list,
         wavelength=args.wavelength,
         design_distance=args.design_dist,
-        **campaign,
+        **own,
     )
 
 
 def cmd_simulate(args) -> int:
-    for ns in args.ns_list:
-        _require_even(ns, "--ns-list entry")
     trial_cfg = _trial_config(args, tuple(args.ns_list), tuple(args.dist_list),
                               codebook_bits=(args.l1, args.l2), exact_geometry=args.exact_geometry)
     rows = sim.run_rate_sweep(trial_cfg)
@@ -275,7 +274,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_codebook(args) -> int:
-    _require_even(args.ns, "--ns")
     trial_cfg = _trial_config(args, (args.ns,), (args.dist,))
     rows = sim.run_codebook_bit_sweep(trial_cfg, bit_grid=args.bit_grid)
     _emit(sim.rows_to_csv(rows), args.out)
@@ -286,25 +284,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
 
-    # Pre-scan for --config so file values become leading (overridable) args.
-    config_path = None
-    for at, token in enumerate(argv):
-        if token == "--config" and at + 1 < len(argv):
-            config_path = argv[at + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    if config_path is not None:
-        try:
-            config_args = load_config_args(config_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        argv = argv[:1] + config_args + argv[1:]
-
+    # The file's values go in front of the user's flags, which then override them; the
+    # pre-scan resolves --config as the full parse does (prefixes, --config=path).
     try:
-        args = parser.parse_args(argv)
+        config_path = _common_parser().parse_known_args(argv)[0].config
+        config_args = [] if config_path is None else load_config_args(config_path)
+        args = parser.parse_args(argv[:1] + config_args + argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
     try:
         return args.func(args)

@@ -296,7 +296,9 @@ def _squared_distance(cfg: ArrayConfig, mis: Misalignment, theta_n, theta_m):
     """Squared Tx-Rx distance in closed form.
 
     The element angles broadcast against each other; a stack of
-    misalignments adds its leading axes in front of theirs.
+    misalignments adds its leading axes in front of theirs.  The squared
+    tilted ring contributes no term: rotation and tilt keep the Rx ring's
+    radius, so sum_i amp_i**2 cos 2(theta_n - phase_i) is identically zero.
     """
     rt, rr, d = cfg.radius_tx, cfg.radius_rx, cfg.distance
     tail = max(np.ndim(theta_n), np.ndim(theta_m))
@@ -310,9 +312,6 @@ def _squared_distance(cfg: ArrayConfig, mis: Misalignment, theta_n, theta_m):
     sxsy = np.sin(phi_x) * np.sin(phi_y)
 
     rot = -2.0 * rt * rr * np.cos(theta_n - theta_m + theta_o)
-    ring = 0.5 * sum(
-        amps[i] ** 2 * np.cos(2.0 * (theta_n - phases[i])) for i in range(3)
-    )
     tilt = (
         4.0
         * rt
@@ -332,7 +331,7 @@ def _squared_distance(cfg: ArrayConfig, mis: Misalignment, theta_n, theta_m):
             - rt * np.sin(theta_m + theta_cs) * sin_pcs
         )
     )
-    return d * d + rt * rt + rr * rr + rot + ring + tilt + shift
+    return d * d + rt * rt + rr * rr + rot + tilt + shift
 
 
 def distance_exact(cfg: ArrayConfig, mis: Misalignment, n: int, m: int) -> float:

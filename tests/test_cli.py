@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from ucamimo import Misalignment, build_channel, nulling_rates, search_beta_opt
-from ucamimo.cli import main, parse_angle, parse_bit_grid, parse_float_list
+from ucamimo.cli import build_parser, main, parse_angle, parse_bit_grid, parse_float_list
 from ucamimo.design import water_fill
 from ucamimo.geometry import ArrayConfig
 from ucamimo.sim import TrialConfig, rows_to_csv, run_codebook_bit_sweep
@@ -309,7 +310,111 @@ def test_odd_or_small_antenna_count_exits_2(args, capsys):
     assert "must be an even integer >= 2, got" in captured.err
 
 
+@pytest.mark.parametrize("args, option", [
+    (["design", "--ns", "5"], "--ns"),
+    (["spectrum", "--ns=0"], "--ns"),
+    (["simulate", "--seed", "1", "--ns-list", "4,7"], "--ns-list"),
+    (["codebook", "--seed", "1", "--ns", "-2"], "--ns"),
+])
+def test_antenna_count_is_checked_while_parsing(args, option, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(args)
+    assert f"argument {option}: antenna count must be an even integer >= 2" in capsys.readouterr().err
+
+
+C_75GHZ = 299792458.0 / 75e9  # the campaigns' default wavelength [m]
+CAMPAIGN = {
+    "--config": (None, False),
+    "--seed": (None, True),
+    "--trials": (100, False),
+    "--snr-db": (15.0, False),
+    "--lambda": (C_75GHZ, False),
+    "--design-dist": (100.0, False),
+    "--range-all": (math.radians(10.0), False),
+    "--theta-cs-range": (math.pi, False),
+    "--out": (None, False),
+}
+SURFACE = {
+    "design": {
+        "--config": (None, False),
+        "--ns": (8, False),
+        "--snr-db": (15.0, False),
+        "--lambda": (0.004, False),
+        "--dist": (100.0, False),
+        "--theta-o": (0.0, False),
+        "--beta-max": (14.0, False),
+        "--resolution": (0.01, False),
+    },
+    "spectrum": {
+        "--config": (None, False),
+        "--ns": (8, False),
+        "--axis": ("beta", False),
+        "--beta": (3.1, False),
+        "--theta-o": (0.0, False),
+        "--start": (None, False),
+        "--stop": (None, False),
+        "--num": (601, False),
+        "--out": (None, False),
+    },
+    "capacity-sweep": {
+        "--config": (None, False),
+        "--ns": (8, False),
+        "--snr-db": (15.0, False),
+        "--theta-o": (0.0, False),
+        "--beta-max": (14.0, False),
+        "--step": (0.01, False),
+        "--out": (None, False),
+    },
+    "simulate": {
+        **CAMPAIGN,
+        "--ns-list": ((4, 8, 12, 16), False),
+        "--dist-list": ((100.0, 200.0, 300.0, 400.0, 500.0), False),
+        "--l1": (5, False),
+        "--l2": (3, False),
+        "--exact-geometry": (False, False),
+    },
+    "codebook": {
+        **CAMPAIGN,
+        "--ns": (16, False),
+        "--dist": (300.0, False),
+        "--bit-grid": (((1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (7, 3),
+                        (3, 1), (3, 2), (3, 4), (3, 5)), False),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    # every option string of every subcommand, with its default and whether it is required;
+    # only the order in --help is free to move
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(SURFACE)
+    for name, command in commands.items():
+        surface = {}
+        for action in command._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for option in action.option_strings:
+                assert option not in surface, f"{name} {option} declared twice"
+                surface[option] = (action.default, action.required)
+        assert surface == SURFACE[name], name
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("flag", [["--conf", "{}"], ["--conf={}"], ["--config={}"]])
+    def test_abbreviated_or_joined_flag_reads_the_file(self, tmp_path, capsys, flag):
+        # argparse accepts a unique prefix of --config, so the file it names must be read
+        conf = tmp_path / "run.conf"
+        conf.write_text("ns = 4\n")
+        assert run_cli(["design", *(part.format(conf) for part in flag)]) == 0
+        assert parse_kv(capsys.readouterr().out)["n_antennas"] == "4"
+
+    def test_bare_trailing_flag_is_usage_error(self, capsys):
+        assert run_cli(["design", "--config"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --config: expected one argument" in captured.err
+
     def test_file_supplies_defaults_and_flags_override(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("ns = 4\nsnr-db = 15\nlambda = 0.004\ndist = 100\n")

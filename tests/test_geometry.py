@@ -202,7 +202,7 @@ class TestDistanceApprox:
             ang = 2 * math.pi * (n - m) / 8 + 0.17
             assert dec.d_a == pytest.approx(100.0 - (0.31 * 0.31 / 100.0) * math.cos(ang), rel=1e-14)
             assert dec.tau_t == 0.0
-            # the per-axis ring curvature terms cancel pairwise without tilt
+            # the per-axis ring curvature terms cancel for every misalignment (the ring keeps its radius)
             assert abs(dec.tau_r) < 1e-15
 
     def test_total_identity(self):

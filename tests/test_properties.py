@@ -26,7 +26,7 @@ from ucamimo import (
     water_fill,
 )
 from ucamimo.design import condition_numbers, power_from_db
-from ucamimo.geometry import ANGLE_NAMES
+from ucamimo.geometry import ANGLE_NAMES, rx_ring_harmonics
 from ucamimo.spectrum import singular_values_many
 from ucamimo.transceiver import codebook_rates_many, precoded_rate
 
@@ -112,6 +112,24 @@ def test_closed_form_svd_matches_numerical_svd(link):
     numeric = numerical_svd(h.entries).sigma
     np.testing.assert_allclose(np.sort(closed.sigma), np.sort(numeric), rtol=0.0, atol=1e-13 * numeric[0])
     assert np.max(np.abs(closed.reconstruct() - h.entries)) <= 1e-12
+
+
+@PROPERTY
+@given(link=links(max_n=64), data=st.data())
+def test_rx_ring_keeps_its_radius(link, data):
+    # Rotation and tilt keep the Rx ring's radius: sum_i amp_i**2 = 2 R_r**2, and the harmonic
+    # sum_i amp_i**2 cos 2(theta_n - phase_i) is identically zero, which is why the exact squared
+    # distance has no ring term.  The cosines' arguments reach 4 pi, so the computed harmonic keeps
+    # a few 1e-15 R_r**2 of rounding; the ring term was half of it, and half of 1e-14 R_r**2 is
+    # below half an ulp of D**2 once D >= 10 R_r, so the term never moved a bit there.
+    cfg, _ = link
+    trials = data.draw(st.lists(edge_misalignments(cfg.n_antennas), min_size=1, max_size=6))
+    amps, phases = rx_ring_harmonics(cfg, stack_of(trials))
+    r2 = cfg.radius_rx**2
+    np.testing.assert_allclose(np.sum(amps**2, axis=-1), 2.0 * r2, rtol=1e-15, atol=0.0)
+    th = cfg.antenna_angles[:, None]
+    harmonic = np.sum(amps[:, None, :] ** 2 * np.cos(2.0 * (th - phases[:, None, :])), axis=-1)
+    assert np.max(np.abs(harmonic)) <= 1e-14 * r2
 
 
 @PROPERTY
