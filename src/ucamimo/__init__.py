@@ -21,18 +21,7 @@ from .design import (
     search_beta_opt,
     water_fill,
 )
-from .geometry import (
-    ArrayConfig,
-    Coordinate3,
-    DistanceDecomposition,
-    Misalignment,
-    ModelValidityError,
-    distance_approx,
-    distance_exact,
-    rotation_matrix,
-    rx_antenna_position,
-    tx_antenna_position,
-)
+from .geometry import ArrayConfig, Misalignment, ModelValidityError, rotation_matrix
 from .sim import ResultRow, TrialConfig, draw_misalignment, run_codebook_bit_sweep, run_rate_sweep
 from .spectrum import singular_values
 from .transceiver import (

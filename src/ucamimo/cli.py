@@ -76,7 +76,8 @@ def load_config_args(path: str) -> list[str]:
 
     Keys mirror the long flag names (hyphens or underscores both work);
     boolean flags take true/false values.  Because these fragments are
-    prepended to the user's argv, explicit flags override the file.
+    prepended to the user's argv, explicit flags override the file.  A
+    `config` key is an error: files do not nest.
     """
     args: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -91,6 +92,8 @@ def load_config_args(path: str) -> list[str]:
             value = value.strip()
             if not key or not value:
                 raise ValueError(f"{path}:{lineno}: empty key or value")
+            if "config".startswith(key):  # argparse would read any prefix as --config
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
             if value.lower() in ("true", "false"):
                 if value.lower() == "true":
                     args.append(f"--{key}")

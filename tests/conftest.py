@@ -1,6 +1,7 @@
 import numpy as np
 
-from ucamimo import ArrayConfig, Misalignment
+from ucamimo import ArrayConfig, Misalignment, rotation_matrix
+from ucamimo.geometry import _require_far_field, rx_displacement, tx_displacement
 
 
 def random_config(rng, n_antennas=None, far_field=True):
@@ -28,6 +29,53 @@ def random_misalignment(rng, n_antennas, small=np.radians(10.0)):
         phi_x=float(rng.uniform(-small, small)),
         phi_y=float(rng.uniform(-small, small)),
     )
+
+
+def element_coordinates(cfg, mis):
+    """Tx and Rx element coordinates from the paper's geometry; shapes (N, 3) and (..., N, 3).
+
+    Element k sits at angle 2*pi*k/N of its ring.  The Tx ring lies on the
+    xy-plane.  The Rx ring is rotated in-plane by theta_o, tilted by the yz-
+    then the xz-plane rotation and moved to the shifted centre
+    D*(sin phi_cs sin theta_cs, sin phi_cs cos theta_cs, cos phi_cs).
+    """
+    th = 2.0 * np.pi * np.arange(1, cfg.n_antennas + 1) / cfg.n_antennas
+
+    def ring(radius, angles):
+        return radius * np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
+
+    theta_o, theta_cs, phi_cs = (np.asarray(a, dtype=float) for a in (mis.theta_o, mis.theta_cs, mis.phi_cs))
+    tilt = rotation_matrix("xz", mis.phi_x) @ rotation_matrix("yz", mis.phi_y)
+    centre = cfg.distance * np.stack(
+        [np.sin(phi_cs) * np.sin(theta_cs), np.sin(phi_cs) * np.cos(theta_cs), np.cos(phi_cs)], axis=-1
+    )
+    rx = centre[..., None, :] + ring(cfg.radius_rx, th + theta_o[..., None]) @ np.swapaxes(tilt, -1, -2)
+    return ring(cfg.radius_tx, th), rx
+
+
+def coordinate_distances(cfg, mis):
+    """Exact distances as norms of coordinate differences, shape (..., N, N); entry (n, m) is Rx n to Tx m.
+
+    The independent oracle for `distance_matrix_exact`: it shares no code
+    with the closed form it checks.
+    """
+    tx, rx = element_coordinates(cfg, mis)
+    return np.linalg.norm(rx[..., :, None, :] - tx, axis=-1)
+
+
+def separable_distances(cfg, mis):
+    """Separable far-field distances d_a - tau_t + tau_r, shape (..., N, N), from the production displacements.
+
+    d_a = D - (R_t R_r / D) cos(theta_n - theta_m + theta_o) is the distance
+    of the rotated but otherwise aligned pair; the channel's phase
+    diagonals carry the Tx offsets tau_t and the Rx offsets tau_r.
+    """
+    _require_far_field(cfg)
+    th = cfg.antenna_angles
+    theta_o = np.asarray(mis.theta_o, dtype=float)[..., None, None]
+    d_a = cfg.distance - (cfg.radius_tx * cfg.radius_rx / cfg.distance) * np.cos(th[:, None] - th + theta_o)
+    tau_t = tx_displacement(cfg, mis.theta_cs, mis.phi_cs)[..., None, :]
+    return d_a - tau_t + rx_displacement(cfg, mis)[..., :, None]
 
 
 def previous_water_fill_powers(sigmas, p_total, noise):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import random_config, random_misalignment
+from conftest import coordinate_distances, random_config, random_misalignment, separable_distances
 from ucamimo import (
     ArrayConfig,
     Misalignment,
@@ -26,12 +26,7 @@ from ucamimo import (
     singular_values,
 )
 from ucamimo.design import TIE_TOLERANCE_BITS, water_fill
-from ucamimo.geometry import (
-    distance_approx,
-    distance_exact,
-    rx_antenna_position,
-    tx_antenna_position,
-)
+from ucamimo.geometry import distance_matrix_exact
 from ucamimo.sim import AGGREGATE_TRIAL, TrialConfig, rows_to_csv, run_codebook_bit_sweep, run_rate_sweep
 from ucamimo.spectrum import leading_dominance_bound, singular_values_many
 
@@ -301,20 +296,19 @@ def test_criterion_06_spectrum_structure_suite():
 
 
 def test_criterion_07_geometry_oracle():
-    """Closed-form distance vs coordinate norm to 1e-12 relative on 1e4 draws, < 5 s."""
+    """Closed-form distance vs coordinate norm to 1e-12 relative on 1e4 draws, < 5 s.
+
+    The oracle builds element coordinates from the paper's rotations in
+    conftest and shares no code with `distance_matrix_exact`.
+    """
     start = time.time()
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 10_000:
         cfg = random_config(rng, far_field=False)
         mis = random_misalignment(rng, cfg.n_antennas)
-        tx = np.array([tx_antenna_position(cfg, m).as_array() for m in range(1, cfg.n_antennas + 1)])
-        rx = np.array([rx_antenna_position(cfg, mis, n).as_array() for n in range(1, cfg.n_antennas + 1)])
-        for n in range(cfg.n_antennas):
-            for m in range(cfg.n_antennas):
-                ref = float(np.linalg.norm(rx[n] - tx[m]))
-                val = distance_exact(cfg, mis, n + 1, m + 1)
-                assert abs(val - ref) <= 1e-12 * ref
+        ref = coordinate_distances(cfg, mis)
+        assert (np.abs(distance_matrix_exact(cfg, mis) - ref) <= 1e-12 * ref).all()
         checked += cfg.n_antennas**2
 
     # approximation error decays monotonically as the distance grows
@@ -322,13 +316,7 @@ def test_criterion_07_geometry_oracle():
     errors = []
     for dist in (1e2, 1e3, 1e4):
         cfg = ArrayConfig(n_antennas=8, wavelength=0.004, radius_tx=0.31, radius_rx=0.31, distance=dist)
-        errors.append(
-            max(
-                abs(distance_exact(cfg, mis, n, m) - distance_approx(cfg, mis, n, m).total)
-                for n in range(1, 9)
-                for m in range(1, 9)
-            )
-        )
+        errors.append(float(np.max(np.abs(distance_matrix_exact(cfg, mis) - separable_distances(cfg, mis)))))
     assert errors[0] > errors[1] > errors[2]
     elapsed = time.time() - start
     assert elapsed < 5.0, f"criterion 7 runtime {elapsed:.1f} s exceeds 5 s"

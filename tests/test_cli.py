@@ -435,6 +435,16 @@ class TestConfigFile:
         assert run_cli(["design", "--config", str(conf)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_nested_config_key_is_usage_error(self, tmp_path, capsys, key):
+        (tmp_path / "other.conf").write_text("ns = 4\n")
+        conf = tmp_path / "nested.conf"
+        conf.write_text(f"snr-db = 10\n{key} = {tmp_path / 'other.conf'}\n")
+        assert run_cli(["design", "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nested.conf:2" in captured.err
+
     def test_malformed_line_reports_path(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("just a line\n")

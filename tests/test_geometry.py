@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_config, random_misalignment
-from ucamimo import ArrayConfig, Misalignment, ModelValidityError
+from conftest import (
+    coordinate_distances,
+    element_coordinates,
+    random_config,
+    random_misalignment,
+    separable_distances,
+)
+from ucamimo import ArrayConfig, Misalignment, ModelValidityError, build_channels
 from ucamimo.geometry import (
     attitude_matrix,
-    center_vector,
-    distance_approx,
-    distance_exact,
     distance_matrix_exact,
     rotation_matrix,
-    rx_antenna_position,
+    rx_displacement,
     rx_ring_harmonics,
-    tx_antenna_position,
+    tx_displacement,
 )
 
 
@@ -83,40 +86,30 @@ class TestConfigAndMisalignment:
 
 
 class TestAntennaPositions:
+    """The coordinate oracle in conftest, and the production closed forms checked against it."""
+
     def test_tx_last_element_on_x_axis(self):
-        cfg = mmwave_config(8)
-        pos = tx_antenna_position(cfg, 8)
-        np.testing.assert_allclose(pos.as_array(), [0.31, 0.0, 0.0], atol=1e-12)
+        tx, _ = element_coordinates(mmwave_config(8), Misalignment())
+        np.testing.assert_allclose(tx[7], [0.31, 0.0, 0.0], atol=1e-12)
 
     def test_tx_half_turn(self):
-        cfg = mmwave_config(8)
-        np.testing.assert_allclose(
-            tx_antenna_position(cfg, 4).as_array(), [-0.31, 0.0, 0.0], atol=1e-12
-        )
+        tx, _ = element_coordinates(mmwave_config(8), Misalignment())
+        np.testing.assert_allclose(tx[3], [-0.31, 0.0, 0.0], atol=1e-12)
 
     def test_tx_quarter_turn(self):
-        cfg = mmwave_config(8)
-        np.testing.assert_allclose(
-            tx_antenna_position(cfg, 2).as_array(), [0.0, 0.31, 0.0], atol=1e-12
-        )
-
-    def test_index_range_checked(self):
-        cfg = mmwave_config(8)
-        with pytest.raises(ValueError):
-            tx_antenna_position(cfg, 0)
-        with pytest.raises(ValueError):
-            rx_antenna_position(cfg, Misalignment(), 9)
+        tx, _ = element_coordinates(mmwave_config(8), Misalignment())
+        np.testing.assert_allclose(tx[1], [0.0, 0.31, 0.0], atol=1e-12)
 
     def test_rx_aligned_last_element(self):
-        cfg = mmwave_config(8)
-        pos = rx_antenna_position(cfg, Misalignment(), 8)
-        np.testing.assert_allclose(pos.as_array(), [0.31, 0.0, 100.0], atol=1e-12)
+        _, rx = element_coordinates(mmwave_config(8), Misalignment())
+        np.testing.assert_allclose(rx[7], [0.31, 0.0, 100.0], atol=1e-12)
 
     def test_zero_polar_shift_centers_on_boresight(self):
         cfg = mmwave_config(8)
         for theta_cs in (-2.0, 0.4, 3.0):
             mis = Misalignment(theta_cs=max(min(theta_cs, math.pi), -math.pi))
-            np.testing.assert_allclose(center_vector(cfg, mis), [0.0, 0.0, 100.0], atol=1e-12)
+            _, rx = element_coordinates(cfg, mis)
+            np.testing.assert_allclose(rx.mean(axis=0), [0.0, 0.0, 100.0], atol=1e-12)
 
     def test_shift_frame_closed_form_matches_rotated_position(self):
         rng = np.random.default_rng(3)
@@ -125,17 +118,20 @@ class TestAntennaPositions:
             mis = random_misalignment(rng, cfg.n_antennas)
             amps, phases = rx_ring_harmonics(cfg, mis)
             offset = cfg.distance * np.array([0.0, math.sin(mis.phi_cs), math.cos(mis.phi_cs)])
+            _, rx = element_coordinates(cfg, mis)
             for n in (1, cfg.n_antennas // 2, cfg.n_antennas):
-                direct = rotation_matrix("xy", mis.theta_cs) @ rx_antenna_position(cfg, mis, n).as_array()
+                direct = rotation_matrix("xy", mis.theta_cs) @ rx[n - 1]
                 closed = offset + amps * np.cos(2 * math.pi * n / cfg.n_antennas - phases)
                 np.testing.assert_allclose(closed, direct, atol=1e-12)
 
     def test_center_vector_rotates_into_yz_plane(self):
+        # the ring's elements sum to zero, so the mean of the Rx coordinates is the shifted centre
         rng = np.random.default_rng(4)
         for _ in range(50):
             cfg = random_config(rng)
             mis = random_misalignment(rng, cfg.n_antennas, small=1.2)
-            rotated = rotation_matrix("xy", mis.theta_cs) @ center_vector(cfg, mis)
+            _, rx = element_coordinates(cfg, mis)
+            rotated = rotation_matrix("xy", mis.theta_cs) @ rx.mean(axis=0)
             expected = [0.0, cfg.distance * math.sin(mis.phi_cs), cfg.distance * math.cos(mis.phi_cs)]
             np.testing.assert_allclose(rotated, expected, atol=1e-12 * cfg.distance)
 
@@ -149,18 +145,19 @@ class TestAntennaPositions:
 
 class TestDistanceExact:
     def test_facing_elements_aligned(self):
-        cfg = mmwave_config(8)
+        dist = distance_matrix_exact(mmwave_config(8), Misalignment())
         for n in range(1, 9):
-            assert distance_exact(cfg, Misalignment(), n, n) == pytest.approx(100.0, abs=1e-12)
+            assert dist[n - 1, n - 1] == pytest.approx(100.0, abs=1e-12)
 
     def test_aligned_closed_form(self):
         # no misalignment: sqrt(D^2 + Rt^2 + Rr^2 - 2 Rt Rr cos(theta_n - theta_m))
         cfg = ArrayConfig(n_antennas=8, wavelength=0.004, radius_tx=0.25, radius_rx=0.4, distance=80.0)
+        dist = distance_matrix_exact(cfg, Misalignment())
         for n in range(1, 9):
             for m in range(1, 9):
                 ang = 2 * math.pi * (n - m) / 8
                 ref = math.sqrt(80.0**2 + 0.25**2 + 0.4**2 - 2 * 0.25 * 0.4 * math.cos(ang))
-                assert distance_exact(cfg, Misalignment(), n, m) == pytest.approx(ref, rel=1e-14)
+                assert dist[n - 1, m - 1] == pytest.approx(ref, rel=1e-14)
 
     def test_matches_coordinate_norm(self):
         rng = np.random.default_rng(6)
@@ -169,48 +166,38 @@ class TestDistanceExact:
             mis = random_misalignment(rng, cfg.n_antennas)
             n = int(rng.integers(1, cfg.n_antennas + 1))
             m = int(rng.integers(1, cfg.n_antennas + 1))
-            ref = float(
-                np.linalg.norm(
-                    rx_antenna_position(cfg, mis, n).as_array()
-                    - tx_antenna_position(cfg, m).as_array()
-                )
-            )
-            assert abs(distance_exact(cfg, mis, n, m) - ref) <= 1e-12 * ref
-
-    def test_matrix_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        cfg = random_config(rng)
-        mis = random_misalignment(rng, cfg.n_antennas)
-        mat = distance_matrix_exact(cfg, mis)
-        for n in (1, 3, cfg.n_antennas):
-            for m in (2, cfg.n_antennas):
-                assert mat[n - 1, m - 1] == pytest.approx(distance_exact(cfg, mis, n, m), rel=1e-15)
+            ref = coordinate_distances(cfg, mis)[n - 1, m - 1]
+            assert abs(distance_matrix_exact(cfg, mis)[n - 1, m - 1] - ref) <= 1e-12 * ref
 
 
 class TestDistanceApprox:
     def test_zero_polar_shift_kills_tx_displacement(self):
         cfg = mmwave_config(8)
         mis = Misalignment(theta_o=0.1, theta_cs=1.0, phi_x=0.1, phi_y=-0.1)
-        for m in range(1, 9):
-            assert distance_approx(cfg, mis, 1, m).tau_t == 0.0
+        assert (tx_displacement(cfg, mis.theta_cs, mis.phi_cs) == 0.0).all()
 
     def test_rotation_only_decomposition(self):
         cfg = mmwave_config(8)
         mis = Misalignment(theta_o=0.17)
+        dist = separable_distances(cfg, mis)
+        tau_t = tx_displacement(cfg, mis.theta_cs, mis.phi_cs)
+        tau_r = rx_displacement(cfg, mis)
         for n, m in ((1, 5), (3, 3), (8, 2)):
-            dec = distance_approx(cfg, mis, n, m)
             ang = 2 * math.pi * (n - m) / 8 + 0.17
-            assert dec.d_a == pytest.approx(100.0 - (0.31 * 0.31 / 100.0) * math.cos(ang), rel=1e-14)
-            assert dec.tau_t == 0.0
+            assert dist[n - 1, m - 1] == pytest.approx(100.0 - (0.31 * 0.31 / 100.0) * math.cos(ang), rel=1e-14)
+            assert tau_t[m - 1] == 0.0
             # the per-axis ring curvature terms cancel for every misalignment (the ring keeps its radius)
-            assert abs(dec.tau_r) < 1e-15
+            assert abs(tau_r[n - 1]) < 1e-15
 
-    def test_total_identity(self):
+    def test_separable_channel_is_the_phasor_of_the_distances(self):
+        # the channel assembles T_r H_a T_t^H, whose phases are the separable distances
         rng = np.random.default_rng(8)
-        cfg = random_config(rng)
-        mis = random_misalignment(rng, cfg.n_antennas)
-        dec = distance_approx(cfg, mis, 2, 3)
-        assert dec.total == dec.d_a - dec.tau_t + dec.tau_r
+        for _ in range(20):
+            cfg = random_config(rng)
+            mis = random_misalignment(rng, cfg.n_antennas)
+            k = 2 * math.pi / cfg.wavelength
+            expected = np.exp(-1j * k * separable_distances(cfg, mis))
+            np.testing.assert_allclose(build_channels(cfg, mis), expected, rtol=0.0, atol=1e-14 * k * cfg.distance)
 
     def test_rotation_only_error_is_second_order_remainder(self):
         # the separable model drops the constant (Rt^2+Rr^2)/(2D); after
@@ -222,7 +209,7 @@ class TestDistanceApprox:
             mis = Misalignment(theta_o=float(rng.uniform(-math.pi / 8, math.pi / 8)))
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, 9))
-            err = distance_exact(cfg, mis, n, m) - distance_approx(cfg, mis, n, m).total
+            err = (distance_matrix_exact(cfg, mis) - separable_distances(cfg, mis))[n - 1, m - 1]
             assert abs(err - const) <= 1e-5 * cfg.wavelength
 
     def test_general_error_bounds_at_production_scale(self):
@@ -231,15 +218,7 @@ class TestDistanceApprox:
         rng = np.random.default_rng(10)
         for _ in range(40):
             mis = random_misalignment(rng, 8)
-            errs = np.array(
-                [
-                    [
-                        distance_exact(cfg, mis, n, m) - distance_approx(cfg, mis, n, m).total
-                        for m in range(1, 9)
-                    ]
-                    for n in range(1, 9)
-                ]
-            )
+            errs = distance_matrix_exact(cfg, mis) - separable_distances(cfg, mis)
             assert np.max(np.abs(errs)) <= 1.2e-3
             assert np.max(np.abs(errs - errs.mean())) <= 1.5e-4
 
@@ -248,13 +227,7 @@ class TestDistanceApprox:
         errs = []
         for dist in (1e2, 1e3, 1e4):
             cfg = ArrayConfig(n_antennas=8, wavelength=0.004, radius_tx=0.31, radius_rx=0.31, distance=dist)
-            errs.append(
-                max(
-                    abs(distance_exact(cfg, mis, n, m) - distance_approx(cfg, mis, n, m).total)
-                    for n in range(1, 9)
-                    for m in range(1, 9)
-                )
-            )
+            errs.append(np.max(np.abs(distance_matrix_exact(cfg, mis) - separable_distances(cfg, mis))))
         assert errs[0] > errs[1] > errs[2]
 
     def test_rotation_only_residual_decays_cubically(self):
@@ -263,17 +236,12 @@ class TestDistanceApprox:
         for dist in (1e2, 1e3):
             cfg = ArrayConfig(n_antennas=8, wavelength=0.004, radius_tx=0.31, radius_rx=0.31, distance=dist)
             const = (cfg.radius_tx**2 + cfg.radius_rx**2) / (2 * dist)
-            residuals.append(
-                max(
-                    abs(distance_exact(cfg, mis, n, m) - distance_approx(cfg, mis, n, m).total - const)
-                    for n in range(1, 9)
-                    for m in range(1, 9)
-                )
-            )
+            err = distance_matrix_exact(cfg, mis) - separable_distances(cfg, mis)
+            residuals.append(np.max(np.abs(err - const)))
         assert residuals[0] / residuals[1] > 100.0
 
     def test_close_range_guard(self):
         cfg = ArrayConfig(n_antennas=4, wavelength=0.004, radius_tx=2.0, radius_rx=2.0, distance=10.0)
         with pytest.raises(ModelValidityError):
-            distance_approx(cfg, Misalignment(), 1, 1)
-        assert math.isfinite(distance_exact(cfg, Misalignment(), 1, 1))
+            separable_distances(cfg, Misalignment())
+        assert np.isfinite(distance_matrix_exact(cfg, Misalignment())).all()

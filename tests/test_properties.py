@@ -1,5 +1,5 @@
-"""Property-based checks of the stacked channel build, the closed-form SVD, the spectrum,
-water-filling and the codebook scorer."""
+"""Property-based checks of the stacked exact distances and channel build, the closed-form SVD,
+the spectrum, water-filling and the codebook scorer."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, previous_water_fill_powers
+from conftest import bits, coordinate_distances, previous_water_fill_powers
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
@@ -26,7 +26,7 @@ from ucamimo import (
     water_fill,
 )
 from ucamimo.design import condition_numbers, power_from_db
-from ucamimo.geometry import ANGLE_NAMES, rx_ring_harmonics
+from ucamimo.geometry import ANGLE_NAMES, distance_matrix_exact, rx_ring_harmonics
 from ucamimo.spectrum import singular_values_many
 from ucamimo.transceiver import codebook_rates_many, precoded_rate
 
@@ -86,6 +86,19 @@ def edge_misalignments(draw, n):
 
 def stack_of(mis_list) -> Misalignment:
     return Misalignment(*(np.array([getattr(m, name) for m in mis_list]) for name in ANGLE_NAMES))
+
+
+@PROPERTY
+@given(link=links(max_n=64), data=st.data())
+def test_stacked_exact_distances_match_coordinate_norms(link, data):
+    # the trial-axis broadcast that --exact-geometry builds, against the coordinate oracle one trial at a time
+    cfg, _ = link
+    n = cfg.n_antennas
+    trials = data.draw(st.lists(edge_misalignments(n), min_size=1, max_size=6))
+    stacked = distance_matrix_exact(cfg, stack_of(trials))
+    assert stacked.shape == (len(trials), n, n)
+    for row, mis in zip(stacked, trials):
+        np.testing.assert_allclose(row, coordinate_distances(cfg, mis), rtol=1e-12, atol=0.0)
 
 
 @PROPERTY
