@@ -5,7 +5,11 @@ Subcommands: ``design`` (optimal sizing for a given antenna count and SNR),
 beta), ``simulate`` (Monte-Carlo rate sweep) and ``codebook`` (codebook
 bit-budget sweep).  Units are metres, dB and radians; any angle option also
 accepts a ``deg:`` prefix (e.g. ``deg:10``).  A flat key=value config file
-can supply defaults; command-line flags override it.
+(``--config``) can supply any of the subcommand's options, and command-line
+flags override it.  Its keys must equal the subcommand's long option names
+(hyphens or underscores); an unknown key exits 2 and names the file and
+line.  true/false apply only to switches; every other value is checked
+exactly as the same value given as a flag.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
 """
@@ -71,14 +75,20 @@ def parse_bit_grid(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def load_config_args(path: str) -> list[str]:
-    """Turn a flat key=value file into argv fragments.
+def load_config_args(path: str, name: str, command: argparse.ArgumentParser) -> list[str]:
+    """Turn a flat key=value file into argv fragments for subcommand `name`.
 
-    Keys mirror the long flag names (hyphens or underscores both work);
-    boolean flags take true/false values.  Because these fragments are
-    prepended to the user's argv, explicit flags override the file.  A
-    `config` key is an error: files do not nest.
+    Each key (hyphens or underscores) must equal one of `command`'s long
+    option names other than --config and --help; any other key is an error
+    that names the file and line.  true/false set or clear a switch, and
+    are the only values a switch takes.  Every other value becomes one
+    `--key=value` token, so argparse gives it the option's own type,
+    choices and required checks, and a value that starts with '-' stays a
+    value.  `main` puts the fragments before the user's flags, which
+    therefore override the file.
     """
+    actions = {option: action for action in command._actions for option in action.option_strings
+               if option not in ("--config", "--help")}
     args: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -92,21 +102,23 @@ def load_config_args(path: str) -> list[str]:
             value = value.strip()
             if not key or not value:
                 raise ValueError(f"{path}:{lineno}: empty key or value")
-            if "config".startswith(key):  # argparse would read any prefix as --config
-                raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    args.append(f"--{key}")
-            else:
-                args.extend((f"--{key}", value))
+            action = actions.get(f"--{key}")
+            if action is None:
+                raise ValueError(f"{path}:{lineno}: {name} has no option --{key}")
+            if not isinstance(action, argparse._StoreTrueAction):
+                args.append(f"--{key}={value}")
+            elif value.lower() not in ("true", "false"):
+                raise ValueError(f"{path}:{lineno}: switch --{key} takes true or false, got {value!r}")
+            elif value.lower() == "true":
+                args.append(f"--{key}")
     return args
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    """The parent of every subcommand; `main` also pre-scans argv with it."""
-    common = argparse.ArgumentParser(prog="ucamimo", add_help=False)
-    common.add_argument("--config", help="flat key=value config file (flags override it)")
-    return common
+def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, declared once for every subcommand that shares it."""
+    parent = argparse.ArgumentParser(prog="ucamimo", add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,30 +127,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design and simulate line-of-sight MIMO links between uniform circular arrays.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_parser()
-    campaign = argparse.ArgumentParser(add_help=False)  # the options simulate and codebook share
+    common = _parent("--config", help="flat key=value config file (flags override it)")
+    snr = _parent("--snr-db", type=finite_float, default=15.0)
+    beta_max = _parent("--beta-max", type=finite_float, default=14.0)
+    out = _parent("--out", help="output CSV path (default stdout)")
+    # the options simulate and codebook share
+    campaign = argparse.ArgumentParser(add_help=False, parents=[snr, out])
     campaign.add_argument("--seed", type=int, required=True, help="RNG seed (runs are byte-reproducible)")
     campaign.add_argument("--trials", type=int, default=100)
-    campaign.add_argument("--snr-db", type=finite_float, default=15.0)
     campaign.add_argument("--lambda", dest="wavelength", type=finite_float, default=sim.DEFAULT_WAVELENGTH)
     campaign.add_argument("--design-dist", type=finite_float, default=100.0)
     campaign.add_argument("--range-all", type=parse_angle, default=math.radians(10.0),
                           help="half-range of the small misalignment angles")
     campaign.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
-    campaign.add_argument("--out", help="output CSV path (default stdout)")
 
-    p = sub.add_parser("design", parents=[common],
+    p = sub.add_parser("design", parents=[common, snr, beta_max],
                        help="optimal beta, radii and capacity for one configuration")
     p.add_argument("--ns", type=antenna_count, default=8, help="number of antennas (even)")
-    p.add_argument("--snr-db", type=finite_float, default=15.0)
     p.add_argument("--lambda", dest="wavelength", type=finite_float, default=0.004, help="wavelength [m]")
     p.add_argument("--dist", type=finite_float, default=100.0, help="centre distance [m]")
     p.add_argument("--theta-o", type=parse_angle, default=0.0, help="rotation angle [rad or deg:x]")
-    p.add_argument("--beta-max", type=finite_float, default=14.0)
     p.add_argument("--resolution", type=finite_float, default=0.01)
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("spectrum", parents=[common], help="singular values along a beta or theta_o sweep")
+    p = sub.add_parser("spectrum", parents=[common, out],
+                       help="singular values along a beta or theta_o sweep")
     p.add_argument("--ns", type=antenna_count, default=8)
     p.add_argument("--axis", choices=("beta", "theta_o"), default="beta")
     p.add_argument("--beta", type=finite_float, default=3.1, help="fixed beta for the theta_o axis")
@@ -146,16 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=parse_angle, default=None)
     p.add_argument("--stop", type=parse_angle, default=None)
     p.add_argument("--num", type=int, default=601, help="number of grid points")
-    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("capacity-sweep", parents=[common], help="water-filled capacity against beta")
+    p = sub.add_parser("capacity-sweep", parents=[common, snr, beta_max, out],
+                       help="water-filled capacity against beta")
     p.add_argument("--ns", type=antenna_count, default=8)
-    p.add_argument("--snr-db", type=finite_float, default=15.0)
     p.add_argument("--theta-o", type=parse_angle, default=0.0)
-    p.add_argument("--beta-max", type=finite_float, default=14.0)
     p.add_argument("--step", type=finite_float, default=0.01)
-    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_capacity_sweep)
 
     p = sub.add_parser("simulate", parents=[common, campaign],
@@ -220,8 +230,6 @@ def cmd_spectrum(args) -> int:
         start = 0.0 if args.start is None else args.start
         stop = 14.0 if args.stop is None else args.stop
         betas = np.linspace(start, stop, args.num)
-        if np.any(betas < 0.0):
-            raise ValueError("beta grid must be nonnegative")
         thetas = np.full(args.num, args.theta_o)
     else:
         limit = math.pi / args.ns
@@ -286,12 +294,15 @@ def cmd_codebook(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
     # The file's values go in front of the user's flags, which then override them; the
-    # pre-scan resolves --config as the full parse does (prefixes, --config=path).
+    # pre-scan resolves --config as the full parse does (prefixes, --config=path).  With no
+    # subcommand first, no file is read and argparse reports the error.
     try:
-        config_path = _common_parser().parse_known_args(argv)[0].config
-        config_args = [] if config_path is None else load_config_args(config_path)
+        command = commands.get(argv[0]) if argv else None
+        config_path = None if command is None else _parent("--config").parse_known_args(argv[1:])[0].config
+        config_args = [] if config_path is None else load_config_args(config_path, argv[0], command)
         args = parser.parse_args(argv[:1] + config_args + argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -152,6 +152,12 @@ class TestSpectrumCommand:
             for k in range(1, 8):  # sigma_{k+1} pairs with sigma_{N+1-k}
                 assert sig[k] == pytest.approx(sig[8 - k], abs=1e-7)
 
+    def test_negative_beta_grid_exits_2(self, capsys):
+        assert run_cli(["spectrum", "--ns", "4", "--start", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beta must be nonnegative" in captured.err
+
     def test_empty_grid_rejected(self, capsys):
         assert run_cli(["spectrum", "--ns", "8", "--num", "0"]) == 2
         capsys.readouterr()
@@ -292,7 +298,8 @@ class TestJobsRemoved:
         conf.write_text("seed = 1\ntrials = 1\njobs = 2\n")
         out = tmp_path / "a.csv"
         assert run_cli([*command, "--config", str(conf), "--out", str(out)]) == 2
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "run.conf:3" in err and "--jobs" in err
         assert not out.exists()
 
 
@@ -400,6 +407,17 @@ def test_cli_surface_is_pinned():
         assert surface == SURFACE[name], name
 
 
+# one value per non-switch option, each unlike its default; a new option fails
+# test_file_and_joined_flag_parse_alike until it has one here
+CONFIG_SAMPLES = {
+    "--seed": "7", "--trials": "3", "--snr-db": "-2.5", "--lambda": "0.01", "--design-dist": "150",
+    "--range-all": "deg:5", "--theta-cs-range": "-1e-3", "--out": "rates.csv", "--ns": "4", "--dist": "250",
+    "--theta-o": "-1e-3", "--beta-max": "9", "--resolution": "0.05", "--axis": "theta_o", "--beta": "2",
+    "--start": "0.5", "--stop": "-0.5", "--num": "7", "--step": "0.5", "--ns-list": "4,6",
+    "--dist-list": "50,60", "--l1": "2", "--l2": "1", "--bit-grid": "1:2,2:1",
+}
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("flag", [["--conf", "{}"], ["--conf={}"], ["--config={}"]])
     def test_abbreviated_or_joined_flag_reads_the_file(self, tmp_path, capsys, flag):
@@ -450,6 +468,93 @@ class TestConfigFile:
         conf.write_text("just a line\n")
         assert run_cli(["design", "--config", str(conf)]) == 2
         assert "run.conf:1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        # unique prefixes of --ns, --lambda and --theta-o, which argparse accepts as flags
+        ("design", "n = 4"), ("design", "lam = 0.01"), ("design", "theta = deg:1"),
+        ("design", "trials = 5"),  # another subcommand's option
+    ])
+    def test_key_must_name_an_option_of_the_command(self, tmp_path, capsys, command, key):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"snr-db = 10\n{key}\n")
+        assert run_cli([command, "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"run.conf:2: {command} has no option --{key.split()[0]}" in captured.err
+
+    @pytest.mark.parametrize("argv, line, message", [
+        (["design"], "ns = false", "argument --ns: invalid antenna_count value: 'false'"),
+        (["design"], "ns = true", "argument --ns: invalid antenna_count value: 'true'"),
+        (["simulate", "--seed", "1"], "exact-geometry = yes", "run.conf:1: switch --exact-geometry"),
+        (["spectrum"], "axis = foo", "argument --axis: invalid choice: 'foo'"),
+    ])
+    def test_value_gets_the_options_checks(self, tmp_path, capsys, argv, line, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        assert run_cli([*argv, "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_negative_value_is_a_value(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("theta-o = -1e-3\n")
+        assert run_cli(["design", "--config", str(conf)]) == 0
+        assert parse_kv(capsys.readouterr().out)["theta_o"] == "-0.001"
+
+    @pytest.mark.parametrize("argv", [["--config", "{}"], ["--config", "{}", "design"]])
+    def test_no_file_is_read_without_a_subcommand(self, tmp_path, capsys, argv):
+        conf = tmp_path / "run.conf"
+        conf.write_text("ns = 4\n")
+        missing = tmp_path / "missing.conf"
+        for path in (conf, missing):
+            assert run_cli([part.format(path) for part in argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"invalid choice: '{path}'" in captured.err
+
+    def test_file_with_required_seed_writes_the_golden(self, tmp_path):
+        # the README's example: a file can supply every option, the required --seed included
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = 2024\nlambda = 0.004\ntrials = 3\nns_list = 4,16\ndist-list = 100,500\n")
+        out = tmp_path / "a.csv"
+        assert run_cli(["simulate", "--config", str(conf), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "simulate_seed2024.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", SURFACE)
+    def test_file_and_joined_flag_parse_alike(self, tmp_path, monkeypatch, name):
+        # driven by the parser's own option table: for every option, a one-line file
+        # and the joined flag must give the same namespace
+        import ucamimo.cli as cli_module
+
+        seen = []
+        monkeypatch.setattr(cli_module, f"cmd_{name.replace('-', '_')}", lambda args: seen.append(args) or 0)
+
+        def parse(argv):
+            assert run_cli(argv) == 0
+            args = vars(seen.pop())
+            del args["config"]
+            return args
+
+        conf = tmp_path / "run.conf"
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        options = [a for a in commands[name]._actions if a.option_strings and a.dest not in ("help", "config")]
+        for action in options:
+            option = action.option_strings[0]
+            if action.nargs == 0:  # a switch
+                cases = [("true", [option]), ("false", [])]
+            else:
+                assert option in CONFIG_SAMPLES, f"{name} {option} has no sample value"
+                cases = [(CONFIG_SAMPLES[option], [f"{option}={CONFIG_SAMPLES[option]}"])]
+            # the other required options, as flags in both runs
+            base = [f"{a.option_strings[0]}={CONFIG_SAMPLES[a.option_strings[0]]}"
+                    for a in options if a.required and a is not action]
+            for value, flags in cases:
+                conf.write_text(f"{option[2:]} = {value}\n")
+                from_flag = parse([name, *flags, *base])
+                assert parse([name, "--config", str(conf), *base]) == from_flag, (option, value)
+                if flags and not action.required:
+                    assert from_flag != parse([name, *base]), f"the {option} sample is its default"
 
 
 class TestExitCodes:
