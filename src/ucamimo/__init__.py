@@ -16,7 +16,6 @@ from .design import (
     DesignResult,
     PowerAllocation,
     capacity,
-    condition_number,
     radii_from_beta,
     search_beta_opt,
     water_fill,

@@ -72,11 +72,6 @@ class ChannelMatrix:
         object.__setattr__(self, "entries", entries)
 
 
-def _check_model(model: str) -> None:
-    if model not in (EXACT_DISTANCE, APPROXIMATE):
-        raise ValueError(f"unknown channel model {model!r}")
-
-
 def _check_entries(entries: np.ndarray, shape: tuple[int, ...]) -> None:
     """Channels must have the given shape and unit-magnitude entries."""
     if entries.shape != shape:
@@ -128,14 +123,15 @@ def build_channels(cfg: ArrayConfig, mis: Misalignment, model: str = APPROXIMATE
     checked once per call.  The separable model needs D >= 10 * max(R);
     at closer range use ``model="exact_distance"``.
     """
-    _check_model(model)
     if model == EXACT_DISTANCE:
         entries = _phasors(cfg, distance_matrix_exact(cfg, mis))
-    else:
+    elif model == APPROXIMATE:
         _require_far_field(cfg)
         h_a = _circulant(aligned_first_column(cfg, mis.theta_o))
         t_t, t_r = _phase_factors(cfg, mis)
         entries = t_r[..., :, None] * h_a * t_t.conj()[..., None, :]
+    else:
+        raise ValueError(f"unknown channel model {model!r}")
     _check_entries(entries, np.shape(mis.theta_o) + (cfg.n_antennas,) * 2)
     return entries
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import TWO_PI
 from .spectrum import singular_values, singular_values_many
-
-TWO_PI = 2.0 * math.pi
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -250,11 +249,6 @@ def condition_numbers(sigmas) -> np.ndarray:
     return np.where(singular, math.inf, np.max(sigmas, axis=-1) / np.where(singular, 1.0, smallest))
 
 
-def condition_number(n_s: int, beta: float, theta_o: float) -> float:
-    """Ratio of the largest to smallest singular value (inf if one is ~0)."""
-    return float(condition_numbers(singular_values(n_s, beta, theta_o)))
-
-
 def search_beta_opt(
     n_s: int,
     theta_o: float,
@@ -299,9 +293,8 @@ def search_beta_opt(
     radii_product = None
     radius_equal = None
     if wavelength is not None and distance is not None:
-        radius_tx, radius_rx = radii_from_beta(beta_opt, wavelength, distance)
-        radii_product = radius_tx * radius_rx
-        radius_equal = radius_tx
+        radius_equal = radii_from_beta(beta_opt, wavelength, distance)
+        radii_product = radius_equal * radius_equal
     return DesignResult(
         beta_opt=float(beta_opt),
         capacity=capacity(sigma_opt, p_total, noise),
@@ -312,18 +305,19 @@ def search_beta_opt(
     )
 
 
-def radii_from_beta(
-    beta: float,
-    wavelength: float,
-    distance: float,
-) -> tuple[float, float]:
-    """Equal radii realising a target beta at the given wavelength and distance.
+def radii_from_beta(beta: float, wavelength: float, distance: float) -> float:
+    """The equal radius R_t = R_r realising a target beta at the given wavelength and distance.
 
     The product is fixed at R_t * R_r = beta * wavelength * distance /
-    (2*pi); both radii are its square root.
+    (2*pi); the radius is its square root.  Raises ValueError where that
+    radius overflows or underflows to no positive finite float.
     """
     if not all(0.0 < x < math.inf for x in (beta, wavelength, distance)):
         raise ValueError("beta, wavelength and distance must be positive and finite")
-    product = beta * wavelength * distance / TWO_PI
-    r = math.sqrt(product)
-    return r, r
+    r = math.sqrt(float(beta) * float(wavelength) * float(distance) / TWO_PI)
+    if not 0.0 < r < math.inf:
+        raise ValueError(
+            f"the radius for beta {beta:g}, wavelength {wavelength:g} m and distance {distance:g} m "
+            "is outside the range of a positive finite float"
+        )
+    return r

@@ -32,8 +32,11 @@ class ModelValidityError(ValueError):
 
 
 def _require_even(n: int, name: str) -> None:
-    """The one rule on antenna counts: an even integer, at least 2."""
-    if n < 2 or n % 2 != 0:
+    """The one rule on antenna counts: an even integer, at least 2.
+
+    Integers are Python or NumPy integers; a float such as 4.0 is not one.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
         raise ValueError(f"{name} must be an even integer >= 2, got {n}")
 
 
@@ -105,11 +108,6 @@ class ArrayConfig:
         """Angular positions 2*pi*k/N for elements k = 1..N."""
         n = self.n_antennas
         return np.arange(1, n + 1) * (TWO_PI / n)
-
-    @property
-    def supports_far_field(self) -> bool:
-        """Whether D is large enough for the separable distance model."""
-        return self.distance >= APPROX_DISTANCE_RATIO * max(self.radius_tx, self.radius_rx)
 
 
 def _wrap_pi(angle: float) -> float:
@@ -258,7 +256,8 @@ def distance_matrix_exact(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
 
 
 def _require_far_field(cfg: ArrayConfig) -> None:
-    if not cfg.supports_far_field:
+    """D must be large enough for the separable distance model."""
+    if cfg.distance < APPROX_DISTANCE_RATIO * max(cfg.radius_tx, cfg.radius_rx):
         raise ModelValidityError(
             "separable distance model needs distance >= "
             f"{APPROX_DISTANCE_RATIO:g} * max radius "

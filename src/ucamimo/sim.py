@@ -66,6 +66,9 @@ class TrialConfig:
     exact_geometry: bool = False
 
     def __post_init__(self):
+        if not 0 <= self.seed < 1 << 64:
+            # trial_rng keys on the seed's low 64 bits, so a wider seed would alias one of these
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         finite = (self.snr_db, self.angle_range_small, self.theta_cs_range, self.wavelength,

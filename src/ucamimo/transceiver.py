@@ -46,34 +46,23 @@ def _midpoints(lo: float, hi: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Indexed set of quantised centre-shift angle pairs.
+    """The grid of quantised centre-shift angle pairs.
 
-    Entries are ordered with the azimuth index slow and the polar index
-    fast; public indices are 1-based, l = 1..2^(L1+L2).
+    Entries are every (azimuth, polar) pair of the two angle grids, with
+    the azimuth index slow and the polar index fast.
     """
 
-    l1_bits: int
-    l2_bits: int
     theta_angles: np.ndarray
     phi_angles: np.ndarray
 
     @property
     def size(self) -> int:
-        return 2**self.l1_bits * 2**self.l2_bits
-
-    def angles(self, index: int) -> tuple[float, float]:
-        """The (theta_cs, phi_cs) pair of a 1-based codebook index."""
-        if not 1 <= index <= self.size:
-            raise ValueError(f"codebook index must lie in 1..{self.size}")
-        pos = index - 1
-        n_phi = 2**self.l2_bits
-        return float(self.theta_angles[pos // n_phi]), float(self.phi_angles[pos % n_phi])
+        return len(self.theta_angles) * len(self.phi_angles)
 
     def angle_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All entries as parallel arrays (thetas, phis) in index order."""
-        n_phi = 2**self.l2_bits
-        thetas = np.repeat(self.theta_angles, n_phi)
-        phis = np.tile(self.phi_angles, 2**self.l1_bits)
+        """All entries as parallel arrays (thetas, phis) in entry order."""
+        thetas = np.repeat(self.theta_angles, len(self.phi_angles))
+        phis = np.tile(self.phi_angles, len(self.theta_angles))
         return thetas, phis
 
 
@@ -106,7 +95,7 @@ def build_codebook(
         phi = _midpoints(lo, hi, 2**l2_bits)
     else:
         raise ValueError(f"unknown quantization {quantization!r}")
-    return Codebook(l1_bits=l1_bits, l2_bits=l2_bits, theta_angles=theta, phi_angles=phi)
+    return Codebook(theta_angles=theta, phi_angles=phi)
 
 
 @dataclass(frozen=True)
@@ -250,8 +239,8 @@ def codebook_rates_many(
     per = max(1, _SCORE_BLOCK // (r * n))
     if r == 1:
         # NumPy multiplies a one-row operand as a vector, which rounds
-        # differently; codebook sizes are powers of two, so even blocks leave
-        # no one-entry block unless the codebook has one entry.
+        # differently; `build_codebook`'s sizes are powers of two, so even
+        # blocks leave no one-entry block unless the codebook has one entry.
         per += per % 2
     rows = min(per, cb.size) * r
     x = np.empty((rows, n), dtype=complex)

@@ -18,14 +18,13 @@ from ucamimo import (
     Misalignment,
     build_channel,
     closed_form_svd,
-    condition_number,
     nulling_rates,
     numerical_svd,
     radii_from_beta,
     search_beta_opt,
     singular_values,
 )
-from ucamimo.design import TIE_TOLERANCE_BITS, water_fill
+from ucamimo.design import TIE_TOLERANCE_BITS, condition_numbers, water_fill
 from ucamimo.geometry import distance_matrix_exact
 from ucamimo.sim import AGGREGATE_TRIAL, TrialConfig, rows_to_csv, run_codebook_bit_sweep, run_rate_sweep
 from ucamimo.spectrum import leading_dominance_bound, singular_values_many
@@ -107,8 +106,8 @@ def test_oracle_channels_match_build_channel():
     betas = [0.5, 1.57, 3.09, 5.98, 13.9]
     for n in ANTENNAS:
         for beta, expected in zip(betas, oracle_channels(n, betas)):
-            radius_tx, radius_rx = radii_from_beta(beta, ORACLE_WAVELENGTH, ORACLE_DISTANCE)
-            cfg = ArrayConfig(n, ORACLE_WAVELENGTH, radius_tx, radius_rx, ORACLE_DISTANCE)
+            radius = radii_from_beta(beta, ORACLE_WAVELENGTH, ORACLE_DISTANCE)
+            cfg = ArrayConfig(n, ORACLE_WAVELENGTH, radius, radius, ORACLE_DISTANCE)
             built = build_channel(cfg, Misalignment()).entries
             assert np.max(np.abs(built - expected)) <= 1e-12, (n, beta)
 
@@ -211,7 +210,7 @@ def test_criterion_03_condition_number_table():
             (f"beta_opt={beta_opt:.4f}", beta_opt, CONDITION_TABLE[n], oracle_sigma[0]),
             ("0.5*beta_opt", 0.5 * beta_opt, CONDITION_HALF_TABLE[n], oracle_sigma[1]),
         ):
-            got = condition_number(n, beta, 0.0)
+            got = float(condition_numbers(singular_values(n, beta, 0.0)))
             if abs(got - ref) > 0.02 * ref:
                 mismatches.append(f"N={n} at {label}: cond {got:.4f} vs {ref} +-2%")
             oracle = sigma[0] / sigma[-1]

@@ -120,6 +120,14 @@ class TestDesignCommand:
         assert captured.out == ""
         assert "snr_db 4000 dB is outside the range" in captured.err
 
+    @pytest.mark.parametrize("length", ["1e200", "1e-200"])
+    def test_radius_out_of_float_range_exits_2(self, capsys, length):
+        # an infinite or zero radius was printed, with exit 0
+        assert run_cli(["design", "--ns", "4", "--lambda", length, "--dist", length]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the range of a positive finite float" in captured.err
+
 
 class TestSpectrumCommand:
     def test_half_mode_null_on_rotation_axis(self, tmp_path):
@@ -241,6 +249,18 @@ class TestSimulateCommand:
 
     def test_missing_seed_is_usage_error(self):
         assert run_cli(["simulate", "--trials", "2"]) == 2
+
+    @pytest.mark.parametrize("command", [["simulate", "--ns-list", "4"], ["codebook", "--ns", "4"]])
+    @pytest.mark.parametrize("seed, alias", [(2**64, 0), (-1, 2**64 - 1)])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, command, seed, alias):
+        # each seed wrote the CSV of the in-range seed it shares 64 bits with
+        out = tmp_path / "a.csv"
+        args = [*command, "--trials", "1", "--out", str(out)]
+        assert run_cli([*args, f"--seed={seed}"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must lie in [0, 2**64)" in captured.err
+        assert not out.exists()
+        assert run_cli([*args, f"--seed={alias}"]) == 0
 
     @pytest.mark.parametrize("command", [["simulate", "--ns-list", "4"], ["codebook", "--ns", "4"]])
     def test_overflowing_snr_is_usage_error(self, capsys, command):

@@ -13,13 +13,12 @@ from ucamimo import (
     PowerAllocation,
     TrialConfig,
     capacity,
-    condition_number,
     radii_from_beta,
     search_beta_opt,
     water_fill,
 )
 from ucamimo import design
-from ucamimo.design import TIE_TOLERANCE_BITS, allocated_capacity, power_from_db
+from ucamimo.design import TIE_TOLERANCE_BITS, allocated_capacity, condition_numbers, power_from_db
 from ucamimo.spectrum import singular_values, singular_values_many
 
 SNR15 = 10**1.5
@@ -536,14 +535,14 @@ class TestSearchBetaOpt:
 
 class TestRadiiFromBeta:
     def test_equal_radius_values(self):
-        r, _ = radii_from_beta(1.54, 0.004, 100.0)
+        r = radii_from_beta(1.54, 0.004, 100.0)
         assert r == pytest.approx(0.3131, abs=1e-3)
-        r, _ = radii_from_beta(5.98, 0.004, 100.0)
+        r = radii_from_beta(5.98, 0.004, 100.0)
         assert r == pytest.approx(0.617, abs=1e-3)
 
     def test_product_inversion_exact(self):
-        rt, rr = radii_from_beta(2 * math.pi, 1.0, 1.0)
-        assert rt * rr == pytest.approx(1.0, rel=1e-15)
+        r = radii_from_beta(2 * math.pi, 1.0, 1.0)
+        assert r * r == pytest.approx(1.0, rel=1e-15)
 
     def test_positive_inputs_required(self):
         with pytest.raises(ValueError):
@@ -557,21 +556,30 @@ class TestRadiiFromBeta:
         with pytest.raises(ValueError, match="finite"):
             radii_from_beta(*args)
 
+    @pytest.mark.parametrize("length", [1e200, 1e-200])
+    def test_radius_out_of_float_range_rejected(self, length):
+        # the product overflows to inf or underflows to 0; an optimum from the
+        # search is a NumPy float, whose overflow would also warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the range of a positive finite float"):
+                radii_from_beta(np.float64(3.0), length, length)
+
 
 class TestConditionNumber:
     def test_flat_point_is_exactly_conditioned(self):
-        assert condition_number(4, math.pi / 2, 0.0) == pytest.approx(1.0, abs=0.01)
+        assert float(condition_numbers(singular_values(4, math.pi / 2, 0.0))) == pytest.approx(1.0, abs=0.01)
 
     def test_half_beta_closed_form(self):
         # four antennas at beta = pi/4: (1+cos)/(1-cos) = 3 + 2*sqrt(2)
-        assert condition_number(4, math.pi / 4, 0.0) == pytest.approx(3 + 2 * math.sqrt(2), rel=1e-12)
+        assert float(condition_numbers(singular_values(4, math.pi / 4, 0.0))) == pytest.approx(3 + 2 * math.sqrt(2), rel=1e-12)
 
     def test_values_at_refined_optima(self):
-        assert condition_number(8, 3.1116, 0.0) == pytest.approx(1.796, abs=5e-3)
-        assert condition_number(16, 5.9923, 0.0) == pytest.approx(3.333, abs=5e-3)
+        assert float(condition_numbers(singular_values(8, 3.1116, 0.0))) == pytest.approx(1.796, abs=5e-3)
+        assert float(condition_numbers(singular_values(16, 5.9923, 0.0))) == pytest.approx(3.333, abs=5e-3)
 
     def test_infinite_when_mode_vanishes(self):
-        assert math.isinf(condition_number(8, 2.0, math.pi / 8))
+        assert math.isinf(float(condition_numbers(singular_values(8, 2.0, math.pi / 8))))
 
 
 class TestAllocatedCapacity:

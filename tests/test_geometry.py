@@ -66,6 +66,13 @@ class TestConfigAndMisalignment:
         with pytest.raises(ValueError):
             ArrayConfig(n_antennas=5, wavelength=0.004, radius_tx=0.3, radius_rx=0.3, distance=100)
 
+    @pytest.mark.parametrize("n", [4.0, np.float64(4.0), "4"])
+    def test_non_integer_antenna_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n_antennas must be an even integer >= 2"):
+            ArrayConfig(n_antennas=n, wavelength=0.004, radius_tx=0.3, radius_rx=0.3, distance=100)
+        cfg = ArrayConfig(n_antennas=np.int32(4), wavelength=0.004, radius_tx=0.3, radius_rx=0.3, distance=100)
+        assert cfg.antenna_angles.shape == (4,)
+
     def test_nonpositive_dimensions_rejected(self):
         with pytest.raises(ValueError):
             ArrayConfig(n_antennas=4, wavelength=0.0, radius_tx=0.3, radius_rx=0.3, distance=100)

@@ -1,9 +1,13 @@
-"""Every name a module under src/ucamimo imports is used in that module."""
+"""Every name a module under src/ucamimo imports is used in that module, and the public surface is pinned."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+import ucamimo
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ucamimo"
 
@@ -30,3 +34,57 @@ def test_detector_finds_unused_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == set()
+
+
+# Every public name of the package, and every public function and class that
+# a layer module defines.  The benchmark's tracer wraps exactly those
+# functions, so adding or removing one is an edit to this table.
+PACKAGE_NAMES = {
+    "APPROXIMATE", "EXACT_DISTANCE",
+    "ArrayConfig", "Misalignment", "ModelValidityError", "rotation_matrix",
+    "ChannelMatrix", "SvdTriple", "build_channel", "build_channels", "circulant_factor",
+    "closed_form_svd", "dft_matrix", "numerical_svd",
+    "singular_values",
+    "DesignResult", "PowerAllocation", "capacity", "radii_from_beta", "search_beta_opt", "water_fill",
+    "Codebook", "NullingRates", "PrecoderMatrix", "RateReport", "approx_power_allocation",
+    "build_codebook", "codebook_rates_many", "nulling_rates", "precoded_rate", "precoded_rates",
+    "precoder_from_angles", "precoder_matrices",
+    "ResultRow", "TrialConfig", "draw_misalignment", "run_codebook_bit_sweep", "run_rate_sweep",
+}
+LAYER_NAMES = {
+    "geometry": {"ArrayConfig", "Misalignment", "ModelValidityError", "attitude_matrix",
+                 "distance_matrix_exact", "rotation_matrix", "rx_displacement",
+                 "rx_ring_harmonics", "tx_displacement"},
+    "channel": {"ChannelMatrix", "SvdTriple", "aligned_first_column", "build_channel",
+                "build_channels", "circulant_factor", "closed_form_svd", "dft_matrix",
+                "numerical_svd"},
+    "spectrum": {"leading_dominance_bound", "singular_values", "singular_values_many"},
+    "design": {"DesignResult", "PowerAllocation", "allocated_capacity", "capacity",
+               "condition_numbers", "power_from_db", "radii_from_beta", "search_beta_opt",
+               "water_fill"},
+    "transceiver": {"Codebook", "NullingRates", "PrecoderMatrix", "RateReport",
+                    "approx_power_allocation", "build_codebook", "codebook_rates_many",
+                    "nulling_rates", "precoded_rate", "precoded_rates", "precoder_from_angles",
+                    "precoder_matrices"},
+    "sim": {"ResultRow", "TrialConfig", "draw_misalignment", "rows_to_csv",
+            "run_codebook_bit_sweep", "run_rate_sweep", "trial_rng", "write_csv"},
+}
+
+
+def test_package_names_are_pinned():
+    # submodules become package attributes once imported, so they are left out
+    names = {name for name, obj in vars(ucamimo).items() if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert names == PACKAGE_NAMES
+
+
+@pytest.mark.parametrize("layer", sorted(LAYER_NAMES))
+def test_layer_functions_and_classes_are_pinned(layer):
+    module = importlib.import_module(f"ucamimo.{layer}")
+    defined = {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert defined == LAYER_NAMES[layer]

@@ -12,14 +12,13 @@ from ucamimo import (
     build_channel,
     build_codebook,
     codebook_rates_many,
-    condition_number,
     dft_matrix,
     nulling_rates,
     numerical_svd,
     precoder_from_angles,
     search_beta_opt,
 )
-from ucamimo.design import allocated_capacity, capacity, water_fill
+from ucamimo.design import allocated_capacity, capacity, condition_numbers, water_fill
 from ucamimo import sim
 from ucamimo.geometry import ANGLE_NAMES, ArrayConfig
 from ucamimo.sim import (
@@ -96,7 +95,7 @@ def reference_rate_sweep(cfg):
                     "zf": float(np.sum(nulling.zf[0])),
                     "zf-sic": float(np.sum(nulling.zf_sic[0])),
                 }
-                trials.append((rates, condition_number(n, arr.beta, h.mis.theta_o)))
+                trials.append((rates, float(condition_numbers(singular_values(n, arr.beta, h.mis.theta_o)))))
             for t, (rates, cond) in enumerate(trials):
                 rows += [ResultRow("rate_sweep", n, dist, s, t, rates[s], arr.beta, cond)
                          for s in RATE_SWEEP_SCHEMES]
@@ -155,7 +154,7 @@ class TestBatchedEngineMatchesPerTrialReference:
                 cb = build_codebook(l1, l2, quantization=method)
                 for t, h in enumerate(channels):
                     assert rows[k].rate_bps_hz == codebook_rates_many(arr, h.entries[None], cb, alloc)[0].max()
-                    assert rows[k].cond_number == condition_number(8, arr.beta, h.mis.theta_o)
+                    assert rows[k].cond_number == float(condition_numbers(singular_values(8, arr.beta, h.mis.theta_o)))
                     k += 1
                 k += 1  # the mean row
 
@@ -486,6 +485,20 @@ class TestCsv:
 
 
 class TestTrialConfigValidation:
+    @pytest.mark.parametrize("seed, alias", [(2**64, 0), (-1, 2**64 - 1)])
+    def test_seed_outside_64_bits_rejected(self, seed, alias):
+        # trial_rng keys on the low 64 bits, where each seed equals its alias
+        assert trial_rng(seed, 3).random(2).tolist() == trial_rng(alias, 3).random(2).tolist()
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            TrialConfig(seed=seed)
+        assert TrialConfig(seed=alias).seed == alias
+
+    def test_non_integer_antenna_count_rejected(self):
+        # 4.0 passed the even test and then failed inside the design search
+        with pytest.raises(ValueError, match="antenna count must be an even integer >= 2, got 4.0"):
+            TrialConfig(seed=1, n_antennas_list=(4.0,))
+        assert TrialConfig(seed=1, n_antennas_list=(np.int64(4),)).n_antennas_list == (4,)
+
     def test_bad_values(self):
         with pytest.raises(ValueError):
             TrialConfig(seed=1, n_trials=0)

@@ -50,12 +50,13 @@ class TestCodebook:
     def test_single_entry_is_origin(self):
         cb = build_codebook(0, 0)
         assert cb.size == 1
-        assert cb.angles(1) == (pytest.approx(0.0, abs=1e-15), pytest.approx(0.0, abs=1e-15))
+        thetas, phis = cb.angle_pairs()
+        assert (thetas[0], phis[0]) == (pytest.approx(0.0, abs=1e-15), pytest.approx(0.0, abs=1e-15))
 
     def test_production_bit_budget(self):
         cb = build_codebook(5, 3)
         assert cb.size == 256
-        assert cb.l1_bits + cb.l2_bits == 8
+        assert (len(cb.theta_angles), len(cb.phi_angles)) == (32, 8)
 
     def test_sine_domain_spacing(self):
         cb = build_codebook(5, 3)
@@ -77,15 +78,25 @@ class TestCodebook:
         thetas, phis = cb.angle_pairs()
         assert thetas[0] == thetas[1] == cb.theta_angles[0]
         assert phis[0] == cb.phi_angles[0] and phis[1] == cb.phi_angles[1]
-        assert cb.angles(2) == (pytest.approx(thetas[1]), pytest.approx(phis[1]))
+        assert thetas[2] == cb.theta_angles[1] and phis[2] == cb.phi_angles[0]
+
+    def test_size_and_entries_follow_the_grids(self):
+        # any two grids give their full product, scored entry by entry
+        theta, phi = np.linspace(-1.0, 1.0, 4), np.linspace(0.0, 0.15, 4)
+        cb = transceiver.Codebook(theta_angles=theta, phi_angles=phi)
+        assert cb.size == 16
+        pairs = set(zip(*cb.angle_pairs()))
+        assert pairs == {(t, p) for t in theta for p in phi}
+        cfg = design_point(4, 300.0)
+        h = build_channel(cfg, Misalignment(theta_o=0.2, theta_cs=1.0, phi_cs=0.1))
+        rates = codebook_rates_many(cfg, h.entries[None], cb, approx_power_allocation(cfg, 15.0))
+        assert rates.shape == (1, 16)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             build_codebook(-1, 0)
         with pytest.raises(ValueError):
             build_codebook(1, 1, quantization="other")
-        with pytest.raises(ValueError):
-            build_codebook(1, 1).angles(5)
 
 
 class TestPrecoders:
@@ -151,7 +162,8 @@ class TestCodebookSelection:
         cfg = design_point(8, 300.0)
         cb = build_codebook(4, 2)
         alloc = approx_power_allocation(cfg, 15.0)
-        theta, phi = cb.angles(23)
+        thetas, phis = cb.angle_pairs()
+        theta, phi = float(thetas[22]), float(phis[22])
         mis = Misalignment(theta_o=0.1, theta_cs=theta, phi_cs=phi)
         h = build_channel(cfg, mis)
         rate = best_codebook_rate(cfg, h, cb, alloc)
@@ -162,6 +174,7 @@ class TestCodebookSelection:
         cfg = design_point(8, 300.0)
         cb = build_codebook(3, 2)
         alloc = approx_power_allocation(cfg, 15.0)
+        thetas, phis = cb.angle_pairs()
         rng = np.random.default_rng(64)
         for _ in range(5):
             mis = random_misalignment(rng, 8)
@@ -170,7 +183,7 @@ class TestCodebookSelection:
             # independent pass: per-entry log-det rates in shuffled order
             order = rng.permutation(cb.size)
             best_rate = max(
-                precoded_rate(h, precoder_from_angles(cfg, *cb.angles(int(pos) + 1)), alloc).rate
+                precoded_rate(h, precoder_from_angles(cfg, float(thetas[pos]), float(phis[pos])), alloc).rate
                 for pos in order
             )
             assert rate == pytest.approx(best_rate, abs=1e-9)
@@ -181,10 +194,9 @@ class TestCodebookSelection:
         alloc = approx_power_allocation(cfg, 15.0)
         h = build_channel(cfg, Misalignment(theta_o=0.2, theta_cs=1.0, phi_cs=0.1))
         rates = codebook_rates_many(cfg, h.entries[None], cb, alloc)[0]
-        for l in range(1, cb.size + 1):
-            theta, phi = cb.angles(l)
-            f = precoder_from_angles(cfg, theta, phi)
-            assert rates[l - 1] == pytest.approx(precoded_rate(h, f, alloc).rate, abs=1e-9)
+        for l, (theta, phi) in enumerate(zip(*cb.angle_pairs())):
+            f = precoder_from_angles(cfg, float(theta), float(phi))
+            assert rates[l] == pytest.approx(precoded_rate(h, f, alloc).rate, abs=1e-9)
 
     def test_zero_shift_equality_with_dft_baseline(self):
         # with the zero entry available and no centre shift, the selected
