@@ -310,14 +310,16 @@ def radii_from_beta(beta: float, wavelength: float, distance: float) -> float:
 
     The product is fixed at R_t * R_r = beta * wavelength * distance /
     (2*pi); the radius is its square root.  Raises ValueError where that
-    radius overflows or underflows to no positive finite float.
+    product is not a normal float: it overflows, underflows, or is
+    subnormal, whose few significant bits the radius would inherit.
     """
     if not all(0.0 < x < math.inf for x in (beta, wavelength, distance)):
         raise ValueError("beta, wavelength and distance must be positive and finite")
-    r = math.sqrt(float(beta) * float(wavelength) * float(distance) / TWO_PI)
-    if not 0.0 < r < math.inf:
+    product = float(beta) * float(wavelength) * float(distance) / TWO_PI
+    if not sys.float_info.min <= product < math.inf:
         raise ValueError(
             f"the radius for beta {beta:g}, wavelength {wavelength:g} m and distance {distance:g} m "
-            "is outside the range of a positive finite float"
+            "is outside the range of a positive finite float or loses digits: its radii product "
+            f"{product:g} m^2 is not a normal float"
         )
-    return r
+    return math.sqrt(product)

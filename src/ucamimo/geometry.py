@@ -31,12 +31,14 @@ class ModelValidityError(ValueError):
     """Raised when the far-field approximation is requested out of range."""
 
 
-def _require_even(n: int, name: str) -> None:
-    """The one rule on antenna counts: an even integer, at least 2.
+# What counts as an integer for counts and seeds: Python or NumPy integers;
+# a float such as 4.0 is not one.
+_INTEGERS = (int, np.integer)
 
-    Integers are Python or NumPy integers; a float such as 4.0 is not one.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
+
+def _require_even(n: int, name: str) -> None:
+    """The one rule on antenna counts: an even integer, at least 2."""
+    if not isinstance(n, _INTEGERS) or n < 2 or n % 2 != 0:
         raise ValueError(f"{name} must be an even integer >= 2, got {n}")
 
 
@@ -108,14 +110,6 @@ class ArrayConfig:
         """Angular positions 2*pi*k/N for elements k = 1..N."""
         n = self.n_antennas
         return np.arange(1, n + 1) * (TWO_PI / n)
-
-
-def _wrap_pi(angle: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    wrapped = math.remainder(angle, TWO_PI)
-    if wrapped <= -math.pi:
-        wrapped += TWO_PI
-    return wrapped
 
 
 ANGLE_NAMES = ("theta_o", "theta_cs", "phi_cs", "phi_x", "phi_y")

@@ -13,7 +13,7 @@ is one stacked call.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +26,11 @@ from .design import (
     search_beta_opt,
     water_fill,
 )
-from .geometry import ArrayConfig, Misalignment, _require_even, _wrap_pi
+from .geometry import _INTEGERS, TWO_PI, ArrayConfig, Misalignment, _require_even
 from .spectrum import singular_values_many
 from .transceiver import (
     Codebook,
+    _check_bit_counts,
     approx_power_allocation,
     build_codebook,
     codebook_rates_many,
@@ -66,11 +67,11 @@ class TrialConfig:
     exact_geometry: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.seed < 1 << 64:
+        if not (isinstance(self.seed, _INTEGERS) and 0 <= self.seed < 1 << 64):
             # trial_rng keys on the seed's low 64 bits, so a wider seed would alias one of these
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
+            raise ValueError(f"seed must lie in [0, 2**64) as an integer, got {self.seed}")
+        if not (isinstance(self.n_trials, _INTEGERS) and self.n_trials >= 1):
+            raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials}")
         finite = (self.snr_db, self.angle_range_small, self.theta_cs_range, self.wavelength,
                   self.design_distance, *self.distances)
         if not all(map(math.isfinite, finite)):
@@ -90,6 +91,7 @@ class TrialConfig:
             raise ValueError("n_antennas_list must not be empty")
         for n in self.n_antennas_list:
             _require_even(n, "antenna count")
+        _check_bit_counts(*self.codebook_bits)
 
 
 @dataclass(frozen=True)
@@ -127,18 +129,23 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _trial_angles(rng: np.random.Generator, trial_cfg: TrialConfig) -> tuple[float, ...]:
-    """`draw_misalignment` before the rotation clamp, in `Misalignment` field order."""
+def _draw_angles(rngs: Iterable[np.random.Generator], trial_cfg: TrialConfig) -> np.ndarray:
+    """Each generator's trial angles before the rotation clamp, shape (5, T) in `Misalignment` order.
+
+    Each generator gives five uniforms u in [0, 1), mapped onto [-half,
+    half) as `Generator.uniform` maps them: half is `theta_cs_range` for
+    the azimuth and `angle_range_small` for the other four angles.  A
+    negative polar draw is reflected to the opposite azimuth: theta_cs +
+    pi, less 2*pi where that passes pi.  That subtraction is exact, so the
+    result equals remainder(theta_cs + pi, 2*pi) bit for bit.
+    """
     small = trial_cfg.angle_range_small
-    theta_o = float(rng.uniform(-small, small))
-    theta_cs = float(rng.uniform(-trial_cfg.theta_cs_range, trial_cfg.theta_cs_range))
-    phi_cs = float(rng.uniform(-small, small))
-    phi_x = float(rng.uniform(-small, small))
-    phi_y = float(rng.uniform(-small, small))
-    if phi_cs < 0.0:
-        phi_cs = -phi_cs
-        theta_cs = _wrap_pi(theta_cs + math.pi)
-    return theta_o, theta_cs, phi_cs, phi_x, phi_y
+    half = np.array([small, trial_cfg.theta_cs_range, small, small, small])
+    u = np.array([rng.random(5) for rng in rngs])
+    theta_o, theta_cs, phi_cs, phi_x, phi_y = (2.0 * half * u - half).T
+    theta_cs = np.where(phi_cs < 0.0, theta_cs + math.pi, theta_cs)
+    theta_cs = np.where(theta_cs > math.pi, theta_cs - TWO_PI, theta_cs)
+    return np.array([theta_o, theta_cs, np.abs(phi_cs), phi_x, phi_y])
 
 
 def _clamp_rotation(theta_o, n_antennas: int):
@@ -150,7 +157,7 @@ def _clamp_rotation(theta_o, n_antennas: int):
 def draw_misalignment(
     rng: np.random.Generator, trial_cfg: TrialConfig, n_antennas: int
 ) -> Misalignment:
-    """One random misalignment draw.
+    """One random misalignment draw, the one-generator form of the campaign draws.
 
     The rotation, both tilts and the polar shift are uniform on
     [-angle_range_small, +angle_range_small]; the shift azimuth is uniform
@@ -159,15 +166,13 @@ def draw_misalignment(
     [-pi/N, pi/N] should the range exceed that bound.  The draw order is
     fixed (rotation, azimuth, polar, tilt-x, tilt-y) for reproducibility.
     """
-    theta_o, *rest = _trial_angles(rng, trial_cfg)
+    theta_o, *rest = _draw_angles([rng], trial_cfg)[:, 0].tolist()
     return Misalignment(float(_clamp_rotation(theta_o, n_antennas)), *rest)
 
 
 def _campaign_draws(trial_cfg: TrialConfig) -> np.ndarray:
     """Every trial's angles before the rotation clamp, shape (5, T); one substream per trial."""
-    return np.array(
-        [_trial_angles(trial_rng(trial_cfg.seed, t), trial_cfg) for t in range(trial_cfg.n_trials)]
-    ).T
+    return _draw_angles((trial_rng(trial_cfg.seed, t) for t in range(trial_cfg.n_trials)), trial_cfg)
 
 
 def _cell_arrays(trial_cfg: TrialConfig) -> Iterator[ArrayConfig]:
@@ -284,31 +289,33 @@ def run_codebook_bit_sweep(
     bit_grid: tuple[tuple[int, int], ...] = DEFAULT_BIT_GRID,
     jobs: int = 1,
 ) -> list[ResultRow]:
-    """Codebook rates against the bit budget, sine-uniform vs linear.
+    """Codebook rates against the bit budget, sine-uniform vs linear, in every scenario cell.
 
-    Operates at the first entry of the antenna-count and distance lists
-    (defaults target 16 antennas at 300 m with radii designed for the
-    design distance).  Every (L1, L2) pair is evaluated with both
-    quantisation rules on the same per-trial channels; each codebook is
-    built once and scores the stacked channels in one call.  The condition
-    number describes the channel built, as in `run_rate_sweep`.  `jobs` is
-    accepted for compatibility; neither the output nor the scheduling
-    depends on it.
+    Cells run in `run_rate_sweep`'s order, antenna count outermost, on the
+    campaign's one set of draws; the CLI's `codebook` runs one cell, 16
+    antennas at 300 m by default, with radii designed for the design
+    distance.  Within a cell every (L1, L2) pair is evaluated with both
+    quantisation rules on the same per-trial channels.  Each codebook is
+    built once per call and scores a cell's stacked channels in one call.
+    The condition number describes the channel built, as in
+    `run_rate_sweep`.  `jobs` is accepted for compatibility; neither the
+    output nor the scheduling depends on it.
     """
     if not bit_grid:
         raise ValueError("bit_grid must not be empty")
-    cfg = next(_cell_arrays(trial_cfg))
-    approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
-    mis, h = _cell_channels(trial_cfg, cfg, _campaign_draws(trial_cfg))
-    if trial_cfg.exact_geometry:
-        sigma = np.linalg.svd(h, compute_uv=False)
-    else:
-        sigma = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
-    cond = condition_numbers(sigma)
+    codebooks = [(l1, l2, method, build_codebook(l1, l2, quantization=method))
+                 for l1, l2 in bit_grid for method in ("sine", "linear")]
+    draws = _campaign_draws(trial_cfg)
     rows: list[ResultRow] = []
-    for l1, l2 in bit_grid:
-        for method in ("sine", "linear"):
-            cb = build_codebook(l1, l2, quantization=method)
+    for cfg in _cell_arrays(trial_cfg):
+        approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
+        mis, h = _cell_channels(trial_cfg, cfg, draws)
+        if trial_cfg.exact_geometry:
+            sigma = np.linalg.svd(h, compute_uv=False)
+        else:
+            sigma = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
+        cond = condition_numbers(sigma)
+        for l1, l2, method, cb in codebooks:
             rates = np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1)
             rows += _cell_rows(f"bit_sweep_L1{l1}_L2{l2}", cfg, {f"codebook-{method}": rates}, cond)
     return rows

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, _phasors, dft_matrix
 from .design import PowerAllocation, power_from_db, water_fill
-from .geometry import ArrayConfig, tx_displacement
+from .geometry import _INTEGERS, ArrayConfig, tx_displacement
 from .spectrum import singular_values
 
 _LN2 = math.log(2.0)
@@ -66,6 +66,13 @@ class Codebook:
         return thetas, phis
 
 
+def _check_bit_counts(l1_bits: int, l2_bits: int) -> None:
+    """Bit counts are nonnegative integers; 1.5 bits would make an off-centre grid of 3 cells."""
+    for bits in (l1_bits, l2_bits):
+        if not isinstance(bits, _INTEGERS) or bits < 0:
+            raise ValueError(f"bit counts must be nonnegative integers, got {bits!r}")
+
+
 def build_codebook(
     l1_bits: int,
     l2_bits: int,
@@ -84,8 +91,7 @@ def build_codebook(
     midpoints uniformly over the raw angular ranges, azimuth across the
     full circle [-pi, pi] and polar across `_PHI_RANGE`.
     """
-    if l1_bits < 0 or l2_bits < 0:
-        raise ValueError("bit counts must be nonnegative")
+    _check_bit_counts(l1_bits, l2_bits)
     lo, hi = _PHI_RANGE
     if quantization == SINE_UNIFORM:
         theta = np.arcsin(_midpoints(-1.0, 1.0, 2**l1_bits))

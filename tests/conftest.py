@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from ucamimo import ArrayConfig, Misalignment, rotation_matrix
@@ -29,6 +31,26 @@ def random_misalignment(rng, n_antennas, small=np.radians(10.0)):
         phi_x=float(rng.uniform(-small, small)),
         phi_y=float(rng.uniform(-small, small)),
     )
+
+
+def previous_trial_angles(rng, trial_cfg):
+    """One trial's angles before the rotation clamp by the scalar rule the vectorised draws replaced.
+
+    The reference for `sim._campaign_draws` and `sim.draw_misalignment`:
+    five scalar `uniform` calls in `Misalignment` field order, then a
+    negative polar draw reflected to the opposite azimuth, wrapped into
+    [-pi, pi] by `math.remainder`.
+    """
+    small, cs = trial_cfg.angle_range_small, trial_cfg.theta_cs_range
+    theta_o = float(rng.uniform(-small, small))
+    theta_cs = float(rng.uniform(-cs, cs))
+    phi_cs = float(rng.uniform(-small, small))
+    phi_x = float(rng.uniform(-small, small))
+    phi_y = float(rng.uniform(-small, small))
+    if phi_cs < 0.0:
+        phi_cs = -phi_cs
+        theta_cs = math.remainder(theta_cs + math.pi, 2.0 * math.pi)
+    return theta_o, theta_cs, phi_cs, phi_x, phi_y
 
 
 def element_coordinates(cfg, mis):

@@ -120,9 +120,10 @@ class TestDesignCommand:
         assert captured.out == ""
         assert "snr_db 4000 dB is outside the range" in captured.err
 
-    @pytest.mark.parametrize("length", ["1e200", "1e-200"])
+    @pytest.mark.parametrize("length", ["1e200", "1e-200", "1e-160"])
     def test_radius_out_of_float_range_exits_2(self, capsys, length):
-        # an infinite or zero radius was printed, with exit 0
+        # an infinite or zero radius was printed, with exit 0; at 1e-160 the radii product
+        # 2.5e-321 is subnormal, and the radius printed was wrong from its 5th digit
         assert run_cli(["design", "--ns", "4", "--lambda", length, "--dist", length]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

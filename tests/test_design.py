@@ -565,6 +565,19 @@ class TestRadiiFromBeta:
             with pytest.raises(ValueError, match="outside the range of a positive finite float"):
                 radii_from_beta(np.float64(3.0), length, length)
 
+    def test_subnormal_product_rejected(self):
+        # beta*lambda*D/(2*pi) = 2.5e-321 is subnormal, with about 3 significant digits;
+        # the radius was wrong from its 5th
+        beta = search_beta_opt(4, 0.0, 15.0).beta_opt
+        with pytest.raises(ValueError, match=r"radii product 2.49997e-321 m\^2 is not a normal float"):
+            radii_from_beta(beta, 1e-160, 1e-160)
+        # a product of twice the smallest normal float passes with all its digits, half of it does not
+        wavelength = sys.float_info.min * 2.0 * math.pi / beta
+        r = radii_from_beta(beta, 2.0 * wavelength, 1.0)
+        assert r * r == pytest.approx(2.0 * sys.float_info.min, rel=1e-15, abs=0.0)
+        with pytest.raises(ValueError, match="not a normal float"):
+            radii_from_beta(beta, 0.5 * wavelength, 1.0)
+
 
 class TestConditionNumber:
     def test_flat_point_is_exactly_conditioned(self):

@@ -1,5 +1,5 @@
-"""Property-based checks of the stacked exact distances and channel build, the closed-form SVD,
-the spectrum, water-filling and the codebook scorer."""
+"""Property-based checks of the campaign draws, the stacked exact distances and channel build,
+the closed-form SVD, the spectrum, water-filling and the codebook scorer."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, coordinate_distances, previous_water_fill_powers
+from conftest import bits, coordinate_distances, previous_trial_angles, previous_water_fill_powers
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
@@ -25,6 +25,7 @@ from ucamimo import (
     singular_values,
     water_fill,
 )
+from ucamimo import sim
 from ucamimo.design import condition_numbers, power_from_db
 from ucamimo.geometry import ANGLE_NAMES, distance_matrix_exact, rx_ring_harmonics
 from ucamimo.spectrum import singular_values_many
@@ -86,6 +87,33 @@ def edge_misalignments(draw, n):
 
 def stack_of(mis_list) -> Misalignment:
     return Misalignment(*(np.array([getattr(m, name) for m in mis_list]) for name in ANGLE_NAMES))
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_trials=st.integers(1, 60),
+    small=st.sampled_from(
+        [0.0, 1e-9, math.radians(10.0), math.radians(15.0), math.nextafter(math.pi / 2, 0.0)]
+    ),
+    theta_cs_range=st.sampled_from([0.0, math.pi / 2, math.pi]),
+    n=st.sampled_from([2, 4, 16, 64]),
+)
+def test_campaign_draws_match_scalar_rule_bit_for_bit(seed, n_trials, small, theta_cs_range, n):
+    # every column of the campaign draws, and the one-trial draw after its clamp, equal the
+    # scalar rule on that trial's substream, the sign of zero included
+    cfg = sim.TrialConfig(seed=seed, n_trials=n_trials, angle_range_small=small,
+                          theta_cs_range=theta_cs_range)
+    draws = sim._campaign_draws(cfg)
+    assert draws.shape == (len(ANGLE_NAMES), n_trials)
+    bound = math.pi / n
+    for t in range(n_trials):
+        ref = previous_trial_angles(sim.trial_rng(seed, t), cfg)
+        assert bits(draws[:, t]).tolist() == bits(np.array(ref)).tolist(), t
+        clamped = (min(max(ref[0], -bound), bound), *ref[1:])
+        mis = sim.draw_misalignment(sim.trial_rng(seed, t), cfg, n)
+        one = np.array([getattr(mis, name) for name in ANGLE_NAMES])
+        assert bits(one).tolist() == bits(np.array(clamped)).tolist(), t
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,12 +315,12 @@ class TestCampaignDraws:
         builds.clear()
         run_codebook_bit_sweep(cfg, ((1, 1),))
         assert keys == [(cfg.seed, t) for t in range(cfg.n_trials)]
-        assert builds == [(cfg.n_trials,)]
+        assert builds == [(cfg.n_trials,)] * 6
 
     @pytest.mark.parametrize("exact_geometry", [False, True])
     def test_stacked_svds_per_cell(self, monkeypatch, exact_geometry):
         # the rate sweep's capacity row and condition number reuse the nulling receivers' SVD;
-        # the bit sweep needs one only for the exact-geometry condition number
+        # the bit sweep needs one per cell only for the exact-geometry condition number
         cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 300.0), exact_geometry=exact_geometry)
         shapes = []
         svd = np.linalg.svd
@@ -333,7 +334,7 @@ class TestCampaignDraws:
         assert shapes == [(cfg.n_trials, n, n) for n in (4, 4, 8, 8)]
         shapes.clear()
         run_codebook_bit_sweep(cfg, ((1, 1), (2, 1)))
-        assert shapes == ([(cfg.n_trials, 4, 4)] if exact_geometry else [])
+        assert shapes == ([(cfg.n_trials, n, n) for n in (4, 4, 8, 8)] if exact_geometry else [])
 
 
 class TestRateSweep:
@@ -442,6 +443,20 @@ class TestCodebookBitSweep:
         grid = ((2, 1),)
         assert rows_to_csv(run_codebook_bit_sweep(cfg, grid)) == rows_to_csv(run_codebook_bit_sweep(cfg, grid, jobs=3))
 
+    def test_every_cell_equals_its_one_cell_sweep(self):
+        # the sweep used to run only the first antenna count and distance
+        cfg = small_config(n_trials=3, n_antennas_list=(4, 8), distances=(100.0, 300.0))
+        grid = ((2, 1), (1, 2))
+        rows = run_codebook_bit_sweep(cfg, grid)
+        one_cell = [
+            row
+            for n in cfg.n_antennas_list
+            for dist in cfg.distances
+            for row in run_codebook_bit_sweep(replace(cfg, n_antennas_list=(n,), distances=(dist,)), grid)
+        ]
+        assert rows_to_csv(rows) == rows_to_csv(one_cell)
+        assert rows == one_cell
+
     def test_exact_geometry_cond_matches_rate_sweep(self):
         # clamped draws are singular only under the separable model
         cfg = TrialConfig(seed=3, n_trials=40, wavelength=0.004, angle_range_small=math.radians(15.0),
@@ -498,6 +513,20 @@ class TestTrialConfigValidation:
         with pytest.raises(ValueError, match="antenna count must be an even integer >= 2, got 4.0"):
             TrialConfig(seed=1, n_antennas_list=(4.0,))
         assert TrialConfig(seed=1, n_antennas_list=(np.int64(4),)).n_antennas_list == (4,)
+
+    @pytest.mark.parametrize("name, value", [("seed", 1.5), ("seed", 2.0), ("n_trials", 2.5), ("n_trials", 3.0)])
+    def test_non_integer_seed_and_trial_count_rejected(self, name, value):
+        # both constructed, and the run then failed with TypeError in trial_rng or range
+        with pytest.raises(ValueError, match=f"{name} must .*an integer.*, got {value}"):
+            TrialConfig(**{"seed": 1, name: value})
+        assert getattr(TrialConfig(**{"seed": 1, name: np.int64(3)}), name) == 3
+
+    @pytest.mark.parametrize("bits", [(1.5, 2), (2, 2.0), (-1, 2)])
+    def test_non_integer_codebook_bits_rejected(self, bits):
+        # (1.5, 2) ran a whole campaign on an off-centre 3-entry azimuth grid
+        with pytest.raises(ValueError, match="bit counts must be nonnegative integers"):
+            TrialConfig(seed=1, codebook_bits=bits)
+        assert TrialConfig(seed=1, codebook_bits=(np.int64(2), 0)).codebook_bits == (2, 0)
 
     def test_bad_values(self):
         with pytest.raises(ValueError):

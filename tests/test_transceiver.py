@@ -98,6 +98,13 @@ class TestCodebook:
         with pytest.raises(ValueError):
             build_codebook(1, 1, quantization="other")
 
+    @pytest.mark.parametrize("bits", [(1.5, 3), (2, 3.0), (np.float64(2.0), 1)])
+    def test_non_integer_bit_counts_rejected(self, bits):
+        # (1.5, 3) gave a 3 x 8 grid with azimuths (-0.703, 0.061, 0.875), not symmetric
+        with pytest.raises(ValueError, match="bit counts must be nonnegative integers"):
+            build_codebook(*bits)
+        assert build_codebook(np.int64(2), np.int32(1)).size == 8
+
 
 class TestPrecoders:
     def test_zero_polar_shift_reduces_to_dft(self):
