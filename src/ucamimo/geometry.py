@@ -274,23 +274,18 @@ def tx_displacement(cfg: ArrayConfig, theta_cs, phi_cs) -> np.ndarray:
 def rx_displacement(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
     """Per-Rx-element path-length offset from all three misalignments; shape (..., N).
 
-    Combines the second-order ring curvature term with the first-order
-    projections of the tilted ring onto the shift direction.  The
-    curvature sum is identically zero, since rotation and tilt keep the
-    ring's radius (`test_rx_ring_keeps_its_radius` checks the identity).
-    It stays for now: deleting it moves 12 `zf` rows of `ucamimo simulate
-    --seed 2024 --trials 100 --lambda 0.004`, and an extended-precision
-    reference has to say which side is right first.
+    The first-order projections of the tilted ring onto the shift
+    direction.  The second-order ring curvature term,
+    sum_i amp_i**2 cos 2(theta_n - phase_i) / (4 D), is identically zero,
+    since rotation and tilt keep the ring's radius
+    (`test_rx_ring_keeps_its_radius` checks the identity), so it has no
+    term here.
     """
     th = cfg.antenna_angles
     amps, phases = rx_ring_harmonics(cfg, mis)
     amps, phases = ([a[..., i, None] for i in range(3)] for a in (amps, phases))
-    curvature = sum(
-        amps[i] ** 2 * np.cos(2.0 * (th - phases[i])) for i in range(3)
-    ) / (4.0 * cfg.distance)
     phi_cs = _angle(mis, "phi_cs", 1)
     return (
-        curvature
-        + amps[1] * np.cos(th - phases[1]) * np.sin(phi_cs)
+        amps[1] * np.cos(th - phases[1]) * np.sin(phi_cs)
         + amps[2] * np.cos(th - phases[2]) * np.cos(phi_cs)
     )

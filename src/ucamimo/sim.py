@@ -37,6 +37,7 @@ from .transceiver import (
     nulling_rates,
     precoded_rates,
     precoder_matrices,
+    spectrum_nulling_rates,
 )
 
 CSV_HEADER = "scenario,n_antennas,distance_m,scheme,trial,rate_bps_hz,beta,cond_number"
@@ -91,6 +92,8 @@ class TrialConfig:
             raise ValueError("n_antennas_list must not be empty")
         for n in self.n_antennas_list:
             _require_even(n, "antenna count")
+        if len(self.codebook_bits) != 2:
+            raise ValueError(f"codebook_bits must hold exactly two bit counts (L1, L2), got {self.codebook_bits!r}")
         _check_bit_counts(*self.codebook_bits)
 
 
@@ -212,26 +215,40 @@ def _rate_sweep_cell(
 
     Every scheme is one stacked call over the cell's channels, and the
     codebook row is the row maximum of `codebook_rates_many`, the best
-    entry's rate.  A draw clamped exactly onto the rotation bound yields a
-    singular channel; the nulling receivers cannot operate there and score
-    zero (the row's condition number is infinite, so such trials are
-    visible).  The optimal precoder water-fills the closed-form spectrum;
-    the capacity row and the condition number describe the channel built.
+    entry's rate.  The capacity row and the condition number describe the
+    channel built.  On the separable model the nulling and
+    optimal-precoder rows come from the closed-form spectrum: ZF and ZF-SIC
+    by `spectrum_nulling_rates`, and the optimal precoder, the SVD
+    precoder with water-filling, reaches capacity exactly, so its row is
+    the capacity row.  On exact geometry the numerical receivers score the
+    built channels, and the optimal precoder water-fills the closed-form
+    spectrum.  A draw clamped exactly onto the rotation bound yields a
+    singular separable channel; the nulling receivers cannot operate there
+    and score zero (the row's condition number is infinite, so such
+    trials are visible).
     """
     p_total = power_from_db(trial_cfg.snr_db)
     approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
     mis, h = _cell_channels(trial_cfg, cfg, draws)
     spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
-    nulling = nulling_rates(h, p_total, 1.0)
-    sigma = nulling.sigma if trial_cfg.exact_geometry else spectrum
-    optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
+    if trial_cfg.exact_geometry:
+        nulling = nulling_rates(h, p_total, 1.0)
+        sigma = nulling.sigma
+        optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
+        optimal_rate = np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total, 1.0)), axis=-1)
+        zf, zf_sic = np.sum(nulling.zf, axis=-1), np.sum(nulling.zf_sic, axis=-1)
+        cap = capacity(sigma, p_total, 1.0)
+    else:
+        sigma = spectrum
+        cap = optimal_rate = capacity(spectrum, p_total, 1.0)
+        zf, zf_sic = spectrum_nulling_rates(spectrum, p_total, 1.0)
     rates = (
-        capacity(sigma, p_total, 1.0),
-        np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total, 1.0)), axis=-1),
+        cap,
+        optimal_rate,
         np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1),
         np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_alloc), axis=-1),
-        np.sum(nulling.zf, axis=-1),
-        np.sum(nulling.zf_sic, axis=-1),
+        zf,
+        zf_sic,
     )
     return dict(zip(RATE_SWEEP_SCHEMES, rates, strict=True)), condition_numbers(sigma)
 
@@ -241,10 +258,11 @@ def _cell_rows(
 ) -> list[ResultRow]:
     """A cell's rows: each trial's schemes in `rates` order, trial by trial, then one mean row per scheme."""
     n, dist, beta = cfg.n_antennas, cfg.distance, cfg.beta
+    columns = [(scheme, rate.tolist()) for scheme, rate in rates.items()]
     rows = [
-        ResultRow(scenario, n, dist, scheme, trial, float(rate[trial]), beta, float(cond[trial]))
-        for trial in range(len(cond))
-        for scheme, rate in rates.items()
+        ResultRow(scenario, n, dist, scheme, trial, rate[trial], beta, trial_cond)
+        for trial, trial_cond in enumerate(cond.tolist())
+        for scheme, rate in columns
     ]
     mean_cond = float(np.mean(cond))
     rows += [

@@ -277,6 +277,11 @@ def codebook_rates_many(
 _RANK_TOL = 1e-12
 
 
+def _full_rank(sigma: np.ndarray) -> np.ndarray:
+    """Which rows of (..., N) singular values have a smallest one above `_RANK_TOL` times the largest."""
+    return np.min(sigma, axis=-1) > _RANK_TOL * np.max(sigma, axis=-1)
+
+
 @dataclass(frozen=True)
 class NullingRates:
     """Both nulling receivers on a (T, N, N) stack of channels.
@@ -301,10 +306,11 @@ def nulling_rates(h: np.ndarray, p_total: float, noise: float) -> NullingRates:
     log2 det(I + (p/noise) H^H H) exactly and does not depend on the
     detection order.  A channel whose smallest singular value is at most
     `_RANK_TOL` times its largest is rank-deficient and scores zero on
-    both receivers.
+    both receivers.  The campaigns run this on exact-geometry channels
+    only; separable channels take `spectrum_nulling_rates`.
     """
     sigma = np.linalg.svd(h, compute_uv=False)
-    full = sigma[..., -1] > _RANK_TOL * sigma[..., 0]
+    full = _full_rank(sigma)
     p = p_total / h.shape[-1]
     invertible = h[full]
     gram = np.swapaxes(invertible.conj(), -1, -2) @ invertible
@@ -314,3 +320,25 @@ def nulling_rates(h: np.ndarray, p_total: float, noise: float) -> NullingRates:
     zf[full] = np.log2(1.0 + p / (noise * diag_inv))
     zf_sic[full] = _chain_per_stream(math.sqrt(p / noise) * invertible)
     return NullingRates(sigma=sigma, zf=zf, zf_sic=zf_sic)
+
+
+def spectrum_nulling_rates(sigma, p_total: float, noise: float) -> tuple[np.ndarray, np.ndarray]:
+    """ZF and ZF-SIC sum rates of separable channels from their singular values; two (...,) arrays.
+
+    A separable channel is T_r C T_t^H with unit-modulus phase diagonals
+    T_r, T_t and a circulant core C = Q diag(delta) Q^H, |delta_k| =
+    sigma_k.  So H^H H = T_t Q diag(sigma^2) Q^H T_t^H, and every diagonal
+    entry of its inverse is mean_k sigma_k^-2: all N ZF streams see SNR
+    p / (noise * mean_k sigma_k^-2), p = p_total/N.  The ZF-SIC sum is
+    log2 det(I + (p/noise) H^H H) = sum_k log2(1 + p sigma_k^2 / noise).
+    These are `nulling_rates` on the built channel, without its SVD,
+    inverse and QR.  Rows rank-deficient by its rule score zero on both.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    n = sigma.shape[-1]
+    p = p_total / n
+    full = _full_rank(sigma)
+    kept = np.where(full[..., None], sigma, 1.0)  # no division by a zero gain on a row scored 0
+    zf = n * np.log1p(p / (noise * np.mean(kept**-2.0, axis=-1))) / _LN2
+    zf_sic = np.sum(np.log1p(kept**2 * (p / noise)), axis=-1) / _LN2
+    return np.where(full, zf, 0.0), np.where(full, zf_sic, 0.0)

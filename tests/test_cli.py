@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -604,14 +607,25 @@ class TestExitCodes:
 
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+SIMULATE_GOLDEN_ARGS = ["simulate", "--seed", "2024", "--lambda", "0.004", "--trials", "3",
+                        "--ns-list", "4,16", "--dist-list", "100,500"]
+
+
+def openblas_picks_its_kernel() -> bool:
+    """NumPy's BLAS is an OpenBLAS that picks its kernel at run time, so OPENBLAS_CORETYPE applies."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # NumPy before 1.26 prints its configuration only
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
 class TestGoldenBytes:
     """Campaign CSVs and design outputs must stay byte-identical to the committed copies in tests/data."""
 
     @pytest.mark.parametrize("name, args", [
-        ("simulate_seed2024.csv", ["simulate", "--seed", "2024", "--lambda", "0.004", "--trials", "3",
-                                   "--ns-list", "4,16", "--dist-list", "100,500"]),
+        ("simulate_seed2024.csv", SIMULATE_GOLDEN_ARGS),
         ("codebook_seed2024.csv", ["codebook", "--seed", "2024", "--trials", "2", "--bit-grid", "1:3,3:5"]),
         ("simulate_exact_seed2024.csv", ["simulate", "--seed", "2024", "--lambda", "0.004", "--trials", "3",
                                          "--ns-list", "8,16", "--dist-list", "100,500",
@@ -621,6 +635,19 @@ class TestGoldenBytes:
         out = tmp_path / name
         assert run_cli([*args, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / name).read_bytes()
+
+    @pytest.mark.skipif(not openblas_picks_its_kernel(), reason="needs an OpenBLAS built with DYNAMIC_ARCH")
+    @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+    def test_separable_csv_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path, core):
+        # OPENBLAS_CORETYPE forces another kernel for the child process only.  The golden's zf
+        # rows of ill-conditioned channels moved with the kernel while they came from a Gram
+        # inverse; from the closed-form spectrum they print the same digits under each kernel
+        out = tmp_path / "simulate_seed2024.csv"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-m", "ucamimo.cli", *SIMULATE_GOLDEN_ARGS, "--out", str(out)],
+                       env=env, check=True)
+        assert out.read_bytes() == (DATA / "simulate_seed2024.csv").read_bytes()
 
     @pytest.mark.parametrize("ns", [4, 8, 16, 64])
     @pytest.mark.parametrize("theta, suffix", [("0", "theta0"), ("deg:1.5", "theta1p5deg")])

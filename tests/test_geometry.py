@@ -193,7 +193,7 @@ class TestDistanceApprox:
             ang = 2 * math.pi * (n - m) / 8 + 0.17
             assert dist[n - 1, m - 1] == pytest.approx(100.0 - (0.31 * 0.31 / 100.0) * math.cos(ang), rel=1e-14)
             assert tau_t[m - 1] == 0.0
-            # the per-axis ring curvature terms cancel for every misalignment (the ring keeps its radius)
+            # an untilted, unshifted ring has no offset along the shift direction
             assert abs(tau_r[n - 1]) < 1e-15
 
     def test_separable_channel_is_the_phasor_of_the_distances(self):

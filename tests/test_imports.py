@@ -65,7 +65,7 @@ LAYER_NAMES = {
     "transceiver": {"Codebook", "NullingRates", "PrecoderMatrix", "RateReport",
                     "approx_power_allocation", "build_codebook", "codebook_rates_many",
                     "nulling_rates", "precoded_rate", "precoded_rates", "precoder_from_angles",
-                    "precoder_matrices"},
+                    "precoder_matrices", "spectrum_nulling_rates"},
     "sim": {"ResultRow", "TrialConfig", "draw_misalignment", "rows_to_csv",
             "run_codebook_bit_sweep", "run_rate_sweep", "trial_rng", "write_csv"},
 }

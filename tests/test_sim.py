@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from ucamimo.sim import (
     trial_rng,
 )
 from ucamimo.spectrum import singular_values
-from ucamimo.transceiver import precoded_rate
+from ucamimo.transceiver import precoded_rate, spectrum_nulling_rates
 
 
 def small_config(**kw):
@@ -69,8 +70,13 @@ def reference_rate_sweep(cfg):
     Each trial builds its channel alone and scores every scheme on it: the
     precoded schemes with `precoded_rate`, the codebook and nulling
     receivers with the stacked kernels on a stack of one, so a row cannot
-    depend on the rest of its cell.  A singular channel scores zero for ZF
-    and ZF-SIC.  Capacity row and condition number come from the
+    depend on the rest of its cell.  Under the separable model the nulling
+    receivers and the optimal precoder take their closed forms on the
+    trial's spectrum: `spectrum_nulling_rates`, and the capacity (the
+    properties in test_properties.py hold both to the numerical receivers
+    and to the SVD precoder).  Under exact geometry they are the numerical
+    `nulling_rates` and `precoded_rate`.  A singular channel scores zero
+    for ZF and ZF-SIC.  Capacity row and condition number come from the
     closed-form spectrum.
     """
     p_total = 10.0 ** (cfg.snr_db / 10.0)
@@ -86,15 +92,21 @@ def reference_rate_sweep(cfg):
                 h = trial_channel(cfg, arr, t)
                 sig = singular_values(n, arr.beta, h.mis.theta_o)
                 exact_alloc = water_fill(sig, p_total, 1.0)
-                optimal = precoder_from_angles(arr, h.mis.theta_cs, h.mis.phi_cs)
-                nulling = nulling_rates(h.entries[None], p_total, 1.0)
+                if cfg.exact_geometry:
+                    optimal = precoder_from_angles(arr, h.mis.theta_cs, h.mis.phi_cs)
+                    nulling = nulling_rates(h.entries[None], p_total, 1.0)
+                    optimal_rate = precoded_rate(h, optimal, exact_alloc).rate
+                    zf, zf_sic = float(np.sum(nulling.zf[0])), float(np.sum(nulling.zf_sic[0]))
+                else:
+                    optimal_rate = allocated_capacity(sig, exact_alloc)
+                    zf, zf_sic = (float(rate[0]) for rate in spectrum_nulling_rates(sig[None], p_total, 1.0))
                 rates = {
                     "capacity": allocated_capacity(sig, exact_alloc),
-                    "optimal-precoder": precoded_rate(h, optimal, exact_alloc).rate,
+                    "optimal-precoder": optimal_rate,
                     "codebook": codebook_rates_many(arr, h.entries[None], cb, approx_alloc)[0].max(),
                     "identity": precoded_rate(h, dft_matrix(n), approx_alloc).rate,
-                    "zf": float(np.sum(nulling.zf[0])),
-                    "zf-sic": float(np.sum(nulling.zf_sic[0])),
+                    "zf": zf,
+                    "zf-sic": zf_sic,
                 }
                 trials.append((rates, float(condition_numbers(singular_values(n, arr.beta, h.mis.theta_o)))))
             for t, (rates, cond) in enumerate(trials):
@@ -319,8 +331,9 @@ class TestCampaignDraws:
 
     @pytest.mark.parametrize("exact_geometry", [False, True])
     def test_stacked_svds_per_cell(self, monkeypatch, exact_geometry):
-        # the rate sweep's capacity row and condition number reuse the nulling receivers' SVD;
-        # the bit sweep needs one per cell only for the exact-geometry condition number
+        # on exact geometry the rate sweep's capacity row and condition number reuse the nulling
+        # receivers' SVD, and the bit sweep needs one per cell for the condition number; the
+        # separable campaigns score every row from the closed-form spectrum and take no SVD
         cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 300.0), exact_geometry=exact_geometry)
         shapes = []
         svd = np.linalg.svd
@@ -330,11 +343,12 @@ class TestCampaignDraws:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        per_cell = [(cfg.n_trials, n, n) for n in (4, 4, 8, 8)] if exact_geometry else []
         run_rate_sweep(cfg)
-        assert shapes == [(cfg.n_trials, n, n) for n in (4, 4, 8, 8)]
+        assert shapes == per_cell
         shapes.clear()
         run_codebook_bit_sweep(cfg, ((1, 1), (2, 1)))
-        assert shapes == ([(cfg.n_trials, n, n) for n in (4, 4, 8, 8)] if exact_geometry else [])
+        assert shapes == per_cell
 
 
 class TestRateSweep:
@@ -407,13 +421,14 @@ class TestRateSweep:
 
     def test_receiver_faults_are_not_scored_as_zero(self, monkeypatch):
         # only a singular channel scores zero; any other error propagates.
-        # The ZF receiver's Gram inverse is the only inverse in the package.
+        # The exact-geometry ZF receiver's Gram inverse is the only inverse in the package;
+        # separable channels take the closed form, which inverts nothing.
         def broken(a):
             raise ValueError("receiver fault")
 
         monkeypatch.setattr(np.linalg, "inv", broken)
         with pytest.raises(ValueError, match="receiver fault"):
-            run_rate_sweep(small_config(n_trials=1, distances=(100.0,)))
+            run_rate_sweep(small_config(n_trials=1, distances=(100.0,), exact_geometry=True))
 
     def test_exact_geometry_flag(self):
         approx = run_rate_sweep(small_config(n_trials=2, distances=(100.0,)))
@@ -527,6 +542,13 @@ class TestTrialConfigValidation:
         with pytest.raises(ValueError, match="bit counts must be nonnegative integers"):
             TrialConfig(seed=1, codebook_bits=bits)
         assert TrialConfig(seed=1, codebook_bits=(np.int64(2), 0)).codebook_bits == (2, 0)
+
+    @pytest.mark.parametrize("bits", [(5,), (1, 2, 3)])
+    def test_codebook_bits_need_exactly_two_counts(self, bits):
+        # both raised TypeError naming the private bit-count check
+        message = r"codebook_bits must hold exactly two bit counts \(L1, L2\), got " + re.escape(repr(bits))
+        with pytest.raises(ValueError, match=message):
+            TrialConfig(seed=1, codebook_bits=bits)
 
     def test_bad_values(self):
         with pytest.raises(ValueError):

@@ -426,6 +426,16 @@ class TestZfReceivers:
         np.testing.assert_array_equal(rates.zf_sic[0], 0.0)
         assert np.all(rates.zf[1] > 0.0) and np.all(rates.zf_sic[1] > 0.0)
 
+    def test_spectrum_rates_by_hand(self):
+        # a zero gain (beta = 0 gives exact zeros) scores 0 on both receivers without a
+        # division warning; gains (1, 2) at p = 3 per stream give ZF 2 log2(1 + 3/(5/8)) and
+        # ZF-SIC log2(1 + 3) + log2(1 + 12)
+        zf, zf_sic = transceiver.spectrum_nulling_rates(np.array([[2.0, 0.0], [1.0, 2.0]]), 6.0, 1.0)
+        np.testing.assert_array_equal(zf[0], 0.0)
+        np.testing.assert_array_equal(zf_sic[0], 0.0)
+        assert zf[1] == pytest.approx(2.0 * math.log2(1.0 + 3.0 / 0.625), rel=1e-15)
+        assert zf_sic[1] == pytest.approx(math.log2(4.0) + math.log2(13.0), rel=1e-15)
+
 
 class TestZfSic:
     def test_sum_rate_equals_log_det(self):
