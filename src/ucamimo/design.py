@@ -265,11 +265,14 @@ def search_beta_opt(
     most _GRID_BLOCK spectrum values, breaks ties toward the smallest beta
     (within TIE_TOLERANCE_BITS), then refines the winning cell by golden
     section to 1e-4.  If `wavelength` and `distance` are supplied, the
-    equal-radius solution realising the optimum is filled in.  The result
+    equal-radius solution realising the optimum is filled in; giving only
+    one of them raises ValueError.  The result
     is flagged `at_edge` when the optimum lies within `resolution` of
     `beta_max`.
     """
     lengths = tuple(x for x in (wavelength, distance) if x is not None)
+    if len(lengths) == 1:
+        raise ValueError("wavelength and distance must be given together or not at all")
     if not all(map(math.isfinite, (snr_db, theta_o, beta_max, resolution, *lengths))):
         raise ValueError("snr_db, theta_o, beta_max, resolution, wavelength and distance must be finite")
     if beta_max <= 0.0 or resolution <= 0.0:
@@ -292,7 +295,7 @@ def search_beta_opt(
 
     radii_product = None
     radius_equal = None
-    if wavelength is not None and distance is not None:
+    if lengths:
         radius_equal = radii_from_beta(beta_opt, wavelength, distance)
         radii_product = radius_equal * radius_equal
     return DesignResult(

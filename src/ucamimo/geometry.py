@@ -7,7 +7,8 @@ an in-plane rotation, two tilts, and a two-angle centre shift.  This module
 computes the inter-antenna distances under those displacements in one
 stacked form each: `distance_matrix_exact` gives all N x N exact distances,
 and `tx_displacement` and `rx_displacement` give the per-element offsets of
-the separable far-field model that the channel assembles.  Each broadcasts
+the separable far-field model that the channel assembles; the centre-shift
+term of the exact distances is built from the same offsets.  Each broadcasts
 over a leading trial axis; the tests check the exact distances against the
 norms of element coordinates built from the paper's rotations.
 """
@@ -209,18 +210,15 @@ def distance_matrix_exact(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
 
     Evaluates the closed form D*sqrt(1 + f) of the squared distance; a
     stack of misalignments adds its leading axes in front of (N, N).  The
-    squared tilted ring contributes no term: rotation and tilt keep the Rx
-    ring's radius, so sum_i amp_i**2 cos 2(theta_n - phase_i) is
-    identically zero.
+    centre shift enters as 2D (tau_r(n) - tau_t(m)), with the offsets of
+    `rx_displacement` and `tx_displacement`.  The squared tilted ring
+    contributes no term: rotation and tilt keep the Rx ring's radius, so
+    sum_i amp_i**2 cos 2(theta_n - phase_i) is identically zero.
     """
     th = cfg.antenna_angles
     theta_n, theta_m = th[:, None], th[None, :]
     rt, rr, d = cfg.radius_tx, cfg.radius_rx, cfg.distance
-    theta_o, theta_cs, phi_cs, phi_x, phi_y = (_angle(mis, name, 2) for name in ANGLE_NAMES)
-    amps, phases = rx_ring_harmonics(cfg, mis)
-    amps, phases = ([a[..., i].reshape(theta_o.shape) for i in range(3)] for a in (amps, phases))
-    sin_pcs = np.sin(phi_cs)
-    cos_pcs = np.cos(phi_cs)
+    theta_o, phi_x, phi_y = (_angle(mis, name, 2) for name in ("theta_o", "phi_x", "phi_y"))
     shx = np.sin(phi_x / 2.0) ** 2
     shy = np.sin(phi_y / 2.0) ** 2
     sxsy = np.sin(phi_x) * np.sin(phi_y)
@@ -236,14 +234,8 @@ def distance_matrix_exact(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
             + 0.5 * sxsy * np.cos(theta_m) * np.sin(theta_n + theta_o)
         )
     )
-    shift = (
-        2.0
-        * d
-        * (
-            amps[1] * np.cos(theta_n - phases[1]) * sin_pcs
-            + amps[2] * np.cos(theta_n - phases[2]) * cos_pcs
-            - rt * np.sin(theta_m + theta_cs) * sin_pcs
-        )
+    shift = 2.0 * d * (
+        rx_displacement(cfg, mis)[..., :, None] - tx_displacement(cfg, mis.theta_cs, mis.phi_cs)[..., None, :]
     )
     sq = d * d + rt * rt + rr * rr + rot + tilt + shift
     return d * np.sqrt(1.0 + (sq - d * d) / (d * d))

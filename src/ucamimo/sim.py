@@ -5,9 +5,10 @@ keyed by (seed, trial index), so results are byte-reproducible and do not
 depend on execution order.  Each trial is drawn once per campaign and the
 same draw serves every scenario cell, which pairs the comparisons across
 antenna counts, distances and codebook settings; only the rotation clamp
-to [-pi/N, pi/N] depends on the cell.  All trials of a cell are scored as
-one batch: its channels are built as one (T, N, N) stack and each scheme
-is one stacked call.
+to [-pi/N, pi/N] depends on the antenna count.  One generator, `_cells`,
+builds every cell of both campaigns: its channels as one (T, N, N) stack
+and their singular values.  All trials of a cell are scored as one batch,
+each scheme in one stacked call.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .design import (
 from .geometry import _INTEGERS, TWO_PI, ArrayConfig, Misalignment, _require_even
 from .spectrum import singular_values_many
 from .transceiver import (
-    Codebook,
     _check_bit_counts,
     approx_power_allocation,
     build_codebook,
@@ -178,79 +178,33 @@ def _campaign_draws(trial_cfg: TrialConfig) -> np.ndarray:
     return _draw_angles((trial_rng(trial_cfg.seed, t) for t in range(trial_cfg.n_trials)), trial_cfg)
 
 
-def _cell_arrays(trial_cfg: TrialConfig) -> Iterator[ArrayConfig]:
-    """The array pair of each scenario cell, antenna count outermost.
+def _cells(trial_cfg: TrialConfig) -> Iterator[tuple[ArrayConfig, Misalignment, np.ndarray, np.ndarray]]:
+    """Each scenario cell's arrays, misalignments, (T, N, N) channels and (T, N) singular values.
 
-    Both radii are fixed per antenna count to the optimum at the design
-    distance, searched once per count; sweeping the actual distance then
-    scales beta inversely.
+    Cells come antenna count outermost.  Both radii are fixed per antenna
+    count to the optimum at the design distance, searched once per count;
+    sweeping the actual distance then scales beta inversely.  The trials
+    are drawn once per campaign and clamped once per antenna count, so
+    trial t equals `draw_misalignment(trial_rng(seed, t), trial_cfg, N)`.
+    The singular values are the closed-form spectrum on the separable
+    model and the SVD of the built channels with exact geometry.
     """
+    theta_o, *rest = _campaign_draws(trial_cfg)
+    model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
     for n in trial_cfg.n_antennas_list:
         design = search_beta_opt(
             n, 0.0, trial_cfg.snr_db, wavelength=trial_cfg.wavelength, distance=trial_cfg.design_distance
         )
         radius = float(design.radius_equal)
+        mis = Misalignment(_clamp_rotation(theta_o, n), *rest)
         for dist in trial_cfg.distances:
-            yield ArrayConfig(n, trial_cfg.wavelength, radius, radius, dist)
-
-
-def _cell_channels(
-    trial_cfg: TrialConfig, cfg: ArrayConfig, draws: np.ndarray
-) -> tuple[Misalignment, np.ndarray]:
-    """The misalignments of a scenario cell and its (T, N, N) stack of channels.
-
-    The campaign's `draws` are clamped to the cell's rotation bound, so
-    trial t equals `draw_misalignment(trial_rng(seed, t), trial_cfg, N)`.
-    """
-    theta_o, *rest = draws
-    mis = Misalignment(_clamp_rotation(theta_o, cfg.n_antennas), *rest)
-    model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
-    return mis, build_channels(cfg, mis, model)
-
-
-def _rate_sweep_cell(
-    trial_cfg: TrialConfig, cfg: ArrayConfig, draws: np.ndarray, cb: Codebook
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Rates of every scheme for all trials of a cell; returns (rates, condition numbers).
-
-    Every scheme is one stacked call over the cell's channels, and the
-    codebook row is the row maximum of `codebook_rates_many`, the best
-    entry's rate.  The capacity row and the condition number describe the
-    channel built.  On the separable model the nulling and
-    optimal-precoder rows come from the closed-form spectrum: ZF and ZF-SIC
-    by `spectrum_nulling_rates`, and the optimal precoder, the SVD
-    precoder with water-filling, reaches capacity exactly, so its row is
-    the capacity row.  On exact geometry the numerical receivers score the
-    built channels, and the optimal precoder water-fills the closed-form
-    spectrum.  A draw clamped exactly onto the rotation bound yields a
-    singular separable channel; the nulling receivers cannot operate there
-    and score zero (the row's condition number is infinite, so such
-    trials are visible).
-    """
-    p_total = power_from_db(trial_cfg.snr_db)
-    approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
-    mis, h = _cell_channels(trial_cfg, cfg, draws)
-    spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
-    if trial_cfg.exact_geometry:
-        nulling = nulling_rates(h, p_total, 1.0)
-        sigma = nulling.sigma
-        optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
-        optimal_rate = np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total, 1.0)), axis=-1)
-        zf, zf_sic = np.sum(nulling.zf, axis=-1), np.sum(nulling.zf_sic, axis=-1)
-        cap = capacity(sigma, p_total, 1.0)
-    else:
-        sigma = spectrum
-        cap = optimal_rate = capacity(spectrum, p_total, 1.0)
-        zf, zf_sic = spectrum_nulling_rates(spectrum, p_total, 1.0)
-    rates = (
-        cap,
-        optimal_rate,
-        np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1),
-        np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_alloc), axis=-1),
-        zf,
-        zf_sic,
-    )
-    return dict(zip(RATE_SWEEP_SCHEMES, rates, strict=True)), condition_numbers(sigma)
+            cfg = ArrayConfig(n, trial_cfg.wavelength, radius, radius, dist)
+            h = build_channels(cfg, mis, model)
+            if trial_cfg.exact_geometry:
+                sigma = np.linalg.svd(h, compute_uv=False)
+            else:
+                sigma = singular_values_many(n, cfg.beta, mis.theta_o)
+            yield cfg, mis, h, sigma
 
 
 def _cell_rows(
@@ -276,14 +230,45 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     """Rates of all schemes over the (antenna count, distance) grid.
 
     Each trial is drawn once, and each cell's trials are scored as one
-    batch.  `jobs` is accepted for compatibility; neither the output nor
-    the scheduling depends on it.
+    batch: every scheme is one stacked call over the cell's channels, and
+    the codebook row is the row maximum of `codebook_rates_many`, the best
+    entry's rate.  The capacity row and the condition number come from the
+    singular values `_cells` yields.  On the separable model the nulling
+    and optimal-precoder rows come from the closed-form spectrum: ZF and
+    ZF-SIC by `spectrum_nulling_rates`, and the optimal precoder, the SVD
+    precoder with water-filling, reaches capacity exactly, so its row is
+    the capacity row.  On exact geometry the numerical receivers score the
+    built channels, and the optimal precoder water-fills the closed-form
+    spectrum.  A draw clamped exactly onto the rotation bound yields a
+    singular separable channel; the nulling receivers cannot operate there
+    and score zero (the row's condition number is infinite, so such
+    trials are visible).  `jobs` is accepted for compatibility; neither
+    the output nor the scheduling depends on it.
     """
+    p_total = power_from_db(trial_cfg.snr_db)
     cb = build_codebook(*trial_cfg.codebook_bits)
-    draws = _campaign_draws(trial_cfg)
     rows: list[ResultRow] = []
-    for cfg in _cell_arrays(trial_cfg):
-        rows += _cell_rows("rate_sweep", cfg, *_rate_sweep_cell(trial_cfg, cfg, draws, cb))
+    for cfg, mis, h, sigma in _cells(trial_cfg):
+        approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
+        cap = capacity(sigma, p_total, 1.0)
+        if trial_cfg.exact_geometry:
+            spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
+            optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
+            optimal_rate = np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total, 1.0)), axis=-1)
+            zf, zf_sic = (np.sum(per_stream, axis=-1) for per_stream in nulling_rates(h, sigma, p_total, 1.0))
+        else:
+            optimal_rate = cap
+            zf, zf_sic = spectrum_nulling_rates(sigma, p_total, 1.0)
+        rates = (
+            cap,
+            optimal_rate,
+            np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1),
+            np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_alloc), axis=-1),
+            zf,
+            zf_sic,
+        )
+        rows += _cell_rows("rate_sweep", cfg, dict(zip(RATE_SWEEP_SCHEMES, rates, strict=True)),
+                           condition_numbers(sigma))
     return rows
 
 
@@ -309,8 +294,8 @@ def run_codebook_bit_sweep(
 ) -> list[ResultRow]:
     """Codebook rates against the bit budget, sine-uniform vs linear, in every scenario cell.
 
-    Cells run in `run_rate_sweep`'s order, antenna count outermost, on the
-    campaign's one set of draws; the CLI's `codebook` runs one cell, 16
+    The cells come from `_cells`, as in `run_rate_sweep`: antenna count
+    outermost, on the campaign's one set of draws; the CLI's `codebook` runs one cell, 16
     antennas at 300 m by default, with radii designed for the design
     distance.  Within a cell every (L1, L2) pair is evaluated with both
     quantisation rules on the same per-trial channels.  Each codebook is
@@ -323,15 +308,9 @@ def run_codebook_bit_sweep(
         raise ValueError("bit_grid must not be empty")
     codebooks = [(l1, l2, method, build_codebook(l1, l2, quantization=method))
                  for l1, l2 in bit_grid for method in ("sine", "linear")]
-    draws = _campaign_draws(trial_cfg)
     rows: list[ResultRow] = []
-    for cfg in _cell_arrays(trial_cfg):
+    for cfg, _, h, sigma in _cells(trial_cfg):
         approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
-        mis, h = _cell_channels(trial_cfg, cfg, draws)
-        if trial_cfg.exact_geometry:
-            sigma = np.linalg.svd(h, compute_uv=False)
-        else:
-            sigma = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
         cond = condition_numbers(sigma)
         for l1, l2, method, cb in codebooks:
             rates = np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1)

@@ -282,34 +282,25 @@ def _full_rank(sigma: np.ndarray) -> np.ndarray:
     return np.min(sigma, axis=-1) > _RANK_TOL * np.max(sigma, axis=-1)
 
 
-@dataclass(frozen=True)
-class NullingRates:
-    """Both nulling receivers on a (T, N, N) stack of channels.
+def nulling_rates(h: np.ndarray, sigma, p_total: float, noise: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-power ZF and ZF-SIC per-stream rates of a (T, N, N) stack of channels; two (T, N) arrays.
 
-    `sigma` holds each channel's singular values, descending, from the
-    rank test; `zf` and `zf_sic` are (T, N) per-stream rates, zero on the
-    rows of rank-deficient channels, where neither receiver can operate.
-    """
-
-    sigma: np.ndarray
-    zf: np.ndarray
-    zf_sic: np.ndarray
-
-
-def nulling_rates(h: np.ndarray, p_total: float, noise: float) -> NullingRates:
-    """Equal-power ZF and ZF-SIC rates of a (T, N, N) stack of channels.
-
-    Each stream gets p = p_total/N.  ZF stream k sees SNR
+    `sigma` holds each channel's singular values, shape (T, N), as
+    `np.linalg.svd(h, compute_uv=False)` gives them; they serve the rank
+    test only.  Each stream gets p = p_total/N.  ZF stream k sees SNR
     p / (noise * [(H^H H)^{-1}]_kk).  ZF-SIC detects and subtracts the
     streams in natural order; its per-stream rates come from the
     noise-regularised QR diagonal, so their sum equals
     log2 det(I + (p/noise) H^H H) exactly and does not depend on the
     detection order.  A channel whose smallest singular value is at most
     `_RANK_TOL` times its largest is rank-deficient and scores zero on
-    both receivers.  The campaigns run this on exact-geometry channels
-    only; separable channels take `spectrum_nulling_rates`.
+    both receivers, where neither can operate.  The campaigns run this on
+    exact-geometry channels only; separable channels take
+    `spectrum_nulling_rates`.
     """
-    sigma = np.linalg.svd(h, compute_uv=False)
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != h.shape[:-1]:
+        raise ValueError(f"singular values must have shape {h.shape[:-1]}, got {sigma.shape}")
     full = _full_rank(sigma)
     p = p_total / h.shape[-1]
     invertible = h[full]
@@ -319,7 +310,7 @@ def nulling_rates(h: np.ndarray, p_total: float, noise: float) -> NullingRates:
     zf_sic = np.zeros(h.shape[:-1])
     zf[full] = np.log2(1.0 + p / (noise * diag_inv))
     zf_sic[full] = _chain_per_stream(math.sqrt(p / noise) * invertible)
-    return NullingRates(sigma=sigma, zf=zf, zf_sic=zf_sic)
+    return zf, zf_sic
 
 
 def spectrum_nulling_rates(sigma, p_total: float, noise: float) -> tuple[np.ndarray, np.ndarray]:
@@ -331,8 +322,9 @@ def spectrum_nulling_rates(sigma, p_total: float, noise: float) -> tuple[np.ndar
     entry of its inverse is mean_k sigma_k^-2: all N ZF streams see SNR
     p / (noise * mean_k sigma_k^-2), p = p_total/N.  The ZF-SIC sum is
     log2 det(I + (p/noise) H^H H) = sum_k log2(1 + p sigma_k^2 / noise).
-    These are `nulling_rates` on the built channel, without its SVD,
-    inverse and QR.  Rows rank-deficient by its rule score zero on both.
+    These are the sums of `nulling_rates` on the built channel, without
+    an SVD, inverse or QR.  Rows rank-deficient by its rule score zero on
+    both.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[-1]

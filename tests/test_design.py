@@ -506,6 +506,11 @@ class TestSearchBetaOpt:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("given", [{"wavelength": 0.004}, {"distance": 100.0}])
+    def test_half_given_length_rejected(self, given):
+        with pytest.raises(ValueError, match="wavelength and distance must be given together"):
+            search_beta_opt(8, 0.0, 15.0, **given)
+
     @pytest.mark.parametrize("name, value", [("wavelength", math.nan), ("wavelength", math.inf),
                                              ("distance", math.nan), ("distance", -math.inf)])
     def test_non_finite_lengths_rejected_before_the_search(self, monkeypatch, name, value):

@@ -229,11 +229,12 @@ def test_closed_form_nulling_rates_match_numerical_receivers(stack, snr_db):
     ratio = np.min(sigma, axis=-1) / np.max(sigma, axis=-1)
     assume(np.all(ratio > 1e-3))
     p_total = power_from_db(snr_db)
-    numerical = nulling_rates(build_channels(cfg, mis), p_total, 1.0)
+    h = build_channels(cfg, mis)
+    numerical_zf, numerical_zf_sic = nulling_rates(h, np.linalg.svd(h, compute_uv=False), p_total, 1.0)
     zf, zf_sic = spectrum_nulling_rates(sigma, p_total, 1.0)
-    np.testing.assert_allclose(zf_sic, np.sum(numerical.zf_sic, axis=-1), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(zf_sic, np.sum(numerical_zf_sic, axis=-1), rtol=1e-12, atol=0.0)
     inversion = cfg.n_antennas * np.finfo(float).eps / ratio**2
-    assert np.all(np.abs(zf - np.sum(numerical.zf, axis=-1)) <= (1e-12 + inversion) * zf)
+    assert np.all(np.abs(zf - np.sum(numerical_zf, axis=-1)) <= (1e-12 + inversion) * zf)
 
 
 @PROPERTY
@@ -273,14 +274,11 @@ def test_closed_form_zf_matches_extended_precision_oracle():
     cfg = sim.TrialConfig(seed=2024, n_trials=5, wavelength=0.004, n_antennas_list=(12, 16),
                           distances=(400.0, 500.0))
     p_total = power_from_db(cfg.snr_db)
-    draws = sim._campaign_draws(cfg)
     checked = 0
-    for acfg in sim._cell_arrays(cfg):
-        mis, h = sim._cell_channels(cfg, acfg, draws)
-        sigma = singular_values_many(acfg.n_antennas, acfg.beta, mis.theta_o)
+    for acfg, _, h, sigma in sim._cells(cfg):
         cond = condition_numbers(sigma)
         zf, _ = spectrum_nulling_rates(sigma, p_total, 1.0)
-        numerical = np.sum(nulling_rates(h, p_total, 1.0).zf, axis=-1)
+        numerical = np.sum(nulling_rates(h, np.linalg.svd(h, compute_uv=False), p_total, 1.0)[0], axis=-1)
         for t in np.flatnonzero(np.isfinite(cond) & (cond >= 1e4)):
             oracle = zf_oracle(h[t], p_total / acfg.n_antennas)
             assert abs(zf[t] - oracle) <= 1e-15 * cond[t] * oracle, (acfg, t)

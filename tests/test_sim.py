@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -94,9 +95,10 @@ def reference_rate_sweep(cfg):
                 exact_alloc = water_fill(sig, p_total, 1.0)
                 if cfg.exact_geometry:
                     optimal = precoder_from_angles(arr, h.mis.theta_cs, h.mis.phi_cs)
-                    nulling = nulling_rates(h.entries[None], p_total, 1.0)
+                    sigma = np.linalg.svd(h.entries, compute_uv=False)
+                    nulling = nulling_rates(h.entries[None], sigma[None], p_total, 1.0)
                     optimal_rate = precoded_rate(h, optimal, exact_alloc).rate
-                    zf, zf_sic = float(np.sum(nulling.zf[0])), float(np.sum(nulling.zf_sic[0]))
+                    zf, zf_sic = (float(np.sum(rate[0])) for rate in nulling)
                 else:
                     optimal_rate = allocated_capacity(sig, exact_alloc)
                     zf, zf_sic = (float(rate[0]) for rate in spectrum_nulling_rates(sig[None], p_total, 1.0))
@@ -268,12 +270,9 @@ class TestDrawMisalignment:
         cfg = small_config()
         rng = trial_rng(8, 0)
         n = 100_000
-        draws = np.empty((n, 4))
-        phi = np.empty(n)
-        for i in range(n):
-            mis = draw_misalignment(rng, cfg, 8)
-            draws[i] = (mis.theta_o, mis.theta_cs, mis.phi_x, mis.phi_y)
-            phi[i] = mis.phi_cs
+        # n one-trial draws from one generator, as n `draw_misalignment(rng, cfg, 8)` calls make them
+        theta_o, theta_cs, phi, phi_x, phi_y = sim._draw_angles(itertools.repeat(rng, n), cfg)
+        draws = np.column_stack([sim._clamp_rotation(theta_o, 8), theta_cs, phi_x, phi_y])
         half = np.array([cfg.angle_range_small, math.pi, cfg.angle_range_small, cfg.angle_range_small])
         tol = 3.0 * (half / math.sqrt(3.0)) / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0)) <= tol)
@@ -286,20 +285,26 @@ class TestCampaignDraws:
 
     def test_cell_draws_equal_one_trial_draws(self):
         cfg = small_config(n_trials=40, angle_range_small=math.radians(15.0), n_antennas_list=(4, 8, 16, 64))
-        draws = sim._campaign_draws(cfg)
-        for n in cfg.n_antennas_list:
-            mis, _ = sim._cell_channels(cfg, cell_array(cfg, n, 300.0), draws)
+        for acfg, mis, _, _ in sim._cells(cfg):
+            n = acfg.n_antennas
             for t in range(cfg.n_trials):
                 one = draw_misalignment(trial_rng(cfg.seed, t), cfg, n)
                 for name in ANGLE_NAMES:
                     assert getattr(mis, name)[t] == getattr(one, name), (n, t, name)
                     assert math.copysign(1.0, getattr(mis, name)[t]) == math.copysign(1.0, getattr(one, name))
 
+    def test_one_misalignment_per_antenna_count(self):
+        cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 200.0, 300.0))
+        cells = [(acfg.n_antennas, mis) for acfg, mis, _, _ in sim._cells(cfg)]
+        assert [n for n, _ in cells] == [4, 4, 4, 8, 8, 8]
+        assert len({id(mis) for _, mis in cells}) == 2
+        assert all(mis is cells[0][1] for n, mis in cells if n == 4)
+
     def test_hand_count_of_clamped_draws(self):
         # 13 of the 40 rotations at 15 degrees exceed pi/16 for seed 3 and are clamped onto it
         cfg = TrialConfig(seed=3, n_trials=40, angle_range_small=math.radians(15.0),
                           n_antennas_list=(16,), distances=(500.0,), wavelength=0.004)
-        mis, _ = sim._cell_channels(cfg, cell_array(cfg, 16, 500.0), sim._campaign_draws(cfg))
+        [(_, mis, _, _)] = sim._cells(cfg)
         assert np.count_nonzero(np.abs(mis.theta_o) == math.pi / 16) == 13
         assert np.count_nonzero(np.abs(mis.theta_o) > math.pi / 16) == 0
 
@@ -331,9 +336,9 @@ class TestCampaignDraws:
 
     @pytest.mark.parametrize("exact_geometry", [False, True])
     def test_stacked_svds_per_cell(self, monkeypatch, exact_geometry):
-        # on exact geometry the rate sweep's capacity row and condition number reuse the nulling
-        # receivers' SVD, and the bit sweep needs one per cell for the condition number; the
-        # separable campaigns score every row from the closed-form spectrum and take no SVD
+        # `_cells` takes one stacked SVD per exact-geometry cell, which the capacity row, the
+        # condition number and the nulling receivers share; the separable campaigns score every
+        # row from the closed-form spectrum and take no SVD
         cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 300.0), exact_geometry=exact_geometry)
         shapes = []
         svd = np.linalg.svd
@@ -397,9 +402,9 @@ class TestRateSweep:
         alloc = water_fill(sig, 10**1.5, 1.0)
         cap = float(np.sum(np.log2(1.0 + alloc.powers * sig**2)))
         assert rows["capacity"] == pytest.approx(cap, abs=1e-9)
-        nulling = nulling_rates(h.entries[None], 10**1.5, 1.0)
-        assert rows["zf"] == pytest.approx(np.sum(nulling.zf[0]), abs=1e-9)
-        assert rows["zf-sic"] == pytest.approx(np.sum(nulling.zf_sic[0]), abs=1e-9)
+        zf, zf_sic = nulling_rates(h.entries[None], np.linalg.svd(h.entries, compute_uv=False)[None], 10**1.5, 1.0)
+        assert rows["zf"] == pytest.approx(np.sum(zf[0]), abs=1e-9)
+        assert rows["zf-sic"] == pytest.approx(np.sum(zf_sic[0]), abs=1e-9)
 
     def test_singular_clamped_draws_score_zero_for_nulling(self):
         # ranges beyond the rotation bound clamp onto it, where the channel

@@ -37,8 +37,9 @@ def best_codebook_rate(cfg, h, cb, alloc):
 
 
 def nulling(h, p_total, noise):
-    """Both nulling receivers on a stack of one channel."""
-    return nulling_rates(np.asarray(h)[None], p_total, noise)
+    """Both nulling receivers on a stack of one channel: per-stream (zf, zf_sic), each (1, N)."""
+    stack = np.asarray(h)[None]
+    return nulling_rates(stack, np.linalg.svd(stack, compute_uv=False), p_total, noise)
 
 
 def design_point(n=8, dist=100.0):
@@ -398,13 +399,15 @@ class TestZfReceivers:
         h = build_channel(cfg, mis)
         sig = singular_values(4, cfg.beta, mis.theta_o)
         cap = allocated_capacity(sig, water_fill(sig, SNR15, 1.0))
-        assert np.sum(nulling(h.entries, SNR15, 1.0).zf) == pytest.approx(cap, abs=0.01)
+        zf, _ = nulling(h.entries, SNR15, 1.0)
+        assert np.sum(zf) == pytest.approx(cap, abs=0.01)
 
     def test_scaled_unitary_equalises_streams(self):
         rng = np.random.default_rng(68)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         h = 3.0 * q
-        np.testing.assert_allclose(nulling(h, 12.0, 1.0).zf[0], math.log2(1.0 + 2.0 * 9.0), atol=1e-9)
+        zf, _ = nulling(h, 12.0, 1.0)
+        np.testing.assert_allclose(zf[0], math.log2(1.0 + 2.0 * 9.0), atol=1e-9)
 
     def test_zf_below_capacity(self):
         cfg = design_point(8, 200.0)
@@ -414,17 +417,26 @@ class TestZfReceivers:
             h = build_channel(cfg, mis)
             sig = singular_values(8, cfg.beta, mis.theta_o)
             cap = allocated_capacity(sig, water_fill(sig, SNR15, 1.0))
-            assert np.sum(nulling(h.entries, SNR15, 1.0).zf) <= cap + 1e-9
+            zf, _ = nulling(h.entries, SNR15, 1.0)
+            assert np.sum(zf) <= cap + 1e-9
 
     def test_rank_deficient_row_scores_zero(self):
         cfg = design_point(8)
         singular = build_channel(cfg, Misalignment(theta_o=math.pi / 8)).entries
         regular = build_channel(cfg, Misalignment()).entries
-        rates = nulling_rates(np.stack([singular, regular]), SNR15, 1.0)
-        assert rates.sigma[0, -1] <= 1e-12 * rates.sigma[0, 0]
-        np.testing.assert_array_equal(rates.zf[0], 0.0)
-        np.testing.assert_array_equal(rates.zf_sic[0], 0.0)
-        assert np.all(rates.zf[1] > 0.0) and np.all(rates.zf_sic[1] > 0.0)
+        h = np.stack([singular, regular])
+        sigma = np.linalg.svd(h, compute_uv=False)
+        zf, zf_sic = nulling_rates(h, sigma, SNR15, 1.0)
+        assert sigma[0, -1] <= 1e-12 * sigma[0, 0]
+        np.testing.assert_array_equal(zf[0], 0.0)
+        np.testing.assert_array_equal(zf_sic[0], 0.0)
+        assert np.all(zf[1] > 0.0) and np.all(zf_sic[1] > 0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 7), (1, 8), (2, 8, 1), (8,)])
+    def test_singular_values_must_match_the_stack(self, shape):
+        h = np.stack([build_channel(design_point(8), Misalignment()).entries] * 2)
+        with pytest.raises(ValueError, match="singular values must have shape"):
+            nulling_rates(h, np.ones(shape), SNR15, 1.0)
 
     def test_spectrum_rates_by_hand(self):
         # a zero gain (beta = 0 gives exact zeros) scores 0 on both receivers without a
@@ -445,7 +457,8 @@ class TestZfSic:
             h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             p_total = float(rng.uniform(0.5, 100.0))
             noise = float(rng.uniform(0.2, 3.0))
-            rate = np.sum(nulling(h, p_total, noise).zf_sic)
+            _, zf_sic = nulling(h, p_total, noise)
+            rate = np.sum(zf_sic)
             scale = p_total / (n * noise)
             ref = math.log2(np.linalg.det(np.eye(n) + scale * h.conj().T @ h).real)
             assert rate == pytest.approx(ref, abs=1e-9)
@@ -454,8 +467,8 @@ class TestZfSic:
         rng = np.random.default_rng(71)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
         h = 2.5 * q
-        rates = nulling(h, 10.0, 1.0)
-        assert np.sum(rates.zf_sic) == pytest.approx(np.sum(rates.zf), abs=1e-9)
+        zf, zf_sic = nulling(h, 10.0, 1.0)
+        assert np.sum(zf_sic) == pytest.approx(np.sum(zf), abs=1e-9)
 
     def test_close_to_capacity_at_design_point(self):
         cfg = design_point(8)
@@ -465,12 +478,13 @@ class TestZfSic:
             h = build_channel(cfg, mis)
             sig = singular_values(8, cfg.beta, mis.theta_o)
             cap = allocated_capacity(sig, water_fill(sig, SNR15, 1.0))
-            assert abs(np.sum(nulling(h.entries, SNR15, 1.0).zf_sic) - cap) <= 0.1
+            _, zf_sic = nulling(h.entries, SNR15, 1.0)
+            assert abs(np.sum(zf_sic) - cap) <= 0.1
 
     def test_sum_rate_independent_of_stream_order(self):
         rng = np.random.default_rng(73)
         h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        base = np.sum(nulling(h, 5.0, 1.0).zf_sic)
+        base = np.sum(nulling(h, 5.0, 1.0)[1])
         for _ in range(5):
             perm = rng.permutation(6)
-            assert np.sum(nulling(h[:, perm], 5.0, 1.0).zf_sic) == pytest.approx(base, abs=1e-12)
+            assert np.sum(nulling(h[:, perm], 5.0, 1.0)[1]) == pytest.approx(base, abs=1e-12)
