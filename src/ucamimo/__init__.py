@@ -25,7 +25,6 @@ from .sim import ResultRow, TrialConfig, draw_misalignment, run_codebook_bit_swe
 from .spectrum import singular_values
 from .transceiver import (
     Codebook,
-    PrecoderMatrix,
     RateReport,
     approx_power_allocation,
     build_codebook,

@@ -76,7 +76,7 @@ def _check_entries(entries: np.ndarray, shape: tuple[int, ...]) -> None:
     """Channels must have the given shape and unit-magnitude entries."""
     if entries.shape != shape:
         raise ValueError(f"channel must be {shape[-2]}x{shape[-1]}")
-    if (np.abs(np.abs(entries) - 1.0) > 1e-12).any():
+    if not (np.abs(np.abs(entries) - 1.0) <= 1e-12).all():  # NaN fails this test
         raise ValueError("channel entries must have unit magnitude")
 
 

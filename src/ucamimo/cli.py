@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -27,6 +28,10 @@ from .geometry import _require_even
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
+
+# TrialConfig's fields with their defaults (the seed has none); a campaign option that
+# sets a field is named after it and defaults to its default
+_TRIAL_FIELDS = {field.name: field.default for field in dataclasses.fields(sim.TrialConfig)}
 
 
 def finite_float(text: str) -> float:
@@ -121,6 +126,11 @@ def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
+def _field_option(parser: argparse.ArgumentParser, flag: str, field: str, **kwargs) -> None:
+    """A campaign option that sets TrialConfig's `field` and defaults to that field's default."""
+    parser.add_argument(flag, dest=field, default=_TRIAL_FIELDS[field], **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ucamimo",
@@ -134,12 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     # the options simulate and codebook share
     campaign = argparse.ArgumentParser(add_help=False, parents=[snr, out])
     campaign.add_argument("--seed", type=int, required=True, help="RNG seed (runs are byte-reproducible)")
-    campaign.add_argument("--trials", type=int, default=100)
-    campaign.add_argument("--lambda", dest="wavelength", type=finite_float, default=sim.DEFAULT_WAVELENGTH)
-    campaign.add_argument("--design-dist", type=finite_float, default=100.0)
-    campaign.add_argument("--range-all", type=parse_angle, default=math.radians(10.0),
-                          help="half-range of the small misalignment angles")
-    campaign.add_argument("--theta-cs-range", type=parse_angle, default=math.pi)
+    _field_option(campaign, "--trials", "n_trials", type=int)
+    _field_option(campaign, "--lambda", "wavelength", type=finite_float)
+    _field_option(campaign, "--design-dist", "design_distance", type=finite_float)
+    _field_option(campaign, "--range-all", "angle_range_small", type=parse_angle,
+                  help="half-range of the small misalignment angles")
+    _field_option(campaign, "--theta-cs-range", "theta_cs_range", type=parse_angle)
 
     p = sub.add_parser("design", parents=[common, snr, beta_max],
                        help="optimal beta, radii and capacity for one configuration")
@@ -170,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common, campaign],
                        help="Monte-Carlo rate sweep over antennas and distances")
-    p.add_argument("--ns-list", type=parse_antenna_list, default=(4, 8, 12, 16))
-    p.add_argument("--dist-list", type=parse_float_list, default=(100.0, 200.0, 300.0, 400.0, 500.0))
-    p.add_argument("--l1", type=int, default=5, help="azimuth codebook bits")
-    p.add_argument("--l2", type=int, default=3, help="polar codebook bits")
+    _field_option(p, "--ns-list", "n_antennas_list", type=parse_antenna_list)
+    _field_option(p, "--dist-list", "distances", type=parse_float_list)
+    p.add_argument("--l1", type=int, default=_TRIAL_FIELDS["codebook_bits"][0], help="azimuth codebook bits")
+    p.add_argument("--l2", type=int, default=_TRIAL_FIELDS["codebook_bits"][1], help="polar codebook bits")
     p.add_argument("--exact-geometry", action="store_true",
                    help="build channels from exact distances instead of the separable model")
     p.set_defaults(func=cmd_simulate)
@@ -260,32 +270,21 @@ def cmd_capacity_sweep(args) -> int:
     return 0
 
 
-def _trial_config(args, ns_list, dist_list, **own) -> sim.TrialConfig:
-    """The options both campaign commands share; `own` adds those only one of them has."""
-    return sim.TrialConfig(
-        seed=args.seed,
-        n_trials=args.trials,
-        angle_range_small=args.range_all,
-        theta_cs_range=args.theta_cs_range,
-        snr_db=args.snr_db,
-        distances=dist_list,
-        n_antennas_list=ns_list,
-        wavelength=args.wavelength,
-        design_distance=args.design_dist,
-        **own,
-    )
+def _trial_config(args, **own) -> sim.TrialConfig:
+    """The config from every option named after a TrialConfig field; `own` sets the fields no option names."""
+    named = {name: value for name, value in vars(args).items() if name in _TRIAL_FIELDS}
+    return sim.TrialConfig(**named, **own)
 
 
 def cmd_simulate(args) -> int:
-    trial_cfg = _trial_config(args, tuple(args.ns_list), tuple(args.dist_list),
-                              codebook_bits=(args.l1, args.l2), exact_geometry=args.exact_geometry)
+    trial_cfg = _trial_config(args, codebook_bits=(args.l1, args.l2))
     rows = sim.run_rate_sweep(trial_cfg)
     _emit(sim.rows_to_csv(rows), args.out)
     return 0
 
 
 def cmd_codebook(args) -> int:
-    trial_cfg = _trial_config(args, (args.ns,), (args.dist,))
+    trial_cfg = _trial_config(args, n_antennas_list=(args.ns,), distances=(args.dist,))
     rows = sim.run_codebook_bit_sweep(trial_cfg, bit_grid=args.bit_grid)
     _emit(sim.rows_to_csv(rows), args.out)
     return 0

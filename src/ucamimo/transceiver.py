@@ -66,11 +66,16 @@ class Codebook:
         return thetas, phis
 
 
+# Most bits per angle.  A grid of 2^L cells puts its midpoints at k + 0.5 cells, and
+# k + 0.5 is exact in float64 only for k < 2^52.
+_MAX_BITS = 52
+
+
 def _check_bit_counts(l1_bits: int, l2_bits: int) -> None:
-    """Bit counts are nonnegative integers; 1.5 bits would make an off-centre grid of 3 cells."""
+    """Bit counts are integers in [0, _MAX_BITS]; 1.5 bits would make an off-centre grid of 3 cells."""
     for bits in (l1_bits, l2_bits):
-        if not isinstance(bits, _INTEGERS) or bits < 0:
-            raise ValueError(f"bit counts must be nonnegative integers, got {bits!r}")
+        if not isinstance(bits, _INTEGERS) or not 0 <= bits <= _MAX_BITS:
+            raise ValueError(f"bit counts must be nonnegative integers of at most {_MAX_BITS}, got {bits!r}")
 
 
 def build_codebook(
@@ -104,23 +109,6 @@ def build_codebook(
     return Codebook(theta_angles=theta, phi_angles=phi)
 
 
-@dataclass(frozen=True)
-class PrecoderMatrix:
-    """Square unitary precoder."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        n = m.shape[0]
-        if m.shape != (n, n):
-            raise ValueError("precoder must be square")
-        if np.max(np.abs(m.conj().T @ m - np.eye(n))) > 1e-10:
-            raise ValueError("precoder must be unitary")
-
-
 def precoder_matrices(cfg: ArrayConfig, theta_cs, phi_cs) -> np.ndarray:
     """Phase correction times the DFT for every angle pair; shape (..., N, N).
 
@@ -134,13 +122,14 @@ def precoder_from_angles(
     cfg: ArrayConfig,
     theta_cs: float,
     phi_cs: float,
-) -> PrecoderMatrix:
-    """Phase correction for the given centre-shift angles, times the DFT.
+) -> np.ndarray:
+    """Phase correction for the given centre-shift angles, times the DFT; shape (N, N).
 
+    The one-pair form of `precoder_matrices`, unitary by construction.
     With the true angles this reproduces the right singular matrix of the
     separable-model channel; with quantised angles it is a codebook entry.
     """
-    return PrecoderMatrix(matrix=precoder_matrices(cfg, theta_cs, phi_cs))
+    return precoder_matrices(cfg, theta_cs, phi_cs)
 
 
 @dataclass(frozen=True)
@@ -181,14 +170,13 @@ def precoded_rates(h: np.ndarray, f: np.ndarray, alloc: PowerAllocation) -> np.n
     return _chain_per_stream(g)
 
 
-def precoded_rate(h, precoder, alloc: PowerAllocation) -> RateReport:
+def precoded_rate(h, precoder: np.ndarray, alloc: PowerAllocation) -> RateReport:
     """Rate log2 det(I + H F P F^H H^H) with P = diag(p_k / noise).
 
     Stream k of the precoder carries power alloc.powers[k]; the per-stream
     split follows the interference-cancellation chain in natural order.
     """
-    f = precoder.matrix if isinstance(precoder, PrecoderMatrix) else np.asarray(precoder)
-    return RateReport(per_stream=precoded_rates(_entries(h), f, alloc))
+    return RateReport(per_stream=precoded_rates(_entries(h), np.asarray(precoder), alloc))
 
 
 def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> PowerAllocation:

@@ -9,6 +9,7 @@ from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
     ArrayConfig,
+    ChannelMatrix,
     Misalignment,
     ModelValidityError,
     build_channel,
@@ -177,6 +178,22 @@ class TestBuildChannelsBoundary:
         with pytest.raises(ModelValidityError, match=f"^{re.escape(str(one.value))}$"):
             build_channels(cfg, stack)
         assert build_channels(cfg, stack, EXACT_DISTANCE).shape == (3, 4, 4)
+
+    def test_exact_distances_beyond_float_range(self):
+        # D**2 overflows, so the exact distances and the channel were NaN, and NaN passed
+        # the unit-magnitude check; the campaign then failed in the SVD, as a numerical error
+        cfg = mmwave_config(dist=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^channel entries must have unit magnitude$"):
+                build_channels(cfg, Misalignment(**production_stack()), EXACT_DISTANCE)
+
+
+def test_nan_channel_entry_rejected():
+    cfg = mmwave_config()
+    entries = build_channel(cfg, Misalignment()).entries.copy()
+    entries[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^channel entries must have unit magnitude$"):
+        ChannelMatrix(entries=entries, cfg=cfg, mis=Misalignment())
 
 
 class TestCirculantFactor:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from ucamimo import Misalignment, build_channel, nulling_rates, search_beta_opt
 from ucamimo.cli import build_parser, main, parse_angle, parse_bit_grid, parse_float_list
 from ucamimo.design import water_fill
 from ucamimo.geometry import ArrayConfig
-from ucamimo.sim import TrialConfig, rows_to_csv, run_codebook_bit_sweep
+from ucamimo.sim import DEFAULT_BIT_GRID, TrialConfig, rows_to_csv, run_codebook_bit_sweep
 from ucamimo.spectrum import singular_values
 
 
@@ -605,11 +606,91 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["codebook", "--ns", "4", "--bit-grid", "1024:1"],
+        ["simulate", "--ns-list", "4", "--dist-list", "100", "--l1", "1024"],
+    ])
+    def test_bit_count_beyond_the_bound_exits_2(self, tmp_path, capsys, argv):
+        # both exited 1 with an OverflowError traceback from building the 2**1024-cell grid
+        out = tmp_path / "a.csv"
+        assert run_cli([*argv, "--seed", "1", "--trials", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bit counts must be nonnegative integers of at most 52, got 1024\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("distance", ["1e200", "1e-300"])
+    def test_exact_distance_beyond_float_range_exits_2(self, capsys, distance):
+        # D**2 overflows or underflows, so the channels held NaN and the run exited 3 from the SVD
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            assert run_cli(["simulate", "--seed", "1", "--trials", "1", "--ns-list", "4",
+                            "--dist-list", distance, "--exact-geometry"]) == 2
+        assert capsys.readouterr().err == "error: channel entries must have unit magnitude\n"
+
+
+class TestCampaignDefaults:
+    """The campaign commands hand the runners TrialConfig's defaults, but for codebook's --ns and --dist."""
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        import ucamimo.cli as cli_module
+
+        calls = []
+        monkeypatch.setattr(cli_module.sim, "run_rate_sweep", lambda cfg: calls.append(cfg) or [])
+        monkeypatch.setattr(cli_module.sim, "run_codebook_bit_sweep",
+                            lambda cfg, bit_grid: calls.append((cfg, bit_grid)) or [])
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_simulate(self, received, capsys, seed):
+        assert run_cli(["simulate", "--seed", str(seed)]) == 0
+        assert received == [TrialConfig(seed=seed)]
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_codebook(self, received, capsys, seed):
+        assert run_cli(["codebook", "--seed", str(seed)]) == 0
+        assert received == [(TrialConfig(seed=seed, n_antennas_list=(16,), distances=(300.0,)), DEFAULT_BIT_GRID)]
+
+    def test_config_file(self, tmp_path, received, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = 5\ntrials = 3\ndesign_dist = 150\nrange-all = deg:5\n"
+                        "l2 = 1\nexact-geometry = true\n")
+        assert run_cli(["simulate", "--config", str(conf), "--ns-list", "4,6"]) == 0
+        expected = TrialConfig(seed=5, n_trials=3, design_distance=150.0, angle_range_small=math.radians(5.0),
+                               n_antennas_list=(4, 6), codebook_bits=(5, 1), exact_geometry=True)
+        assert received == [expected]
+
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 SIMULATE_GOLDEN_ARGS = ["simulate", "--seed", "2024", "--lambda", "0.004", "--trials", "3",
                         "--ns-list", "4,16", "--dist-list", "100,500"]
+CODEBOOK_GOLDEN_ARGS = ["codebook", "--seed", "2024", "--trials", "2", "--bit-grid", "1:3,3:5"]
+DESIGN_GOLDEN_NS = [4, 8, 16, 64]
+DESIGN_GOLDEN_THETAS = [("0", "theta0"), ("deg:1.5", "theta1p5deg")]
+CAPACITY_SWEEP_GOLDENS = [
+    # at theta_o = 0 many grid points hold exactly tied gains
+    ("capacity_sweep_n4_theta0.csv", ["--ns", "4"]),
+    ("capacity_sweep_n64_theta1p5deg.csv", ["--ns", "64", "--theta-o", "deg:1.5"]),
+]
+# Every golden a CLI command writes, with that command, but the exact-geometry ones: their
+# bytes still move with the BLAS kernel (ROADMAP items 6 and 12).
+KERNEL_FREE_GOLDENS = {
+    "simulate_seed2024.csv": SIMULATE_GOLDEN_ARGS,
+    "codebook_seed2024.csv": CODEBOOK_GOLDEN_ARGS,
+    **{f"design_n{ns}_{suffix}.txt": ["design", "--ns", str(ns), "--theta-o", theta]
+       for ns in DESIGN_GOLDEN_NS for theta, suffix in DESIGN_GOLDEN_THETAS},
+    **{name: ["capacity-sweep", *args] for name, args in CAPACITY_SWEEP_GOLDENS},
+}
+# Runs each (path, argv) pair of its JSON argument through cli.main, with stdout going to the path.
+KERNEL_CHILD = """
+import contextlib, json, sys
+from ucamimo.cli import main
+for path, argv in json.loads(sys.argv[1]):
+    with open(path, "w", encoding="utf-8", newline="\\n") as fh, contextlib.redirect_stdout(fh):
+        if main(argv) != 0:
+            sys.exit(f"{argv} failed")
+"""
 
 
 def openblas_picks_its_kernel() -> bool:
@@ -626,7 +707,7 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("name, args", [
         ("simulate_seed2024.csv", SIMULATE_GOLDEN_ARGS),
-        ("codebook_seed2024.csv", ["codebook", "--seed", "2024", "--trials", "2", "--bit-grid", "1:3,3:5"]),
+        ("codebook_seed2024.csv", CODEBOOK_GOLDEN_ARGS),
         ("simulate_exact_seed2024.csv", ["simulate", "--seed", "2024", "--lambda", "0.004", "--trials", "3",
                                          "--ns-list", "8,16", "--dist-list", "100,500",
                                          "--range-all", "deg:15", "--exact-geometry"]),
@@ -639,27 +720,24 @@ class TestGoldenBytes:
     @pytest.mark.skipif(not openblas_picks_its_kernel(), reason="needs an OpenBLAS built with DYNAMIC_ARCH")
     @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
     def test_separable_csv_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path, core):
-        # OPENBLAS_CORETYPE forces another kernel for the child process only.  The golden's zf
-        # rows of ill-conditioned channels moved with the kernel while they came from a Gram
-        # inverse; from the closed-form spectrum they print the same digits under each kernel
-        out = tmp_path / "simulate_seed2024.csv"
+        # OPENBLAS_CORETYPE forces another kernel for the child process only, which writes
+        # every kernel-free golden.  The simulate golden's zf rows of ill-conditioned channels
+        # moved with the kernel while they came from a Gram inverse; from the closed-form
+        # spectrum they print the same digits under each kernel
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-        subprocess.run([sys.executable, "-m", "ucamimo.cli", *SIMULATE_GOLDEN_ARGS, "--out", str(out)],
-                       env=env, check=True)
-        assert out.read_bytes() == (DATA / "simulate_seed2024.csv").read_bytes()
+        jobs = [(str(tmp_path / name), argv) for name, argv in KERNEL_FREE_GOLDENS.items()]
+        subprocess.run([sys.executable, "-c", KERNEL_CHILD, json.dumps(jobs)], env=env, check=True)
+        for name in KERNEL_FREE_GOLDENS:
+            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
-    @pytest.mark.parametrize("ns", [4, 8, 16, 64])
-    @pytest.mark.parametrize("theta, suffix", [("0", "theta0"), ("deg:1.5", "theta1p5deg")])
+    @pytest.mark.parametrize("ns", DESIGN_GOLDEN_NS)
+    @pytest.mark.parametrize("theta, suffix", DESIGN_GOLDEN_THETAS)
     def test_design_bytes_unchanged(self, capsys, ns, theta, suffix):
         assert run_cli(["design", "--ns", str(ns), "--theta-o", theta]) == 0
         assert capsys.readouterr().out.encode() == (DATA / f"design_n{ns}_{suffix}.txt").read_bytes()
 
-    @pytest.mark.parametrize("name, args", [
-        # at theta_o = 0 many grid points hold exactly tied gains
-        ("capacity_sweep_n4_theta0.csv", ["--ns", "4"]),
-        ("capacity_sweep_n64_theta1p5deg.csv", ["--ns", "64", "--theta-o", "deg:1.5"]),
-    ])
+    @pytest.mark.parametrize("name, args", CAPACITY_SWEEP_GOLDENS)
     def test_capacity_sweep_bytes_unchanged(self, tmp_path, name, args):
         out = tmp_path / name
         assert run_cli(["capacity-sweep", *args, "--out", str(out)]) == 0

@@ -46,7 +46,7 @@ PACKAGE_NAMES = {
     "closed_form_svd", "dft_matrix", "numerical_svd",
     "singular_values",
     "DesignResult", "PowerAllocation", "capacity", "radii_from_beta", "search_beta_opt", "water_fill",
-    "Codebook", "PrecoderMatrix", "RateReport", "approx_power_allocation",
+    "Codebook", "RateReport", "approx_power_allocation",
     "build_codebook", "codebook_rates_many", "nulling_rates", "precoded_rate", "precoded_rates",
     "precoder_from_angles", "precoder_matrices",
     "ResultRow", "TrialConfig", "draw_misalignment", "run_codebook_bit_sweep", "run_rate_sweep",
@@ -62,7 +62,7 @@ LAYER_NAMES = {
     "design": {"DesignResult", "PowerAllocation", "allocated_capacity", "capacity",
                "condition_numbers", "power_from_db", "radii_from_beta", "search_beta_opt",
                "water_fill"},
-    "transceiver": {"Codebook", "PrecoderMatrix", "RateReport",
+    "transceiver": {"Codebook", "RateReport",
                     "approx_power_allocation", "build_codebook", "codebook_rates_many",
                     "nulling_rates", "precoded_rate", "precoded_rates", "precoder_from_angles",
                     "precoder_matrices", "spectrum_nulling_rates"},

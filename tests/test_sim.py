@@ -548,6 +548,12 @@ class TestTrialConfigValidation:
             TrialConfig(seed=1, codebook_bits=bits)
         assert TrialConfig(seed=1, codebook_bits=(np.int64(2), 0)).codebook_bits == (2, 0)
 
+    @pytest.mark.parametrize("bits", [(1024, 1), (5, 53)])
+    def test_oversized_codebook_bits_rejected(self, bits):
+        # (1024, 1) was accepted, and the campaign then failed with OverflowError in build_codebook
+        with pytest.raises(ValueError, match=f"of at most 52, got {max(bits)}$"):
+            TrialConfig(seed=1, codebook_bits=bits)
+
     @pytest.mark.parametrize("bits", [(5,), (1, 2, 3)])
     def test_codebook_bits_need_exactly_two_counts(self, bits):
         # both raised TypeError naming the private bit-count check
