@@ -14,7 +14,6 @@ from .channel import (
 )
 from .design import (
     DesignResult,
-    PowerAllocation,
     capacity,
     radii_from_beta,
     search_beta_opt,

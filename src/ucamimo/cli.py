@@ -264,7 +264,7 @@ def cmd_capacity_sweep(args) -> int:
         raise ValueError(f"--step {args.step:g} exceeds --beta-max {args.beta_max:g}; the beta grid is empty")
     p_total = design.power_from_db(args.snr_db)
     betas = np.arange(args.step, args.beta_max + args.step / 2.0, args.step)
-    caps = design._grid_capacities(args.ns, betas, args.theta_o, p_total, 1.0)
+    caps = design._grid_capacities(args.ns, betas, args.theta_o, p_total)
     lines = ["beta,capacity_bps_hz", *(f"{b:.9g},{c:.9g}" for b, c in zip(betas, caps))]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -63,30 +63,6 @@ def power_from_db(snr_db: float) -> float:
     return ratio
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-stream transmit powers summing to the total budget.
-
-    `powers` is (N,) for one allocation or (..., N) for a stack of them,
-    each row summing to `total`.
-    """
-
-    powers: np.ndarray
-    total: float
-    noise: float
-
-    def __post_init__(self):
-        powers = np.array(self.powers, dtype=float)
-        powers.setflags(write=False)
-        object.__setattr__(self, "powers", powers)
-        if not (0.0 < self.total < math.inf and 0.0 < self.noise < math.inf):
-            raise ValueError("total power and noise must be positive and finite")
-        if not (powers >= 0.0).all():
-            raise ValueError("stream powers must be nonnegative")
-        if np.any(np.abs(np.sum(powers, axis=-1) - self.total) > 1e-9 * self.total):
-            raise ValueError("stream powers must sum to the total budget")
-
-
 def _water_fill_powers(sigmas: np.ndarray, p_total: float, noise: float) -> np.ndarray:
     """Water-filling powers over the last axis of a (..., N) stack of gains.
 
@@ -130,11 +106,12 @@ def _water_fill_powers(sigmas: np.ndarray, p_total: float, noise: float) -> np.n
     return np.where(own <= weakest, water - own, 0.0)
 
 
-def water_fill(sigmas, p_total: float, noise: float) -> PowerAllocation:
-    """Water-filling power allocation over parallel streams.
+def water_fill(sigmas, p_total: float) -> np.ndarray:
+    """Water-filling powers over parallel streams at unit noise power.
 
-    Solves max sum log2(1 + p_k sigma_k^2 / noise) subject to sum p_k =
-    p_total, p_k >= 0.  Streams with sigma_k = 0 get exactly zero power.
+    Solves max sum log2(1 + p_k sigma_k^2) subject to sum p_k = p_total,
+    p_k >= 0, so p_total is the SNR.  Streams with sigma_k = 0 get
+    exactly zero power.
 
     Parameters
     ----------
@@ -142,18 +119,22 @@ def water_fill(sigmas, p_total: float, noise: float) -> PowerAllocation:
         Nonnegative stream gains (at least one must be positive), (N,) or
         a (..., N) stack that is filled row by row.
     p_total : float
-        Total power budget.
-    noise : float
-        Noise power.
+        Total power budget; a budget P at noise power n is P/n here.
+
+    Returns the powers, shaped as `sigmas`.
     """
-    powers = _water_fill_powers(np.asarray(sigmas, dtype=float), p_total, noise)
-    return PowerAllocation(powers=powers, total=p_total, noise=noise)
+    return _water_fill_powers(np.asarray(sigmas, dtype=float), p_total, 1.0)
 
 
-def allocated_capacity(sigmas, alloc: PowerAllocation) -> float:
-    """Rate sum log2(1 + p_k sigma_k^2 / noise) for a given allocation."""
+def allocated_capacity(sigmas, powers):
+    """Rate sum log2(1 + p_k sigma_k^2) of the given stream powers at unit noise.
+
+    Sums over the last axis: one vector of gains and powers gives a float,
+    a (..., N) stack an array with one rate per row, as `capacity` does.
+    """
     sigmas = np.asarray(sigmas, dtype=float)
-    return float(np.sum(np.log2(1.0 + alloc.powers * (sigmas**2 / alloc.noise))))
+    rates = np.log2(1.0 + powers * sigmas**2).sum(axis=-1)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def capacity(sigmas, p_total: float, noise: float):
@@ -180,12 +161,16 @@ class DesignResult:
     beta_opt: float
     capacity: float
     condition_number: float
-    radii_product: float | None = None
     radius_equal: float | None = None
     at_edge: bool = False
 
+    @property
+    def radii_product(self) -> float | None:
+        """R_t * R_r of the equal-radius solution, or None when no radius was asked for."""
+        return None if self.radius_equal is None else self.radius_equal * self.radius_equal
 
-def _grid_capacities(n_s: int, betas: np.ndarray, theta_o: float, p_total: float, noise: float) -> np.ndarray:
+
+def _grid_capacities(n_s: int, betas: np.ndarray, theta_o: float, p_total: float) -> np.ndarray:
     """Water-filled capacity at each beta of a 1-D grid.
 
     Evaluated over consecutive blocks of _GRID_BLOCK // n_s betas (at least
@@ -195,7 +180,7 @@ def _grid_capacities(n_s: int, betas: np.ndarray, theta_o: float, p_total: float
     caps = np.empty(len(betas))
     for start in range(0, len(betas), rows):
         block = betas[start : start + rows]
-        caps[start : start + rows] = capacity(singular_values_many(n_s, block, theta_o), p_total, noise)
+        caps[start : start + rows] = capacity(singular_values_many(n_s, block, theta_o), p_total, 1.0)
     return caps
 
 
@@ -280,30 +265,23 @@ def search_beta_opt(
     if resolution > beta_max:
         raise ValueError(f"resolution {resolution:g} exceeds beta_max {beta_max:g}; the beta grid is empty")
     p_total = power_from_db(snr_db)
-    noise = 1.0
 
     grid = np.arange(resolution, beta_max + resolution / 2.0, resolution)
-    caps = _grid_capacities(n_s, grid, theta_o, p_total, noise)
+    caps = _grid_capacities(n_s, grid, theta_o, p_total)
 
     best = float(np.max(caps))
     winner = int(np.flatnonzero(caps >= best - TIE_TOLERANCE_BITS)[0])
 
     lo = max(grid[winner] - resolution, resolution * 1e-3)
     hi = min(grid[winner] + resolution, beta_max)
-    beta_opt = _golden_max(lambda betas: _grid_capacities(n_s, betas, theta_o, p_total, noise), lo, hi, 1e-4)
+    beta_opt = _golden_max(lambda betas: _grid_capacities(n_s, betas, theta_o, p_total), lo, hi, 1e-4)
     sigma_opt = singular_values(n_s, beta_opt, theta_o)
 
-    radii_product = None
-    radius_equal = None
-    if lengths:
-        radius_equal = radii_from_beta(beta_opt, wavelength, distance)
-        radii_product = radius_equal * radius_equal
     return DesignResult(
         beta_opt=float(beta_opt),
-        capacity=capacity(sigma_opt, p_total, noise),
+        capacity=capacity(sigma_opt, p_total, 1.0),
         condition_number=float(condition_numbers(sigma_opt)),
-        radii_product=radii_product,
-        radius_equal=radius_equal,
+        radius_equal=radii_from_beta(beta_opt, wavelength, distance) if lengths else None,
         at_edge=bool(beta_opt >= beta_max - resolution),
     )
 

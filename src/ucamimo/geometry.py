@@ -16,6 +16,7 @@ norms of element coordinates built from the paper's rotations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,6 +206,24 @@ def rx_ring_harmonics(cfg: ArrayConfig, mis: Misalignment) -> tuple[np.ndarray, 
     return amps, phases
 
 
+# Every term of the closed form's squared distance is below 24 times the
+# squared largest length, and its quotient by D^2 below 24 times the larger
+# of 1 and the squared radius-to-D ratio; a margin of 64 keeps them finite.
+_SQUARE_MARGIN = 64.0
+
+
+def _require_exact_range(distance: float, radius: float) -> None:
+    """D^2 is a normal float, and 64 times the square of D, the radius and radius/D is finite."""
+    distance, radius = float(distance), float(radius)  # Python floats overflow to inf without a warning
+    largest = max(distance, radius, radius / distance)
+    if not (sys.float_info.min <= distance * distance and _SQUARE_MARGIN * largest * largest < math.inf):
+        raise ValueError(
+            f"the exact distances at distance {distance:g} m with largest radius {radius:g} m are outside "
+            "the range of a float: D^2 must be a normal float, and 64 times the squares of D, the "
+            "radius and radius/D finite"
+        )
+
+
 def distance_matrix_exact(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
     """All N x N exact distances, shape (..., N, N); entry (n, m) is Rx n to Tx m.
 
@@ -214,10 +233,14 @@ def distance_matrix_exact(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
     `rx_displacement` and `tx_displacement`.  The squared tilted ring
     contributes no term: rotation and tilt keep the Rx ring's radius, so
     sum_i amp_i**2 cos 2(theta_n - phase_i) is identically zero.
+
+    Raises ValueError, before any arithmetic, where D^2 is not a normal
+    float or a length's square could overflow in the closed form.
     """
+    rt, rr, d = cfg.radius_tx, cfg.radius_rx, cfg.distance
+    _require_exact_range(d, max(rt, rr))
     th = cfg.antenna_angles
     theta_n, theta_m = th[:, None], th[None, :]
-    rt, rr, d = cfg.radius_tx, cfg.radius_rx, cfg.distance
     theta_o, phi_x, phi_y = (_angle(mis, name, 2) for name in ("theta_o", "phi_x", "phi_y"))
     shx = np.sin(phi_x / 2.0) ** 2
     shy = np.sin(phi_y / 2.0) ** 2

@@ -249,21 +249,21 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     cb = build_codebook(*trial_cfg.codebook_bits)
     rows: list[ResultRow] = []
     for cfg, mis, h, sigma in _cells(trial_cfg):
-        approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
+        approx_powers = approx_power_allocation(cfg, trial_cfg.snr_db)
         cap = capacity(sigma, p_total, 1.0)
         if trial_cfg.exact_geometry:
             spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
             optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
-            optimal_rate = np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total, 1.0)), axis=-1)
-            zf, zf_sic = (np.sum(per_stream, axis=-1) for per_stream in nulling_rates(h, sigma, p_total, 1.0))
+            optimal_rate = np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total)), axis=-1)
+            zf, zf_sic = (np.sum(per_stream, axis=-1) for per_stream in nulling_rates(h, sigma, p_total))
         else:
             optimal_rate = cap
-            zf, zf_sic = spectrum_nulling_rates(sigma, p_total, 1.0)
+            zf, zf_sic = spectrum_nulling_rates(sigma, p_total)
         rates = (
             cap,
             optimal_rate,
-            np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1),
-            np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_alloc), axis=-1),
+            np.max(codebook_rates_many(cfg, h, cb, approx_powers), axis=-1),
+            np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_powers), axis=-1),
             zf,
             zf_sic,
         )
@@ -310,10 +310,10 @@ def run_codebook_bit_sweep(
                  for l1, l2 in bit_grid for method in ("sine", "linear")]
     rows: list[ResultRow] = []
     for cfg, _, h, sigma in _cells(trial_cfg):
-        approx_alloc = approx_power_allocation(cfg, trial_cfg.snr_db)
+        approx_powers = approx_power_allocation(cfg, trial_cfg.snr_db)
         cond = condition_numbers(sigma)
         for l1, l2, method, cb in codebooks:
-            rates = np.max(codebook_rates_many(cfg, h, cb, approx_alloc), axis=-1)
+            rates = np.max(codebook_rates_many(cfg, h, cb, approx_powers), axis=-1)
             rows += _cell_rows(f"bit_sweep_L1{l1}_L2{l2}", cfg, {f"codebook-{method}": rates}, cond)
     return rows
 

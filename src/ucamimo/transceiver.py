@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelMatrix, _phasors, dft_matrix
-from .design import PowerAllocation, power_from_db, water_fill
+from .design import power_from_db, water_fill
 from .geometry import _INTEGERS, ArrayConfig, tx_displacement
 from .spectrum import singular_values
 
@@ -159,28 +159,42 @@ def _chain_per_stream(g: np.ndarray) -> np.ndarray:
     return 2.0 * np.log2(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
 
 
-def precoded_rates(h: np.ndarray, f: np.ndarray, alloc: PowerAllocation) -> np.ndarray:
+def _stream_powers(powers) -> np.ndarray:
+    """Stream powers at unit noise as a float array, each (..., N) row with some power.
+
+    Raises ValueError for NaN, negative or infinite powers, and for a row
+    that gives no stream any power.
+    """
+    powers = np.asarray(powers, dtype=float)
+    if not ((powers >= 0.0) & (powers < math.inf)).all():
+        raise ValueError("stream powers must be nonnegative and finite")
+    if powers.ndim == 0 or not (powers > 0.0).any(axis=-1).all():
+        raise ValueError("stream powers must give at least one stream positive power")
+    return powers
+
+
+def precoded_rates(h: np.ndarray, f: np.ndarray, powers) -> np.ndarray:
     """Per-stream rates of precoded channels, shape (..., N).
 
     `h` is a (..., N, N) stack of channels and `f` its precoders; the
-    powers of `alloc` are (N,) or one row per channel.  Row by row this is
-    the split of `precoded_rate`.
+    stream powers at unit noise are (N,) or one row per channel.  Row by
+    row this is the split of `precoded_rate`.
     """
-    g = (h @ f) * np.sqrt(alloc.powers / alloc.noise)[..., None, :]
+    g = (h @ f) * np.sqrt(_stream_powers(powers))[..., None, :]
     return _chain_per_stream(g)
 
 
-def precoded_rate(h, precoder: np.ndarray, alloc: PowerAllocation) -> RateReport:
-    """Rate log2 det(I + H F P F^H H^H) with P = diag(p_k / noise).
+def precoded_rate(h, precoder: np.ndarray, powers) -> RateReport:
+    """Rate log2 det(I + H F P F^H H^H) with P = diag(p_k) at unit noise.
 
-    Stream k of the precoder carries power alloc.powers[k]; the per-stream
+    Stream k of the precoder carries power powers[k]; the per-stream
     split follows the interference-cancellation chain in natural order.
     """
-    return RateReport(per_stream=precoded_rates(_entries(h), np.asarray(precoder), alloc))
+    return RateReport(per_stream=precoded_rates(_entries(h), np.asarray(precoder), powers))
 
 
-def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> PowerAllocation:
-    """Water-filling designed for the rotation-free spectrum.
+def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> np.ndarray:
+    """Water-filling powers designed for the rotation-free spectrum, at unit noise.
 
     Substitutes the aligned spectrum (theta_o = 0) for the true one, so
     only the distance, radii and wavelength are needed — no estimate of
@@ -188,16 +202,17 @@ def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> PowerAllocation:
     slowly with rotation.
     """
     sig = singular_values(cfg.n_antennas, cfg.beta, 0.0)
-    return water_fill(sig, power_from_db(snr_db), 1.0)
+    return water_fill(sig, power_from_db(snr_db))
 
 
 def codebook_rates_many(
-    cfg: ArrayConfig, h: np.ndarray, cb: Codebook, alloc: PowerAllocation
+    cfg: ArrayConfig, h: np.ndarray, cb: Codebook, powers
 ) -> np.ndarray:
     """Achievable rate of every codebook entry for a (T, N, N) stack of channels; shape (T, L).
 
     Entry l scores log2 det(I + G_l G_l^H) with G_l = H diag(t_l) Q P^(1/2),
-    t_l the entry's shift phasors, Q the DFT and P = diag(p_k / noise).
+    t_l the entry's shift phasors, Q the DFT and P = diag(p_k), the
+    stream powers at unit noise.
     Columns of streams without power are zero, so with G~_l the r columns
     of the active streams, Sylvester's identity gives det(I_r + G~_l^H
     G~_l).  That r x r matrix is Hermitian with eigenvalues >= 1, so its
@@ -222,10 +237,11 @@ def codebook_rates_many(
     n = cfg.n_antennas
     if np.ndim(h) != 3 or np.shape(h)[1:] != (n, n):
         raise ValueError(f"channels must have shape (T, {n}, {n}), got {np.shape(h)}")
-    if alloc.powers.shape != (n,):
-        raise ValueError(f"stream powers must have shape ({n},), got {alloc.powers.shape}")
-    active = np.flatnonzero(alloc.powers > 0.0)
-    q = dft_matrix(n)[:, active] * np.sqrt(alloc.powers[active] / alloc.noise)
+    powers = _stream_powers(powers)
+    if powers.shape != (n,):
+        raise ValueError(f"stream powers must have shape ({n},), got {powers.shape}")
+    active = np.flatnonzero(powers > 0.0)
+    q = dft_matrix(n)[:, active] * np.sqrt(powers[active])
     r = active.size
     q_conj = q.conj()
     hh = [entries.conj().T @ entries for entries in h]
@@ -270,16 +286,16 @@ def _full_rank(sigma: np.ndarray) -> np.ndarray:
     return np.min(sigma, axis=-1) > _RANK_TOL * np.max(sigma, axis=-1)
 
 
-def nulling_rates(h: np.ndarray, sigma, p_total: float, noise: float) -> tuple[np.ndarray, np.ndarray]:
+def nulling_rates(h: np.ndarray, sigma, p_total: float) -> tuple[np.ndarray, np.ndarray]:
     """Equal-power ZF and ZF-SIC per-stream rates of a (T, N, N) stack of channels; two (T, N) arrays.
 
     `sigma` holds each channel's singular values, shape (T, N), as
     `np.linalg.svd(h, compute_uv=False)` gives them; they serve the rank
-    test only.  Each stream gets p = p_total/N.  ZF stream k sees SNR
-    p / (noise * [(H^H H)^{-1}]_kk).  ZF-SIC detects and subtracts the
-    streams in natural order; its per-stream rates come from the
+    test only.  At unit noise each stream gets p = p_total/N, and ZF
+    stream k sees SNR p / [(H^H H)^{-1}]_kk.  ZF-SIC detects and subtracts
+    the streams in natural order; its per-stream rates come from the
     noise-regularised QR diagonal, so their sum equals
-    log2 det(I + (p/noise) H^H H) exactly and does not depend on the
+    log2 det(I + p H^H H) exactly and does not depend on the
     detection order.  A channel whose smallest singular value is at most
     `_RANK_TOL` times its largest is rank-deficient and scores zero on
     both receivers, where neither can operate.  The campaigns run this on
@@ -296,20 +312,20 @@ def nulling_rates(h: np.ndarray, sigma, p_total: float, noise: float) -> tuple[n
     diag_inv = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
     zf = np.zeros(h.shape[:-1])
     zf_sic = np.zeros(h.shape[:-1])
-    zf[full] = np.log2(1.0 + p / (noise * diag_inv))
-    zf_sic[full] = _chain_per_stream(math.sqrt(p / noise) * invertible)
+    zf[full] = np.log2(1.0 + p / diag_inv)
+    zf_sic[full] = _chain_per_stream(math.sqrt(p) * invertible)
     return zf, zf_sic
 
 
-def spectrum_nulling_rates(sigma, p_total: float, noise: float) -> tuple[np.ndarray, np.ndarray]:
+def spectrum_nulling_rates(sigma, p_total: float) -> tuple[np.ndarray, np.ndarray]:
     """ZF and ZF-SIC sum rates of separable channels from their singular values; two (...,) arrays.
 
     A separable channel is T_r C T_t^H with unit-modulus phase diagonals
     T_r, T_t and a circulant core C = Q diag(delta) Q^H, |delta_k| =
     sigma_k.  So H^H H = T_t Q diag(sigma^2) Q^H T_t^H, and every diagonal
-    entry of its inverse is mean_k sigma_k^-2: all N ZF streams see SNR
-    p / (noise * mean_k sigma_k^-2), p = p_total/N.  The ZF-SIC sum is
-    log2 det(I + (p/noise) H^H H) = sum_k log2(1 + p sigma_k^2 / noise).
+    entry of its inverse is mean_k sigma_k^-2: at unit noise all N ZF
+    streams see SNR p / mean_k sigma_k^-2, p = p_total/N.  The ZF-SIC sum
+    is log2 det(I + p H^H H) = sum_k log2(1 + p sigma_k^2).
     These are the sums of `nulling_rates` on the built channel, without
     an SVD, inverse or QR.  Rows rank-deficient by its rule score zero on
     both.
@@ -319,6 +335,6 @@ def spectrum_nulling_rates(sigma, p_total: float, noise: float) -> tuple[np.ndar
     p = p_total / n
     full = _full_rank(sigma)
     kept = np.where(full[..., None], sigma, 1.0)  # no division by a zero gain on a row scored 0
-    zf = n * np.log1p(p / (noise * np.mean(kept**-2.0, axis=-1))) / _LN2
-    zf_sic = np.sum(np.log1p(kept**2 * (p / noise)), axis=-1) / _LN2
+    zf = n * np.log1p(p / np.mean(kept**-2.0, axis=-1)) / _LN2
+    zf_sic = np.sum(np.log1p(kept**2 * p), axis=-1) / _LN2
     return np.where(full, zf, 0.0), np.where(full, zf_sic, 0.0)

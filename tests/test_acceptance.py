@@ -331,15 +331,16 @@ def test_criterion_08_water_filling_kkt():
         sigmas[int(rng.integers(size))] = float(rng.uniform(0.5, 6.0))
         p_total = float(rng.uniform(0.5, 200.0))
         noise = float(rng.uniform(0.2, 3.0))
-        alloc = water_fill(sigmas, p_total, noise)
-        assert abs(float(np.sum(alloc.powers)) - p_total) <= 1e-9 * p_total
-        active = alloc.powers > 0
-        levels = alloc.powers[active] + noise / sigmas[active] ** 2
+        # budget p_total at noise power `noise` is the SNR p_total/noise at unit noise
+        powers = noise * water_fill(sigmas, p_total / noise)
+        assert abs(float(np.sum(powers)) - p_total) <= 1e-9 * p_total
+        active = powers > 0
+        levels = powers[active] + noise / sigmas[active] ** 2
         assert np.ptp(levels) <= 1e-9
         inactive = ~active & (sigmas > 0)
         if np.any(inactive):
             assert np.min(noise / sigmas[inactive] ** 2) >= np.max(levels) - 1e-9
-        wf_cap = float(np.sum(np.log2(1.0 + alloc.powers * sigmas**2 / noise)))
+        wf_cap = float(np.sum(np.log2(1.0 + powers * sigmas**2 / noise)))
         eq_cap = float(np.sum(np.log2(1.0 + (p_total / size) * sigmas**2 / noise)))
         assert wf_cap >= eq_cap - 1e-12
     print("[criterion 8] PASS: 1000 spectra satisfy KKT to 1e-9 and dominate equal split")
@@ -353,7 +354,7 @@ def test_criterion_09_sic_determinant_identity():
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         p_total = float(rng.uniform(0.5, 100.0))
         noise = float(rng.uniform(0.2, 3.0))
-        _, zf_sic = nulling_rates(h[None], np.linalg.svd(h, compute_uv=False)[None], p_total, noise)
+        _, zf_sic = nulling_rates(h[None], np.linalg.svd(h, compute_uv=False)[None], p_total / noise)
         rate = np.sum(zf_sic[0])
         scale = p_total / (n * noise)
         sign, logdet = np.linalg.slogdet(np.eye(n) + scale * h.conj().T @ h)

@@ -10,7 +10,6 @@ import pytest
 
 from conftest import bits, previous_water_fill_powers
 from ucamimo import (
-    PowerAllocation,
     TrialConfig,
     capacity,
     radii_from_beta,
@@ -88,6 +87,11 @@ def assert_recorded_bits(filename, count):
         assert result_bits(result) == want, case
 
 
+def water_fill_at_noise(sigmas, p_total, noise):
+    """Water-filling powers at noise power `noise`: the core that `water_fill` runs at unit noise."""
+    return design._water_fill_powers(np.asarray(sigmas, dtype=float), p_total, noise)
+
+
 def random_gain_stack(rng, n, rows, smallest):
     """Gains of at least `smallest`, with some zeroed and some tied."""
     gains = smallest * rng.uniform(1.0, 30.0, size=(rows, n))
@@ -111,25 +115,25 @@ def assert_kkt(sigmas, powers, p_total, noise):
 
 class TestWaterFill:
     def test_equal_gains_get_equal_power(self):
-        alloc = water_fill(np.full(4, 2.0), 10.0, 1.0)
-        np.testing.assert_allclose(alloc.powers, 2.5, atol=1e-12)
+        powers = water_fill(np.full(4, 2.0), 10.0)
+        np.testing.assert_allclose(powers, 2.5, atol=1e-12)
 
     def test_single_active_stream(self):
         sigmas = np.array([8.0, 0.0, 0.0, 0.0])
-        alloc = water_fill(sigmas, SNR15, 1.0)
-        np.testing.assert_array_equal(alloc.powers[1:], 0.0)
-        assert alloc.powers[0] == pytest.approx(SNR15, rel=1e-12)
+        powers = water_fill(sigmas, SNR15)
+        np.testing.assert_array_equal(powers[1:], 0.0)
+        assert powers[0] == pytest.approx(SNR15, rel=1e-12)
         assert capacity(sigmas, SNR15, 1.0) == pytest.approx(math.log2(1.0 + SNR15 * 64.0), rel=1e-12)
 
     def test_two_stream_hand_solution(self):
         # level = (1 + 1/4 + 1)/2 = 1.125 -> powers (0.875, 0.125)
-        alloc = water_fill(np.array([2.0, 1.0]), 1.0, 1.0)
-        np.testing.assert_allclose(alloc.powers, [0.875, 0.125], atol=1e-12)
+        powers = water_fill(np.array([2.0, 1.0]), 1.0)
+        np.testing.assert_allclose(powers, [0.875, 0.125], atol=1e-12)
 
     def test_weak_streams_get_exact_zero(self):
-        alloc = water_fill(np.array([5.0, 1e-3, 0.0]), 1.0, 1.0)
-        assert alloc.powers[1] == 0.0
-        assert alloc.powers[2] == 0.0
+        powers = water_fill(np.array([5.0, 1e-3, 0.0]), 1.0)
+        assert powers[1] == 0.0
+        assert powers[2] == 0.0
 
     def test_kkt_conditions_random(self):
         rng = np.random.default_rng(50)
@@ -139,7 +143,7 @@ class TestWaterFill:
                 continue
             p_total = float(rng.uniform(0.1, 100.0))
             noise = float(rng.uniform(0.1, 4.0))
-            assert_kkt(sigmas, water_fill(sigmas, p_total, noise).powers, p_total, noise)
+            assert_kkt(sigmas, water_fill_at_noise(sigmas, p_total, noise), p_total, noise)
 
     def test_beats_equal_split(self):
         rng = np.random.default_rng(51)
@@ -159,7 +163,7 @@ class TestWaterFill:
             caps = capacity(stack, p_total, noise)
             for sigmas, cap in zip(stack, caps):
                 expected = reference_water_fill(sigmas, p_total, noise)
-                powers = water_fill(sigmas, p_total, noise).powers
+                powers = water_fill_at_noise(sigmas, p_total, noise)
                 np.testing.assert_allclose(powers, expected, rtol=0.0, atol=1e-12 * p_total)
                 ref_cap = float(np.sum(np.log2(1.0 + expected * sigmas**2 / noise)))
                 assert cap == pytest.approx(ref_cap, rel=1e-12)
@@ -174,70 +178,68 @@ class TestWaterFill:
             smallest = math.sqrt(noise / p_total) * 10.0 ** rng.uniform(-6.0, -3.0)
             stack = random_gain_stack(rng, n, 6, smallest)
             for sigmas in stack:
-                assert_kkt(sigmas, water_fill(sigmas, p_total, noise).powers, p_total, noise)
+                assert_kkt(sigmas, water_fill_at_noise(sigmas, p_total, noise), p_total, noise)
 
     def test_low_snr_equal_gains(self):
-        alloc = water_fill(np.full(16, 1e-4), 31.6, 1.0)
-        np.testing.assert_allclose(alloc.powers, 31.6 / 16, rtol=1e-15)
+        powers = water_fill(np.full(16, 1e-4), 31.6)
+        np.testing.assert_allclose(powers, 31.6 / 16, rtol=1e-15)
 
     def test_underflowing_gain_gets_zero_power_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alloc = water_fill(np.array([1.0, 1e-170]), 31.6, 1.0)
-        np.testing.assert_array_equal(alloc.powers, [31.6, 0.0])
+            powers = water_fill(np.array([1.0, 1e-170]), 31.6)
+        np.testing.assert_array_equal(powers, [31.6, 0.0])
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
-            water_fill(np.zeros(4), 1.0, 1.0)
+            water_fill(np.zeros(4), 1.0)
         with pytest.raises(ValueError):
-            water_fill(np.ones(4), 0.0, 1.0)
+            water_fill(np.ones(4), 0.0)
         with pytest.raises(ValueError):
-            water_fill(np.array([-1.0, 2.0]), 1.0, 1.0)
+            water_fill(np.array([-1.0, 2.0]), 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            water_fill([math.nan, 1.0], 1.0, 1.0)
+            water_fill([math.nan, 1.0], 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             capacity(np.array([[1.0, 2.0], [1.0, math.nan]]), 1.0, 1.0)
         for empty in ([], np.zeros((3, 0)), 2.0):
             with pytest.raises(ValueError, match="at least one stream gain"):
-                water_fill(empty, 1.0, 1.0)
-        for p_total, noise in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+                water_fill(empty, 1.0)
+        for p_total in (math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
-                water_fill([1.0, 2.0], p_total, noise)
+                water_fill([1.0, 2.0], p_total)
+        for noise in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                water_fill_at_noise([1.0, 2.0], 1.0, noise)
         # a subnormal budget can underflow the water level of tied streams
         with pytest.raises(ValueError, match="normal float"):
-            water_fill([1.0, 1.0], 5e-324, 1.0)
-        water_fill([1.0, 1.0], sys.float_info.min, 1.0)
+            water_fill([1.0, 1.0], 5e-324)
+        water_fill([1.0, 1.0], sys.float_info.min)
 
     @pytest.mark.parametrize("gains", [
         [math.inf, 1.0],
         [1e200, 1.0],  # the squared gain overflows
         [[1.0, 2.0], [1.0, math.inf]],
     ])
-    @pytest.mark.parametrize("fn", [water_fill, capacity])
+    @pytest.mark.parametrize("fn", [
+        pytest.param(water_fill, id="water_fill"),
+        pytest.param(lambda gains, p_total: capacity(gains, p_total, 1.0), id="capacity"),
+    ])
     def test_infinite_or_overflowing_gain_rejected(self, gains, fn):
         with pytest.raises(ValueError, match="within float range"):
-            fn(gains, 1.0, 1.0)
+            fn(gains, 1.0)
 
     def test_snr_at_the_float_limit(self):
         # p * sigma^2 / noise = 1e308 is a float, so its capacity is finite
         assert capacity([1e154, 1.0], 1.0, 1.0) == pytest.approx(math.log2(1e308), rel=1e-15)
         # so is it where p * sigma^2 alone would overflow but the SNR sigma^2 / noise is formed first
         assert capacity([1e154, 1.0], 1e4, 1e4) == pytest.approx(math.log2(1e308), rel=1e-15)
-        alloc = water_fill([1e154, 1.0], 1e4, 1e4)
-        assert allocated_capacity([1e154, 1.0], alloc) == pytest.approx(math.log2(1e308), rel=1e-15)
+        # the powers of that SNR at unit noise
+        powers = water_fill([1e154, 1.0], 1e4 / 1e4)
+        assert allocated_capacity([1e154, 1.0], powers) == pytest.approx(math.log2(1e308), rel=1e-15)
         # a larger budget or a smaller noise takes it past the largest float
         for p_total, noise in ((100.0, 1.0), (1.0, 1e-10)):
             with pytest.raises(ValueError, match="within float range"):
                 capacity([1e154, 1.0], p_total, noise)
-
-    @pytest.mark.parametrize("total, noise", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
-    def test_allocation_with_bad_budget_rejected(self, total, noise):
-        with pytest.raises(ValueError, match="positive and finite"):
-            PowerAllocation(powers=np.array([total, 0.0]), total=total, noise=noise)
-
-    def test_allocation_with_nan_power_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            PowerAllocation(powers=np.array([math.nan, 1.0]), total=1.0, noise=1.0)
 
 
 class TestWaterFillMatchesPreviousRule:
@@ -256,7 +258,7 @@ class TestWaterFillMatchesPreviousRule:
             p_total = 10.0 ** (snr_db / 10.0)
             for noise in (1.0, 0.37):
                 expected = previous_water_fill_powers(sigmas, p_total, noise)
-                np.testing.assert_array_equal(bits(water_fill(sigmas, p_total, noise).powers), bits(expected))
+                np.testing.assert_array_equal(bits(water_fill_at_noise(sigmas, p_total, noise)), bits(expected))
 
     def test_random_stacks_with_zeros_ties_and_underflow(self):
         rng = np.random.default_rng(55)
@@ -266,9 +268,9 @@ class TestWaterFillMatchesPreviousRule:
             # gains that underflow when squared, sparing each row's largest
             stack[(rng.random(stack.shape) < 0.1) & (stack < stack.max(axis=1, keepdims=True))] = 1e-170
             expected = previous_water_fill_powers(stack, p_total, 1.0)
-            np.testing.assert_array_equal(bits(water_fill(stack, p_total, 1.0).powers), bits(expected))
+            np.testing.assert_array_equal(bits(water_fill(stack, p_total)), bits(expected))
             for row, want in zip(stack, expected):
-                np.testing.assert_array_equal(bits(water_fill(row, p_total, 1.0).powers), bits(want))
+                np.testing.assert_array_equal(bits(water_fill(row, p_total)), bits(want))
 
     def test_ties_straddling_the_active_set_share_power(self):
         # Inverse gains (1, 4, 4) with a budget two ulps above 3: the water
@@ -278,7 +280,7 @@ class TestWaterFillMatchesPreviousRule:
         # value sort gives both that power, and the budget holds to rounding.
         sigmas = np.array([1.0, 0.5, 0.5])
         p_total = float.fromhex("0x1.8000000000002p+1")
-        powers = water_fill(sigmas, p_total, 1.0).powers
+        powers = water_fill(sigmas, p_total)
         previous = previous_water_fill_powers(sigmas, p_total, 1.0)
         assert previous[2] == 0.0 < previous[1]
         np.testing.assert_array_equal(bits(powers[:2]), bits(previous[:2]))
@@ -353,7 +355,7 @@ class TestGridCapacities:
             for snr_db in (-10.0, 15.0, 40.0):
                 p_total = power_from_db(snr_db)
                 for grid in grids:
-                    got = design._grid_capacities(n, grid, theta_o, p_total, 1.0)
+                    got = design._grid_capacities(n, grid, theta_o, p_total)
                     want = capacity(singular_values_many(n, grid, theta_o), p_total, 1.0)
                     assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
 
@@ -603,5 +605,13 @@ class TestConditionNumber:
 class TestAllocatedCapacity:
     def test_matches_capacity_for_waterfilled_powers(self):
         sigmas = singular_values(8, 2.5, 0.1)
-        alloc = water_fill(sigmas, SNR15, 1.0)
-        assert allocated_capacity(sigmas, alloc) == pytest.approx(capacity(sigmas, SNR15, 1.0), rel=1e-15)
+        powers = water_fill(sigmas, SNR15)
+        assert allocated_capacity(sigmas, powers) == pytest.approx(capacity(sigmas, SNR15, 1.0), rel=1e-15)
+
+    def test_stack_gives_one_rate_per_row(self):
+        # a (2, 4) stack water-filled at p = 31.6: one rate per row, the bits of capacity's
+        stack = np.array([singular_values(4, 1.2, 0.1), singular_values(4, 1.6, 0.0)])
+        rates = allocated_capacity(stack, water_fill(stack, 31.6))
+        assert rates.shape == (2,)
+        np.testing.assert_array_equal(bits(rates), bits(capacity(stack, 31.6, 1.0)))
+        assert isinstance(allocated_capacity(stack[0], water_fill(stack[0], 31.6)), float)

@@ -45,7 +45,7 @@ PACKAGE_NAMES = {
     "ChannelMatrix", "SvdTriple", "build_channel", "build_channels", "circulant_factor",
     "closed_form_svd", "dft_matrix", "numerical_svd",
     "singular_values",
-    "DesignResult", "PowerAllocation", "capacity", "radii_from_beta", "search_beta_opt", "water_fill",
+    "DesignResult", "capacity", "radii_from_beta", "search_beta_opt", "water_fill",
     "Codebook", "RateReport", "approx_power_allocation",
     "build_codebook", "codebook_rates_many", "nulling_rates", "precoded_rate", "precoded_rates",
     "precoder_from_angles", "precoder_matrices",
@@ -59,9 +59,8 @@ LAYER_NAMES = {
                 "build_channels", "circulant_factor", "closed_form_svd", "dft_matrix",
                 "numerical_svd"},
     "spectrum": {"leading_dominance_bound", "singular_values", "singular_values_many"},
-    "design": {"DesignResult", "PowerAllocation", "allocated_capacity", "capacity",
-               "condition_numbers", "power_from_db", "radii_from_beta", "search_beta_opt",
-               "water_fill"},
+    "design": {"DesignResult", "allocated_capacity", "capacity", "condition_numbers",
+               "power_from_db", "radii_from_beta", "search_beta_opt", "water_fill"},
     "transceiver": {"Codebook", "RateReport",
                     "approx_power_allocation", "build_codebook", "codebook_rates_many",
                     "nulling_rates", "precoded_rate", "precoded_rates", "precoder_from_angles",
@@ -88,3 +87,62 @@ def test_layer_functions_and_classes_are_pinned(layer):
         and obj.__module__ == module.__name__
     }
     assert defined == LAYER_NAMES[layer]
+
+
+# The parameters of every function in LAYER_NAMES, as `inspect` prints a
+# signature without annotations: names, kinds (`*` before keyword-only ones)
+# and defaults.  Adding or removing a knob is an edit to this table.
+SIGNATURES = {
+    "channel.aligned_first_column": "(cfg, theta_o)",
+    "channel.build_channel": "(cfg, mis, model='approximate')",
+    "channel.build_channels": "(cfg, mis, model='approximate')",
+    "channel.circulant_factor": "(cfg, theta_o)",
+    "channel.closed_form_svd": "(cfg, mis)",
+    "channel.dft_matrix": "(n)",
+    "channel.numerical_svd": "(matrix)",
+    "design.allocated_capacity": "(sigmas, powers)",
+    "design.capacity": "(sigmas, p_total, noise)",
+    "design.condition_numbers": "(sigmas)",
+    "design.power_from_db": "(snr_db)",
+    "design.radii_from_beta": "(beta, wavelength, distance)",
+    "design.search_beta_opt": "(n_s, theta_o, snr_db, beta_max=14.0, resolution=0.01, *, wavelength=None, distance=None)",
+    "design.water_fill": "(sigmas, p_total)",
+    "geometry.attitude_matrix": "(mis)",
+    "geometry.distance_matrix_exact": "(cfg, mis)",
+    "geometry.rotation_matrix": "(plane, angle)",
+    "geometry.rx_displacement": "(cfg, mis)",
+    "geometry.rx_ring_harmonics": "(cfg, mis)",
+    "geometry.tx_displacement": "(cfg, theta_cs, phi_cs)",
+    "sim.draw_misalignment": "(rng, trial_cfg, n_antennas)",
+    "sim.rows_to_csv": "(rows)",
+    "sim.run_codebook_bit_sweep": "(trial_cfg, bit_grid=((1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (7, 3), "
+                                  "(3, 1), (3, 2), (3, 4), (3, 5)), jobs=1)",
+    "sim.run_rate_sweep": "(trial_cfg, jobs=1)",
+    "sim.trial_rng": "(seed, trial)",
+    "sim.write_csv": "(rows, path)",
+    "spectrum.leading_dominance_bound": "(n_s, theta_o)",
+    "spectrum.singular_values": "(n_s, beta, theta_o)",
+    "spectrum.singular_values_many": "(n_s, betas, theta_o)",
+    "transceiver.approx_power_allocation": "(cfg, snr_db)",
+    "transceiver.build_codebook": "(l1_bits, l2_bits, quantization='sine')",
+    "transceiver.codebook_rates_many": "(cfg, h, cb, powers)",
+    "transceiver.nulling_rates": "(h, sigma, p_total)",
+    "transceiver.precoded_rate": "(h, precoder, powers)",
+    "transceiver.precoded_rates": "(h, f, powers)",
+    "transceiver.precoder_from_angles": "(cfg, theta_cs, phi_cs)",
+    "transceiver.precoder_matrices": "(cfg, theta_cs, phi_cs)",
+    "transceiver.spectrum_nulling_rates": "(sigma, p_total)",
+}
+
+
+def test_public_signatures_are_pinned():
+    signatures = {}
+    for layer, names in LAYER_NAMES.items():
+        module = importlib.import_module(f"ucamimo.{layer}")
+        for name in names:
+            fn = getattr(module, name)
+            if inspect.isfunction(fn):
+                sig = inspect.signature(fn)
+                params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+                signatures[f"{layer}.{name}"] = str(sig.replace(parameters=params, return_annotation=sig.empty))
+    assert signatures == SIGNATURES

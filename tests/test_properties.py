@@ -28,7 +28,7 @@ from ucamimo import (
     singular_values,
     water_fill,
 )
-from ucamimo import sim
+from ucamimo import design, sim
 from ucamimo.design import condition_numbers, power_from_db
 from ucamimo.geometry import ANGLE_NAMES, distance_matrix_exact, rx_ring_harmonics
 from ucamimo.spectrum import singular_values_many
@@ -230,8 +230,8 @@ def test_closed_form_nulling_rates_match_numerical_receivers(stack, snr_db):
     assume(np.all(ratio > 1e-3))
     p_total = power_from_db(snr_db)
     h = build_channels(cfg, mis)
-    numerical_zf, numerical_zf_sic = nulling_rates(h, np.linalg.svd(h, compute_uv=False), p_total, 1.0)
-    zf, zf_sic = spectrum_nulling_rates(sigma, p_total, 1.0)
+    numerical_zf, numerical_zf_sic = nulling_rates(h, np.linalg.svd(h, compute_uv=False), p_total)
+    zf, zf_sic = spectrum_nulling_rates(sigma, p_total)
     np.testing.assert_allclose(zf_sic, np.sum(numerical_zf_sic, axis=-1), rtol=1e-12, atol=0.0)
     inversion = cfg.n_antennas * np.finfo(float).eps / ratio**2
     assert np.all(np.abs(zf - np.sum(numerical_zf, axis=-1)) <= (1e-12 + inversion) * zf)
@@ -247,7 +247,7 @@ def test_svd_precoder_reaches_capacity(stack, snr_db):
     sigma = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
     p_total = power_from_db(snr_db)
     f = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
-    rates = precoded_rates(build_channels(cfg, mis), f, water_fill(sigma, p_total, 1.0))
+    rates = precoded_rates(build_channels(cfg, mis), f, water_fill(sigma, p_total))
     np.testing.assert_allclose(np.sum(rates, axis=-1), capacity(sigma, p_total, 1.0), rtol=0.0, atol=1e-9)
 
 
@@ -277,8 +277,8 @@ def test_closed_form_zf_matches_extended_precision_oracle():
     checked = 0
     for acfg, _, h, sigma in sim._cells(cfg):
         cond = condition_numbers(sigma)
-        zf, _ = spectrum_nulling_rates(sigma, p_total, 1.0)
-        numerical = np.sum(nulling_rates(h, np.linalg.svd(h, compute_uv=False), p_total, 1.0)[0], axis=-1)
+        zf, _ = spectrum_nulling_rates(sigma, p_total)
+        numerical = np.sum(nulling_rates(h, np.linalg.svd(h, compute_uv=False), p_total)[0], axis=-1)
         for t in np.flatnonzero(np.isfinite(cond) & (cond >= 1e4)):
             oracle = zf_oracle(h[t], p_total / acfg.n_antennas)
             assert abs(zf[t] - oracle) <= 1e-15 * cond[t] * oracle, (acfg, t)
@@ -321,7 +321,7 @@ def gain_vectors(draw):
 @PROPERTY
 @given(sigmas=gain_vectors(), p_total=st.floats(0.1, 1000.0))
 def test_water_filling_kkt(sigmas, p_total):
-    powers = water_fill(sigmas, p_total, 1.0).powers
+    powers = water_fill(sigmas, p_total)
     assert np.all(powers >= 0.0)
     assert abs(float(np.sum(powers)) - p_total) <= 1e-12 * p_total
     active = powers > 0.0
@@ -410,6 +410,6 @@ def test_water_filling_matches_previous_rule_bit_for_bit(sigmas, snr_db, noise):
     # the powers, and the capacity built from them, keep every bit
     p_total = 10.0 ** (snr_db / 10.0)
     expected = previous_water_fill_powers(sigmas, p_total, noise)
-    np.testing.assert_array_equal(bits(water_fill(sigmas, p_total, noise).powers), bits(expected))
+    np.testing.assert_array_equal(bits(design._water_fill_powers(sigmas, p_total, noise)), bits(expected))
     caps = np.sum(np.log2(1.0 + expected * (sigmas**2 / noise)), axis=-1)
     np.testing.assert_array_equal(bits(capacity(sigmas, p_total, noise)), bits(caps))

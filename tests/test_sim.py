@@ -87,26 +87,26 @@ def reference_rate_sweep(cfg):
     for n in cfg.n_antennas_list:
         for dist in cfg.distances:
             arr = cell_array(cfg, n, dist)
-            approx_alloc = approx_power_allocation(arr, cfg.snr_db)
+            approx_powers = approx_power_allocation(arr, cfg.snr_db)
             trials = []
             for t in range(cfg.n_trials):
                 h = trial_channel(cfg, arr, t)
                 sig = singular_values(n, arr.beta, h.mis.theta_o)
-                exact_alloc = water_fill(sig, p_total, 1.0)
+                exact_powers = water_fill(sig, p_total)
                 if cfg.exact_geometry:
                     optimal = precoder_from_angles(arr, h.mis.theta_cs, h.mis.phi_cs)
                     sigma = np.linalg.svd(h.entries, compute_uv=False)
-                    nulling = nulling_rates(h.entries[None], sigma[None], p_total, 1.0)
-                    optimal_rate = precoded_rate(h, optimal, exact_alloc).rate
+                    nulling = nulling_rates(h.entries[None], sigma[None], p_total)
+                    optimal_rate = precoded_rate(h, optimal, exact_powers).rate
                     zf, zf_sic = (float(np.sum(rate[0])) for rate in nulling)
                 else:
-                    optimal_rate = allocated_capacity(sig, exact_alloc)
-                    zf, zf_sic = (float(rate[0]) for rate in spectrum_nulling_rates(sig[None], p_total, 1.0))
+                    optimal_rate = allocated_capacity(sig, exact_powers)
+                    zf, zf_sic = (float(rate[0]) for rate in spectrum_nulling_rates(sig[None], p_total))
                 rates = {
-                    "capacity": allocated_capacity(sig, exact_alloc),
+                    "capacity": allocated_capacity(sig, exact_powers),
                     "optimal-precoder": optimal_rate,
-                    "codebook": codebook_rates_many(arr, h.entries[None], cb, approx_alloc)[0].max(),
-                    "identity": precoded_rate(h, dft_matrix(n), approx_alloc).rate,
+                    "codebook": codebook_rates_many(arr, h.entries[None], cb, approx_powers)[0].max(),
+                    "identity": precoded_rate(h, dft_matrix(n), approx_powers).rate,
                     "zf": zf,
                     "zf-sic": zf_sic,
                 }
@@ -399,10 +399,10 @@ class TestRateSweep:
         arr = ArrayConfig(n_antennas=4, wavelength=0.004, radius_tx=radius, radius_rx=radius, distance=100.0)
         h = build_channel(arr, draw_misalignment(trial_rng(cfg.seed, 0), cfg, 4))
         sig = singular_values(4, arr.beta, 0.0)
-        alloc = water_fill(sig, 10**1.5, 1.0)
-        cap = float(np.sum(np.log2(1.0 + alloc.powers * sig**2)))
+        powers = water_fill(sig, 10**1.5)
+        cap = float(np.sum(np.log2(1.0 + powers * sig**2)))
         assert rows["capacity"] == pytest.approx(cap, abs=1e-9)
-        zf, zf_sic = nulling_rates(h.entries[None], np.linalg.svd(h.entries, compute_uv=False)[None], 10**1.5, 1.0)
+        zf, zf_sic = nulling_rates(h.entries[None], np.linalg.svd(h.entries, compute_uv=False)[None], 10**1.5)
         assert rows["zf"] == pytest.approx(np.sum(zf[0]), abs=1e-9)
         assert rows["zf-sic"] == pytest.approx(np.sum(zf_sic[0]), abs=1e-9)
 

@@ -19,26 +19,27 @@ from ucamimo import (
     nulling_rates,
 )
 from ucamimo import transceiver
-from ucamimo.design import PowerAllocation, allocated_capacity, water_fill
+from ucamimo.design import allocated_capacity, water_fill
 from ucamimo.spectrum import singular_values
 from ucamimo.transceiver import (
     RateReport,
     precoded_rate,
+    precoded_rates,
     precoder_from_angles,
 )
 
 SNR15 = 10**1.5
 
 
-def best_codebook_rate(cfg, h, cb, alloc):
+def best_codebook_rate(cfg, h, cb, powers):
     """The campaigns' codebook rate: the row maximum of the stacked scorer, on a stack of one."""
-    return codebook_rates_many(cfg, h.entries[None], cb, alloc)[0].max()
+    return codebook_rates_many(cfg, h.entries[None], cb, powers)[0].max()
 
 
-def nulling(h, p_total, noise):
+def nulling(h, p_total):
     """Both nulling receivers on a stack of one channel: per-stream (zf, zf_sic), each (1, N)."""
     stack = np.asarray(h)[None]
-    return nulling_rates(stack, np.linalg.svd(stack, compute_uv=False), p_total, noise)
+    return nulling_rates(stack, np.linalg.svd(stack, compute_uv=False), p_total)
 
 
 def design_point(n=8, dist=100.0):
@@ -140,10 +141,10 @@ class TestPrecoders:
             mis = random_misalignment(rng, 8)
             h = build_channel(cfg, mis)
             sig = singular_values(8, cfg.beta, mis.theta_o)
-            alloc = water_fill(sig, SNR15, 1.0)
+            powers = water_fill(sig, SNR15)
             f = precoder_from_angles(cfg, mis.theta_cs, mis.phi_cs)
-            rate = precoded_rate(h, f, alloc).rate
-            assert rate == pytest.approx(allocated_capacity(sig, alloc), abs=1e-9)
+            rate = precoded_rate(h, f, powers).rate
+            assert rate == pytest.approx(allocated_capacity(sig, powers), abs=1e-9)
 
 
 class TestRateReports:
@@ -157,10 +158,10 @@ class TestRateReports:
         for _ in range(10):
             mis = random_misalignment(rng, 8)
             h = build_channel(cfg, mis)
-            alloc = approx_power_allocation(cfg, 15.0)
+            powers = approx_power_allocation(cfg, 15.0)
             f = dft_matrix(8)
-            report = precoded_rate(h, f, alloc)
-            g = h.entries @ f @ np.diag(np.sqrt(alloc.powers / alloc.noise))
+            report = precoded_rate(h, f, powers)
+            g = h.entries @ f @ np.diag(np.sqrt(powers))
             ref = math.log2(np.linalg.det(np.eye(8) + g @ g.conj().T).real)
             assert report.rate == pytest.approx(ref, abs=1e-9)
             assert report.rate == pytest.approx(float(np.sum(report.per_stream)), abs=1e-12)
@@ -170,29 +171,29 @@ class TestCodebookSelection:
     def test_exact_grid_point_reaches_optimal_rate(self):
         cfg = design_point(8, 300.0)
         cb = build_codebook(4, 2)
-        alloc = approx_power_allocation(cfg, 15.0)
+        powers = approx_power_allocation(cfg, 15.0)
         thetas, phis = cb.angle_pairs()
         theta, phi = float(thetas[22]), float(phis[22])
         mis = Misalignment(theta_o=0.1, theta_cs=theta, phi_cs=phi)
         h = build_channel(cfg, mis)
-        rate = best_codebook_rate(cfg, h, cb, alloc)
-        optimal = precoded_rate(h, precoder_from_angles(cfg, theta, phi), alloc).rate
+        rate = best_codebook_rate(cfg, h, cb, powers)
+        optimal = precoded_rate(h, precoder_from_angles(cfg, theta, phi), powers).rate
         assert rate == pytest.approx(optimal, abs=1e-9)
 
     def test_selection_matches_exhaustive_rescan(self):
         cfg = design_point(8, 300.0)
         cb = build_codebook(3, 2)
-        alloc = approx_power_allocation(cfg, 15.0)
+        powers = approx_power_allocation(cfg, 15.0)
         thetas, phis = cb.angle_pairs()
         rng = np.random.default_rng(64)
         for _ in range(5):
             mis = random_misalignment(rng, 8)
             h = build_channel(cfg, mis)
-            rate = best_codebook_rate(cfg, h, cb, alloc)
+            rate = best_codebook_rate(cfg, h, cb, powers)
             # independent pass: per-entry log-det rates in shuffled order
             order = rng.permutation(cb.size)
             best_rate = max(
-                precoded_rate(h, precoder_from_angles(cfg, float(thetas[pos]), float(phis[pos])), alloc).rate
+                precoded_rate(h, precoder_from_angles(cfg, float(thetas[pos]), float(phis[pos])), powers).rate
                 for pos in order
             )
             assert rate == pytest.approx(best_rate, abs=1e-9)
@@ -200,19 +201,19 @@ class TestCodebookSelection:
     def test_rates_vector_matches_entry_evaluation(self):
         cfg = design_point(4, 300.0)
         cb = build_codebook(2, 1)
-        alloc = approx_power_allocation(cfg, 15.0)
+        powers = approx_power_allocation(cfg, 15.0)
         h = build_channel(cfg, Misalignment(theta_o=0.2, theta_cs=1.0, phi_cs=0.1))
-        rates = codebook_rates_many(cfg, h.entries[None], cb, alloc)[0]
+        rates = codebook_rates_many(cfg, h.entries[None], cb, powers)[0]
         for l, (theta, phi) in enumerate(zip(*cb.angle_pairs())):
             f = precoder_from_angles(cfg, float(theta), float(phi))
-            assert rates[l] == pytest.approx(precoded_rate(h, f, alloc).rate, abs=1e-9)
+            assert rates[l] == pytest.approx(precoded_rate(h, f, powers).rate, abs=1e-9)
 
     def test_zero_shift_equality_with_dft_baseline(self):
         # with the zero entry available and no centre shift, the selected
         # precoder and the no-correction baseline coincide
         cfg = design_point(8, 300.0)
         cb = build_codebook(4, 0)
-        alloc = approx_power_allocation(cfg, 15.0)
+        powers = approx_power_allocation(cfg, 15.0)
         rng = np.random.default_rng(65)
         for _ in range(10):
             mis = Misalignment(
@@ -223,28 +224,28 @@ class TestCodebookSelection:
                 phi_y=float(rng.uniform(-0.17, 0.17)),
             )
             h = build_channel(cfg, mis)
-            rate = best_codebook_rate(cfg, h, cb, alloc)
-            baseline = precoded_rate(h, dft_matrix(8), alloc).rate
+            rate = best_codebook_rate(cfg, h, cb, powers)
+            baseline = precoded_rate(h, dft_matrix(8), powers).rate
             assert rate == pytest.approx(baseline, abs=1e-9)
 
     def test_mean_beats_no_correction_baseline(self):
         cfg = design_point(8, 300.0)
         cb = build_codebook(5, 3)
-        alloc = approx_power_allocation(cfg, 15.0)
+        powers = approx_power_allocation(cfg, 15.0)
         rng = np.random.default_rng(66)
         selected, baseline = [], []
         for _ in range(30):
             mis = random_misalignment(rng, 8)
             h = build_channel(cfg, mis)
-            selected.append(best_codebook_rate(cfg, h, cb, alloc))
-            baseline.append(precoded_rate(h, dft_matrix(8), alloc).rate)
+            selected.append(best_codebook_rate(cfg, h, cb, powers))
+            baseline.append(precoded_rate(h, dft_matrix(8), powers).rate)
         assert np.mean(selected) >= np.mean(baseline)
 
     def test_single_entry_codebook_selects_it(self):
         cfg = design_point(4)
         h = build_channel(cfg, Misalignment())
-        alloc = approx_power_allocation(cfg, 15.0)
-        rates = codebook_rates_many(cfg, h.entries[None], build_codebook(0, 0), alloc)
+        powers = approx_power_allocation(cfg, 15.0)
+        rates = codebook_rates_many(cfg, h.entries[None], build_codebook(0, 0), powers)
         assert rates.shape == (1, 1)
         assert rates.max() > 0.0
 
@@ -252,9 +253,9 @@ class TestCodebookSelection:
         # with zero polar bits every entry has phi = 0, so all rates tie
         cfg = design_point(8, 300.0)
         cb = build_codebook(3, 0)
-        alloc = approx_power_allocation(cfg, 15.0)
+        powers = approx_power_allocation(cfg, 15.0)
         h = build_channel(cfg, Misalignment(theta_o=0.1, theta_cs=0.7, phi_cs=0.05))
-        rates = codebook_rates_many(cfg, h.entries[None], cb, alloc)[0]
+        rates = codebook_rates_many(cfg, h.entries[None], cb, powers)[0]
         assert np.ptp(rates) <= 1e-12
 
 
@@ -262,7 +263,7 @@ def stream_allocation(n, active):
     """Equal power on the first `active` streams, none on the others."""
     powers = np.zeros(n)
     powers[:active] = SNR15 / active
-    return PowerAllocation(powers=powers, total=SNR15, noise=1.0)
+    return powers
 
 
 class TestStackedCodebookScorer:
@@ -277,22 +278,22 @@ class TestStackedCodebookScorer:
     def test_rows_equal_one_channel_scorer(self, count, model, active):
         cfg = design_point(8, 300.0)
         cb = build_codebook(3, 2)
-        alloc = stream_allocation(8, active)
+        powers = stream_allocation(8, active)
         channels, h = self.stack(cfg, model, count)
-        rates = codebook_rates_many(cfg, h, cb, alloc)
+        rates = codebook_rates_many(cfg, h, cb, powers)
         assert rates.shape == (count, cb.size)
         for row, channel in zip(rates, channels):
-            np.testing.assert_array_equal(row, codebook_rates_many(cfg, channel.entries[None], cb, alloc)[0])
+            np.testing.assert_array_equal(row, codebook_rates_many(cfg, channel.entries[None], cb, powers)[0])
 
     def test_row_does_not_depend_on_its_position(self):
         cfg = design_point(8, 300.0)
         cb = build_codebook(3, 2)
-        alloc = approx_power_allocation(cfg, 15.0)
+        powers = approx_power_allocation(cfg, 15.0)
         _, h = self.stack(cfg, EXACT_DISTANCE, 5)
-        rates = codebook_rates_many(cfg, h, cb, alloc)
+        rates = codebook_rates_many(cfg, h, cb, powers)
         order = np.array([3, 0, 4, 2, 1])
-        np.testing.assert_array_equal(codebook_rates_many(cfg, h[order], cb, alloc), rates[order])
-        np.testing.assert_array_equal(codebook_rates_many(cfg, h[2:3], cb, alloc), rates[2:3])
+        np.testing.assert_array_equal(codebook_rates_many(cfg, h[order], cb, powers), rates[order])
+        np.testing.assert_array_equal(codebook_rates_many(cfg, h[2:3], cb, powers), rates[2:3])
 
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
     @pytest.mark.parametrize("n, l1, l2, active", [(8, 3, 2, 1), (8, 3, 2, 5), (8, 3, 2, 8),
@@ -304,27 +305,27 @@ class TestStackedCodebookScorer:
         # one active stream the scorer rounds a block up to an even count
         cfg = design_point(n, 300.0)
         cb = build_codebook(l1, l2)
-        alloc = stream_allocation(n, active)
+        powers = stream_allocation(n, active)
         _, h = self.stack(cfg, model, 3)
         values = active * n
         per = min(transceiver._SCORE_BLOCK // values, cb.size // 3)
         monkeypatch.setattr(transceiver, "_SCORE_BLOCK", (cb.size + 1) * values)
-        whole = codebook_rates_many(cfg, h, cb, alloc)
+        whole = codebook_rates_many(cfg, h, cb, powers)
         for entries in (1, per - 1, per, per + 1):
             monkeypatch.setattr(transceiver, "_SCORE_BLOCK", entries * values)
-            np.testing.assert_array_equal(codebook_rates_many(cfg, h, cb, alloc), whole)
+            np.testing.assert_array_equal(codebook_rates_many(cfg, h, cb, powers), whole)
 
     def test_peak_memory(self):
         # NumPy reports its data buffers to tracemalloc; buffers over the
         # whole 1,024-entry codebook peaked at 8.9 MiB
         cfg = design_point(16, 300.0)
         cb = build_codebook(7, 3)
-        alloc = approx_power_allocation(cfg, 15.0)
+        powers = approx_power_allocation(cfg, 15.0)
         _, h = self.stack(cfg, APPROXIMATE, 8)
-        codebook_rates_many(cfg, h, cb, alloc)
+        codebook_rates_many(cfg, h, cb, powers)
         tracemalloc.start()
         try:
-            codebook_rates_many(cfg, h, cb, alloc)
+            codebook_rates_many(cfg, h, cb, powers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -363,33 +364,59 @@ class TestStackedCodebookScorer:
     def test_malformed_inputs_rejected(self, h_shape, powers_shape, match):
         cfg = design_point(8, 300.0)
         powers = np.full(powers_shape, SNR15 / 8)
-        alloc = PowerAllocation(powers=powers, total=SNR15, noise=1.0)
         with pytest.raises(ValueError, match=match):
-            codebook_rates_many(cfg, np.ones(h_shape, dtype=complex), build_codebook(3, 2), alloc)
+            codebook_rates_many(cfg, np.ones(h_shape, dtype=complex), build_codebook(3, 2), powers)
+
+
+class TestStreamPowers:
+    """The rate kernels that take powers from outside share one check of them."""
+
+    @pytest.mark.parametrize("head, match", [
+        pytest.param([math.nan, SNR15], "nonnegative and finite", id="nan"),
+        pytest.param([-1.0, SNR15], "nonnegative and finite", id="negative"),
+        pytest.param([math.inf, 0.0], "nonnegative and finite", id="infinite"),
+        pytest.param([0.0, 0.0], "at least one stream", id="all-zero"),
+    ])
+    @pytest.mark.parametrize("kernel", ["precoded_rates", "codebook_rates_many"])
+    def test_bad_powers_rejected(self, kernel, head, match):
+        cfg = design_point(8)
+        h = build_channel(cfg, Misalignment()).entries[None]
+        powers = np.array(head + [0.0] * 6)
+        with pytest.raises(ValueError, match=match):
+            if kernel == "precoded_rates":
+                precoded_rates(h, dft_matrix(8), powers)
+            else:
+                codebook_rates_many(cfg, h, build_codebook(1, 1), powers)
+
+    def test_stack_with_a_powerless_row_rejected(self):
+        h = np.stack([build_channel(design_point(8), Misalignment()).entries] * 2)
+        powers = np.array([np.full(8, SNR15 / 8), np.zeros(8)])
+        with pytest.raises(ValueError, match="at least one stream"):
+            precoded_rates(h, dft_matrix(8), powers)
 
 
 class TestApproxPowerAllocation:
     def test_matches_exact_waterfilling_without_rotation(self):
         cfg = design_point()
-        alloc = approx_power_allocation(cfg, 15.0)
-        exact = water_fill(singular_values(8, cfg.beta, 0.0), SNR15, 1.0)
-        np.testing.assert_array_equal(alloc.powers, exact.powers)
+        powers = approx_power_allocation(cfg, 15.0)
+        exact = water_fill(singular_values(8, cfg.beta, 0.0), SNR15)
+        np.testing.assert_array_equal(powers, exact)
 
     def test_small_loss_under_rotation(self):
         cfg = design_point()
         theta_o = math.pi / 16
         sig_true = singular_values(8, cfg.beta, theta_o)
-        exact = water_fill(sig_true, SNR15, 1.0)
+        exact = water_fill(sig_true, SNR15)
         approx = approx_power_allocation(cfg, 15.0)
-        approx_on_true = allocated_capacity(sig_true, PowerAllocation(approx.powers, approx.total, approx.noise))
+        approx_on_true = allocated_capacity(sig_true, approx)
         loss = allocated_capacity(sig_true, exact) - approx_on_true
         assert 0.0 <= loss <= 0.005 * allocated_capacity(sig_true, exact)
 
     def test_tiny_beta_concentrates_power(self):
         cfg = ArrayConfig(n_antennas=8, wavelength=0.004, radius_tx=1e-4, radius_rx=1e-4, distance=100.0)
-        alloc = approx_power_allocation(cfg, 15.0)
-        assert alloc.powers[0] == pytest.approx(SNR15, rel=1e-9)
-        np.testing.assert_array_equal(alloc.powers[1:], 0.0)
+        powers = approx_power_allocation(cfg, 15.0)
+        assert powers[0] == pytest.approx(SNR15, rel=1e-9)
+        np.testing.assert_array_equal(powers[1:], 0.0)
 
 
 class TestZfReceivers:
@@ -399,15 +426,15 @@ class TestZfReceivers:
         mis = random_misalignment(rng, 4)
         h = build_channel(cfg, mis)
         sig = singular_values(4, cfg.beta, mis.theta_o)
-        cap = allocated_capacity(sig, water_fill(sig, SNR15, 1.0))
-        zf, _ = nulling(h.entries, SNR15, 1.0)
+        cap = allocated_capacity(sig, water_fill(sig, SNR15))
+        zf, _ = nulling(h.entries, SNR15)
         assert np.sum(zf) == pytest.approx(cap, abs=0.01)
 
     def test_scaled_unitary_equalises_streams(self):
         rng = np.random.default_rng(68)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         h = 3.0 * q
-        zf, _ = nulling(h, 12.0, 1.0)
+        zf, _ = nulling(h, 12.0)
         np.testing.assert_allclose(zf[0], math.log2(1.0 + 2.0 * 9.0), atol=1e-9)
 
     def test_zf_below_capacity(self):
@@ -417,8 +444,8 @@ class TestZfReceivers:
             mis = random_misalignment(rng, 8)
             h = build_channel(cfg, mis)
             sig = singular_values(8, cfg.beta, mis.theta_o)
-            cap = allocated_capacity(sig, water_fill(sig, SNR15, 1.0))
-            zf, _ = nulling(h.entries, SNR15, 1.0)
+            cap = allocated_capacity(sig, water_fill(sig, SNR15))
+            zf, _ = nulling(h.entries, SNR15)
             assert np.sum(zf) <= cap + 1e-9
 
     def test_rank_deficient_row_scores_zero(self):
@@ -427,7 +454,7 @@ class TestZfReceivers:
         regular = build_channel(cfg, Misalignment()).entries
         h = np.stack([singular, regular])
         sigma = np.linalg.svd(h, compute_uv=False)
-        zf, zf_sic = nulling_rates(h, sigma, SNR15, 1.0)
+        zf, zf_sic = nulling_rates(h, sigma, SNR15)
         assert sigma[0, -1] <= 1e-12 * sigma[0, 0]
         np.testing.assert_array_equal(zf[0], 0.0)
         np.testing.assert_array_equal(zf_sic[0], 0.0)
@@ -437,13 +464,13 @@ class TestZfReceivers:
     def test_singular_values_must_match_the_stack(self, shape):
         h = np.stack([build_channel(design_point(8), Misalignment()).entries] * 2)
         with pytest.raises(ValueError, match="singular values must have shape"):
-            nulling_rates(h, np.ones(shape), SNR15, 1.0)
+            nulling_rates(h, np.ones(shape), SNR15)
 
     def test_spectrum_rates_by_hand(self):
         # a zero gain (beta = 0 gives exact zeros) scores 0 on both receivers without a
         # division warning; gains (1, 2) at p = 3 per stream give ZF 2 log2(1 + 3/(5/8)) and
         # ZF-SIC log2(1 + 3) + log2(1 + 12)
-        zf, zf_sic = transceiver.spectrum_nulling_rates(np.array([[2.0, 0.0], [1.0, 2.0]]), 6.0, 1.0)
+        zf, zf_sic = transceiver.spectrum_nulling_rates(np.array([[2.0, 0.0], [1.0, 2.0]]), 6.0)
         np.testing.assert_array_equal(zf[0], 0.0)
         np.testing.assert_array_equal(zf_sic[0], 0.0)
         assert zf[1] == pytest.approx(2.0 * math.log2(1.0 + 3.0 / 0.625), rel=1e-15)
@@ -458,7 +485,7 @@ class TestZfSic:
             h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             p_total = float(rng.uniform(0.5, 100.0))
             noise = float(rng.uniform(0.2, 3.0))
-            _, zf_sic = nulling(h, p_total, noise)
+            _, zf_sic = nulling(h, p_total / noise)  # the SNR of budget p_total at noise power `noise`
             rate = np.sum(zf_sic)
             scale = p_total / (n * noise)
             ref = math.log2(np.linalg.det(np.eye(n) + scale * h.conj().T @ h).real)
@@ -468,7 +495,7 @@ class TestZfSic:
         rng = np.random.default_rng(71)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
         h = 2.5 * q
-        zf, zf_sic = nulling(h, 10.0, 1.0)
+        zf, zf_sic = nulling(h, 10.0)
         assert np.sum(zf_sic) == pytest.approx(np.sum(zf), abs=1e-9)
 
     def test_close_to_capacity_at_design_point(self):
@@ -478,14 +505,14 @@ class TestZfSic:
             mis = random_misalignment(rng, 8)
             h = build_channel(cfg, mis)
             sig = singular_values(8, cfg.beta, mis.theta_o)
-            cap = allocated_capacity(sig, water_fill(sig, SNR15, 1.0))
-            _, zf_sic = nulling(h.entries, SNR15, 1.0)
+            cap = allocated_capacity(sig, water_fill(sig, SNR15))
+            _, zf_sic = nulling(h.entries, SNR15)
             assert abs(np.sum(zf_sic) - cap) <= 0.1
 
     def test_sum_rate_independent_of_stream_order(self):
         rng = np.random.default_rng(73)
         h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        base = np.sum(nulling(h, 5.0, 1.0)[1])
+        base = np.sum(nulling(h, 5.0)[1])
         for _ in range(5):
             perm = rng.permutation(6)
-            assert np.sum(nulling(h[:, perm], 5.0, 1.0)[1]) == pytest.approx(base, abs=1e-12)
+            assert np.sum(nulling(h[:, perm], 5.0)[1]) == pytest.approx(base, abs=1e-12)
