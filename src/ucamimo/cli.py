@@ -198,14 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_design(args) -> int:
     result = design.search_beta_opt(
         args.ns,
@@ -216,17 +208,21 @@ def cmd_design(args) -> int:
         wavelength=args.wavelength,
         distance=args.dist,
     )
-    print(f"n_antennas: {args.ns}")
-    print(f"snr_db: {args.snr_db:.9g}")
-    print(f"theta_o: {args.theta_o:.9g}")
-    print(f"beta_opt: {result.beta_opt:.9g}")
-    print(f"radius_equal_m: {result.radius_equal:.9g}")
-    print(f"radii_product_m2: {result.radii_product:.9g}")
-    print(f"capacity_bps_hz: {result.capacity:.9g}")
-    print(f"condition_number: {result.condition_number:.9g}")
+    fields = {
+        "n_antennas": args.ns,
+        "snr_db": args.snr_db,
+        "theta_o": args.theta_o,
+        "beta_opt": result.beta_opt,
+        "radius_equal_m": result.radius_equal,
+        "radii_product_m2": result.radii_product,
+        "capacity_bps_hz": result.capacity,
+        "condition_number": result.condition_number,
+    }
+    texts = dict(zip(fields, sim.table_texts([fields.values()])[0]))
+    sim.write_text("".join(f"{key}: {text}\n" for key, text in texts.items()), None)
     if result.at_edge:
         print(
-            f"note: beta_opt {result.beta_opt:.9g} lies within --resolution of --beta-max "
+            f"note: beta_opt {texts['beta_opt']} lies within --resolution of --beta-max "
             f"{args.beta_max:g}; capacity may still rise beyond it, so raise --beta-max",
             file=sys.stderr,
         )
@@ -250,23 +246,13 @@ def cmd_spectrum(args) -> int:
 
     sigmas = spectrum.singular_values_many(args.ns, betas, thetas)
     header = "beta,theta_o," + ",".join(f"sigma_{k}" for k in range(1, args.ns + 1))
-    lines = [header]
-    for beta, theta, sig in zip(betas, thetas, sigmas):
-        lines.append(f"{beta:.9g},{theta:.9g}," + ",".join(f"{s:.9g}" for s in sig))
-    _emit("\n".join(lines) + "\n", args.out)
+    sim.write_text(sim.csv_text(header, np.column_stack([betas, thetas, sigmas]).tolist()), args.out)
     return 0
 
 
 def cmd_capacity_sweep(args) -> int:
-    if args.step <= 0.0 or args.beta_max <= 0.0:
-        raise ValueError("--step and --beta-max must be positive")
-    if args.step > args.beta_max:
-        raise ValueError(f"--step {args.step:g} exceeds --beta-max {args.beta_max:g}; the beta grid is empty")
-    p_total = design.power_from_db(args.snr_db)
-    betas = np.arange(args.step, args.beta_max + args.step / 2.0, args.step)
-    caps = design._grid_capacities(args.ns, betas, args.theta_o, p_total)
-    lines = ["beta,capacity_bps_hz", *(f"{b:.9g},{c:.9g}" for b, c in zip(betas, caps))]
-    _emit("\n".join(lines) + "\n", args.out)
+    betas, caps = design.capacity_curve(args.ns, args.theta_o, args.snr_db, args.beta_max, args.step)
+    sim.write_text(sim.csv_text("beta,capacity_bps_hz", zip(betas.tolist(), caps.tolist())), args.out)
     return 0
 
 
@@ -278,15 +264,13 @@ def _trial_config(args, **own) -> sim.TrialConfig:
 
 def cmd_simulate(args) -> int:
     trial_cfg = _trial_config(args, codebook_bits=(args.l1, args.l2))
-    rows = sim.run_rate_sweep(trial_cfg)
-    _emit(sim.rows_to_csv(rows), args.out)
+    sim.write_csv(sim.run_rate_sweep(trial_cfg), args.out)
     return 0
 
 
 def cmd_codebook(args) -> int:
     trial_cfg = _trial_config(args, n_antennas_list=(args.ns,), distances=(args.dist,))
-    rows = sim.run_codebook_bit_sweep(trial_cfg, bit_grid=args.bit_grid)
-    _emit(sim.rows_to_csv(rows), args.out)
+    sim.write_csv(sim.run_codebook_bit_sweep(trial_cfg, bit_grid=args.bit_grid), args.out)
     return 0
 
 

@@ -97,6 +97,14 @@ class ArrayConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
+        # No path is longer than D + R_t + R_r, so this bounds every channel phase; Python
+        # floats overflow to inf without a warning
+        span = float(self.distance) + float(self.radius_tx) + float(self.radius_rx)
+        if not TWO_PI * span / float(self.wavelength) < math.inf:
+            raise ValueError(
+                f"the phases at wavelength {self.wavelength:g} m and distance {self.distance:g} m are "
+                "outside the range of a float: 2*pi*(D + R_t + R_r)/wavelength must be finite"
+            )
 
     @property
     def beta(self) -> float:

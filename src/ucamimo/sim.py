@@ -1,4 +1,4 @@
-"""Seeded Monte-Carlo pipelines and CSV emission.
+"""Seeded Monte-Carlo pipelines, and the number rule and writer of every printed output.
 
 Trials draw random misalignments from counter-based per-trial substreams
 keyed by (seed, trial index), so results are byte-reproducible and do not
@@ -8,14 +8,18 @@ antenna counts, distances and codebook settings; only the rotation clamp
 to [-pi/N, pi/N] depends on the antenna count.  One generator, `_cells`,
 builds every cell of both campaigns: its channels as one (T, N, N) stack
 and their singular values.  All trials of a cell are scored as one batch,
-each scheme in one stacked call.
+each scheme in one stacked call.  Every command's output, the campaign
+CSVs and the CLI's other tables alike, prints its numbers by
+`table_texts` and goes out through `write_text`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -99,7 +103,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One CSV row; trial = -1 marks a mean over all trials."""
+    """One CSV row, its fields in `CSV_HEADER` order; trial = -1 marks a mean over all trials."""
 
     scenario: str
     n_antennas: int
@@ -109,20 +113,6 @@ class ResultRow:
     rate_bps_hz: float
     beta: float
     cond_number: float
-
-    def to_csv(self) -> str:
-        return ",".join(
-            (
-                self.scenario,
-                str(self.n_antennas),
-                f"{self.distance_m:.9g}",
-                self.scheme,
-                str(self.trial),
-                f"{self.rate_bps_hz:.9g}",
-                f"{self.beta:.9g}",
-                f"{self.cond_number:.9g}",
-            )
-        )
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -318,11 +308,41 @@ def run_codebook_bit_sweep(
     return rows
 
 
+def table_texts(rows) -> list[list[str]]:
+    """The one number rule of every printed output, applied to each value of each row.
+
+    A number, int or float, prints with 9 significant digits (.9g); a
+    string prints as it is.  A whole table is one call, not one per row,
+    so tracing a CSV of thousands of rows records one span.
+    """
+    return [[value if isinstance(value, str) else f"{value:.9g}" for value in row] for row in rows]
+
+
+def csv_text(header: str, rows) -> str:
+    """The header, then one comma-separated line of `table_texts` per row; every line ends in a newline."""
+    return "\n".join([header, *map(",".join, table_texts(rows))]) + "\n"
+
+
+def write_text(text: str, path) -> None:
+    """The one writer of every output: `text` as UTF-8 with pinned newlines (byte-reproducible).
+
+    It goes to `path`, or to stdout where `path` is None or empty.
+    """
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+# A ResultRow's values in CSV_HEADER order
+_ROW_VALUES = attrgetter(*CSV_HEADER.split(","))
+
+
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    return "\n".join([CSV_HEADER, *(row.to_csv() for row in rows)]) + "\n"
+    return csv_text(CSV_HEADER, map(_ROW_VALUES, rows))
 
 
 def write_csv(rows: list[ResultRow], path) -> None:
-    """Write rows as UTF-8 CSV with pinned newlines (byte-reproducible)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv(rows))
+    """`write_text` of the rows' CSV."""
+    write_text(rows_to_csv(rows), path)

@@ -195,11 +195,17 @@ class TestCapacitySweepCommand:
         best = max(rows, key=lambda r: r[1])
         assert best[0] == pytest.approx(math.pi / 2, abs=0.01)
 
-    @pytest.mark.parametrize("args", [["--step", "20"], ["--beta-max", "0.005"]])
-    def test_step_beyond_beta_max_exits_2(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("args, message", [
+        (["--step", "20"], "resolution 20 exceeds beta_max 14"),
+        (["--beta-max", "0.005"], "resolution 0.01 exceeds beta_max 0.005"),
+    ])
+    def test_step_beyond_beta_max_exits_2(self, tmp_path, capsys, args, message):
+        # design.capacity_curve checks the grid, so the message names --step as resolution
         out = tmp_path / "c.csv"
         assert run_cli(["capacity-sweep", "--ns", "4", *args, "--out", str(out)]) == 2
-        assert "exceeds --beta-max" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
         assert not out.exists()
 
     def test_overflowing_snr_exits_2(self, capsys):
@@ -629,6 +635,17 @@ class TestExitCodes:
         assert err.startswith(f"error: the exact distances at distance {float(distance):g} m ")
         assert err.endswith(" finite\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("model", [[], ["--exact-geometry"]])
+    def test_phase_beyond_float_range_exits_2(self, capsys, model):
+        # 2*pi*D/lambda overflowed: NumPy warned as it built the phasors, and the channel was
+        # then rejected for its non-unit entries; the suite turns warnings into errors
+        assert run_cli(["simulate", "--seed", "1", "--trials", "1", "--ns-list", "4",
+                        "--dist-list", "100", "--lambda", "1e-307", *model]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the phases at wavelength 1e-307 m and distance 100 m ")
+        assert captured.err.count("\n") == 1
+
 
 class TestCampaignDefaults:
     """The campaign commands hand the runners TrialConfig's defaults, but for codebook's --ns and --dist."""
@@ -675,14 +692,21 @@ CAPACITY_SWEEP_GOLDENS = [
     ("capacity_sweep_n4_theta0.csv", ["--ns", "4"]),
     ("capacity_sweep_n64_theta1p5deg.csv", ["--ns", "64", "--theta-o", "deg:1.5"]),
 ]
+SPECTRUM_GOLDENS = [
+    ("spectrum_n8_beta.csv", ["--ns", "8", "--num", "41"]),
+    # the range stays clear of the nulls at theta_o = +-pi/8, whose near-zero digits follow the FFT's rounding
+    ("spectrum_n8_theta_deg20.csv", ["--ns", "8", "--axis", "theta_o", "--start", "deg:-20",
+                                     "--stop", "deg:20", "--num", "41"]),
+]
 # Every golden a CLI command writes, with that command, but the exact-geometry ones: their
-# bytes still move with the BLAS kernel (ROADMAP items 6 and 12).
+# bytes still move with the BLAS kernel (ROADMAP items 6 and 12).  The spectrum takes an FFT, not BLAS.
 KERNEL_FREE_GOLDENS = {
     "simulate_seed2024.csv": SIMULATE_GOLDEN_ARGS,
     "codebook_seed2024.csv": CODEBOOK_GOLDEN_ARGS,
     **{f"design_n{ns}_{suffix}.txt": ["design", "--ns", str(ns), "--theta-o", theta]
        for ns in DESIGN_GOLDEN_NS for theta, suffix in DESIGN_GOLDEN_THETAS},
     **{name: ["capacity-sweep", *args] for name, args in CAPACITY_SWEEP_GOLDENS},
+    **{name: ["spectrum", *args] for name, args in SPECTRUM_GOLDENS},
 }
 # Runs each (path, argv) pair of its JSON argument through cli.main, with stdout going to the path.
 KERNEL_CHILD = """
@@ -743,6 +767,12 @@ class TestGoldenBytes:
     def test_capacity_sweep_bytes_unchanged(self, tmp_path, name, args):
         out = tmp_path / name
         assert run_cli(["capacity-sweep", *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize("name, args", SPECTRUM_GOLDENS)
+    def test_spectrum_bytes_unchanged(self, tmp_path, name, args):
+        out = tmp_path / name
+        assert run_cli(["spectrum", *args, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / name).read_bytes()
 
     def test_exact_geometry_bit_sweep_bytes_unchanged(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,22 @@ class TestConfigAndMisalignment:
     def test_nonpositive_dimensions_rejected(self):
         with pytest.raises(ValueError):
             ArrayConfig(n_antennas=4, wavelength=0.0, radius_tx=0.3, radius_rx=0.3, distance=100)
+
+    @pytest.mark.parametrize("wavelength, distance, radius", [
+        (1e-307, 100.0, 0.3),  # the phase 2*pi*D/wavelength overflows
+        (1.0, 1e308, 1e308),  # D + R_t + R_r itself overflows
+        (np.float64(1e-307), np.float64(100.0), np.float64(0.3)),  # NumPy floats would warn as they overflow
+    ])
+    def test_phase_beyond_float_range_rejected(self, wavelength, distance, radius):
+        # the channel phasors overflowed, with a RuntimeWarning, before the unit-magnitude check
+        # rejected the channel; the suite turns warnings into errors, so this also shows none is raised
+        message = f"the phases at wavelength {wavelength:g} m and distance {distance:g} m are outside"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ArrayConfig(n_antennas=4, wavelength=wavelength, radius_tx=radius, radius_rx=radius, distance=distance)
+
+    def test_finite_phase_accepted(self):
+        # 2*pi*(D + R_t + R_r)/wavelength is 6.3e300: the check bounds the phase, not the wavelength
+        ArrayConfig(n_antennas=4, wavelength=1e-300, radius_tx=1e-10, radius_rx=1e-10, distance=1.0)
 
     def test_beta_definition(self):
         cfg = ArrayConfig(n_antennas=4, wavelength=1.0, radius_tx=1.0, radius_rx=1.0, distance=2 * math.pi)

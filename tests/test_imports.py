@@ -1,8 +1,10 @@
-"""Every name a module under src/ucamimo imports is used in that module, and the public surface is pinned."""
+"""Every name a module under src/ucamimo imports is used in that module, the public surface is
+pinned, and one function holds the number rule."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,56 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == set()
 
 
+# A field of a str.format or %-template that prints 9 significant digits: "{:.9g}", "%.9g"
+NINE_DIGIT_TEMPLATE = re.compile(r"\{[^{}]*:[^{}]*9g\}|%[-+ #0]*\d*\.?\d*9g")
+
+
+def nine_digit_specs(source: str) -> list[str]:
+    """The enclosing function of every format spec that holds 9g, one entry per spec.
+
+    The specs are those of f-string fields, the second argument of `format()`, and the
+    fields of str.format and %-templates; a spec outside any function is in "<module>".
+    """
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            if "9g" in ast.unparse(node.format_spec):
+                found.append(function)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "format":
+            spec = node.args[1] if len(node.args) > 1 else None
+            if isinstance(spec, ast.Constant) and "9g" in str(spec.value):
+                found.append(function)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if NINE_DIGIT_TEMPLATE.search(node.value):
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detector_finds_nine_digit_specs():
+    source = (
+        "A = '%.9g' % 1.0\n"
+        "def f(x, w):\n"
+        "    return f'{x:.9g} {x:{w}.9g} {x:g} {x!r}', format(x, '.9g'), '{0:>12.9g}'.format(x), '9g'\n"
+        "def g(x):\n"
+        "    'Printed with .9g.'\n"
+        "    return [f'{v:.3f}' for v in x]\n"
+    )
+    assert nine_digit_specs(source) == ["<module>", "f", "f", "f", "f"]
+
+
+def test_one_function_holds_the_number_rule():
+    # every printed number goes through sim.table_texts, so changing the rule is one edit
+    found = {path.stem: nine_digit_specs(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert {module: specs for module, specs in found.items() if specs} == {"sim": ["table_texts"]}
+
+
 # Every public name of the package, and every public function and class that
 # a layer module defines.  The benchmark's tracer wraps exactly those
 # functions, so adding or removing one is an edit to this table.
@@ -59,14 +111,15 @@ LAYER_NAMES = {
                 "build_channels", "circulant_factor", "closed_form_svd", "dft_matrix",
                 "numerical_svd"},
     "spectrum": {"leading_dominance_bound", "singular_values", "singular_values_many"},
-    "design": {"DesignResult", "allocated_capacity", "capacity", "condition_numbers",
+    "design": {"DesignResult", "allocated_capacity", "capacity", "capacity_curve", "condition_numbers",
                "power_from_db", "radii_from_beta", "search_beta_opt", "water_fill"},
     "transceiver": {"Codebook", "RateReport",
                     "approx_power_allocation", "build_codebook", "codebook_rates_many",
                     "nulling_rates", "precoded_rate", "precoded_rates", "precoder_from_angles",
                     "precoder_matrices", "spectrum_nulling_rates"},
-    "sim": {"ResultRow", "TrialConfig", "draw_misalignment", "rows_to_csv",
-            "run_codebook_bit_sweep", "run_rate_sweep", "trial_rng", "write_csv"},
+    "sim": {"ResultRow", "TrialConfig", "csv_text", "draw_misalignment", "rows_to_csv",
+            "run_codebook_bit_sweep", "run_rate_sweep", "table_texts", "trial_rng", "write_csv",
+            "write_text"},
 }
 
 
@@ -102,6 +155,7 @@ SIGNATURES = {
     "channel.numerical_svd": "(matrix)",
     "design.allocated_capacity": "(sigmas, powers)",
     "design.capacity": "(sigmas, p_total, noise)",
+    "design.capacity_curve": "(n_s, theta_o, snr_db, beta_max, resolution)",
     "design.condition_numbers": "(sigmas)",
     "design.power_from_db": "(snr_db)",
     "design.radii_from_beta": "(beta, wavelength, distance)",
@@ -113,13 +167,16 @@ SIGNATURES = {
     "geometry.rx_displacement": "(cfg, mis)",
     "geometry.rx_ring_harmonics": "(cfg, mis)",
     "geometry.tx_displacement": "(cfg, theta_cs, phi_cs)",
+    "sim.csv_text": "(header, rows)",
     "sim.draw_misalignment": "(rng, trial_cfg, n_antennas)",
     "sim.rows_to_csv": "(rows)",
     "sim.run_codebook_bit_sweep": "(trial_cfg, bit_grid=((1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (7, 3), "
                                   "(3, 1), (3, 2), (3, 4), (3, 5)), jobs=1)",
     "sim.run_rate_sweep": "(trial_cfg, jobs=1)",
+    "sim.table_texts": "(rows)",
     "sim.trial_rng": "(seed, trial)",
     "sim.write_csv": "(rows, path)",
+    "sim.write_text": "(text, path)",
     "spectrum.leading_dominance_bound": "(n_s, theta_o)",
     "spectrum.singular_values": "(n_s, beta, theta_o)",
     "spectrum.singular_values_many": "(n_s, betas, theta_o)",
