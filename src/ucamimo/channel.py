@@ -19,6 +19,7 @@ from .geometry import (
     TWO_PI,
     ArrayConfig,
     Misalignment,
+    _require_exact_phase,
     _require_far_field,
     distance_matrix_exact,
     rx_displacement,
@@ -119,12 +120,16 @@ def build_channels(cfg: ArrayConfig, mis: Misalignment, model: str = APPROXIMATE
     alone.  With ``model="approximate"`` the separable far-field distances
     are used and each matrix is assembled as T_r * H_a * T_t^H; with
     ``model="exact_distance"`` each entry uses the exact distance.  The
-    model, the far-field guard and the unit magnitude of the entries are
-    checked once per call.  The separable model needs D >= 10 * max(R);
-    at closer range use ``model="exact_distance"``.
+    model, its guard and the unit magnitude of the entries are checked
+    once per call.  The separable model needs D >= 10 * max(R); at closer
+    range use ``model="exact_distance"``.  The exact model needs D's last
+    place to be a small phase (`geometry._require_exact_phase`), or the
+    rounded distances, not the geometry, would set the channel.
     """
     if model == EXACT_DISTANCE:
-        entries = _phasors(cfg, distance_matrix_exact(cfg, mis))
+        distances = distance_matrix_exact(cfg, mis)
+        _require_exact_phase(cfg)
+        entries = _phasors(cfg, distances)
     elif model == APPROXIMATE:
         _require_far_field(cfg)
         h_a = _circulant(aligned_first_column(cfg, mis.theta_o))

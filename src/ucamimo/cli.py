@@ -251,6 +251,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_capacity_sweep(args) -> int:
+    # capacity_curve checks the grid too, but names its own parameters, not these flags
+    if args.step <= 0.0:
+        raise ValueError(f"--step must be positive, got {args.step:g}")
+    if args.step > args.beta_max:
+        raise ValueError(f"--step {args.step:g} exceeds --beta-max {args.beta_max:g}; the beta grid is empty")
     betas, caps = design.capacity_curve(args.ns, args.theta_o, args.snr_db, args.beta_max, args.step)
     sim.write_text(sim.csv_text("beta,capacity_bps_hz", zip(betas.tolist(), caps.tolist())), args.out)
     return 0

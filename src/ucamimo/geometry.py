@@ -272,6 +272,25 @@ def distance_matrix_exact(cfg: ArrayConfig, mis: Misalignment) -> np.ndarray:
     return d * np.sqrt(1.0 + (sq - d * d) / (d * d))
 
 
+# Largest phase, in radians, of one unit in the last place of D.  Each exact
+# distance D*sqrt(1 + f) is rounded to about that unit, so past this bound the
+# exact channel's phases 2*pi*d/wavelength are set by rounding, not by the
+# geometry: at wavelength 1e-300 m and D = 100 m every distance rounds to D.
+# The default campaign cells (wavelength 4 mm, D <= 500 m) are at most 9e-11 rad.
+_EXACT_PHASE_STEP_MAX = 1e-6
+
+
+def _require_exact_phase(cfg: ArrayConfig) -> None:
+    """The exact channel's phases resolve the geometry: D's last place is at most `_EXACT_PHASE_STEP_MAX` rad."""
+    step = TWO_PI * math.ulp(float(cfg.distance)) / float(cfg.wavelength)
+    if step > _EXACT_PHASE_STEP_MAX:
+        raise ValueError(
+            f"the exact distances at distance {cfg.distance:g} m cannot resolve the phases at wavelength "
+            f"{cfg.wavelength:g} m: one unit in the last place of D is {step:.3g} rad of phase, above "
+            f"{_EXACT_PHASE_STEP_MAX:g} rad, so rounding would set the channel"
+        )
+
+
 def _require_far_field(cfg: ArrayConfig) -> None:
     """D must be large enough for the separable distance model."""
     if cfg.distance < APPROX_DISTANCE_RATIO * max(cfg.radius_tx, cfg.radius_rx):

@@ -35,6 +35,7 @@ from .geometry import _INTEGERS, TWO_PI, ArrayConfig, Misalignment, _require_eve
 from .spectrum import singular_values_many
 from .transceiver import (
     _check_bit_counts,
+    _distinct_codebook,
     approx_power_allocation,
     build_codebook,
     codebook_rates_many,
@@ -290,13 +291,16 @@ def run_codebook_bit_sweep(
     distance.  Within a cell every (L1, L2) pair is evaluated with both
     quantisation rules on the same per-trial channels.  Each codebook is
     built once per call and scores a cell's stacked channels in one call.
-    The condition number describes the channel built, as in
-    `run_rate_sweep`.  `jobs` is accepted for compatibility; neither the
-    output nor the scheduling depends on it.
+    The linear baseline covers the shift disc twice, so every precoder in
+    it has a twin; only its distinct half is scored (`_distinct_codebook`),
+    and a row is the best rate over that half, which equals the full
+    codebook's best up to rounding.  The condition number describes the
+    channel built, as in `run_rate_sweep`.  `jobs` is accepted for
+    compatibility; neither the output nor the scheduling depends on it.
     """
     if not bit_grid:
         raise ValueError("bit_grid must not be empty")
-    codebooks = [(l1, l2, method, build_codebook(l1, l2, quantization=method))
+    codebooks = [(l1, l2, method, _distinct_codebook(l1, l2, method))
                  for l1, l2 in bit_grid for method in ("sine", "linear")]
     rows: list[ResultRow] = []
     for cfg, _, h, sigma in _cells(trial_cfg):

@@ -109,6 +109,26 @@ def build_codebook(
     return Codebook(theta_angles=theta, phi_angles=phi)
 
 
+def _distinct_codebook(l1_bits: int, l2_bits: int, quantization: str) -> Codebook:
+    """`build_codebook`'s entries with each distinct precoder once.
+
+    The Tx phase R_t sin(theta_m + theta) sin(phi) is the same at (theta
+    + pi, -phi) as at (theta, phi).  A linear codebook with K = 2^L1 >= 2
+    azimuths and J = 2^L2 polars has theta_{k+K/2} = theta_k + pi and
+    phi_{J-1-j} = -phi_j, so entries (k, j) and (k + K/2, J-1-j) are
+    twins: the same precoder up to rounding.  Its first K/2 azimuths with
+    every polar hold each precoder once, and the best entry's rate over
+    them is the full codebook's best up to rounding.  A sine-uniform
+    codebook covers the shift disc once and has no twins; it, like a
+    linear one with a single azimuth, is returned whole.  (With a single
+    polar, L2 = 0, every entry of either rule is the DFT precoder.)
+    """
+    cb = build_codebook(l1_bits, l2_bits, quantization=quantization)
+    if quantization != LINEAR or l1_bits == 0:
+        return cb
+    return Codebook(theta_angles=cb.theta_angles[: len(cb.theta_angles) // 2], phi_angles=cb.phi_angles)
+
+
 def precoder_matrices(cfg: ArrayConfig, theta_cs, phi_cs) -> np.ndarray:
     """Phase correction times the DFT for every angle pair; shape (..., N, N).
 

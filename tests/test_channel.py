@@ -187,6 +187,21 @@ class TestBuildChannelsBoundary:
             with pytest.raises(ValueError, match=re.escape(f"the exact distances at distance {dist:g} m ")):
                 build_channels(cfg, Misalignment(**production_stack()), EXACT_DISTANCE)
 
+    def test_exact_phases_below_the_rounding_of_d_rejected(self):
+        # at D = 100 m one unit in D's last place is 2*pi*ulp(100)/wavelength rad of phase;
+        # the bound 1e-6 rad falls between these two wavelengths
+        bound = 2.0 * math.pi * math.ulp(100.0) / 1e-6
+        stack = Misalignment(**production_stack())
+        for wavelength in (bound * 1.01, 0.004):
+            cfg = ArrayConfig(n_antennas=4, wavelength=wavelength, radius_tx=0.3, radius_rx=0.3, distance=100.0)
+            assert build_channels(cfg, stack, EXACT_DISTANCE).shape == (3, 4, 4)
+        for wavelength in (bound * 0.99, 1e-300):
+            radius = math.sqrt(wavelength * 100.0)
+            cfg = ArrayConfig(n_antennas=4, wavelength=wavelength, radius_tx=radius, radius_rx=radius, distance=100.0)
+            with pytest.raises(ValueError, match=re.escape(f"cannot resolve the phases at wavelength {wavelength:g} m")):
+                build_channels(cfg, stack, EXACT_DISTANCE)
+            assert build_channels(cfg, stack).shape == (3, 4, 4)  # the separable model forms no phase from D
+
 
 def test_nan_channel_entry_rejected():
     cfg = mmwave_config()

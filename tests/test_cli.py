@@ -196,16 +196,20 @@ class TestCapacitySweepCommand:
         assert best[0] == pytest.approx(math.pi / 2, abs=0.01)
 
     @pytest.mark.parametrize("args, message", [
-        (["--step", "20"], "resolution 20 exceeds beta_max 14"),
-        (["--beta-max", "0.005"], "resolution 0.01 exceeds beta_max 0.005"),
+        (["--step", "20"], "error: --step 20 exceeds --beta-max 14; the beta grid is empty\n"),
+        (["--beta-max", "0.005"], "error: --step 0.01 exceeds --beta-max 0.005; the beta grid is empty\n"),
+        (["--beta-max", "-1"], "error: --step 0.01 exceeds --beta-max -1; the beta grid is empty\n"),
+        (["--step", "0"], "error: --step must be positive, got 0\n"),
+        (["--step", "-0.5"], "error: --step must be positive, got -0.5\n"),
     ])
     def test_step_beyond_beta_max_exits_2(self, tmp_path, capsys, args, message):
-        # design.capacity_curve checks the grid, so the message names --step as resolution
+        # the message names the flags the user typed; design.capacity_curve names its
+        # parameters (resolution, beta_max), which capacity-sweep does not have
         out = tmp_path / "c.csv"
         assert run_cli(["capacity-sweep", "--ns", "4", *args, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert message in captured.err
+        assert captured.err == message
         assert not out.exists()
 
     def test_overflowing_snr_exits_2(self, capsys):
@@ -634,6 +638,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: the exact distances at distance {float(distance):g} m ")
         assert err.endswith(" finite\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("wavelength", ["1e-300", "1e-20"])
+    def test_exact_phases_lost_to_rounding_exit_2(self, tmp_path, capsys, wavelength):
+        # both exited 0: at 1e-300 every exact distance rounded to D and the channel was rank 1;
+        # at 1e-20 one unit in D's last place is 8.9e6 rad of phase, and the run printed
+        # capacity 18.17 and cond 4.02 where 4 mm gives 20.08 and 1.12
+        out = tmp_path / "a.csv"
+        assert run_cli(["simulate", "--seed", "1", "--trials", "1", "--ns-list", "4", "--dist-list", "100",
+                        "--lambda", wavelength, "--exact-geometry", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: the exact distances at distance 100 m cannot resolve the phases at wavelength {wavelength} m: "
+            "one unit in the last place of D is ")
+        assert captured.err.endswith(" rad of phase, above 1e-06 rad, so rounding would set the channel\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("model", [[], ["--exact-geometry"]])
     def test_phase_beyond_float_range_exits_2(self, capsys, model):

@@ -10,6 +10,7 @@ import pytest
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
+    Codebook,
     Misalignment,
     approx_power_allocation,
     build_channel,
@@ -157,6 +158,9 @@ class TestBatchedEngineMatchesPerTrialReference:
                 assert r.rate_bps_hz == 0.0
 
     def test_bit_sweep(self):
+        # a linear row is the best rate over the codebook's first half of azimuths, which holds
+        # each precoder once, bit for bit; over the full codebook it is the same up to the
+        # rounding that tells twin entries apart
         cfg = small_config(n_trials=4, n_antennas_list=(8,), distances=(300.0,))
         grid = ((2, 1), (1, 3))
         rows = run_codebook_bit_sweep(cfg, grid)
@@ -166,9 +170,14 @@ class TestBatchedEngineMatchesPerTrialReference:
         k = 0
         for l1, l2 in grid:
             for method in ("sine", "linear"):
-                cb = build_codebook(l1, l2, quantization=method)
+                full = build_codebook(l1, l2, quantization=method)
+                scored = full
+                if method == "linear":
+                    scored = Codebook(full.theta_angles[: len(full.theta_angles) // 2], full.phi_angles)
                 for t, h in enumerate(channels):
-                    assert rows[k].rate_bps_hz == codebook_rates_many(arr, h.entries[None], cb, alloc)[0].max()
+                    assert rows[k].rate_bps_hz == codebook_rates_many(arr, h.entries[None], scored, alloc)[0].max()
+                    assert rows[k].rate_bps_hz == pytest.approx(
+                        codebook_rates_many(arr, h.entries[None], full, alloc)[0].max(), rel=1e-12, abs=0.0)
                     assert rows[k].cond_number == float(condition_numbers(singular_values(8, arr.beta, h.mis.theta_o)))
                     k += 1
                 k += 1  # the mean row
@@ -476,6 +485,36 @@ class TestCodebookBitSweep:
         ]
         assert rows_to_csv(rows) == rows_to_csv(one_cell)
         assert rows == one_cell
+
+    @pytest.mark.parametrize("cells", [((4,), (300.0,)), ((4, 8), (100.0, 300.0))])
+    def test_one_call_per_codebook_scores_the_distinct_entries(self, monkeypatch, cells):
+        # each cell scores every sine codebook whole and every linear one's distinct half,
+        # each codebook in its own call
+        calls = []
+
+        def counted(cfg, h, cb, powers, score=sim.codebook_rates_many):
+            calls.append(cb.size)
+            return score(cfg, h, cb, powers)
+
+        monkeypatch.setattr(sim, "codebook_rates_many", counted)
+        n_antennas_list, distances = cells
+        run_codebook_bit_sweep(small_config(n_trials=2, n_antennas_list=n_antennas_list, distances=distances))
+        per_cell = [2 ** (l1 + l2) // d for l1, l2 in sim.DEFAULT_BIT_GRID for d in (1, 2)]
+        assert calls == per_cell * len(n_antennas_list) * len(distances)
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(seed=2024, n_trials=3, n_antennas_list=(16,), distances=(300.0,)),
+        small_config(seed=4242, n_trials=3, n_antennas_list=(4, 8), distances=(100.0, 500.0)),
+        small_config(seed=3, n_trials=3, n_antennas_list=(8,), distances=(100.0,),
+                     angle_range_small=math.radians(15.0), exact_geometry=True),
+    ])
+    def test_csv_equals_full_linear_codebooks(self, monkeypatch, cfg):
+        # scoring the linear codebooks' distinct halves prints the bytes that scoring them whole
+        # printed, on the separable model and with exact geometry
+        csv = rows_to_csv(run_codebook_bit_sweep(cfg))
+        monkeypatch.setattr(sim, "_distinct_codebook",
+                            lambda l1, l2, method: build_codebook(l1, l2, quantization=method))
+        assert csv == rows_to_csv(run_codebook_bit_sweep(cfg))
 
     def test_exact_geometry_cond_matches_rate_sweep(self):
         # clamped draws are singular only under the separable model

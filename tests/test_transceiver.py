@@ -368,6 +368,84 @@ class TestStackedCodebookScorer:
             codebook_rates_many(cfg, np.ones(h_shape, dtype=complex), build_codebook(3, 2), powers)
 
 
+def twin_of_each_entry(cb):
+    """Entry order index of each entry's twin (k + K/2, J-1-j) in a grid of K azimuths and J polars."""
+    k_count, j_count = len(cb.theta_angles), len(cb.phi_angles)
+    k, j = np.divmod(np.arange(cb.size), j_count)
+    return (k + k_count // 2) % k_count * j_count + (j_count - 1 - j)
+
+
+def shift_vectors(cb):
+    """Each entry's centre-shift vector sin(phi) (cos(theta), sin(theta)), as a complex number."""
+    thetas, phis = cb.angle_pairs()
+    return np.sin(phis) * np.exp(1j * thetas)
+
+
+def closest_pair(z):
+    """Smallest distance between two distinct points of a 1-D complex array."""
+    gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min()
+
+
+def assert_same_grids(a, b):
+    np.testing.assert_array_equal(a.theta_angles, b.theta_angles)
+    np.testing.assert_array_equal(a.phi_angles, b.phi_angles)
+
+
+LINEAR_GRIDS = [(l1, l2) for l1 in range(1, 8) for l2 in range(6)]
+
+
+class TestLinearCodebookTwins:
+    """A linear codebook holds every precoder twice; the bit sweep scores its distinct half."""
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_twin_precoders_agree(self, n):
+        cfg = design_point(n, 300.0)
+        for l1, l2 in LINEAR_GRIDS:
+            cb = build_codebook(l1, l2, quantization="linear")
+            f = transceiver.precoder_matrices(cfg, *cb.angle_pairs())
+            assert np.abs(f - f[twin_of_each_entry(cb)]).max() <= 1e-12, (l1, l2)
+
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    @pytest.mark.parametrize("n, l1, l2", [(8, 1, 3), (8, 3, 2), (16, 5, 3), (16, 7, 1)])
+    def test_twin_rates_agree(self, model, n, l1, l2):
+        cfg = design_point(n, 300.0)
+        cb = build_codebook(l1, l2, quantization="linear")
+        _, h = TestStackedCodebookScorer().stack(cfg, model, 4)
+        rates = codebook_rates_many(cfg, h, cb, approx_power_allocation(cfg, 15.0))
+        np.testing.assert_allclose(rates[:, twin_of_each_entry(cb)], rates, rtol=1e-12, atol=0.0)
+        distinct = transceiver._distinct_codebook(l1, l2, "linear")
+        assert distinct.size == cb.size // 2
+        best = codebook_rates_many(cfg, h, distinct, approx_power_allocation(cfg, 15.0)).max(axis=-1)
+        np.testing.assert_allclose(best, rates.max(axis=-1), rtol=1e-12, atol=0.0)
+
+    def test_distinct_half_holds_each_shift_once(self):
+        for l1, l2 in LINEAR_GRIDS:
+            if l1 + l2 > 10 or l2 == 0:  # one polar puts every entry at the zero shift
+                continue
+            cb = build_codebook(l1, l2, quantization="linear")
+            distinct = transceiver._distinct_codebook(l1, l2, "linear")
+            assert_same_grids(distinct, transceiver.Codebook(cb.theta_angles[: 2 ** (l1 - 1)], cb.phi_angles))
+            assert closest_pair(shift_vectors(cb)) <= 1e-15  # every shift twice
+            assert closest_pair(shift_vectors(distinct)) > 1e-4  # and here once
+
+    def test_sine_codebooks_have_no_twins(self):
+        # the azimuths lie in (-pi/2, pi/2), so theta + pi is never an entry, and no two
+        # entries of a sine codebook share a shift vector: the fold never applies
+        for l1 in range(8):
+            for l2 in range(1, 6):
+                if l1 + l2 > 10:
+                    continue
+                cb = build_codebook(l1, l2)
+                assert closest_pair(shift_vectors(cb)) > 1e-4, (l1, l2)
+                assert_same_grids(transceiver._distinct_codebook(l1, l2, "sine"), cb)
+
+    def test_one_azimuth_is_kept_whole(self):
+        # theta = 0 is the only azimuth, so theta + pi is not an entry
+        assert_same_grids(transceiver._distinct_codebook(0, 3, "linear"), build_codebook(0, 3, "linear"))
+
+
 class TestStreamPowers:
     """The rate kernels that take powers from outside share one check of them."""
 
