@@ -23,6 +23,7 @@ from .geometry import TWO_PI
 from .spectrum import singular_values, singular_values_many
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LN2 = math.log(2.0)
 
 # Golden-section steps whose candidate abscissae (2 + 4 + ... + 2**_LOOKAHEAD
 # of them) share one spectrum evaluation; depths 3, 5 and 6 were no faster.
@@ -127,15 +128,14 @@ def water_fill(sigmas, p_total: float) -> np.ndarray:
     return _water_fill_powers(np.asarray(sigmas, dtype=float), p_total, 1.0)
 
 
-def allocated_capacity(sigmas, powers):
-    """Rate sum log2(1 + p_k sigma_k^2) of the given stream powers at unit noise.
+def _rate_sum(snr: np.ndarray) -> np.ndarray:
+    """Sum of log2(1 + snr) over the last axis, in log1p form.
 
-    Sums over the last axis: one vector of gains and powers gives a float,
-    a (..., N) stack an array with one rate per row, as `capacity` does.
+    The one rate sum of the package: water-filled capacity, and the ZF
+    and ZF-SIC rates of stream SNRs.  `log1p` keeps the digits of an SNR
+    far below one, which 1 + snr rounds away.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    rates = np.log2(1.0 + powers * sigmas**2).sum(axis=-1)
-    return float(rates) if rates.ndim == 0 else rates
+    return np.log1p(snr).sum(axis=-1) / _LN2
 
 
 def capacity(sigmas, p_total: float, noise: float):
@@ -147,7 +147,7 @@ def capacity(sigmas, p_total: float, noise: float):
     sigmas = np.asarray(sigmas, dtype=float)
     powers = _water_fill_powers(sigmas, p_total, noise)
     # The SNR sigma^2/noise comes first: p * sigma^2 alone can overflow where the SNR does not.
-    caps = np.log2(1.0 + powers * (sigmas**2 / noise)).sum(axis=-1)
+    caps = _rate_sum(powers * (sigmas**2 / noise))
     return float(caps) if caps.ndim == 0 else caps
 
 

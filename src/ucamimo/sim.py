@@ -34,10 +34,10 @@ from .design import (
 from .geometry import _INTEGERS, TWO_PI, ArrayConfig, Misalignment, _require_even
 from .spectrum import singular_values_many
 from .transceiver import (
+    SINE_UNIFORM,
     _check_bit_counts,
     _distinct_codebook,
     approx_power_allocation,
-    build_codebook,
     codebook_rates_many,
     nulling_rates,
     precoded_rates,
@@ -223,7 +223,9 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     Each trial is drawn once, and each cell's trials are scored as one
     batch: every scheme is one stacked call over the cell's channels, and
     the codebook row is the row maximum of `codebook_rates_many`, the best
-    entry's rate.  The capacity row and the condition number come from the
+    entry's rate.  The codebook is scored as `_distinct_codebook` gives
+    it: with L2 = 0 every entry is the DFT precoder, and one is scored.
+    The capacity row and the condition number come from the
     singular values `_cells` yields.  On the separable model the nulling
     and optimal-precoder rows come from the closed-form spectrum: ZF and
     ZF-SIC by `spectrum_nulling_rates`, and the optimal precoder, the SVD
@@ -237,7 +239,7 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     the output nor the scheduling depends on it.
     """
     p_total = power_from_db(trial_cfg.snr_db)
-    cb = build_codebook(*trial_cfg.codebook_bits)
+    cb = _distinct_codebook(*trial_cfg.codebook_bits, SINE_UNIFORM)
     rows: list[ResultRow] = []
     for cfg, mis, h, sigma in _cells(trial_cfg):
         approx_powers = approx_power_allocation(cfg, trial_cfg.snr_db)
@@ -246,7 +248,7 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
             spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
             optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
             optimal_rate = np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total)), axis=-1)
-            zf, zf_sic = (np.sum(per_stream, axis=-1) for per_stream in nulling_rates(h, sigma, p_total))
+            zf, zf_sic = nulling_rates(h, sigma, p_total)
         else:
             optimal_rate = cap
             zf, zf_sic = spectrum_nulling_rates(sigma, p_total)

@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelMatrix, _phasors, dft_matrix
-from .design import power_from_db, water_fill
+from .design import _LN2, _rate_sum, power_from_db, water_fill
 from .geometry import _INTEGERS, ArrayConfig, tx_displacement
 from .spectrum import singular_values
-
-_LN2 = math.log(2.0)
 
 SINE_UNIFORM = "sine"
 LINEAR = "linear"
@@ -120,10 +118,13 @@ def _distinct_codebook(l1_bits: int, l2_bits: int, quantization: str) -> Codeboo
     every polar hold each precoder once, and the best entry's rate over
     them is the full codebook's best up to rounding.  A sine-uniform
     codebook covers the shift disc once and has no twins; it, like a
-    linear one with a single azimuth, is returned whole.  (With a single
-    polar, L2 = 0, every entry of either rule is the DFT precoder.)
+    linear one with a single azimuth, is returned whole.  With a single
+    polar, L2 = 0, phi is exactly 0.0 in either rule, so every entry is
+    the DFT precoder and the first azimuth alone is kept.
     """
     cb = build_codebook(l1_bits, l2_bits, quantization=quantization)
+    if l2_bits == 0:
+        return Codebook(theta_angles=cb.theta_angles[:1], phi_angles=cb.phi_angles)
     if quantization != LINEAR or l1_bits == 0:
         return cb
     return Codebook(theta_angles=cb.theta_angles[: len(cb.theta_angles) // 2], phi_angles=cb.phi_angles)
@@ -166,19 +167,6 @@ class RateReport:
         object.__setattr__(self, "rate", float(np.sum(per_stream)))
 
 
-def _chain_per_stream(g: np.ndarray) -> np.ndarray:
-    """Per-stream rates whose sum is exactly log2 det(I + G^H G), for a (..., M, N) stack.
-
-    Uses the QR factorisation of G stacked on the identity: the squared
-    diagonal of the triangular factor multiplies out to det(I + G^H G), so
-    stream k contributes 2*log2|r_kk|.
-    """
-    n = g.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (*g.shape[:-2], n, n))
-    r = np.linalg.qr(np.concatenate([g, eye], axis=-2), mode="r")
-    return 2.0 * np.log2(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
-
-
 def _stream_powers(powers) -> np.ndarray:
     """Stream powers at unit noise as a float array, each (..., N) row with some power.
 
@@ -198,10 +186,16 @@ def precoded_rates(h: np.ndarray, f: np.ndarray, powers) -> np.ndarray:
 
     `h` is a (..., N, N) stack of channels and `f` its precoders; the
     stream powers at unit noise are (N,) or one row per channel.  Row by
-    row this is the split of `precoded_rate`.
+    row this is the split of `precoded_rate`.  With G = H F P^(1/2), the
+    QR factorisation of G stacked on the identity has a triangular factor
+    whose squared diagonal multiplies out to det(I + G^H G), so stream k
+    contributes 2*log2|r_kk| and the rates sum to log2 det(I + G^H G).
     """
     g = (h @ f) * np.sqrt(_stream_powers(powers))[..., None, :]
-    return _chain_per_stream(g)
+    n = g.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (*g.shape[:-2], n, n))
+    r = np.linalg.qr(np.concatenate([g, eye], axis=-2), mode="r")
+    return 2.0 * np.log2(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
 
 
 def precoded_rate(h, precoder: np.ndarray, powers) -> RateReport:
@@ -307,20 +301,19 @@ def _full_rank(sigma: np.ndarray) -> np.ndarray:
 
 
 def nulling_rates(h: np.ndarray, sigma, p_total: float) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-power ZF and ZF-SIC per-stream rates of a (T, N, N) stack of channels; two (T, N) arrays.
+    """Equal-power ZF and ZF-SIC sum rates of a (T, N, N) stack of channels; two (T,) arrays.
 
     `sigma` holds each channel's singular values, shape (T, N), as
-    `np.linalg.svd(h, compute_uv=False)` gives them; they serve the rank
-    test only.  At unit noise each stream gets p = p_total/N, and ZF
-    stream k sees SNR p / [(H^H H)^{-1}]_kk.  ZF-SIC detects and subtracts
-    the streams in natural order; its per-stream rates come from the
-    noise-regularised QR diagonal, so their sum equals
-    log2 det(I + p H^H H) exactly and does not depend on the
-    detection order.  A channel whose smallest singular value is at most
-    `_RANK_TOL` times its largest is rank-deficient and scores zero on
-    both receivers, where neither can operate.  The campaigns run this on
-    exact-geometry channels only; separable channels take
-    `spectrum_nulling_rates`.
+    `np.linalg.svd(h, compute_uv=False)` gives them.  At unit noise each
+    stream gets p = p_total/N, and ZF stream k sees SNR
+    p / [(H^H H)^{-1}]_kk.  ZF-SIC detects and subtracts the streams in
+    turn; its sum rate log2 det(I + p H^H H) does not depend on the
+    detection order, and it equals sum_k log2(1 + p sigma_k^2), so it
+    comes from `sigma` with no factorisation.  A channel whose smallest
+    singular value is at most `_RANK_TOL` times its largest is
+    rank-deficient and scores zero on both receivers, where neither can
+    operate.  The campaigns run this on exact-geometry channels only;
+    separable channels take `spectrum_nulling_rates`.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != h.shape[:-1]:
@@ -330,11 +323,9 @@ def nulling_rates(h: np.ndarray, sigma, p_total: float) -> tuple[np.ndarray, np.
     invertible = h[full]
     gram = np.swapaxes(invertible.conj(), -1, -2) @ invertible
     diag_inv = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
-    zf = np.zeros(h.shape[:-1])
-    zf_sic = np.zeros(h.shape[:-1])
-    zf[full] = np.log2(1.0 + p / diag_inv)
-    zf_sic[full] = _chain_per_stream(math.sqrt(p) * invertible)
-    return zf, zf_sic
+    zf = np.zeros(h.shape[:-2])
+    zf[full] = np.sum(np.log2(1.0 + p / diag_inv), axis=-1)
+    return zf, np.where(full, _rate_sum(sigma**2 * p), 0.0)
 
 
 def spectrum_nulling_rates(sigma, p_total: float) -> tuple[np.ndarray, np.ndarray]:
@@ -355,6 +346,6 @@ def spectrum_nulling_rates(sigma, p_total: float) -> tuple[np.ndarray, np.ndarra
     p = p_total / n
     full = _full_rank(sigma)
     kept = np.where(full[..., None], sigma, 1.0)  # no division by a zero gain on a row scored 0
-    zf = n * np.log1p(p / np.mean(kept**-2.0, axis=-1)) / _LN2
-    zf_sic = np.sum(np.log1p(kept**2 * p), axis=-1) / _LN2
+    zf = n * _rate_sum((p / np.mean(kept**-2.0, axis=-1))[..., None])
+    zf_sic = _rate_sum(kept**2 * p)
     return np.where(full, zf, 0.0), np.where(full, zf_sic, 0.0)

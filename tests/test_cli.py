@@ -96,6 +96,15 @@ class TestDesignCommand:
         assert float(parse_kv(captured.out)["beta_opt"]) == pytest.approx(29.64, abs=0.01)
         assert captured.err == ""
 
+    def test_far_below_0_db_keeps_the_first_cell_optimum(self, capsys):
+        # at -150 dB the capacity is near 1e-13, where 1 + SNR would round the curve to noise
+        # (beta 0.02, capacity 9.22586833e-14); a 50-digit sum over the first-cell optimum's
+        # powers gives 9.23324825e-14
+        assert run_cli(["design", "--snr-db", "-150"]) == 0
+        values = parse_kv(capsys.readouterr().out)
+        assert values["beta_opt"] == "4.10406721e-05"
+        assert values["capacity_bps_hz"] == "9.23324825e-14"
+
     def test_odd_antenna_count_exits_2(self, capsys):
         assert run_cli(["design", "--ns", "5"]) == 2
         assert "even" in capsys.readouterr().err
@@ -260,7 +269,7 @@ class TestSimulateCommand:
         assert rates["identity"] == pytest.approx(cap, abs=5e-6)
         h = build_channel(arr, Misalignment())
         _, zf_sic = nulling_rates(h.entries[None], np.linalg.svd(h.entries, compute_uv=False)[None], 10**1.5)
-        assert rates["zf-sic"] == pytest.approx(np.sum(zf_sic[0]), abs=5e-6)
+        assert rates["zf-sic"] == pytest.approx(zf_sic[0], abs=5e-6)
 
     def test_missing_seed_is_usage_error(self):
         assert run_cli(["simulate", "--trials", "2"]) == 2

@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from ucamimo import (
     water_fill,
 )
 from ucamimo import design
-from ucamimo.design import TIE_TOLERANCE_BITS, allocated_capacity, condition_numbers, power_from_db
+from ucamimo.design import TIE_TOLERANCE_BITS, condition_numbers, power_from_db
 from ucamimo.spectrum import singular_values, singular_values_many
 
 SNR15 = 10**1.5
@@ -233,9 +234,9 @@ class TestWaterFill:
         assert capacity([1e154, 1.0], 1.0, 1.0) == pytest.approx(math.log2(1e308), rel=1e-15)
         # so is it where p * sigma^2 alone would overflow but the SNR sigma^2 / noise is formed first
         assert capacity([1e154, 1.0], 1e4, 1e4) == pytest.approx(math.log2(1e308), rel=1e-15)
-        # the powers of that SNR at unit noise
+        # the rate sum of that SNR's powers at unit noise
         powers = water_fill([1e154, 1.0], 1e4 / 1e4)
-        assert allocated_capacity([1e154, 1.0], powers) == pytest.approx(math.log2(1e308), rel=1e-15)
+        assert design._rate_sum(powers * np.array([1e154, 1.0]) ** 2) == pytest.approx(math.log2(1e308), rel=1e-15)
         # a larger budget or a smaller noise takes it past the largest float
         for p_total, noise in ((100.0, 1.0), (1.0, 1e-10)):
             with pytest.raises(ValueError, match="within float range"):
@@ -434,6 +435,23 @@ class TestSearchBetaOpt:
         result = search_beta_opt(4, 0.0, 15.0, beta_max=1.0, resolution=1.0)
         assert 0.0 < result.beta_opt <= 1.0 and result.at_edge
 
+    @pytest.mark.parametrize("snr_db, printed", [(-100.0, "9.23324822e-09"), (-150.0, "9.23324825e-14")])
+    def test_far_below_0_db_matches_extended_precision_oracle(self, snr_db, printed):
+        # far below 0 dB, 1 + SNR keeps only a few of the SNR's digits and turns the grid's
+        # capacities into rounding noise; summed in log1p form the curve falls from its first
+        # cell, as at -60 dB, and the capacity prints the 50-digit rate sum over the optimum's
+        # own water-filled powers
+        first_cell = search_beta_opt(8, 0.0, -60.0).beta_opt
+        assert first_cell == 4.104067205134285e-05
+        result = search_beta_opt(8, 0.0, snr_db)
+        assert result.beta_opt == first_cell
+        sigmas = singular_values(8, result.beta_opt, 0.0)
+        powers = water_fill(sigmas, power_from_db(snr_db))
+        with mpmath.workdps(50):
+            oracle = float(mpmath.fsum(mpmath.log(1 + mpmath.mpf(p) * mpmath.mpf(s) ** 2)
+                                       for p, s in zip(powers.tolist(), sigmas.tolist())) / mpmath.log(2))
+        assert f"{result.capacity:.9g}" == f"{oracle:.9g}" == printed
+
     def test_results_match_recorded_bits(self):
         # recorded as float.hex before the value-sort water-filling and the
         # cos/sin phasor kernel; every returned float must keep its bits
@@ -602,16 +620,19 @@ class TestConditionNumber:
         assert math.isinf(float(condition_numbers(singular_values(8, 2.0, math.pi / 8))))
 
 
-class TestAllocatedCapacity:
-    def test_matches_capacity_for_waterfilled_powers(self):
+class TestCapacityRateSum:
+    """`capacity` is water-filling followed by the one rate sum over the powers it gives."""
+
+    def test_matches_rate_sum_of_waterfilled_powers(self):
         sigmas = singular_values(8, 2.5, 0.1)
         powers = water_fill(sigmas, SNR15)
-        assert allocated_capacity(sigmas, powers) == pytest.approx(capacity(sigmas, SNR15, 1.0), rel=1e-15)
+        rate_sum = float(np.sum(np.log2(1.0 + powers * sigmas**2)))
+        assert capacity(sigmas, SNR15, 1.0) == pytest.approx(rate_sum, rel=1e-15)
 
     def test_stack_gives_one_rate_per_row(self):
-        # a (2, 4) stack water-filled at p = 31.6: one rate per row, the bits of capacity's
+        # a (2, 4) stack water-filled at p = 31.6: one rate per row, the bits of each row alone
         stack = np.array([singular_values(4, 1.2, 0.1), singular_values(4, 1.6, 0.0)])
-        rates = allocated_capacity(stack, water_fill(stack, 31.6))
+        rates = capacity(stack, 31.6, 1.0)
         assert rates.shape == (2,)
-        np.testing.assert_array_equal(bits(rates), bits(capacity(stack, 31.6, 1.0)))
-        assert isinstance(allocated_capacity(stack[0], water_fill(stack[0], 31.6)), float)
+        np.testing.assert_array_equal(bits(rates), bits(np.array([capacity(row, 31.6, 1.0) for row in stack])))
+        assert isinstance(capacity(stack[0], 31.6, 1.0), float)

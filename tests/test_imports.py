@@ -1,5 +1,5 @@
 """Every name a module under src/ucamimo imports is used in that module, the public surface is
-pinned, and one function holds the number rule."""
+pinned, one function holds the number rule, and one function the rate sum."""
 
 import ast
 import importlib
@@ -88,6 +88,56 @@ def test_one_function_holds_the_number_rule():
     assert {module: specs for module, specs in found.items() if specs} == {"sim": ["table_texts"]}
 
 
+def rate_sum_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, call) for each log1p call and each log2 or log of 1 + x, in source order.
+
+    A sum written as log2(1 + x) rounds x away where it is far below one;
+    the package keeps one `log1p` rate sum instead.
+    """
+    found = []
+
+    def one_plus(arg):
+        return isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add) and any(
+            isinstance(side, ast.Constant) and side.value == 1 for side in (arg.left, arg.right))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if name == "log1p" or (name in ("log2", "log") and node.args and one_plus(node.args[0])):
+                found.append((function, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detector_finds_rate_sums():
+    source = (
+        "def f(x):\n"
+        "    return np.log1p(x), math.log2(1.0 + x), np.log(x + 1), np.log2(2.0 + x), np.log2(x)\n"
+        "\n"
+        "def g(x):\n"
+        "    'A rate log2(1 + x).'\n"
+        "    return math.log1p(x)\n"
+    )
+    assert rate_sum_calls(source) == [
+        ("f", "np.log1p(x)"), ("f", "math.log2(1.0 + x)"), ("f", "np.log(x + 1)"), ("g", "math.log1p(x)")]
+
+
+def test_one_function_holds_the_rate_sum():
+    # capacity, ZF and ZF-SIC all sum log2(1 + snr) through design._rate_sum.  The one
+    # log2(1 + x) left is the exact-geometry ZF over the Gram inverse's diagonal, whose form
+    # waits for the extended-precision oracle of the printed digits (ROADMAP item 6)
+    found = {path.stem: rate_sum_calls(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert {module: calls for module, calls in found.items() if calls} == {
+        "design": [("_rate_sum", "np.log1p(snr)")],
+        "transceiver": [("nulling_rates", "np.log2(1.0 + p / diag_inv)")],
+    }, "see ROADMAP item 6 before moving the exact ZF line to log1p"
+
+
 # Every public name of the package, and every public function and class that
 # a layer module defines.  The benchmark's tracer wraps exactly those
 # functions, so adding or removing one is an edit to this table.
@@ -111,7 +161,7 @@ LAYER_NAMES = {
                 "build_channels", "circulant_factor", "closed_form_svd", "dft_matrix",
                 "numerical_svd"},
     "spectrum": {"leading_dominance_bound", "singular_values", "singular_values_many"},
-    "design": {"DesignResult", "allocated_capacity", "capacity", "capacity_curve", "condition_numbers",
+    "design": {"DesignResult", "capacity", "capacity_curve", "condition_numbers",
                "power_from_db", "radii_from_beta", "search_beta_opt", "water_fill"},
     "transceiver": {"Codebook", "RateReport",
                     "approx_power_allocation", "build_codebook", "codebook_rates_many",
@@ -153,7 +203,6 @@ SIGNATURES = {
     "channel.closed_form_svd": "(cfg, mis)",
     "channel.dft_matrix": "(n)",
     "channel.numerical_svd": "(matrix)",
-    "design.allocated_capacity": "(sigmas, powers)",
     "design.capacity": "(sigmas, p_total, noise)",
     "design.capacity_curve": "(n_s, theta_o, snr_db, beta_max, resolution)",
     "design.condition_numbers": "(sigmas)",

@@ -22,7 +22,7 @@ from ucamimo import (
     precoder_from_angles,
     search_beta_opt,
 )
-from ucamimo.design import allocated_capacity, capacity, condition_numbers, water_fill
+from ucamimo.design import capacity, condition_numbers, water_fill
 from ucamimo import sim
 from ucamimo.geometry import ANGLE_NAMES, ArrayConfig
 from ucamimo.sim import (
@@ -99,12 +99,12 @@ def reference_rate_sweep(cfg):
                     sigma = np.linalg.svd(h.entries, compute_uv=False)
                     nulling = nulling_rates(h.entries[None], sigma[None], p_total)
                     optimal_rate = precoded_rate(h, optimal, exact_powers).rate
-                    zf, zf_sic = (float(np.sum(rate[0])) for rate in nulling)
+                    zf, zf_sic = (float(rate[0]) for rate in nulling)
                 else:
-                    optimal_rate = allocated_capacity(sig, exact_powers)
+                    optimal_rate = capacity(sig, p_total, 1.0)
                     zf, zf_sic = (float(rate[0]) for rate in spectrum_nulling_rates(sig[None], p_total))
                 rates = {
-                    "capacity": allocated_capacity(sig, exact_powers),
+                    "capacity": capacity(sig, p_total, 1.0),
                     "optimal-precoder": optimal_rate,
                     "codebook": codebook_rates_many(arr, h.entries[None], cb, approx_powers)[0].max(),
                     "identity": precoded_rate(h, dft_matrix(n), approx_powers).rate,
@@ -412,8 +412,8 @@ class TestRateSweep:
         cap = float(np.sum(np.log2(1.0 + powers * sig**2)))
         assert rows["capacity"] == pytest.approx(cap, abs=1e-9)
         zf, zf_sic = nulling_rates(h.entries[None], np.linalg.svd(h.entries, compute_uv=False)[None], 10**1.5)
-        assert rows["zf"] == pytest.approx(np.sum(zf[0]), abs=1e-9)
-        assert rows["zf-sic"] == pytest.approx(np.sum(zf_sic[0]), abs=1e-9)
+        assert rows["zf"] == pytest.approx(zf[0], abs=1e-9)
+        assert rows["zf-sic"] == pytest.approx(zf_sic[0], abs=1e-9)
 
     def test_singular_clamped_draws_score_zero_for_nulling(self):
         # ranges beyond the rotation bound clamp onto it, where the channel
@@ -451,6 +451,20 @@ class TestRateSweep:
         e = [r.rate_bps_hz for r in exact if r.scheme == "zf" and r.trial >= 0]
         assert a != e
         np.testing.assert_allclose(a, e, rtol=1e-2)
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(seed=2024, n_trials=20, n_antennas_list=(4, 16), codebook_bits=(5, 0)),
+        small_config(seed=2024, n_trials=20, n_antennas_list=(8, 16), codebook_bits=(5, 0), snr_db=-20.0),
+        small_config(seed=3, n_trials=10, n_antennas_list=(16,), distances=(500.0,), codebook_bits=(3, 0),
+                     angle_range_small=math.radians(15.0), exact_geometry=True),
+    ])
+    def test_csv_equals_full_zero_polar_codebook(self, monkeypatch, cfg):
+        # with L2 = 0 every entry is the DFT precoder and the rate sweep scores one; it prints
+        # the bytes that scoring all 2^L1 printed, one active stream (-20 dB) included
+        csv = rows_to_csv(run_rate_sweep(cfg))
+        monkeypatch.setattr(sim, "_distinct_codebook",
+                            lambda l1, l2, method: build_codebook(l1, l2, quantization=method))
+        assert csv == rows_to_csv(run_rate_sweep(cfg))
 
 
 class TestCodebookBitSweep:
