@@ -27,10 +27,18 @@ LINEAR = "linear"
 # Polar range (radians) the codebook's centre-shift entries cover.
 _PHI_RANGE = (-0.175, 0.175)
 
-# Complex values of the codebook scorer's first-product operand per entry
-# block (256 KiB): with its y and Gram buffers the block stays in cache and
-# no buffer is handed back to the kernel between channels.
+# Complex values per entry block of the codebook scorer (256 KiB): r x N
+# per entry on the Gram path (its first-product operand), N x N on the
+# antenna path (its phase products).  With the path's other buffers the
+# block stays in cache and no buffer is handed back to the kernel between
+# channels.
 _SCORE_BLOCK = 16384
+
+# Largest p_max / p_min of a full-rank allocation that the codebook scorer
+# takes in the antenna basis, whose absolute error grows with the spread
+# (`codebook_rates_many` gives the oracle's numbers).  At the bound it is
+# below 5e-14 bit/s/Hz from -20 to 30 dB.
+_MAX_POWER_SPREAD = 1e3
 
 
 def _entries(h) -> np.ndarray:
@@ -226,27 +234,45 @@ def codebook_rates_many(
 
     Entry l scores log2 det(I + G_l G_l^H) with G_l = H diag(t_l) Q P^(1/2),
     t_l the entry's shift phasors, Q the DFT and P = diag(p_k), the
-    stream powers at unit noise.
-    Columns of streams without power are zero, so with G~_l the r columns
-    of the active streams, Sylvester's identity gives det(I_r + G~_l^H
-    G~_l).  That r x r matrix is Hermitian with eigenvalues >= 1, so its
-    Cholesky factor exists and the log-determinant is 2 sum log L_kk.
+    stream powers at unit noise.  With M = H^H H, D_l = diag(t_l) and
+    G~_l the r columns of the active streams (the others are zero),
+    Sylvester's identity gives det(I_r + G~_l^H G~_l), and, when every
+    stream has power, det(P) det(K^-1 + D_l^H M D_l) with K = Q P Q^H.
+    Both matrices are Hermitian positive definite, so each log-determinant
+    is 2 sum log L_kk of its Cholesky factor.  The entries are scored in
+    consecutive blocks of about _SCORE_BLOCK complex values, whose phasors
+    are built once and scored against every channel; a rate does not
+    depend on the stack.
 
-    The Gram matrices Q~^H diag(t_l)^H (H^H H) diag(t_l) Q~ come from two
-    matrix products per entry block and channel.  They are formed
-    transposed, entry-major, which gives their complex conjugates: the
-    same real Cholesky diagonal.  The entries are scored in consecutive
-    blocks whose first-product operand (the rows of (diag(t_l) Q~)^T) holds
-    about _SCORE_BLOCK complex values: at least one entry, and an even
-    count when one stream is active.  The operand, product and Gram
-    buffers are allocated once per call; a block's phasors and operand are
-    built once, and every channel is scored against them.  A rate does not
-    depend on the stack.  Under OpenBLAS's SkylakeX zgemm kernel it does
-    not depend on the block size either: it equals the one-block,
-    one-channel score bit for bit.  That is measured, not proven.  Under
-    the Haswell or Sandybridge kernels (OPENBLAS_CORETYPE) a rate moves
-    with the block size, by up to 1.8e-15 relative on the block tests'
-    cases and 1.6e-14 over N <= 16 and blocks of 1 to 33 entries.
+    Antenna path, taken when every stream has power and p_max / p_min is
+    at most _MAX_POWER_SPREAD: K^-1 = Q P^-1 Q^H and sum log p_k are built
+    once per call, and each block's phase products conj(t_l) t_l^T, N^2
+    values per entry, once per block.  Each channel then takes one
+    elementwise product with M, one added K^-1 and one stacked Cholesky,
+    with no matrix product.  So under any BLAS kernel a rate does not
+    depend on the block size: whatever the block, each matrix gets the
+    same elementwise arithmetic and its own LAPACK factorisation.  The
+    form's error is absolute and grows with the power spread, since K^-1
+    holds 1/p_min next to 1/p_max.  Against a 40-digit oracle on two N = 8
+    channels (4 entries each, the exact and the separable model) it was at
+    most 1.4e-14 bit/s/Hz up to a spread of 1e4 at 30 dB, as the Gram
+    form's, and 4.7e-12 at 1e9.  At -20 dB, where the rates are near 0.1,
+    it was 2.2e-15 at a spread of 1, 9.3e-15 at 1e2, 4.6e-14 at 1e3,
+    2.6e-13 at 1e4 and 3e-8 at 1e9, against at most 2e-15 for the Gram
+    form; hence the guard.
+
+    Gram path, every other allocation: the r x r Gram matrices
+    Q~^H D_l^H M D_l Q~ come from two matrix products per entry block and
+    channel.  They are formed transposed, entry-major, which gives their
+    complex conjugates: the same real Cholesky diagonal.  A block's
+    first-product operand (the rows of (D_l Q~)^T) holds r x N values per
+    entry: at least one entry, and an even count when one stream is
+    active.  Under OpenBLAS's SkylakeX zgemm kernel a rate equals the
+    one-block, one-channel score bit for bit.  That is measured, not
+    proven.  Under the Haswell or Sandybridge kernels (OPENBLAS_CORETYPE)
+    a rate moves with the block size, by up to 1.8e-15 relative on the
+    block tests' cases and 1.6e-14 over N <= 16 and blocks of 1 to 33
+    entries.
     """
     n = cfg.n_antennas
     if np.ndim(h) != 3 or np.shape(h)[1:] != (n, n):
@@ -254,11 +280,50 @@ def codebook_rates_many(
     powers = _stream_powers(powers)
     if powers.shape != (n,):
         raise ValueError(f"stream powers must have shape ({n},), got {powers.shape}")
+    hh = [entries.conj().T @ entries for entries in h]
+    # with some power positive, this also requires every power to be positive
+    if powers.max() <= _MAX_POWER_SPREAD * powers.min():
+        return _antenna_rates(cfg, hh, cb, powers)
+    return _gram_rates(cfg, hh, cb, powers)
+
+
+def _log_det(a: np.ndarray) -> np.ndarray:
+    """Natural log-determinants of a (..., k, k) stack of Hermitian positive definite matrices, by Cholesky."""
+    chol = np.linalg.cholesky(a)
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+
+
+def _antenna_rates(cfg: ArrayConfig, hh: list, cb: Codebook, powers: np.ndarray) -> np.ndarray:
+    """`codebook_rates_many` by log det(P) + log det(K^-1 + D_l^H M D_l), for powers all positive."""
+    n = cfg.n_antennas
+    q = dft_matrix(n)
+    k_inv = (q / powers) @ q.conj().T
+    log_p = np.sum(np.log(powers))
+    thetas, phis = cb.angle_pairs()
+    per = max(1, _SCORE_BLOCK // (n * n))
+    outer = np.empty((min(per, cb.size), n, n), dtype=complex)
+    a = np.empty_like(outer)
+    rates = np.empty((len(hh), cb.size))
+    for start in range(0, cb.size, per):
+        stop = min(start + per, cb.size)
+        b = stop - start
+        t = _phasors(cfg, tx_displacement(cfg, thetas[start:stop], phis[start:stop]))  # (b, N)
+        outer_block, a_block = outer[:b], a[:b]
+        np.multiply(t.conj()[:, :, None], t[:, None, :], out=outer_block)
+        for trial, hh_trial in enumerate(hh):
+            np.multiply(outer_block, hh_trial, out=a_block)
+            a_block += k_inv
+            rates[trial, start:stop] = (_log_det(a_block) + log_p) / _LN2
+    return rates
+
+
+def _gram_rates(cfg: ArrayConfig, hh: list, cb: Codebook, powers: np.ndarray) -> np.ndarray:
+    """`codebook_rates_many` by log det(I_r + G~_l^H G~_l) over the r active streams."""
+    n = cfg.n_antennas
     active = np.flatnonzero(powers > 0.0)
     q = dft_matrix(n)[:, active] * np.sqrt(powers[active])
     r = active.size
     q_conj = q.conj()
-    hh = [entries.conj().T @ entries for entries in h]
     thetas, phis = cb.angle_pairs()
     per = max(1, _SCORE_BLOCK // (r * n))
     if r == 1:
@@ -285,9 +350,7 @@ def codebook_rates_many(
             y_entries *= t_conj  # rows of (diag(t_l)^H H^H H diag(t_l) Q~)^T
             np.matmul(y_block, q_conj, out=gram_block)
             gram_diag += 1.0
-            chol = np.linalg.cholesky(gram_block.reshape(b, r, r))
-            logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
-            rates[trial, start:stop] = logdet / _LN2
+            rates[trial, start:stop] = _log_det(gram_block.reshape(b, r, r)) / _LN2
     return rates
 
 

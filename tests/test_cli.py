@@ -747,6 +747,36 @@ for path, argv in json.loads(sys.argv[1]):
             sys.exit(f"{argv} failed")
 """
 
+# Scores full-rank powers (the antenna path) over the whole codebook in one block, in blocks of
+# 1, 7 and 33 entries, and one channel at a time; prints the cases whose rates are not equal
+# bit for bit to the one-block stacked call.
+SCORER_BLOCK_CHILD = """
+import json, math
+import numpy as np
+from ucamimo import APPROXIMATE, EXACT_DISTANCE, ArrayConfig, Misalignment, build_channels, build_codebook
+from ucamimo import codebook_rates_many, transceiver
+rng = np.random.default_rng(75)
+cb = build_codebook(5, 3)
+moved = []
+for n, radius in ((4, 0.3162), (8, 0.4451), (12, 0.5396), (16, 0.6176)):
+    cfg = ArrayConfig(n_antennas=n, wavelength=0.004, radius_tx=radius, radius_rx=radius, distance=300.0)
+    ranges = ((-math.pi / n, math.pi / n), (-math.pi, math.pi), (0.0, 0.17), (-0.17, 0.17), (-0.17, 0.17))
+    mis = Misalignment(*(rng.uniform(lo, hi, 3) for lo, hi in ranges))
+    powers = 10**1.5 * np.geomspace(1.0, 0.1, n) / np.geomspace(1.0, 0.1, n).sum()
+    for model in (APPROXIMATE, EXACT_DISTANCE):
+        h = build_channels(cfg, mis, model)
+        transceiver._SCORE_BLOCK = (cb.size + 1) * n * n
+        whole = codebook_rates_many(cfg, h, cb, powers)
+        for k in range(len(h)):
+            if not np.array_equal(codebook_rates_many(cfg, h[k:k + 1], cb, powers)[0], whole[k]):
+                moved.append(f"N={n} {model} channel {k} alone")
+        for entries in (1, 7, 33):
+            transceiver._SCORE_BLOCK = entries * n * n
+            if not np.array_equal(codebook_rates_many(cfg, h, cb, powers), whole):
+                moved.append(f"N={n} {model} blocks of {entries}")
+print(json.dumps(moved))
+"""
+
 
 def openblas_picks_its_kernel() -> bool:
     """NumPy's BLAS is an OpenBLAS that picks its kernel at run time, so OPENBLAS_CORETYPE applies."""
@@ -785,6 +815,19 @@ class TestGoldenBytes:
         subprocess.run([sys.executable, "-c", KERNEL_CHILD, json.dumps(jobs)], env=env, check=True)
         for name in KERNEL_FREE_GOLDENS:
             assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+    @pytest.mark.skipif(not openblas_picks_its_kernel(), reason="needs an OpenBLAS built with DYNAMIC_ARCH")
+    @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+    def test_full_rank_codebook_rates_do_not_depend_on_the_blas_kernel_partition(self, core):
+        # with every stream powered the scorer takes no matrix product, only elementwise
+        # arithmetic and one LAPACK Cholesky per matrix, so the entry block and the stack
+        # cannot move a rate under any kernel.  The Gram path's zgemm moved 12 of these
+        # 48 cases under Haswell
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        child = subprocess.run([sys.executable, "-c", SCORER_BLOCK_CHILD], env=env, check=True,
+                               capture_output=True, text=True)
+        assert json.loads(child.stdout) == []
 
     @pytest.mark.parametrize("ns", DESIGN_GOLDEN_NS)
     @pytest.mark.parametrize("theta, suffix", DESIGN_GOLDEN_THETAS)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,9 @@ from ucamimo import (
     nulling_rates,
 )
 from ucamimo import sim, transceiver
+from ucamimo.channel import _phasors
 from ucamimo.design import capacity, water_fill
+from ucamimo.geometry import tx_displacement
 from ucamimo.spectrum import singular_values
 from ucamimo.transceiver import (
     RateReport,
@@ -29,6 +32,7 @@ from ucamimo.transceiver import (
 )
 
 SNR15 = 10**1.5
+SNR30 = 1e3
 
 
 def best_codebook_rate(cfg, h, cb, powers):
@@ -281,6 +285,15 @@ def stream_allocation(n, active):
     return powers
 
 
+def spread_allocation(n, spread, total=SNR15):
+    """Powers on all n streams falling geometrically from p_max to p_max / spread, summing to about `total`.
+
+    The scale is the power of two nearest total / sum, so p_max / p_min is exactly `spread`.
+    """
+    weights = spread ** np.linspace(1.0, 0.0, n)
+    return weights * 2.0 ** np.round(np.log2(total / weights.sum()))
+
+
 class TestStackedCodebookScorer:
     def stack(self, cfg, model, count, seed=67):
         rng = np.random.default_rng(seed)
@@ -289,11 +302,12 @@ class TestStackedCodebookScorer:
 
     @pytest.mark.parametrize("count", [1, 5])
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
-    @pytest.mark.parametrize("active", [1, 8])
-    def test_rows_equal_one_channel_scorer(self, count, model, active):
-        cfg = design_point(8, 300.0)
+    @pytest.mark.parametrize("n, active", [pytest.param(8, 1, id="1"), pytest.param(8, 8, id="8"),
+                                           pytest.param(12, 12, id="12")])
+    def test_rows_equal_one_channel_scorer(self, count, model, n, active):
+        cfg = design_point(n, 300.0)
         cb = build_codebook(3, 2)
-        powers = stream_allocation(8, active)
+        powers = stream_allocation(n, active)
         channels, h = self.stack(cfg, model, count)
         rates = codebook_rates_many(cfg, h, cb, powers)
         assert rates.shape == (count, cb.size)
@@ -311,13 +325,14 @@ class TestStackedCodebookScorer:
         np.testing.assert_array_equal(codebook_rates_many(cfg, h[2:3], cb, powers), rates[2:3])
 
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
-    @pytest.mark.parametrize("n, l1, l2, active", [(8, 3, 2, 1), (8, 3, 2, 5), (8, 3, 2, 8),
+    @pytest.mark.parametrize("n, l1, l2, active", [(8, 3, 2, 1), (8, 3, 2, 5), (8, 3, 2, 8), (12, 5, 3, 12),
                                                    (16, 7, 3, 1), (16, 7, 3, 9), (16, 7, 3, 16)])
     def test_rates_do_not_depend_on_the_entry_block(self, monkeypatch, model, n, l1, l2, active):
         # blocks of 1, per - 1, per and per + 1 entries, where per is the
         # default block's entry count when that splits the codebook in at
         # least three, each against one block larger than the codebook; with
-        # one active stream the scorer rounds a block up to an even count
+        # one active stream the scorer rounds a block up to an even count.
+        # With every stream active the antenna path runs, r x N = N x N values per entry
         cfg = design_point(n, 300.0)
         cb = build_codebook(l1, l2)
         powers = stream_allocation(n, active)
@@ -332,19 +347,20 @@ class TestStackedCodebookScorer:
 
     def test_peak_memory(self):
         # NumPy reports its data buffers to tracemalloc; buffers over the
-        # whole 1,024-entry codebook peaked at 8.9 MiB
+        # whole 1,024-entry codebook peaked at 8.9 MiB.  The designed
+        # allocation gives 9 streams power (Gram path), the equal one all 16 (antenna path)
         cfg = design_point(16, 300.0)
         cb = build_codebook(7, 3)
-        powers = approx_power_allocation(cfg, 15.0)
         _, h = self.stack(cfg, APPROXIMATE, 8)
-        codebook_rates_many(cfg, h, cb, powers)
-        tracemalloc.start()
-        try:
+        for powers in (approx_power_allocation(cfg, 15.0), stream_allocation(16, 16)):
             codebook_rates_many(cfg, h, cb, powers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 << 20
+            tracemalloc.start()
+            try:
+                codebook_rates_many(cfg, h, cb, powers)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20
 
     @pytest.mark.parametrize("n, l1, l2, active, block", [(8, 3, 2, 8, None), (16, 7, 3, 9, None),
                                                           (16, 7, 3, 1, None), (16, 7, 3, 1, 5 * 16)])
@@ -367,6 +383,34 @@ class TestStackedCodebookScorer:
         assert len(calls) == 4 * math.ceil(cb.size / per)
         assert all(shape[0] <= per and shape[1:] == (active, active) for shape in calls)
 
+    @pytest.mark.parametrize("powers, antenna, rank", [
+        pytest.param(stream_allocation(8, 8), True, 8, id="equal"),
+        pytest.param(spread_allocation(8, transceiver._MAX_POWER_SPREAD), True, 8, id="at-the-guard"),
+        pytest.param(spread_allocation(8, np.nextafter(transceiver._MAX_POWER_SPREAD, math.inf)), False, 8,
+                     id="past-the-guard"),
+        pytest.param(np.append(stream_allocation(7, 7), 0.0), False, 7, id="one-zero-power"),
+    ])
+    def test_path_follows_the_powers(self, monkeypatch, powers, antenna, rank):
+        # the antenna path takes one Cholesky per block and channel and no matrix product;
+        # the Gram path two products per Cholesky, of the active streams' r x r matrices
+        calls = []
+
+        def counted(name, f):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return f(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np, "matmul", counted("matmul", np.matmul))
+        cfg = design_point(8, 300.0)
+        cb = build_codebook(3, 2)
+        _, h = self.stack(cfg, APPROXIMATE, 3)
+        codebook_rates_many(cfg, h, cb, powers)
+        shapes = [shape for name, shape in calls if name == "cholesky"]
+        assert len(shapes) == 3 and all(shape == (cb.size, rank, rank) for shape in shapes)
+        assert sum(name == "matmul" for name, _ in calls) == (0 if antenna else 2 * len(shapes))
+
     @pytest.mark.parametrize(
         "h_shape, powers_shape, match",
         [
@@ -381,6 +425,49 @@ class TestStackedCodebookScorer:
         powers = np.full(powers_shape, SNR15 / 8)
         with pytest.raises(ValueError, match=match):
             codebook_rates_many(cfg, np.ones(h_shape, dtype=complex), build_codebook(3, 2), powers)
+
+
+def log_det_oracle(cfg, h, cb, powers):
+    """log2 det(I + G_l^H G_l) of every entry at 40 digits, G_l = H diag(t_l) Q P^(1/2).
+
+    The float64 channel, shift phasors, DFT and powers enter exactly.
+    """
+    thetas, phis = cb.angle_pairs()
+    t = _phasors(cfg, tx_displacement(cfg, thetas, phis))
+    n = cfg.n_antennas
+    with mpmath.workdps(40):
+        hm = mpmath.matrix(h.tolist())
+        gram = hm.H * hm
+        q_sqrt_p = mpmath.matrix(dft_matrix(n).tolist()) * mpmath.diag([mpmath.sqrt(p) for p in powers.tolist()])
+        rates = []
+        for t_l in t:
+            f = mpmath.diag(t_l.tolist()) * q_sqrt_p
+            rates.append(float(mpmath.log(mpmath.re(mpmath.det(mpmath.eye(n) + f.H * gram * f)), 2)))
+    return np.array(rates)
+
+
+class TestScorerOracle:
+    """Both scorer paths against an extended-precision log-det of the same float64 inputs."""
+
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    @pytest.mark.parametrize("total, tolerance", [
+        pytest.param(SNR30, {"rtol": 1e-15, "atol": 0.0}, id="30dB"),
+        pytest.param(1e-2, {"rtol": 0.0, "atol": 1e-13}, id="-20dB"),
+    ])
+    def test_rates_match_extended_precision_oracle(self, model, total, tolerance):
+        # full-rank powers up to the guard's spread take the antenna path, a wider spread and a
+        # single active stream the Gram path.  The antenna form's error is absolute and grows
+        # with the spread: at a spread of 1e9 it was 4.7e-12 bit/s/Hz at 30 dB and 3e-8 at
+        # -20 dB, so without the guard both tolerances fail
+        cfg = design_point(8, 100.0)
+        mis = Misalignment(theta_o=0.1, theta_cs=0.7, phi_cs=0.1, phi_x=0.05, phi_y=-0.08)
+        h = build_channel(cfg, mis, model).entries
+        cb = build_codebook(1, 1)
+        one_stream = np.append(total, np.zeros(7))
+        spreads = (1.0, 1e2, transceiver._MAX_POWER_SPREAD, 1e9)
+        for powers in [*(spread_allocation(8, spread, total) for spread in spreads), one_stream]:
+            rates = codebook_rates_many(cfg, h[None], cb, powers)[0]
+            np.testing.assert_allclose(rates, log_det_oracle(cfg, h, cb, powers), **tolerance)
 
 
 def twin_of_each_entry(cb):
