@@ -27,6 +27,7 @@ from .transceiver import (
     RateReport,
     approx_power_allocation,
     build_codebook,
+    codebook_best_rates,
     codebook_rates_many,
     nulling_rates,
     precoded_rate,

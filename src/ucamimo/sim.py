@@ -38,7 +38,7 @@ from .transceiver import (
     _check_bit_counts,
     _distinct_codebook,
     approx_power_allocation,
-    codebook_rates_many,
+    codebook_best_rates,
     nulling_rates,
     precoded_rates,
     precoder_matrices,
@@ -222,9 +222,10 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
 
     Each trial is drawn once, and each cell's trials are scored as one
     batch: every scheme is one stacked call over the cell's channels, and
-    the codebook row is the row maximum of `codebook_rates_many`, the best
-    entry's rate.  The codebook is scored as `_distinct_codebook` gives
-    it: with L2 = 0 every entry is the DFT precoder, and one is scored.
+    the codebook row is the best entry's rate, by `codebook_best_rates`
+    (the row maximum of `codebook_rates_many`, bit for bit).  The
+    codebook is scored as `_distinct_codebook` gives it: with L2 = 0
+    every entry is the DFT precoder, and one is scored.
     The capacity row and the condition number come from the
     singular values `_cells` yields.  On the separable model the nulling
     and optimal-precoder rows come from the closed-form spectrum: ZF and
@@ -255,7 +256,7 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
         rates = (
             cap,
             optimal_rate,
-            np.max(codebook_rates_many(cfg, h, cb, approx_powers), axis=-1),
+            codebook_best_rates(cfg, h, [cb], approx_powers)[0],
             np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_powers), axis=-1),
             zf,
             zf_sic,
@@ -292,7 +293,9 @@ def run_codebook_bit_sweep(
     antennas at 300 m by default, with radii designed for the design
     distance.  Within a cell every (L1, L2) pair is evaluated with both
     quantisation rules on the same per-trial channels.  Each codebook is
-    built once per call and scores a cell's stacked channels in one call.
+    built once per call, and one `codebook_best_rates` call per cell
+    scores all of them on the cell's stacked channels, each codebook in
+    its own entry blocks.
     The linear baseline covers the shift disc twice, so every precoder in
     it has a twin; only its distinct half is scored (`_distinct_codebook`),
     and a row is the best rate over that half, which equals the full
@@ -308,8 +311,8 @@ def run_codebook_bit_sweep(
     for cfg, _, h, sigma in _cells(trial_cfg):
         approx_powers = approx_power_allocation(cfg, trial_cfg.snr_db)
         cond = condition_numbers(sigma)
-        for l1, l2, method, cb in codebooks:
-            rates = np.max(codebook_rates_many(cfg, h, cb, approx_powers), axis=-1)
+        best = codebook_best_rates(cfg, h, [cb for *_, cb in codebooks], approx_powers)
+        for (l1, l2, method, _), rates in zip(codebooks, best):
             rows += _cell_rows(f"bit_sweep_L1{l1}_L2{l2}", cfg, {f"codebook-{method}": rates}, cond)
     return rows
 

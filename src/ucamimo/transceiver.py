@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +28,14 @@ LINEAR = "linear"
 # Polar range (radians) the codebook's centre-shift entries cover.
 _PHI_RANGE = (-0.175, 0.175)
 
-# Complex values per entry block of the codebook scorer (256 KiB): r x N
+# Complex values per entry block of the codebook scorers (256 KiB): r x N
 # per entry on the Gram path (its first-product operand), N x N on the
-# antenna path (its phase products).  With the path's other buffers the
-# block stays in cache and no buffer is handed back to the kernel between
-# channels.
+# antenna path (its phase products) and r x T r in the eigenbasis bound of
+# `codebook_best_rates` (its product with T channels' modes); N x N per
+# (entry, channel) pair that the bound leaves to the Gram path (the pair's
+# own H^H H).  With the path's other buffers the block stays in cache and
+# no buffer is handed back to the kernel between channels.  No rate
+# depends on it, on either path, by construction.
 _SCORE_BLOCK = 16384
 
 # Largest p_max / p_min of a full-rank allocation that the codebook scorer
@@ -39,6 +43,11 @@ _SCORE_BLOCK = 16384
 # (`codebook_rates_many` gives the oracle's numbers).  At the bound it is
 # below 5e-14 bit/s/Hz from -20 to 30 dB.
 _MAX_POWER_SPREAD = 1e3
+
+# Entries per channel that `codebook_best_rates` scores exactly before its bound prunes the rest.
+_FIRST_SCORED = 8
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _entries(h) -> np.ndarray:
@@ -241,50 +250,130 @@ def codebook_rates_many(
     Both matrices are Hermitian positive definite, so each log-determinant
     is 2 sum log L_kk of its Cholesky factor.  The entries are scored in
     consecutive blocks of about _SCORE_BLOCK complex values, whose phasors
-    are built once and scored against every channel; a rate does not
-    depend on the stack.
+    are built once and scored against every channel.  On both paths a
+    rate depends neither on the stack nor on the block, under any BLAS
+    kernel, by construction: every matrix gets the same elementwise
+    arithmetic, its own BLAS products and its own LAPACK factorisation,
+    whatever else shares the call.  `codebook_best_rates` gives each
+    row's maximum at a fraction of the cost.
 
     Antenna path, taken when every stream has power and p_max / p_min is
     at most _MAX_POWER_SPREAD: K^-1 = Q P^-1 Q^H and sum log p_k are built
     once per call, and each block's phase products conj(t_l) t_l^T, N^2
     values per entry, once per block.  Each channel then takes one
     elementwise product with M, one added K^-1 and one stacked Cholesky,
-    with no matrix product.  So under any BLAS kernel a rate does not
-    depend on the block size: whatever the block, each matrix gets the
-    same elementwise arithmetic and its own LAPACK factorisation.  The
-    form's error is absolute and grows with the power spread, since K^-1
-    holds 1/p_min next to 1/p_max.  Against a 40-digit oracle on two N = 8
-    channels (4 entries each, the exact and the separable model) it was at
-    most 1.4e-14 bit/s/Hz up to a spread of 1e4 at 30 dB, as the Gram
-    form's, and 4.7e-12 at 1e9.  At -20 dB, where the rates are near 0.1,
-    it was 2.2e-15 at a spread of 1, 9.3e-15 at 1e2, 4.6e-14 at 1e3,
-    2.6e-13 at 1e4 and 3e-8 at 1e9, against at most 2e-15 for the Gram
-    form; hence the guard.
+    with no matrix product.  The form's error is absolute and grows with
+    the power spread, since K^-1 holds 1/p_min next to 1/p_max.  Against
+    a 40-digit oracle on two N = 8 channels (4 entries each, the exact and
+    the separable model) it was at most 1.4e-14 bit/s/Hz up to a spread
+    of 1e4 at 30 dB, as the Gram form's, and 4.7e-12 at 1e9.  At -20 dB,
+    where the rates are near 0.1, it was 2.2e-15 at a spread of 1, 9.3e-15
+    at 1e2, 4.6e-14 at 1e3, 2.6e-13 at 1e4 and 3e-8 at 1e9, against at
+    most 2e-15 for the Gram form; hence the guard.
 
     Gram path, every other allocation: the r x r Gram matrices
-    Q~^H D_l^H M D_l Q~ come from two matrix products per entry block and
-    channel.  They are formed transposed, entry-major, which gives their
-    complex conjugates: the same real Cholesky diagonal.  A block's
-    first-product operand (the rows of (D_l Q~)^T) holds r x N values per
-    entry: at least one entry, and an even count when one stream is
-    active.  Under OpenBLAS's SkylakeX zgemm kernel a rate equals the
-    one-block, one-channel score bit for bit.  That is measured, not
-    proven.  Under the Haswell or Sandybridge kernels (OPENBLAS_CORETYPE)
-    a rate moves with the block size, by up to 1.8e-15 relative on the
-    block tests' cases and 1.6e-14 over N <= 16 and blocks of 1 to 33
-    entries.
+    Q~^H D_l^H M D_l Q~ come from two stacked matrix products per entry
+    block and channel, each one r-row product per entry (`_entry_rates`).
+    They are formed transposed, entry-major, which gives their complex
+    conjugates: the same real Cholesky diagonal.  A block's first-product
+    operand (the rows of (D_l Q~)^T) holds r x N values per entry.
     """
+    hh, powers = _scorer_inputs(cfg, h, powers)
+    if _antenna_path(powers):
+        return _antenna_rates(cfg, hh, cb, powers)
+    return _gram_rates(cfg, hh, cb, powers)
+
+
+def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, codebooks, powers) -> np.ndarray:
+    """Rate of each codebook's best entry on each of a (T, N, N) stack of channels; shape (K, T).
+
+    Row k equals `codebook_rates_many(cfg, h, codebooks[k], powers)
+    .max(axis=-1)` bit for bit, under any BLAS kernel, and H^H H is built
+    once for all K codebooks.  With every stream powered (the antenna
+    path) this is that row maximum: at equal powers every unitary
+    precoder has the same rate, so no bound could prune there.
+
+    Otherwise, with r streams powered, an upper bound on every entry's
+    rate prunes the entries that cannot win.  Let M = V diag(w) V^H and
+    Z_l = V^H D_l Q~ P~^(1/2) (N x r).  Sylvester's identity gives
+    det(I_r + G~_l^H G~_l) = det(I_N + diag(w)^(1/2) Z_l Z_l^H
+    diag(w)^(1/2)), and Hadamard's inequality bounds it by the product of
+    the diagonal: rate_l <= sum_m log2(1 + w_m e_m), e_m the squared norm
+    of row m of Z_l.  V and D_l are unitary, so sum_m e_m = sum_k p_k,
+    and the N - r weakest modes are bounded together by concavity:
+    (N - r) log2(1 + w_(r+1) (sum p - sum_top e) / (N - r)), w_(r+1) the
+    largest of them.  Only the r strongest modes are computed, one
+    matrix product per entry block against all T channels' top-r
+    eigenvectors (`_entry_bounds`).  The bound is exact for the aligned
+    precoder and sees a stream's power leak into weak modes.  Each
+    channel's _FIRST_SCORED entries of largest bound are scored exactly,
+    in one batched call, and then every further entry whose bound reaches
+    their best, less a margin.  The best is the largest exact score, and
+    an exact score does not depend on which entries share its call
+    (`_entry_rates`), so it is the row maximum's own bits.
+
+    The margin bounds, to first order, the float error of the bound and
+    of the exact score together.  Both see M^ = fl(H^H H).  With A =
+    D_l Q~ P~^(1/2), a rate moves by at most ||dM|| sum p nats when M
+    does (its derivative is tr((I + A^H M A)^-1 A^H dM A)), and a Gram
+    matrix, being at least I, moves its log det by at most r times the
+    norm of its own error.  So:
+    - `eigh` reproduces M^ within about N eps ||M^||, with V^ unitary to
+      about N eps.  Sylvester's identity and Hadamard's inequality hold
+      for V^ as it is, and sum p stands for the true sum of e within
+      N eps sum p: 2 N eps w_max sum p in all.
+    - The bound's product takes N-term dot products, each within
+      (N + 2) eps of |x||u|: at most 4 r (N + 2) eps w_max sum p over the
+      top modes and the tail.
+    - The exact score's two products leave its Gram matrix within
+      2 N (N + 2) eps w_max sum p (|M_ij| <= w_max), so its log det within
+      r times that; its Cholesky and logs add about
+      r^2 (r + 1) eps (1 + w_max sum p).
+    All of it is below 4 r (N + 2)^2 eps (1 + w_max sum p) nats, the
+    margin per channel, in bits.  In the campaign workloads at seeds 1,
+    2024 and 5 it is at most 1.3e-8 bit/s/Hz; no exact rate came within
+    1,700 margins of its bound, and no unscored entry's bound within
+    6e-5 bit/s/Hz of the best.
+    """
+    hh, powers = _scorer_inputs(cfg, h, powers)
+    best = np.empty((len(codebooks), len(hh)))
+    if _antenna_path(powers):
+        for row, cb in zip(best, codebooks):
+            row[:] = np.max(_antenna_rates(cfg, hh, cb, powers), axis=-1)
+        return best
+    if len(hh) == 0:
+        return best
+    q = _stream_columns(cfg.n_antennas, powers)
+    modes = _modes(hh, powers)
+    for row, cb in zip(best, codebooks):
+        row[:] = _best_gram_rates(cfg, hh, cb, q, _entry_bounds(cfg, cb, q, modes), modes.margin)
+    return best
+
+
+def _scorer_inputs(cfg: ArrayConfig, h, powers) -> tuple[np.ndarray, np.ndarray]:
+    """The scorers' checked inputs: each channel's H^H H, shape (T, N, N), and the (N,) powers."""
     n = cfg.n_antennas
     if np.ndim(h) != 3 or np.shape(h)[1:] != (n, n):
         raise ValueError(f"channels must have shape (T, {n}, {n}), got {np.shape(h)}")
     powers = _stream_powers(powers)
     if powers.shape != (n,):
         raise ValueError(f"stream powers must have shape ({n},), got {powers.shape}")
-    hh = [entries.conj().T @ entries for entries in h]
+    hh = np.empty((len(h), n, n), dtype=complex)
+    for trial, entries in enumerate(h):
+        hh[trial] = entries.conj().T @ entries
+    return hh, powers
+
+
+def _antenna_path(powers: np.ndarray) -> bool:
+    """Whether the scorers take the antenna basis: every stream powered, within _MAX_POWER_SPREAD."""
     # with some power positive, this also requires every power to be positive
-    if powers.max() <= _MAX_POWER_SPREAD * powers.min():
-        return _antenna_rates(cfg, hh, cb, powers)
-    return _gram_rates(cfg, hh, cb, powers)
+    return bool(powers.max() <= _MAX_POWER_SPREAD * powers.min())
+
+
+def _stream_columns(n: int, powers: np.ndarray) -> np.ndarray:
+    """Q~ P~^(1/2): the DFT columns of the streams with power, times their amplitudes; shape (N, r)."""
+    active = np.flatnonzero(powers > 0.0)
+    return dft_matrix(n)[:, active] * np.sqrt(powers[active])
 
 
 def _log_det(a: np.ndarray) -> np.ndarray:
@@ -293,7 +382,7 @@ def _log_det(a: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
 
 
-def _antenna_rates(cfg: ArrayConfig, hh: list, cb: Codebook, powers: np.ndarray) -> np.ndarray:
+def _antenna_rates(cfg: ArrayConfig, hh: np.ndarray, cb: Codebook, powers: np.ndarray) -> np.ndarray:
     """`codebook_rates_many` by log det(P) + log det(K^-1 + D_l^H M D_l), for powers all positive."""
     n = cfg.n_antennas
     q = dft_matrix(n)
@@ -317,41 +406,140 @@ def _antenna_rates(cfg: ArrayConfig, hh: list, cb: Codebook, powers: np.ndarray)
     return rates
 
 
-def _gram_rates(cfg: ArrayConfig, hh: list, cb: Codebook, powers: np.ndarray) -> np.ndarray:
+def _entry_rates(x: np.ndarray, t_conj: np.ndarray, hh: np.ndarray, q_conj: np.ndarray,
+                 y: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Gram-path rates of a (b, r, N) stack of first-product operands, the rows of (D_l Q~)^T; shape (b,).
+
+    `t_conj` holds the entries' conjugate phasors as (b, 1, N), and `hh`
+    one channel's H^H H or one per entry, (b, N, N).  `y` (b, r, N) and
+    `gram` (b, r, r) are scratch.  Both products are stacked matmuls,
+    which take one r-row product per entry, so a rate does not depend on
+    which entries share the call: each entry's products have the same
+    shape and operands whatever the block.
+    """
+    np.matmul(x, np.swapaxes(hh, -1, -2), out=y)
+    y *= t_conj  # rows of (D_l^H H^H H D_l Q~)^T
+    np.matmul(y, q_conj, out=gram)
+    b, r = gram.shape[:2]
+    gram.reshape(b, r * r)[:, :: r + 1] += 1.0
+    return _log_det(gram) / _LN2
+
+
+def _gram_rates(cfg: ArrayConfig, hh: np.ndarray, cb: Codebook, powers: np.ndarray) -> np.ndarray:
     """`codebook_rates_many` by log det(I_r + G~_l^H G~_l) over the r active streams."""
     n = cfg.n_antennas
-    active = np.flatnonzero(powers > 0.0)
-    q = dft_matrix(n)[:, active] * np.sqrt(powers[active])
-    r = active.size
+    q = _stream_columns(n, powers)
     q_conj = q.conj()
+    r = q.shape[1]
     thetas, phis = cb.angle_pairs()
     per = max(1, _SCORE_BLOCK // (r * n))
-    if r == 1:
-        # NumPy multiplies a one-row operand as a vector, which rounds
-        # differently; `build_codebook`'s sizes are powers of two, so even
-        # blocks leave no one-entry block unless the codebook has one entry.
-        per += per % 2
-    rows = min(per, cb.size) * r
-    x = np.empty((rows, n), dtype=complex)
-    y = np.empty((rows, n), dtype=complex)
-    gram = np.empty((rows, r), dtype=complex)
+    x = np.empty((min(per, cb.size), r, n), dtype=complex)
+    y = np.empty_like(x)
+    gram = np.empty((len(x), r, r), dtype=complex)
     rates = np.empty((len(hh), cb.size))
     for start in range(0, cb.size, per):
         stop = min(start + per, cb.size)
         b = stop - start
         t = _phasors(cfg, tx_displacement(cfg, thetas[start:stop], phis[start:stop]))  # (b, N)
-        x_block, y_block, gram_block = x[: b * r], y[: b * r], gram[: b * r]
-        np.multiply(t[:, None, :], q.T, out=x_block.reshape(b, r, n))  # rows of (diag(t_l) Q~)^T
+        np.multiply(t[:, None, :], q.T, out=x[:b])
         t_conj = t.conj()[:, None, :]
-        y_entries = y_block.reshape(b, r, n)
-        gram_diag = gram_block.reshape(b, r * r)[:, :: r + 1]
         for trial, hh_trial in enumerate(hh):
-            np.matmul(x_block, hh_trial.T, out=y_block)
-            y_entries *= t_conj  # rows of (diag(t_l)^H H^H H diag(t_l) Q~)^T
-            np.matmul(y_block, q_conj, out=gram_block)
-            gram_diag += 1.0
-            rates[trial, start:stop] = _log_det(gram_block.reshape(b, r, r)) / _LN2
+            rates[trial, start:stop] = _entry_rates(x[:b], t_conj, hh_trial, q_conj, y[:b], gram[:b])
     return rates
+
+
+class _Modes(NamedTuple):
+    """What the eigenbasis bound needs of T channels' M = V diag(w) V^H, w ascending, for r streams."""
+
+    u: np.ndarray  # (N, T r): conj(V) of each channel's r strongest modes, channel-major
+    top: np.ndarray  # (T, r): those modes' eigenvalues
+    tail: np.ndarray  # (T,): w_(r+1) / (N - r), the largest weak mode's gain per unit of leaked power
+    total: float  # sum p, the power of all streams
+    margin: np.ndarray  # (T,): the float error the bound and the exact score may have together, in bits
+
+
+def _modes(hh: np.ndarray, powers: np.ndarray) -> _Modes:
+    """The bound's view of a (T, N, N) stack of M = H^H H, from one stacked `eigh`."""
+    n = hh.shape[-1]
+    r = np.count_nonzero(powers)
+    w, v = np.linalg.eigh(hh)
+    w = np.maximum(w, 0.0)  # a rank-deficient M may give -eps; a larger w only raises the bound
+    total = float(np.sum(powers))
+    return _Modes(
+        u=v[:, :, n - r:].conj().transpose(1, 0, 2).reshape(n, len(hh) * r),
+        top=w[:, n - r:],
+        tail=w[:, n - r - 1] / (n - r) if r < n else np.zeros(len(hh)),
+        total=total,
+        margin=4.0 * r * (n + 2) ** 2 * _EPS * (1.0 + w[:, -1] * total) / _LN2,
+    )
+
+
+def _entry_bounds(cfg: ArrayConfig, cb: Codebook, q: np.ndarray, modes: _Modes) -> np.ndarray:
+    """Every entry's eigenbasis Hadamard bound on every channel, in bits; shape (T, L).
+
+    One matrix product per entry block gives e_m for the r strongest
+    modes of all T channels at once, and one rate sum the bound of
+    `codebook_best_rates`: the N - r weakest modes enter it as N - r
+    modes of gain w_(r+1) that share the leaked power equally.  A block's
+    product holds r x T r values per entry, about _SCORE_BLOCK in all.
+    """
+    n, r = q.shape
+    trials = len(modes.top)
+    thetas, phis = cb.angle_pairs()
+    per = max(1, _SCORE_BLOCK // (r * modes.u.shape[1]))
+    snr = np.empty((min(per, cb.size), trials, n))
+    bounds = np.empty((trials, cb.size))
+    for start in range(0, cb.size, per):
+        stop = min(start + per, cb.size)
+        b = stop - start
+        t = _phasors(cfg, tx_displacement(cfg, thetas[start:stop], phis[start:stop]))
+        z = (t[:, None, :] * q.T).reshape(b * r, n) @ modes.u  # z[(l, k), (t, m)] = (V_t^H D_l Q~ P~^(1/2))_mk
+        parts = z.view(float).reshape(b, r, -1)
+        parts = np.einsum("lkc,lkc->lc", parts, parts)  # squared real and imaginary parts, summed over streams
+        e = (parts[:, 0::2] + parts[:, 1::2]).reshape(b, trials, r)
+        block = snr[:b]
+        np.multiply(e, modes.top, out=block[..., :r])
+        if r < n:
+            leaked = np.maximum(modes.total - e.sum(axis=-1), 0.0)
+            block[..., r:] = (leaked * modes.tail)[..., None]
+        bounds[:, start:stop] = _rate_sum(block).T
+    return bounds
+
+
+def _pair_rates(cfg: ArrayConfig, hh: np.ndarray, cb: Codebook, q: np.ndarray,
+                trials: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Gram-path rate of entry entries[i] on channel trials[i], as `codebook_rates_many` scores it; shape (P,).
+
+    The pairs are scored in blocks of _SCORE_BLOCK / N^2, each pair with its own gathered H^H H.
+    """
+    n, r = q.shape
+    thetas, phis = cb.angle_pairs()
+    q_conj = q.conj()
+    per = max(1, _SCORE_BLOCK // (n * n))
+    rates = np.empty(len(trials))
+    for start in range(0, len(trials), per):
+        pairs = slice(start, start + per)
+        chosen = entries[pairs]
+        t = _phasors(cfg, tx_displacement(cfg, thetas[chosen], phis[chosen]))
+        x = t[:, None, :] * q.T
+        gram = np.empty((len(x), r, r), dtype=complex)
+        rates[pairs] = _entry_rates(x, t.conj()[:, None, :], hh[trials[pairs]], q_conj, np.empty_like(x), gram)
+    return rates
+
+
+def _best_gram_rates(cfg: ArrayConfig, hh: np.ndarray, cb: Codebook, q: np.ndarray,
+                     bounds: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Each channel's best Gram-path rate, scoring only the entries whose bound can reach it; shape (T,)."""
+    trials, size = bounds.shape
+    first = min(_FIRST_SCORED, size)
+    picked = np.argpartition(bounds, size - first, axis=1)[:, size - first:]  # (T, first)
+    rows = np.repeat(np.arange(trials), first)
+    best = _pair_rates(cfg, hh, cb, q, rows, picked.ravel()).reshape(trials, first).max(axis=1)
+    rest = bounds >= (best - margin)[:, None]
+    rest[rows, picked.ravel()] = False
+    rows, entries = np.nonzero(rest)
+    np.maximum.at(best, rows, _pair_rates(cfg, hh, cb, q, rows, entries))
+    return best
 
 
 # Smallest-to-largest singular value ratio at or below which a channel is rank-deficient.

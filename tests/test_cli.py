@@ -747,33 +747,43 @@ for path, argv in json.loads(sys.argv[1]):
             sys.exit(f"{argv} failed")
 """
 
-# Scores full-rank powers (the antenna path) over the whole codebook in one block, in blocks of
-# 1, 7 and 33 entries, and one channel at a time; prints the cases whose rates are not equal
-# bit for bit to the one-block stacked call.
+# Scores each allocation that its JSON argument names: every stream powered ("all", the antenna
+# path), n/2 + 1 streams ("half") or one ("one"), both on the Gram path.  Each is scored over the
+# whole codebook in one block, in blocks of 1, 7 and 33 entries, and one channel at a time; the
+# child prints the cases whose rates are not equal bit for bit to the one-block stacked call, and
+# those whose best entry's rate from codebook_best_rates is not that call's row maximum.
 SCORER_BLOCK_CHILD = """
-import json, math
+import json, math, sys
 import numpy as np
 from ucamimo import APPROXIMATE, EXACT_DISTANCE, ArrayConfig, Misalignment, build_channels, build_codebook
-from ucamimo import codebook_rates_many, transceiver
+from ucamimo import codebook_best_rates, codebook_rates_many, transceiver
 rng = np.random.default_rng(75)
 cb = build_codebook(5, 3)
+default_block = transceiver._SCORE_BLOCK
 moved = []
 for n, radius in ((4, 0.3162), (8, 0.4451), (12, 0.5396), (16, 0.6176)):
     cfg = ArrayConfig(n_antennas=n, wavelength=0.004, radius_tx=radius, radius_rx=radius, distance=300.0)
     ranges = ((-math.pi / n, math.pi / n), (-math.pi, math.pi), (0.0, 0.17), (-0.17, 0.17), (-0.17, 0.17))
     mis = Misalignment(*(rng.uniform(lo, hi, 3) for lo, hi in ranges))
-    powers = 10**1.5 * np.geomspace(1.0, 0.1, n) / np.geomspace(1.0, 0.1, n).sum()
-    for model in (APPROXIMATE, EXACT_DISTANCE):
-        h = build_channels(cfg, mis, model)
-        transceiver._SCORE_BLOCK = (cb.size + 1) * n * n
-        whole = codebook_rates_many(cfg, h, cb, powers)
-        for k in range(len(h)):
-            if not np.array_equal(codebook_rates_many(cfg, h[k:k + 1], cb, powers)[0], whole[k]):
-                moved.append(f"N={n} {model} channel {k} alone")
-        for entries in (1, 7, 33):
-            transceiver._SCORE_BLOCK = entries * n * n
-            if not np.array_equal(codebook_rates_many(cfg, h, cb, powers), whole):
-                moved.append(f"N={n} {model} blocks of {entries}")
+    for active in json.loads(sys.argv[1]):
+        r = {"all": n, "half": n // 2 + 1, "one": 1}[active]
+        powers = np.zeros(n)
+        powers[:r] = 10**1.5 * np.geomspace(1.0, 0.1, r) / np.geomspace(1.0, 0.1, r).sum()
+        for model in (APPROXIMATE, EXACT_DISTANCE):
+            case = f"N={n} {active} {model}"
+            h = build_channels(cfg, mis, model)
+            transceiver._SCORE_BLOCK = (cb.size + 1) * r * n
+            whole = codebook_rates_many(cfg, h, cb, powers)
+            for k in range(len(h)):
+                if not np.array_equal(codebook_rates_many(cfg, h[k:k + 1], cb, powers)[0], whole[k]):
+                    moved.append(f"{case} channel {k} alone")
+            for entries in (1, 7, 33):
+                transceiver._SCORE_BLOCK = entries * r * n
+                if not np.array_equal(codebook_rates_many(cfg, h, cb, powers), whole):
+                    moved.append(f"{case} blocks of {entries}")
+            transceiver._SCORE_BLOCK = default_block
+            if not np.array_equal(codebook_best_rates(cfg, h, [cb], powers)[0], whole.max(axis=-1)):
+                moved.append(f"{case} best entry")
 print(json.dumps(moved))
 """
 
@@ -785,6 +795,15 @@ def openblas_picks_its_kernel() -> bool:
     except (TypeError, KeyError):  # NumPy before 1.26 prints its configuration only
         return False
     return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def scorer_cases_that_move(core: str, allocations: list[str]) -> list[str]:
+    """SCORER_BLOCK_CHILD's moved cases for the allocations, run under the OpenBLAS kernel `core` on one thread."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-c", SCORER_BLOCK_CHILD, json.dumps(allocations)], env=env,
+                           check=True, capture_output=True, text=True)
+    return json.loads(child.stdout)
 
 
 class TestGoldenBytes:
@@ -821,13 +840,17 @@ class TestGoldenBytes:
     def test_full_rank_codebook_rates_do_not_depend_on_the_blas_kernel_partition(self, core):
         # with every stream powered the scorer takes no matrix product, only elementwise
         # arithmetic and one LAPACK Cholesky per matrix, so the entry block and the stack
-        # cannot move a rate under any kernel.  The Gram path's zgemm moved 12 of these
-        # 48 cases under Haswell
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-        child = subprocess.run([sys.executable, "-c", SCORER_BLOCK_CHILD], env=env, check=True,
-                               capture_output=True, text=True)
-        assert json.loads(child.stdout) == []
+        # cannot move a rate under any kernel.  The Gram path's one zgemm per block moved
+        # 12 of these 48 cases under Haswell
+        assert scorer_cases_that_move(core, ["all"]) == []
+
+    @pytest.mark.skipif(not openblas_picks_its_kernel(), reason="needs an OpenBLAS built with DYNAMIC_ARCH")
+    @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+    def test_partial_rank_codebook_rates_do_not_depend_on_the_blas_kernel_partition(self, core):
+        # with r < N streams powered each entry takes its own r-row products, whatever block
+        # it shares, so neither the block nor the stack moves a rate, and the best entry's
+        # rate, scored apart from most of its codebook, is the row maximum bit for bit
+        assert scorer_cases_that_move(core, ["half", "one"]) == []
 
     @pytest.mark.parametrize("ns", DESIGN_GOLDEN_NS)
     @pytest.mark.parametrize("theta, suffix", DESIGN_GOLDEN_THETAS)

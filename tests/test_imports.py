@@ -149,8 +149,8 @@ PACKAGE_NAMES = {
     "singular_values",
     "DesignResult", "capacity", "radii_from_beta", "search_beta_opt", "water_fill",
     "Codebook", "RateReport", "approx_power_allocation",
-    "build_codebook", "codebook_rates_many", "nulling_rates", "precoded_rate", "precoded_rates",
-    "precoder_from_angles", "precoder_matrices",
+    "build_codebook", "codebook_best_rates", "codebook_rates_many", "nulling_rates", "precoded_rate",
+    "precoded_rates", "precoder_from_angles", "precoder_matrices",
     "ResultRow", "TrialConfig", "draw_misalignment", "run_codebook_bit_sweep", "run_rate_sweep",
 }
 LAYER_NAMES = {
@@ -164,7 +164,7 @@ LAYER_NAMES = {
     "design": {"DesignResult", "capacity", "capacity_curve", "condition_numbers",
                "power_from_db", "radii_from_beta", "search_beta_opt", "water_fill"},
     "transceiver": {"Codebook", "RateReport",
-                    "approx_power_allocation", "build_codebook", "codebook_rates_many",
+                    "approx_power_allocation", "build_codebook", "codebook_best_rates", "codebook_rates_many",
                     "nulling_rates", "precoded_rate", "precoded_rates", "precoder_from_angles",
                     "precoder_matrices", "spectrum_nulling_rates"},
     "sim": {"ResultRow", "TrialConfig", "csv_text", "draw_misalignment", "rows_to_csv",
@@ -231,6 +231,7 @@ SIGNATURES = {
     "spectrum.singular_values_many": "(n_s, betas, theta_o)",
     "transceiver.approx_power_allocation": "(cfg, snr_db)",
     "transceiver.build_codebook": "(l1_bits, l2_bits, quantization='sine')",
+    "transceiver.codebook_best_rates": "(cfg, h, codebooks, powers)",
     "transceiver.codebook_rates_many": "(cfg, h, cb, powers)",
     "transceiver.nulling_rates": "(h, sigma, p_total)",
     "transceiver.precoded_rate": "(h, precoder, powers)",

@@ -32,7 +32,7 @@ from ucamimo import design, sim, transceiver
 from ucamimo.design import condition_numbers, power_from_db
 from ucamimo.geometry import ANGLE_NAMES, distance_matrix_exact, rx_ring_harmonics
 from ucamimo.spectrum import singular_values_many
-from ucamimo.transceiver import codebook_rates_many, precoded_rate, spectrum_nulling_rates
+from ucamimo.transceiver import codebook_best_rates, codebook_rates_many, precoded_rate, spectrum_nulling_rates
 
 WAVELENGTH = 0.004
 DISTANCE = 100.0
@@ -224,6 +224,89 @@ def test_antenna_and_gram_forms_agree(stack, model, snr_db, spread, data):
     gram = transceiver._gram_rates(cfg, hh, SCORER_CODEBOOK, powers)
     atol = 4.0 * np.finfo(float).eps * (n * spread + np.sum(np.abs(np.log2(powers))))
     np.testing.assert_allclose(antenna, gram, rtol=1e-13, atol=atol)
+
+
+def powers_on(n: int, active, snr_db: float, weights) -> np.ndarray:
+    """Stream powers at unit noise: the given weights on the `active` streams, summing to the SNR."""
+    weights = np.asarray(weights, dtype=float)
+    powers = np.zeros(n)
+    powers[list(active)] = power_from_db(snr_db) * weights / weights.sum()
+    return powers
+
+
+@st.composite
+def partial_powers(draw, n):
+    """Powers on r < N streams, chosen at random, at an SNR in [-20, 60] dB; r = 1 when N = 2."""
+    r = draw(st.integers(1, n - 1))
+    active = draw(st.permutations(range(n)))[:r]
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=r, max_size=r))
+    return powers_on(n, active, draw(st.floats(-20.0, 60.0)), weights)
+
+
+@st.composite
+def partial_rank_stacks(draw):
+    """(array, misalignments, powers): a stack of three channels' draws and r < N powered streams."""
+    cfg, mises = draw(stacks())
+    return cfg, mises, draw(partial_powers(cfg.n_antennas))
+
+
+# Bit pairs (L1, L2) of small codebooks: one entry, 8 entries or fewer, and more
+SMALL_CODEBOOK_BITS = [(0, 0), (1, 1), (1, 2), (2, 1), (3, 0), (3, 2), (4, 2)]
+# Coaxial draws with no polar shift: M is circulant, so the DFT precoder, the one entry of a
+# (0, 0) codebook, is aligned with its modes, and designed powers go to the strongest of them
+ALIGNED = Misalignment(theta_o=0.0, theta_cs=0.3, phi_cs=0.0, phi_x=0.1)
+
+
+@PROPERTY
+@given(case=partial_rank_stacks(), model=st.sampled_from([APPROXIMATE, EXACT_DISTANCE]),
+       bits=st.sampled_from(SMALL_CODEBOOK_BITS), quantization=st.sampled_from(["sine", "linear"]))
+# the bound is tight for the aligned precoder, where the exact rate exceeds it by a few ulps
+@example(case=(array_with_beta(8, 2.0), (ALIGNED,) * 3,
+               transceiver.approx_power_allocation(array_with_beta(8, 2.0), 0.0)),
+         model=APPROXIMATE, bits=(0, 0), quantization="sine")
+@example(case=(array_with_beta(16, 3.0), (ALIGNED, Misalignment(theta_cs=-1.0), Misalignment(theta_cs=2.0)),
+               transceiver.approx_power_allocation(array_with_beta(16, 3.0), 15.0)),
+         model=APPROXIMATE, bits=(0, 0), quantization="sine")
+def test_eigenbasis_bound_holds_for_every_entry(case, model, bits, quantization):
+    # codebook_best_rates leaves an entry unscored only when its bound is below the best
+    # exact rate by more than the margin; so no exact rate may pass its bound by the margin
+    cfg, mises, powers = case
+    n = cfg.n_antennas
+    cb = build_codebook(*bits, quantization=quantization)
+    h = build_channels(cfg, stack_of(mises), model)
+    hh, powers = transceiver._scorer_inputs(cfg, h, powers)
+    modes = transceiver._modes(hh, powers)
+    bounds = transceiver._entry_bounds(cfg, cb, transceiver._stream_columns(n, powers), modes)
+    rates = codebook_rates_many(cfg, h, cb, powers)
+    assert np.all(rates <= bounds + modes.margin[:, None])
+
+
+@st.composite
+def scorer_powers(draw, n):
+    """Powers on r < N streams, on one stream, on every stream equally, or water-filled by design."""
+    rule = draw(st.sampled_from(["partial", "one", "equal", "designed"]))
+    if rule == "partial":
+        return draw(partial_powers(n))
+    snr_db = draw(st.floats(-20.0, 60.0))
+    if rule == "one":
+        return powers_on(n, [draw(st.integers(0, n - 1))], snr_db, [1.0])
+    if rule == "equal":
+        return powers_on(n, range(n), snr_db, np.ones(n))
+    return transceiver.approx_power_allocation(array_with_beta(n, 1.0), snr_db)
+
+
+@PROPERTY
+@given(stack=stacks(), model=st.sampled_from([APPROXIMATE, EXACT_DISTANCE]), data=st.data(),
+       books=st.lists(st.tuples(st.sampled_from(SMALL_CODEBOOK_BITS), st.sampled_from(["sine", "linear"])),
+                      min_size=1, max_size=3))
+def test_best_rates_equal_the_row_maximum(stack, model, data, books):
+    cfg, mises = stack
+    powers = data.draw(scorer_powers(cfg.n_antennas))
+    codebooks = [build_codebook(*bits, quantization=quantization) for bits, quantization in books]
+    h = build_channels(cfg, stack_of(mises), model)
+    best = codebook_best_rates(cfg, h, codebooks, powers)
+    for row, cb in zip(best, codebooks):
+        np.testing.assert_array_equal(row, codebook_rates_many(cfg, h, cb, powers).max(axis=-1))
 
 
 @PROPERTY

@@ -501,20 +501,20 @@ class TestCodebookBitSweep:
         assert rows == one_cell
 
     @pytest.mark.parametrize("cells", [((4,), (300.0,)), ((4, 8), (100.0, 300.0))])
-    def test_one_call_per_codebook_scores_the_distinct_entries(self, monkeypatch, cells):
+    def test_one_call_per_cell_scores_the_distinct_entries(self, monkeypatch, cells):
         # each cell scores every sine codebook whole and every linear one's distinct half,
-        # each codebook in its own call
+        # all of them in one call
         calls = []
 
-        def counted(cfg, h, cb, powers, score=sim.codebook_rates_many):
-            calls.append(cb.size)
-            return score(cfg, h, cb, powers)
+        def counted(cfg, h, codebooks, powers, score=sim.codebook_best_rates):
+            calls.append([cb.size for cb in codebooks])
+            return score(cfg, h, codebooks, powers)
 
-        monkeypatch.setattr(sim, "codebook_rates_many", counted)
+        monkeypatch.setattr(sim, "codebook_best_rates", counted)
         n_antennas_list, distances = cells
         run_codebook_bit_sweep(small_config(n_trials=2, n_antennas_list=n_antennas_list, distances=distances))
         per_cell = [2 ** (l1 + l2) // d for l1, l2 in sim.DEFAULT_BIT_GRID for d in (1, 2)]
-        assert calls == per_cell * len(n_antennas_list) * len(distances)
+        assert calls == [per_cell] * (len(n_antennas_list) * len(distances))
 
     @pytest.mark.parametrize("cfg", [
         small_config(seed=2024, n_trials=3, n_antennas_list=(16,), distances=(300.0,)),

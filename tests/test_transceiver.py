@@ -15,6 +15,7 @@ from ucamimo import (
     build_channel,
     build_codebook,
     closed_form_svd,
+    codebook_best_rates,
     codebook_rates_many,
     dft_matrix,
     nulling_rates,
@@ -330,8 +331,7 @@ class TestStackedCodebookScorer:
     def test_rates_do_not_depend_on_the_entry_block(self, monkeypatch, model, n, l1, l2, active):
         # blocks of 1, per - 1, per and per + 1 entries, where per is the
         # default block's entry count when that splits the codebook in at
-        # least three, each against one block larger than the codebook; with
-        # one active stream the scorer rounds a block up to an even count.
+        # least three, each against one block larger than the codebook.
         # With every stream active the antenna path runs, r x N = N x N values per entry
         cfg = design_point(n, 300.0)
         cb = build_codebook(l1, l2)
@@ -345,7 +345,9 @@ class TestStackedCodebookScorer:
             monkeypatch.setattr(transceiver, "_SCORE_BLOCK", entries * values)
             np.testing.assert_array_equal(codebook_rates_many(cfg, h, cb, powers), whole)
 
-    def test_peak_memory(self):
+    @pytest.mark.parametrize("score", [codebook_rates_many, lambda cfg, h, cb, powers: codebook_best_rates(
+        cfg, h, [cb], powers)], ids=["all-entries", "best-entry"])
+    def test_peak_memory(self, score):
         # NumPy reports its data buffers to tracemalloc; buffers over the
         # whole 1,024-entry codebook peaked at 8.9 MiB.  The designed
         # allocation gives 9 streams power (Gram path), the equal one all 16 (antenna path)
@@ -353,10 +355,10 @@ class TestStackedCodebookScorer:
         cb = build_codebook(7, 3)
         _, h = self.stack(cfg, APPROXIMATE, 8)
         for powers in (approx_power_allocation(cfg, 15.0), stream_allocation(16, 16)):
-            codebook_rates_many(cfg, h, cb, powers)
+            score(cfg, h, cb, powers)
             tracemalloc.start()
             try:
-                codebook_rates_many(cfg, h, cb, powers)
+                score(cfg, h, cb, powers)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -379,7 +381,6 @@ class TestStackedCodebookScorer:
         _, h = self.stack(cfg, APPROXIMATE, 4)
         codebook_rates_many(cfg, h, cb, stream_allocation(n, active))
         per = max(1, transceiver._SCORE_BLOCK // (active * n))
-        per += per % 2 if active == 1 else 0
         assert len(calls) == 4 * math.ceil(cb.size / per)
         assert all(shape[0] <= per and shape[1:] == (active, active) for shape in calls)
 
@@ -425,6 +426,72 @@ class TestStackedCodebookScorer:
         powers = np.full(powers_shape, SNR15 / 8)
         with pytest.raises(ValueError, match=match):
             codebook_rates_many(cfg, np.ones(h_shape, dtype=complex), build_codebook(3, 2), powers)
+
+
+class TestBestEntryScorer:
+    CODEBOOKS = (build_codebook(0, 0), build_codebook(1, 2), build_codebook(3, 2),
+                 build_codebook(5, 3, quantization="linear"), build_codebook(7, 3))
+
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    @pytest.mark.parametrize("n, powers", [
+        pytest.param(8, stream_allocation(8, 1), id="8-one"),
+        pytest.param(8, stream_allocation(8, 5), id="8-five"),
+        pytest.param(16, None, id="16-designed"),
+        pytest.param(12, stream_allocation(12, 12), id="12-equal"),
+        pytest.param(8, spread_allocation(8, 1e4), id="8-past-the-guard"),
+    ])
+    def test_rows_equal_the_row_maximum(self, model, n, powers):
+        # bit for bit, on the antenna path, on the Gram path with r < N and with every stream
+        # powered past the spread guard (r = N, no weak modes), and for one-entry codebooks
+        cfg = design_point(n, 300.0)
+        powers = approx_power_allocation(cfg, 15.0) if powers is None else powers
+        _, h = TestStackedCodebookScorer().stack(cfg, model, 5)
+        best = codebook_best_rates(cfg, h, self.CODEBOOKS, powers)
+        assert best.shape == (len(self.CODEBOOKS), 5)
+        for row, cb in zip(best, self.CODEBOOKS):
+            np.testing.assert_array_equal(row, codebook_rates_many(cfg, h, cb, powers).max(axis=-1))
+
+    def test_empty_inputs(self):
+        cfg = design_point(8, 300.0)
+        _, h = TestStackedCodebookScorer().stack(cfg, APPROXIMATE, 3)
+        for powers in (stream_allocation(8, 3), stream_allocation(8, 8)):
+            assert codebook_best_rates(cfg, h, [], powers).shape == (0, 3)
+            assert codebook_best_rates(cfg, h[:0], self.CODEBOOKS[:2], powers).shape == (2, 0)
+
+    def test_bound_prunes_most_entries(self, monkeypatch):
+        # on the `codebook` campaign's cell (N = 16, r = 9) the eigenbasis bound leaves 78 of
+        # the 1,024-entry codebook's 8,192 (entry, channel) pairs to the Cholesky: the first 8 of
+        # each channel and 14 more.  One eigh serves every codebook
+        calls = []
+
+        def counted(name, f):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return f(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        cfg = design_point(16, 300.0)
+        _, h = TestStackedCodebookScorer().stack(cfg, APPROXIMATE, 8)
+        cb = build_codebook(7, 3)
+        codebook_best_rates(cfg, h, [cb, cb], approx_power_allocation(cfg, 15.0))
+        assert [shape for name, shape in calls if name == "eigh"] == [(8, 16, 16)]
+        scored = sum(shape[0] for name, shape in calls if name == "cholesky")
+        assert 2 * 8 * transceiver._FIRST_SCORED <= scored < 0.02 * 2 * 8 * cb.size
+
+    @pytest.mark.parametrize(
+        "h_shape, powers_shape, match",
+        [
+            ((2, 8, 8), (2, 8), r"powers must have shape \(8,\)"),
+            ((2, 8, 4), (8,), r"channels must have shape \(T, 8, 8\)"),
+        ],
+    )
+    def test_malformed_inputs_rejected(self, h_shape, powers_shape, match):
+        cfg = design_point(8, 300.0)
+        powers = np.full(powers_shape, SNR15 / 8)
+        with pytest.raises(ValueError, match=match):
+            codebook_best_rates(cfg, np.ones(h_shape, dtype=complex), [build_codebook(3, 2)], powers)
 
 
 def log_det_oracle(cfg, h, cb, powers):
