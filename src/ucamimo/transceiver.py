@@ -28,14 +28,14 @@ LINEAR = "linear"
 # Polar range (radians) the codebook's centre-shift entries cover.
 _PHI_RANGE = (-0.175, 0.175)
 
-# Complex values per entry block of the codebook scorers (256 KiB): r x N
-# per entry on the Gram path (its first-product operand), N x N on the
-# antenna path (its phase products) and r x T r in the eigenbasis bound of
-# `codebook_best_rates` (its product with T channels' modes); N x N per
-# (entry, channel) pair that the bound leaves to the Gram path (the pair's
-# own H^H H).  With the path's other buffers the block stays in cache and
-# no buffer is handed back to the kernel between channels.  No rate
-# depends on it, on either path, by construction.
+# Values per block of the codebook scorers (256 KiB of complex values):
+# N x N per (channel, entry) pair that a pair scorer takes (the pair's own
+# H^H H and its matrix), and, in the eigenbasis bound of
+# `codebook_best_rates`, 2 x _SCORE_BLOCK reals in the larger of an entry
+# block's phase features (N^2 per entry) and their product with the
+# channels' coefficients (T r per entry).  With the path's other buffers
+# the block stays in cache.  No rate depends on it, on either path, by
+# construction.
 _SCORE_BLOCK = 16384
 
 # Largest p_max / p_min of a full-rank allocation that the codebook scorer
@@ -248,105 +248,125 @@ def codebook_rates_many(
     Sylvester's identity gives det(I_r + G~_l^H G~_l), and, when every
     stream has power, det(P) det(K^-1 + D_l^H M D_l) with K = Q P Q^H.
     Both matrices are Hermitian positive definite, so each log-determinant
-    is 2 sum log L_kk of its Cholesky factor.  The entries are scored in
-    consecutive blocks of about _SCORE_BLOCK complex values, whose phasors
-    are built once and scored against every channel.  On both paths a
-    rate depends neither on the stack nor on the block, under any BLAS
-    kernel, by construction: every matrix gets the same elementwise
+    is 2 sum log L_kk of its Cholesky factor.  Every (channel, entry) pair
+    goes through the path's pair scorer (`_pair_scorer`), in blocks of
+    about _SCORE_BLOCK / N^2 pairs that gather their channels' H^H H and
+    their entries' phasors, built once per call.  A rate depends neither
+    on the stack nor on the block nor on which pairs share it, under any
+    BLAS kernel, by construction: every matrix gets the same elementwise
     arithmetic, its own BLAS products and its own LAPACK factorisation,
     whatever else shares the call.  `codebook_best_rates` gives each
     row's maximum at a fraction of the cost.
 
     Antenna path, taken when every stream has power and p_max / p_min is
     at most _MAX_POWER_SPREAD: K^-1 = Q P^-1 Q^H and sum log p_k are built
-    once per call, and each block's phase products conj(t_l) t_l^T, N^2
-    values per entry, once per block.  Each channel then takes one
-    elementwise product with M, one added K^-1 and one stacked Cholesky,
-    with no matrix product.  The form's error is absolute and grows with
-    the power spread, since K^-1 holds 1/p_min next to 1/p_max.  Against
-    a 40-digit oracle on two N = 8 channels (4 entries each, the exact and
+    once per call.  A pair takes its phase products conj(t_l) t_l^T, one
+    elementwise product with M, one added K^-1 and one Cholesky, with no
+    matrix product.  The form's error is absolute and grows with the
+    power spread, since K^-1 holds 1/p_min next to 1/p_max.  Against a
+    40-digit oracle on two N = 8 channels (4 entries each, the exact and
     the separable model) it was at most 1.4e-14 bit/s/Hz up to a spread
     of 1e4 at 30 dB, as the Gram form's, and 4.7e-12 at 1e9.  At -20 dB,
     where the rates are near 0.1, it was 2.2e-15 at a spread of 1, 9.3e-15
     at 1e2, 4.6e-14 at 1e3, 2.6e-13 at 1e4 and 3e-8 at 1e9, against at
     most 2e-15 for the Gram form; hence the guard.
 
-    Gram path, every other allocation: the r x r Gram matrices
-    Q~^H D_l^H M D_l Q~ come from two stacked matrix products per entry
-    block and channel, each one r-row product per entry (`_entry_rates`).
-    They are formed transposed, entry-major, which gives their complex
-    conjugates: the same real Cholesky diagonal.  A block's first-product
-    operand (the rows of (D_l Q~)^T) holds r x N values per entry.
+    Gram path, every other allocation: a pair's r x r Gram matrix
+    Q~^H D_l^H M D_l Q~ comes from two r-row matrix products
+    (`_entry_rates`).  It is formed transposed, which gives its complex
+    conjugate: the same real Cholesky diagonal.
     """
     hh, powers = _scorer_inputs(cfg, h, powers)
-    if _antenna_path(powers):
-        return _antenna_rates(cfg, hh, cb, powers)
-    return _gram_rates(cfg, hh, cb, powers)
+    trials, entries = np.divmod(np.arange(len(hh) * cb.size), cb.size)
+    rates = _pair_rates(_pair_scorer(powers), hh, _codebook_phasors(cfg, cb), trials, entries)
+    return rates.reshape(len(hh), cb.size)
 
 
 def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, codebooks, powers) -> np.ndarray:
     """Rate of each codebook's best entry on each of a (T, N, N) stack of channels; shape (K, T).
 
     Row k equals `codebook_rates_many(cfg, h, codebooks[k], powers)
-    .max(axis=-1)` bit for bit, under any BLAS kernel, and H^H H is built
-    once for all K codebooks.  With every stream powered (the antenna
-    path) this is that row maximum: at equal powers every unitary
-    precoder has the same rate, so no bound could prune there.
+    .max(axis=-1)` bit for bit, under any BLAS kernel.  H^H H and its
+    eigenbasis are built once for all K codebooks, and each codebook's
+    phasors once.
 
-    Otherwise, with r streams powered, an upper bound on every entry's
-    rate prunes the entries that cannot win.  Let M = V diag(w) V^H and
+    An upper bound on every entry's rate prunes the entries that cannot
+    win.  Let r streams have power, M = V diag(w) V^H, K~ = Q~ P~ Q~^H and
     Z_l = V^H D_l Q~ P~^(1/2) (N x r).  Sylvester's identity gives
     det(I_r + G~_l^H G~_l) = det(I_N + diag(w)^(1/2) Z_l Z_l^H
     diag(w)^(1/2)), and Hadamard's inequality bounds it by the product of
     the diagonal: rate_l <= sum_m log2(1 + w_m e_m), e_m the squared norm
-    of row m of Z_l.  V and D_l are unitary, so sum_m e_m = sum_k p_k,
-    and the N - r weakest modes are bounded together by concavity:
+    of row m of Z_l.  V and D_l are unitary, so sum_m e_m = sum_k p_k, and
+    with r < N the N - r weakest modes are bounded together by concavity:
     (N - r) log2(1 + w_(r+1) (sum p - sum_top e) / (N - r)), w_(r+1) the
-    largest of them.  Only the r strongest modes are computed, one
-    matrix product per entry block against all T channels' top-r
-    eigenvectors (`_entry_bounds`).  The bound is exact for the aligned
-    precoder and sees a stream's power leak into weak modes.  Each
-    channel's _FIRST_SCORED entries of largest bound are scored exactly,
-    in one batched call, and then every further entry whose bound reaches
-    their best, less a margin.  The best is the largest exact score, and
-    an exact score does not depend on which entries share its call
-    (`_entry_rates`), so it is the row maximum's own bits.
+    largest of them.  Only the r strongest modes' e_m are computed.  With
+    C_m,nn' = conj(V_nm) K~_nn' V_n'm,
+
+        e_m = sum_n C_m,nn |t_n|^2 + 2 sum_{n<n'} Re(C_m,nn' t_n conj(t_n')),
+
+    a real dot product of the entry's N^2 phase features
+    [Re(t_n conj(t_n')), Im(t_n conj(t_n')), |t_n|^2] with the (channel,
+    mode) coefficients [2 Re C_nn', -2 Im C_nn', C_nn] (`_modes`), one
+    real matrix product per entry block for all T channels
+    (`_entry_bounds`).
+    The bound is exact for the aligned precoder and sees a stream's power
+    leak into weak modes.  With every stream powered it is exact to first
+    order in the power spread: at equal powers K~ = p I, every e_m = p and
+    every bound is the rate that all unitary precoders share, so no entry
+    can be pruned and all are scored.  Each channel's _FIRST_SCORED entries
+    of largest bound are scored exactly, in one batched call, and then
+    every further entry whose bound reaches their best, less a margin.
+    The best is the largest exact score, and an exact score does not
+    depend on which pairs share its call (`_pair_rates`), so it is the row
+    maximum's own bits.
 
     The margin bounds, to first order, the float error of the bound and
     of the exact score together.  Both see M^ = fl(H^H H).  With A =
     D_l Q~ P~^(1/2), a rate moves by at most ||dM|| sum p nats when M
-    does (its derivative is tr((I + A^H M A)^-1 A^H dM A)), and a Gram
-    matrix, being at least I, moves its log det by at most r times the
-    norm of its own error.  So:
+    does (its derivative is tr((I + A^H M A)^-1 A^H dM A)), and a positive
+    definite X moves its log det by at most tr(X^-1) ||dX||.  Since
+    |K~_nn'| <= sum p / N and sum_n |V_nm| <= sqrt N, sum_nn' |C_m,nn'| <=
+    sum p.  So:
     - `eigh` reproduces M^ within about N eps ||M^||, with V^ unitary to
       about N eps.  Sylvester's identity and Hadamard's inequality hold
       for V^ as it is, and sum p stands for the true sum of e within
       N eps sum p: 2 N eps w_max sum p in all.
-    - The bound's product takes N-term dot products, each within
-      (N + 2) eps of |x||u|: at most 4 r (N + 2) eps w_max sum p over the
-      top modes and the tail.
-    - The exact score's two products leave its Gram matrix within
+    - K~ comes from r-term products and each coefficient from two more
+      complex products, and each feature from one: (r + 12) eps sum p in
+      each e_m.  The real product sums N^2 terms, within N^2 eps
+      sum_i |f_i c_i| <= N^2 eps sum p.  Over the top modes and the tail
+      that is 2 r (N^2 + r + 12) eps w_max sum p, and with `eigh` and the
+      rate sum's N + 2 roundings below 2 r (N + 4)^2 eps w_max sum p.
+    - The Gram score's two products leave its Gram matrix within
       2 N (N + 2) eps w_max sum p (|M_ij| <= w_max), so its log det within
       r times that; its Cholesky and logs add about
-      r^2 (r + 1) eps (1 + w_max sum p).
-    All of it is below 4 r (N + 2)^2 eps (1 + w_max sum p) nats, the
-    margin per channel, in bits.  In the campaign workloads at seeds 1,
-    2024 and 5 it is at most 1.3e-8 bit/s/Hz; no exact rate came within
-    1,700 margins of its bound, and no unscored entry's bound within
-    6e-5 bit/s/Hz of the best.
+      r^2 (r + 1) eps (1 + w_max sum p): below 3 r (N + 4)^2 eps
+      (1 + w_max sum p).
+    - The antenna score's X = K^-1 + D_l^H M D_l has tr(X^-1) <= tr(K) =
+      sum p <= N p_max.  Its entries are within eps ((3 N + 8) / p_min +
+      (N + 4) w_max): K^-1's product and Q's departure from unitarity
+      (2 N + 3) / p_min, the elementwise arithmetic 3 (w_max + 1 / p_min)
+      and the Cholesky's backward error (N + 1) max X_ii.  So its log det
+      is within N eps ((3 N + 8) N p_max / p_min + (N + 4) w_max sum p).
+      At r = N the second term, like the logs of P and of the Cholesky
+      diagonal, is within the Gram score's allowance; the first, below
+      3 N^2 (N + 3) eps p_max / p_min, is absolute and grows with the
+      spread up to _MAX_POWER_SPREAD.
+    All of it is below 5 r (N + 4)^2 eps (1 + w_max sum p) nats, plus
+    3 N^2 (N + 3) eps p_max / p_min on the antenna path: the margin per
+    channel, in bits.  In the campaign workloads at seeds 1, 2024 and 5
+    it is at most 1.9e-8 bit/s/Hz, and no exact rate passed its computed
+    bound by more than 1.4e-4 margins.
     """
     hh, powers = _scorer_inputs(cfg, h, powers)
     best = np.empty((len(codebooks), len(hh)))
-    if _antenna_path(powers):
-        for row, cb in zip(best, codebooks):
-            row[:] = np.max(_antenna_rates(cfg, hh, cb, powers), axis=-1)
-        return best
     if len(hh) == 0:
         return best
-    q = _stream_columns(cfg.n_antennas, powers)
+    score = _pair_scorer(powers)
     modes = _modes(hh, powers)
     for row, cb in zip(best, codebooks):
-        row[:] = _best_gram_rates(cfg, hh, cb, q, _entry_bounds(cfg, cb, q, modes), modes.margin)
+        t = _codebook_phasors(cfg, cb)
+        row[:] = _best_rates(score, hh, t, _entry_bounds(t, modes), modes.margin)
     return best
 
 
@@ -362,6 +382,11 @@ def _scorer_inputs(cfg: ArrayConfig, h, powers) -> tuple[np.ndarray, np.ndarray]
     for trial, entries in enumerate(h):
         hh[trial] = entries.conj().T @ entries
     return hh, powers
+
+
+def _codebook_phasors(cfg: ArrayConfig, cb: Codebook) -> np.ndarray:
+    """Every entry's Tx shift phasors t_l, shape (L, N); elementwise, so a row has the bits of its entry's own call."""
+    return _phasors(cfg, tx_displacement(cfg, *cb.angle_pairs()))
 
 
 def _antenna_path(powers: np.ndarray) -> bool:
@@ -382,163 +407,173 @@ def _log_det(a: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
 
 
-def _antenna_rates(cfg: ArrayConfig, hh: np.ndarray, cb: Codebook, powers: np.ndarray) -> np.ndarray:
-    """`codebook_rates_many` by log det(P) + log det(K^-1 + D_l^H M D_l), for powers all positive."""
-    n = cfg.n_antennas
-    q = dft_matrix(n)
-    k_inv = (q / powers) @ q.conj().T
-    log_p = np.sum(np.log(powers))
-    thetas, phis = cb.angle_pairs()
-    per = max(1, _SCORE_BLOCK // (n * n))
-    outer = np.empty((min(per, cb.size), n, n), dtype=complex)
-    a = np.empty_like(outer)
-    rates = np.empty((len(hh), cb.size))
-    for start in range(0, cb.size, per):
-        stop = min(start + per, cb.size)
-        b = stop - start
-        t = _phasors(cfg, tx_displacement(cfg, thetas[start:stop], phis[start:stop]))  # (b, N)
-        outer_block, a_block = outer[:b], a[:b]
-        np.multiply(t.conj()[:, :, None], t[:, None, :], out=outer_block)
-        for trial, hh_trial in enumerate(hh):
-            np.multiply(outer_block, hh_trial, out=a_block)
-            a_block += k_inv
-            rates[trial, start:stop] = (_log_det(a_block) + log_p) / _LN2
-    return rates
+def _entry_rates(x: np.ndarray, t_conj: np.ndarray, hh: np.ndarray, q_conj: np.ndarray) -> np.ndarray:
+    """Gram-path rates of a (P, r, N) stack of first-product operands, the rows of (D_l Q~)^T; shape (P,).
 
-
-def _entry_rates(x: np.ndarray, t_conj: np.ndarray, hh: np.ndarray, q_conj: np.ndarray,
-                 y: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Gram-path rates of a (b, r, N) stack of first-product operands, the rows of (D_l Q~)^T; shape (b,).
-
-    `t_conj` holds the entries' conjugate phasors as (b, 1, N), and `hh`
-    one channel's H^H H or one per entry, (b, N, N).  `y` (b, r, N) and
-    `gram` (b, r, r) are scratch.  Both products are stacked matmuls,
-    which take one r-row product per entry, so a rate does not depend on
-    which entries share the call: each entry's products have the same
-    shape and operands whatever the block.
+    `t_conj` holds the pairs' conjugate phasors as (P, 1, N), and `hh`
+    their channels' H^H H, (P, N, N).  Both products are stacked matmuls,
+    which take one r-row product per pair, so a rate does not depend on
+    which pairs share the call: each pair's products have the same shape
+    and operands whatever the block.
     """
-    np.matmul(x, np.swapaxes(hh, -1, -2), out=y)
+    y = np.matmul(x, np.swapaxes(hh, -1, -2))
     y *= t_conj  # rows of (D_l^H H^H H D_l Q~)^T
-    np.matmul(y, q_conj, out=gram)
-    b, r = gram.shape[:2]
-    gram.reshape(b, r * r)[:, :: r + 1] += 1.0
+    gram = np.matmul(y, q_conj)
+    p, r = gram.shape[:2]
+    gram.reshape(p, r * r)[:, :: r + 1] += 1.0
     return _log_det(gram) / _LN2
 
 
-def _gram_rates(cfg: ArrayConfig, hh: np.ndarray, cb: Codebook, powers: np.ndarray) -> np.ndarray:
-    """`codebook_rates_many` by log det(I_r + G~_l^H G~_l) over the r active streams."""
-    n = cfg.n_antennas
-    q = _stream_columns(n, powers)
+def _pair_scorer(powers: np.ndarray):
+    """The exact scorer of `codebook_rates_many`'s path for these powers.
+
+    It maps a (P, N, N) stack of H^H H and the (P, N) phasors of the
+    entries paired with them to the P rates, each from its own pair.
+    """
+    return _antenna_scorer(powers) if _antenna_path(powers) else _gram_scorer(powers)
+
+
+def _antenna_scorer(powers: np.ndarray):
+    """The antenna-path pair scorer: log det(P) + log det(K^-1 + conj(t) t^T o H^H H), powers all positive."""
+    q = dft_matrix(len(powers))
+    k_inv = (q / powers) @ q.conj().T
+    log_p = np.sum(np.log(powers))
+
+    def score(hh: np.ndarray, t: np.ndarray) -> np.ndarray:
+        a = t.conj()[:, :, None] * t[:, None, :]
+        a *= hh
+        a += k_inv
+        return (_log_det(a) + log_p) / _LN2
+
+    return score
+
+
+def _gram_scorer(powers: np.ndarray):
+    """The Gram-path pair scorer: log det(I_r + G~^H G~) over the r active streams."""
+    q = _stream_columns(len(powers), powers)
     q_conj = q.conj()
-    r = q.shape[1]
-    thetas, phis = cb.angle_pairs()
-    per = max(1, _SCORE_BLOCK // (r * n))
-    x = np.empty((min(per, cb.size), r, n), dtype=complex)
-    y = np.empty_like(x)
-    gram = np.empty((len(x), r, r), dtype=complex)
-    rates = np.empty((len(hh), cb.size))
-    for start in range(0, cb.size, per):
-        stop = min(start + per, cb.size)
-        b = stop - start
-        t = _phasors(cfg, tx_displacement(cfg, thetas[start:stop], phis[start:stop]))  # (b, N)
-        np.multiply(t[:, None, :], q.T, out=x[:b])
-        t_conj = t.conj()[:, None, :]
-        for trial, hh_trial in enumerate(hh):
-            rates[trial, start:stop] = _entry_rates(x[:b], t_conj, hh_trial, q_conj, y[:b], gram[:b])
+
+    def score(hh: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _entry_rates(t[:, None, :] * q.T, t.conj()[:, None, :], hh, q_conj)
+
+    return score
+
+
+def _pair_rates(score, hh: np.ndarray, t: np.ndarray, trials: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Rate of entry entries[i] (phasors t[entries[i]]) on channel trials[i], by `score`; shape (P,).
+
+    The pairs are scored in blocks of _SCORE_BLOCK / N^2, each pair with its own gathered H^H H.
+    """
+    n = hh.shape[-1]
+    per = max(1, _SCORE_BLOCK // (n * n))
+    rates = np.empty(len(trials))
+    for start in range(0, len(trials), per):
+        pairs = slice(start, start + per)
+        rates[pairs] = score(hh[trials[pairs]], t[entries[pairs]])
     return rates
 
 
 class _Modes(NamedTuple):
     """What the eigenbasis bound needs of T channels' M = V diag(w) V^H, w ascending, for r streams."""
 
-    u: np.ndarray  # (N, T r): conj(V) of each channel's r strongest modes, channel-major
+    coef: np.ndarray  # (T r, N^2): each channel's r strongest modes' coefficients, channel-major (`_modes`)
     top: np.ndarray  # (T, r): those modes' eigenvalues
     tail: np.ndarray  # (T,): w_(r+1) / (N - r), the largest weak mode's gain per unit of leaked power
     total: float  # sum p, the power of all streams
     margin: np.ndarray  # (T,): the float error the bound and the exact score may have together, in bits
 
 
+def _pair_products(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[..., j] = a[..., n] conj(a[..., n']) for the j-th pair n < n' in row-major order; out is (..., N(N-1)/2)."""
+    n = a.shape[-1]
+    a_conj = a.conj()
+    start = 0
+    for k in range(n - 1):
+        stop = start + n - 1 - k
+        np.multiply(a[..., k, None], a_conj[..., k + 1:], out=out[..., start:stop])
+        start = stop
+    return out
+
+
 def _modes(hh: np.ndarray, powers: np.ndarray) -> _Modes:
-    """The bound's view of a (T, N, N) stack of M = H^H H, from one stacked `eigh`."""
-    n = hh.shape[-1]
-    r = np.count_nonzero(powers)
+    """The bound's view of a (T, N, N) stack of M = H^H H, from one stacked `eigh`.
+
+    Row (t, m) of the coefficients holds 2 conj(C_m,nn') of channel t
+    for each pair n < n' as its real and imaginary parts, [2 Re C,
+    -2 Im C], and then C_m,nn for each n: the weights of an entry's
+    phase features in e_m (`_entry_bounds`).  The pairs are built one n
+    at a time, so no temporary holds more than T r N values.
+    """
+    trials, n = hh.shape[:2]
+    q = _stream_columns(n, powers)
+    r = q.shape[1]
+    k = q @ q.conj().T  # K~ = Q~ P~ Q~^H
     w, v = np.linalg.eigh(hh)
     w = np.maximum(w, 0.0)  # a rank-deficient M may give -eps; a larger w only raises the bound
+    v = np.swapaxes(v[:, :, n - r:], 1, 2)  # (T, r, N): V_nm of the r strongest modes
+    pairs = n * (n - 1) // 2
+    coef = np.empty((trials, r, n * n))
+    c = _pair_products(v, coef[..., :2 * pairs].view(complex))  # V_nm conj(V_n'm)
+    c *= 2.0 * k[np.triu_indices(n, 1)].conj()
+    np.multiply(v.real**2 + v.imag**2, k.diagonal().real, out=coef[..., 2 * pairs:])
     total = float(np.sum(powers))
+    spread = powers.max() / powers.min() if _antenna_path(powers) else 0.0
     return _Modes(
-        u=v[:, :, n - r:].conj().transpose(1, 0, 2).reshape(n, len(hh) * r),
+        coef=coef.reshape(trials * r, n * n),
         top=w[:, n - r:],
-        tail=w[:, n - r - 1] / (n - r) if r < n else np.zeros(len(hh)),
+        tail=w[:, n - r - 1] / (n - r) if r < n else np.zeros(trials),
         total=total,
-        margin=4.0 * r * (n + 2) ** 2 * _EPS * (1.0 + w[:, -1] * total) / _LN2,
+        margin=(5.0 * r * (n + 4) ** 2 * (1.0 + w[:, -1] * total) + 3.0 * n * n * (n + 3) * spread) * _EPS / _LN2,
     )
 
 
-def _entry_bounds(cfg: ArrayConfig, cb: Codebook, q: np.ndarray, modes: _Modes) -> np.ndarray:
+def _entry_bounds(t: np.ndarray, modes: _Modes) -> np.ndarray:
     """Every entry's eigenbasis Hadamard bound on every channel, in bits; shape (T, L).
 
-    One matrix product per entry block gives e_m for the r strongest
-    modes of all T channels at once, and one rate sum the bound of
-    `codebook_best_rates`: the N - r weakest modes enter it as N - r
-    modes of gain w_(r+1) that share the leaked power equally.  A block's
-    product holds r x T r values per entry, about _SCORE_BLOCK in all.
+    `t` holds the entries' phasors, (L, N).  An entry's N^2 phase
+    features are t_n conj(t_n') for each pair n < n' as its real and
+    imaginary parts, then |t_n|^2 for each n.  One real matrix product per
+    entry block, the (b, N^2) features times the (N^2, T r) coefficients
+    of `_modes`, gives e_m for the r strongest modes of all T channels at
+    once, and one rate sum the bound of `codebook_best_rates`: the N - r
+    weakest modes enter it as N - r modes of gain w_(r+1) that share the
+    leaked power equally.  A block holds about 2 _SCORE_BLOCK reals in
+    the larger of its features and its product.
     """
-    n, r = q.shape
-    trials = len(modes.top)
-    thetas, phis = cb.angle_pairs()
-    per = max(1, _SCORE_BLOCK // (r * modes.u.shape[1]))
-    snr = np.empty((min(per, cb.size), trials, n))
-    bounds = np.empty((trials, cb.size))
-    for start in range(0, cb.size, per):
-        stop = min(start + per, cb.size)
-        b = stop - start
-        t = _phasors(cfg, tx_displacement(cfg, thetas[start:stop], phis[start:stop]))
-        z = (t[:, None, :] * q.T).reshape(b * r, n) @ modes.u  # z[(l, k), (t, m)] = (V_t^H D_l Q~ P~^(1/2))_mk
-        parts = z.view(float).reshape(b, r, -1)
-        parts = np.einsum("lkc,lkc->lc", parts, parts)  # squared real and imaginary parts, summed over streams
-        e = (parts[:, 0::2] + parts[:, 1::2]).reshape(b, trials, r)
+    size, n = t.shape
+    trials, r = modes.top.shape
+    pairs = n * (n - 1) // 2
+    per = max(1, 2 * _SCORE_BLOCK // max(n * n, trials * r))
+    features = np.empty((min(per, size), n * n))
+    snr = np.empty((len(features), trials, n))
+    bounds = np.empty((trials, size))
+    for start in range(0, size, per):
+        tb = t[start:start + per]
+        b = len(tb)
+        feat = features[:b]
+        _pair_products(tb, feat[:, :2 * pairs].view(complex))
+        np.add(tb.real**2, tb.imag**2, out=feat[:, 2 * pairs:])
+        e = (feat @ modes.coef.T).reshape(b, trials, r)
         block = snr[:b]
         np.multiply(e, modes.top, out=block[..., :r])
         if r < n:
             leaked = np.maximum(modes.total - e.sum(axis=-1), 0.0)
             block[..., r:] = (leaked * modes.tail)[..., None]
-        bounds[:, start:stop] = _rate_sum(block).T
+        bounds[:, start:start + b] = _rate_sum(block).T
     return bounds
 
 
-def _pair_rates(cfg: ArrayConfig, hh: np.ndarray, cb: Codebook, q: np.ndarray,
-                trials: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Gram-path rate of entry entries[i] on channel trials[i], as `codebook_rates_many` scores it; shape (P,).
-
-    The pairs are scored in blocks of _SCORE_BLOCK / N^2, each pair with its own gathered H^H H.
-    """
-    n, r = q.shape
-    thetas, phis = cb.angle_pairs()
-    q_conj = q.conj()
-    per = max(1, _SCORE_BLOCK // (n * n))
-    rates = np.empty(len(trials))
-    for start in range(0, len(trials), per):
-        pairs = slice(start, start + per)
-        chosen = entries[pairs]
-        t = _phasors(cfg, tx_displacement(cfg, thetas[chosen], phis[chosen]))
-        x = t[:, None, :] * q.T
-        gram = np.empty((len(x), r, r), dtype=complex)
-        rates[pairs] = _entry_rates(x, t.conj()[:, None, :], hh[trials[pairs]], q_conj, np.empty_like(x), gram)
-    return rates
-
-
-def _best_gram_rates(cfg: ArrayConfig, hh: np.ndarray, cb: Codebook, q: np.ndarray,
-                     bounds: np.ndarray, margin: np.ndarray) -> np.ndarray:
-    """Each channel's best Gram-path rate, scoring only the entries whose bound can reach it; shape (T,)."""
+def _best_rates(score, hh: np.ndarray, t: np.ndarray, bounds: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Each channel's best rate by `score`, scoring only the entries whose bound can reach it; shape (T,)."""
     trials, size = bounds.shape
     first = min(_FIRST_SCORED, size)
     picked = np.argpartition(bounds, size - first, axis=1)[:, size - first:]  # (T, first)
     rows = np.repeat(np.arange(trials), first)
-    best = _pair_rates(cfg, hh, cb, q, rows, picked.ravel()).reshape(trials, first).max(axis=1)
+    best = _pair_rates(score, hh, t, rows, picked.ravel()).reshape(trials, first).max(axis=1)
     rest = bounds >= (best - margin)[:, None]
     rest[rows, picked.ravel()] = False
     rows, entries = np.nonzero(rest)
-    np.maximum.at(best, rows, _pair_rates(cfg, hh, cb, q, rows, entries))
+    np.maximum.at(best, rows, _pair_rates(score, hh, t, rows, entries))
     return best
 
 

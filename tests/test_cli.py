@@ -748,15 +748,17 @@ for path, argv in json.loads(sys.argv[1]):
 """
 
 # Scores each allocation that its JSON argument names: every stream powered ("all", the antenna
-# path), n/2 + 1 streams ("half") or one ("one"), both on the Gram path.  Each is scored over the
-# whole codebook in one block, in blocks of 1, 7 and 33 entries, and one channel at a time; the
-# child prints the cases whose rates are not equal bit for bit to the one-block stacked call, and
-# those whose best entry's rate from codebook_best_rates is not that call's row maximum.
+# path, and "filled", water-filled at 30 dB over gains from 1 to 0.3), n/2 + 1 streams ("half") or
+# one ("one"), both on the Gram path.  Each is scored over the whole codebook in one block, in
+# blocks of 1, 7 and 33 (channel, entry) pairs, one channel at a time, and as a shuffled half of
+# the pairs; the child prints the cases whose rates are not equal bit for bit to the one-block
+# stacked call, and those whose best entry's rate from codebook_best_rates is not that call's row
+# maximum.
 SCORER_BLOCK_CHILD = """
 import json, math, sys
 import numpy as np
 from ucamimo import APPROXIMATE, EXACT_DISTANCE, ArrayConfig, Misalignment, build_channels, build_codebook
-from ucamimo import codebook_best_rates, codebook_rates_many, transceiver
+from ucamimo import codebook_best_rates, codebook_rates_many, transceiver, water_fill
 rng = np.random.default_rng(75)
 cb = build_codebook(5, 3)
 default_block = transceiver._SCORE_BLOCK
@@ -766,22 +768,33 @@ for n, radius in ((4, 0.3162), (8, 0.4451), (12, 0.5396), (16, 0.6176)):
     ranges = ((-math.pi / n, math.pi / n), (-math.pi, math.pi), (0.0, 0.17), (-0.17, 0.17), (-0.17, 0.17))
     mis = Misalignment(*(rng.uniform(lo, hi, 3) for lo, hi in ranges))
     for active in json.loads(sys.argv[1]):
-        r = {"all": n, "half": n // 2 + 1, "one": 1}[active]
-        powers = np.zeros(n)
-        powers[:r] = 10**1.5 * np.geomspace(1.0, 0.1, r) / np.geomspace(1.0, 0.1, r).sum()
+        if active == "filled":
+            powers = water_fill(np.geomspace(1.0, 0.3, n), 1e3)
+            assert transceiver._antenna_path(powers)
+        else:
+            r = {"all": n, "half": n // 2 + 1, "one": 1}[active]
+            powers = np.zeros(n)
+            powers[:r] = 10**1.5 * np.geomspace(1.0, 0.1, r) / np.geomspace(1.0, 0.1, r).sum()
         for model in (APPROXIMATE, EXACT_DISTANCE):
             case = f"N={n} {active} {model}"
             h = build_channels(cfg, mis, model)
-            transceiver._SCORE_BLOCK = (cb.size + 1) * r * n
+            pairs = len(h) * cb.size
+            transceiver._SCORE_BLOCK = (pairs + 1) * n * n
             whole = codebook_rates_many(cfg, h, cb, powers)
             for k in range(len(h)):
                 if not np.array_equal(codebook_rates_many(cfg, h[k:k + 1], cb, powers)[0], whole[k]):
                     moved.append(f"{case} channel {k} alone")
-            for entries in (1, 7, 33):
-                transceiver._SCORE_BLOCK = entries * r * n
+            for count in (1, 7, 33):
+                transceiver._SCORE_BLOCK = count * n * n
                 if not np.array_equal(codebook_rates_many(cfg, h, cb, powers), whole):
-                    moved.append(f"{case} blocks of {entries}")
+                    moved.append(f"{case} blocks of {count}")
             transceiver._SCORE_BLOCK = default_block
+            trials, entries = np.divmod(rng.permutation(pairs)[: pairs // 2], cb.size)
+            hh, _ = transceiver._scorer_inputs(cfg, h, powers)
+            t = transceiver._codebook_phasors(cfg, cb)
+            if not np.array_equal(transceiver._pair_rates(transceiver._pair_scorer(powers), hh, t, trials, entries),
+                                  whole[trials, entries]):
+                moved.append(f"{case} shuffled pairs")
             if not np.array_equal(codebook_best_rates(cfg, h, [cb], powers)[0], whole.max(axis=-1)):
                 moved.append(f"{case} best entry")
 print(json.dumps(moved))
@@ -839,10 +852,11 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
     def test_full_rank_codebook_rates_do_not_depend_on_the_blas_kernel_partition(self, core):
         # with every stream powered the scorer takes no matrix product, only elementwise
-        # arithmetic and one LAPACK Cholesky per matrix, so the entry block and the stack
-        # cannot move a rate under any kernel.  The Gram path's one zgemm per block moved
-        # 12 of these 48 cases under Haswell
-        assert scorer_cases_that_move(core, ["all"]) == []
+        # arithmetic and one LAPACK Cholesky per matrix, so the block and the stack cannot move
+        # a rate under any kernel.  The Gram path's one zgemm per block moved 12 of the 48 cases
+        # of "all" under Haswell.  The eigenbasis bound, a dgemm, prunes the water-filled
+        # allocation's entries, and the best entry's rate must still be the row maximum
+        assert scorer_cases_that_move(core, ["all", "filled"]) == []
 
     @pytest.mark.skipif(not openblas_picks_its_kernel(), reason="needs an OpenBLAS built with DYNAMIC_ARCH")
     @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])

@@ -219,9 +219,11 @@ def test_antenna_and_gram_forms_agree(stack, model, snr_db, spread, data):
     exponents = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     weights = spread ** -np.array(exponents)
     powers = power_from_db(snr_db) * weights / weights.sum()
-    hh = [entries.conj().T @ entries for entries in h]
-    antenna = transceiver._antenna_rates(cfg, hh, SCORER_CODEBOOK, powers)
-    gram = transceiver._gram_rates(cfg, hh, SCORER_CODEBOOK, powers)
+    hh, powers = transceiver._scorer_inputs(cfg, h, powers)
+    trials, entries = np.divmod(np.arange(len(hh) * SCORER_CODEBOOK.size), SCORER_CODEBOOK.size)
+    hh, t = hh[trials], transceiver._codebook_phasors(cfg, SCORER_CODEBOOK)[entries]
+    antenna = transceiver._antenna_scorer(powers)(hh, t)
+    gram = transceiver._gram_scorer(powers)(hh, t)
     atol = 4.0 * np.finfo(float).eps * (n * spread + np.sum(np.abs(np.log2(powers))))
     np.testing.assert_allclose(antenna, gram, rtol=1e-13, atol=atol)
 
@@ -244,10 +246,19 @@ def partial_powers(draw, n):
 
 
 @st.composite
-def partial_rank_stacks(draw):
-    """(array, misalignments, powers): a stack of three channels' draws and r < N powered streams."""
+def full_powers(draw, n):
+    """Powers on every stream with p_max / p_min in [1, 1e3], the antenna path's range, at an SNR in [-20, 60] dB."""
+    spread = draw(st.floats(1.0, transceiver._MAX_POWER_SPREAD))
+    exponents = [0.0, 1.0, *draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))]
+    return powers_on(n, range(n), draw(st.floats(-20.0, 60.0)), spread ** -np.array(exponents))
+
+
+@st.composite
+def bound_stacks(draw):
+    """(array, misalignments, powers): a stack of three channels' draws and powers on r < N streams or on all."""
     cfg, mises = draw(stacks())
-    return cfg, mises, draw(partial_powers(cfg.n_antennas))
+    n = cfg.n_antennas
+    return cfg, mises, draw(st.one_of(partial_powers(n), full_powers(n)))
 
 
 # Bit pairs (L1, L2) of small codebooks: one entry, 8 entries or fewer, and more
@@ -258,36 +269,48 @@ ALIGNED = Misalignment(theta_o=0.0, theta_cs=0.3, phi_cs=0.0, phi_x=0.1)
 
 
 @PROPERTY
-@given(case=partial_rank_stacks(), model=st.sampled_from([APPROXIMATE, EXACT_DISTANCE]),
+@given(case=bound_stacks(), model=st.sampled_from([APPROXIMATE, EXACT_DISTANCE]),
        bits=st.sampled_from(SMALL_CODEBOOK_BITS), quantization=st.sampled_from(["sine", "linear"]))
-# the bound is tight for the aligned precoder, where the exact rate exceeds it by a few ulps
+# the bound is tight for the aligned precoder, where the exact rate exceeds it by a few ulps,
+# and at equal powers on every stream, where every entry's bound is the rate that all share
 @example(case=(array_with_beta(8, 2.0), (ALIGNED,) * 3,
                transceiver.approx_power_allocation(array_with_beta(8, 2.0), 0.0)),
          model=APPROXIMATE, bits=(0, 0), quantization="sine")
 @example(case=(array_with_beta(16, 3.0), (ALIGNED, Misalignment(theta_cs=-1.0), Misalignment(theta_cs=2.0)),
                transceiver.approx_power_allocation(array_with_beta(16, 3.0), 15.0)),
          model=APPROXIMATE, bits=(0, 0), quantization="sine")
+@example(case=(array_with_beta(8, 2.0), (ALIGNED, Misalignment(theta_cs=-1.0), Misalignment(theta_cs=2.0)),
+               np.full(8, power_from_db(15.0) / 8)),
+         model=EXACT_DISTANCE, bits=(3, 2), quantization="sine")
+@example(case=(array_with_beta(16, 6.0), (ALIGNED, Misalignment(theta_cs=-1.0), Misalignment(theta_cs=2.0)),
+               np.full(16, power_from_db(-20.0) / 16)),
+         model=APPROXIMATE, bits=(4, 2), quantization="linear")
 def test_eigenbasis_bound_holds_for_every_entry(case, model, bits, quantization):
     # codebook_best_rates leaves an entry unscored only when its bound is below the best
     # exact rate by more than the margin; so no exact rate may pass its bound by the margin
     cfg, mises, powers = case
-    n = cfg.n_antennas
     cb = build_codebook(*bits, quantization=quantization)
     h = build_channels(cfg, stack_of(mises), model)
     hh, powers = transceiver._scorer_inputs(cfg, h, powers)
     modes = transceiver._modes(hh, powers)
-    bounds = transceiver._entry_bounds(cfg, cb, transceiver._stream_columns(n, powers), modes)
+    bounds = transceiver._entry_bounds(transceiver._codebook_phasors(cfg, cb), modes)
     rates = codebook_rates_many(cfg, h, cb, powers)
     assert np.all(rates <= bounds + modes.margin[:, None])
 
 
 @st.composite
 def scorer_powers(draw, n):
-    """Powers on r < N streams, on one stream, on every stream equally, or water-filled by design."""
-    rule = draw(st.sampled_from(["partial", "one", "equal", "designed"]))
+    """Powers on r < N streams, on one stream, on every stream equally, water-filled by design, or
+    water-filled over random gains with every stream powered."""
+    rule = draw(st.sampled_from(["partial", "one", "equal", "designed", "filled"]))
     if rule == "partial":
         return draw(partial_powers(n))
     snr_db = draw(st.floats(-20.0, 60.0))
+    if rule == "filled":
+        gains = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+        # past the budget at which the weakest stream starts to fill, every stream has power
+        floor = np.sum(1.0 / gains.min() ** 2 - 1.0 / gains**2)
+        return water_fill(gains, floor + power_from_db(snr_db))
     if rule == "one":
         return powers_on(n, [draw(st.integers(0, n - 1))], snr_db, [1.0])
     if rule == "equal":

@@ -329,20 +329,20 @@ class TestStackedCodebookScorer:
     @pytest.mark.parametrize("n, l1, l2, active", [(8, 3, 2, 1), (8, 3, 2, 5), (8, 3, 2, 8), (12, 5, 3, 12),
                                                    (16, 7, 3, 1), (16, 7, 3, 9), (16, 7, 3, 16)])
     def test_rates_do_not_depend_on_the_entry_block(self, monkeypatch, model, n, l1, l2, active):
-        # blocks of 1, per - 1, per and per + 1 entries, where per is the
-        # default block's entry count when that splits the codebook in at
-        # least three, each against one block larger than the codebook.
-        # With every stream active the antenna path runs, r x N = N x N values per entry
+        # blocks of 1, per - 1, per and per + 1 (channel, entry) pairs, where per is the
+        # default block's pair count when that splits the stack's pairs in at least three,
+        # each against one block larger than all of them.  Either path takes N x N values per pair;
+        # with every stream active the antenna path runs
         cfg = design_point(n, 300.0)
         cb = build_codebook(l1, l2)
         powers = stream_allocation(n, active)
         _, h = self.stack(cfg, model, 3)
-        values = active * n
-        per = min(transceiver._SCORE_BLOCK // values, cb.size // 3)
-        monkeypatch.setattr(transceiver, "_SCORE_BLOCK", (cb.size + 1) * values)
+        values, pairs = n * n, len(h) * cb.size
+        per = min(transceiver._SCORE_BLOCK // values, pairs // 3)
+        monkeypatch.setattr(transceiver, "_SCORE_BLOCK", (pairs + 1) * values)
         whole = codebook_rates_many(cfg, h, cb, powers)
-        for entries in (1, per - 1, per, per + 1):
-            monkeypatch.setattr(transceiver, "_SCORE_BLOCK", entries * values)
+        for count in (1, per - 1, per, per + 1):
+            monkeypatch.setattr(transceiver, "_SCORE_BLOCK", count * values)
             np.testing.assert_array_equal(codebook_rates_many(cfg, h, cb, powers), whole)
 
     @pytest.mark.parametrize("score", [codebook_rates_many, lambda cfg, h, cb, powers: codebook_best_rates(
@@ -365,7 +365,7 @@ class TestStackedCodebookScorer:
             assert peak < 2 << 20
 
     @pytest.mark.parametrize("n, l1, l2, active, block", [(8, 3, 2, 8, None), (16, 7, 3, 9, None),
-                                                          (16, 7, 3, 1, None), (16, 7, 3, 1, 5 * 16)])
+                                                          (16, 7, 3, 1, None), (16, 7, 3, 1, 5 * 16 * 16)])
     def test_cholesky_calls_per_block(self, monkeypatch, n, l1, l2, active, block):
         calls = []
 
@@ -380,8 +380,9 @@ class TestStackedCodebookScorer:
         cb = build_codebook(l1, l2)
         _, h = self.stack(cfg, APPROXIMATE, 4)
         codebook_rates_many(cfg, h, cb, stream_allocation(n, active))
-        per = max(1, transceiver._SCORE_BLOCK // (active * n))
-        assert len(calls) == 4 * math.ceil(cb.size / per)
+        # one Cholesky per block of (channel, entry) pairs, N x N values per pair on either path
+        per = max(1, transceiver._SCORE_BLOCK // (n * n))
+        assert len(calls) == math.ceil(4 * cb.size / per)
         assert all(shape[0] <= per and shape[1:] == (active, active) for shape in calls)
 
     @pytest.mark.parametrize("powers, antenna, rank", [
@@ -392,8 +393,9 @@ class TestStackedCodebookScorer:
         pytest.param(np.append(stream_allocation(7, 7), 0.0), False, 7, id="one-zero-power"),
     ])
     def test_path_follows_the_powers(self, monkeypatch, powers, antenna, rank):
-        # the antenna path takes one Cholesky per block and channel and no matrix product;
-        # the Gram path two products per Cholesky, of the active streams' r x r matrices
+        # the antenna path takes one Cholesky per block of (channel, entry) pairs, here all 96
+        # of them, and no matrix product; the Gram path two products per Cholesky, of the
+        # active streams' r x r matrices
         calls = []
 
         def counted(name, f):
@@ -409,7 +411,7 @@ class TestStackedCodebookScorer:
         _, h = self.stack(cfg, APPROXIMATE, 3)
         codebook_rates_many(cfg, h, cb, powers)
         shapes = [shape for name, shape in calls if name == "cholesky"]
-        assert len(shapes) == 3 and all(shape == (cb.size, rank, rank) for shape in shapes)
+        assert shapes == [(3 * cb.size, rank, rank)]
         assert sum(name == "matmul" for name, _ in calls) == (0 if antenna else 2 * len(shapes))
 
     @pytest.mark.parametrize(
@@ -480,6 +482,23 @@ class TestBestEntryScorer:
         scored = sum(shape[0] for name, shape in calls if name == "cholesky")
         assert 2 * 8 * transceiver._FIRST_SCORED <= scored < 0.02 * 2 * 8 * cb.size
 
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    def test_bound_prunes_most_entries_at_full_rank(self, monkeypatch, model):
+        # on N = 8's 100 m design all 8 streams have power (spread 1.04, the antenna path);
+        # the bound, exact to first order in the spread, leaves 189 (separable) and 149 (exact)
+        # of the 256-entry codebook's 2,048 pairs to the Cholesky
+        cholesky = np.linalg.cholesky
+        calls = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        cfg = design_point(8, 100.0)
+        powers = approx_power_allocation(cfg, 15.0)
+        assert transceiver._antenna_path(powers)
+        _, h = TestStackedCodebookScorer().stack(cfg, model, 8)
+        cb = build_codebook(5, 3)
+        codebook_best_rates(cfg, h, [cb], powers)
+        scored = sum(shape[0] for shape in calls)
+        assert 8 * transceiver._FIRST_SCORED <= scored < 0.15 * 8 * cb.size
+
     @pytest.mark.parametrize(
         "h_shape, powers_shape, match",
         [
@@ -516,6 +535,8 @@ def log_det_oracle(cfg, h, cb, powers):
 class TestScorerOracle:
     """Both scorer paths against an extended-precision log-det of the same float64 inputs."""
 
+    MISALIGNMENT = Misalignment(theta_o=0.1, theta_cs=0.7, phi_cs=0.1, phi_x=0.05, phi_y=-0.08)
+
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
     @pytest.mark.parametrize("total, tolerance", [
         pytest.param(SNR30, {"rtol": 1e-15, "atol": 0.0}, id="30dB"),
@@ -527,14 +548,30 @@ class TestScorerOracle:
         # with the spread: at a spread of 1e9 it was 4.7e-12 bit/s/Hz at 30 dB and 3e-8 at
         # -20 dB, so without the guard both tolerances fail
         cfg = design_point(8, 100.0)
-        mis = Misalignment(theta_o=0.1, theta_cs=0.7, phi_cs=0.1, phi_x=0.05, phi_y=-0.08)
-        h = build_channel(cfg, mis, model).entries
+        h = build_channel(cfg, self.MISALIGNMENT, model).entries
         cb = build_codebook(1, 1)
         one_stream = np.append(total, np.zeros(7))
         spreads = (1.0, 1e2, transceiver._MAX_POWER_SPREAD, 1e9)
         for powers in [*(spread_allocation(8, spread, total) for spread in spreads), one_stream]:
             rates = codebook_rates_many(cfg, h[None], cb, powers)[0]
             np.testing.assert_allclose(rates, log_det_oracle(cfg, h, cb, powers), **tolerance)
+
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    def test_best_entry_matches_the_oracle_at_low_snr_and_the_guard(self, monkeypatch, model):
+        # at -20 dB the antenna form's absolute error is largest next to the rates, and at the
+        # guard's spread the margin's spread term peaks.  The bound leaves only the first 8 of
+        # the 32 entries to the Cholesky on either model, and the best entry is still the oracle's
+        cholesky = np.linalg.cholesky
+        calls = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        cfg = design_point(8, 100.0)
+        h = build_channel(cfg, self.MISALIGNMENT, model).entries
+        cb = build_codebook(3, 2)
+        powers = spread_allocation(8, transceiver._MAX_POWER_SPREAD, 1e-2)
+        best = codebook_best_rates(cfg, h[None], [cb], powers)[0, 0]
+        assert sum(shape[0] for shape in calls) < cb.size
+        assert best == codebook_rates_many(cfg, h[None], cb, powers).max()
+        np.testing.assert_allclose(best, log_det_oracle(cfg, h, cb, powers).max(), rtol=0.0, atol=1e-13)
 
 
 def twin_of_each_entry(cb):
