@@ -7,10 +7,12 @@ same draw serves every scenario cell, which pairs the comparisons across
 antenna counts, distances and codebook settings; only the rotation clamp
 to [-pi/N, pi/N] depends on the antenna count.  One generator, `_cells`,
 builds every cell of both campaigns: its channels as one (T, N, N) stack
-and their singular values.  All trials of a cell are scored as one batch,
-each scheme in one stacked call.  Every command's output, the campaign
-CSVs and the CLI's other tables alike, prints its numbers by
-`table_texts` and goes out through `write_text`.
+and their SVD's singular values and right singular vectors (sigma, V),
+the one decomposition of the cell, which every scheme reads.  All trials
+of a cell are scored as one batch, each scheme in one stacked call.
+Every command's output, the campaign CSVs and the CLI's other tables
+alike, prints its numbers by `table_texts` and goes out through
+`write_text`.
 """
 
 from __future__ import annotations
@@ -169,16 +171,17 @@ def _campaign_draws(trial_cfg: TrialConfig) -> np.ndarray:
     return _draw_angles((trial_rng(trial_cfg.seed, t) for t in range(trial_cfg.n_trials)), trial_cfg)
 
 
-def _cells(trial_cfg: TrialConfig) -> Iterator[tuple[ArrayConfig, Misalignment, np.ndarray, np.ndarray]]:
-    """Each scenario cell's arrays, misalignments, (T, N, N) channels and (T, N) singular values.
+def _cells(trial_cfg: TrialConfig) -> Iterator[tuple[ArrayConfig, Misalignment, np.ndarray, np.ndarray, np.ndarray]]:
+    """Each scenario cell's arrays, misalignments, (T, N, N) channels and their (sigma, V).
 
     Cells come antenna count outermost.  Both radii are fixed per antenna
     count to the optimum at the design distance, searched once per count;
     sweeping the actual distance then scales beta inversely.  The trials
     are drawn once per campaign and clamped once per antenna count, so
     trial t equals `draw_misalignment(trial_rng(seed, t), trial_cfg, N)`.
-    The singular values are the closed-form spectrum on the separable
-    model and the SVD of the built channels with exact geometry.
+    (sigma, V) is the cell's one decomposition (`_decomposition`): the
+    paper's closed form on the separable model, one SVD of the built
+    channels with exact geometry.
     """
     theta_o, *rest = _campaign_draws(trial_cfg)
     model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
@@ -191,11 +194,22 @@ def _cells(trial_cfg: TrialConfig) -> Iterator[tuple[ArrayConfig, Misalignment, 
         for dist in trial_cfg.distances:
             cfg = ArrayConfig(n, trial_cfg.wavelength, radius, radius, dist)
             h = build_channels(cfg, mis, model)
-            if trial_cfg.exact_geometry:
-                sigma = np.linalg.svd(h, compute_uv=False)
-            else:
-                sigma = singular_values_many(n, cfg.beta, mis.theta_o)
-            yield cfg, mis, h, sigma
+            yield cfg, mis, h, *_decomposition(cfg, mis, h, trial_cfg.exact_geometry)
+
+
+def _decomposition(cfg: ArrayConfig, mis: Misalignment, h: np.ndarray, exact_geometry: bool):
+    """A cell's singular values and right singular vectors (sigma, V), shapes (T, N) and (T, N, N).
+
+    With exact geometry they come from one SVD of the built channels.  On
+    the separable model they are the paper's closed form, with no
+    factorisation: the spectrum, in DFT order, and V = T_t Q, the
+    phase-corrected DFT that `precoder_matrices` builds.
+    """
+    if exact_geometry:
+        _, sigma, vh = np.linalg.svd(h)
+        return sigma, np.swapaxes(vh, 1, 2).conj()
+    sigma = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
+    return sigma, precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
 
 
 def _cell_rows(
@@ -226,15 +240,15 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     (the row maximum of `codebook_rates_many`, bit for bit).  The
     codebook is scored as `_distinct_codebook` gives it: with L2 = 0
     every entry is the DFT precoder, and one is scored.
-    The capacity row and the condition number come from the
-    singular values `_cells` yields.  On the separable model the nulling
-    and optimal-precoder rows come from the closed-form spectrum: ZF and
-    ZF-SIC by `spectrum_nulling_rates`, and the optimal precoder, the SVD
-    precoder with water-filling, reaches capacity exactly, so its row is
-    the capacity row.  On exact geometry the numerical receivers score the
-    built channels, and the optimal precoder water-fills the closed-form
-    spectrum.  A draw clamped exactly onto the rotation bound yields a
-    singular separable channel; the nulling receivers cannot operate there
+    The capacity row and the condition number come from the singular
+    values `_cells` yields, and the codebook's bound from them and V.  On
+    the separable model the nulling and optimal-precoder rows come from
+    the closed-form spectrum: ZF and ZF-SIC by `spectrum_nulling_rates`,
+    and the optimal precoder, the SVD precoder with water-filling, reaches
+    capacity exactly, so its row is the capacity row.  On exact geometry
+    the nulling receivers read the cell's SVD (`nulling_rates`), and the
+    optimal precoder water-fills the closed-form spectrum.  A draw clamped
+    exactly onto the rotation bound yields a singular separable channel; the nulling receivers cannot operate there
     and score zero (the row's condition number is infinite, so such
     trials are visible).  `jobs` is accepted for compatibility; neither
     the output nor the scheduling depends on it.
@@ -242,21 +256,20 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     p_total = power_from_db(trial_cfg.snr_db)
     cb = _distinct_codebook(*trial_cfg.codebook_bits, SINE_UNIFORM)
     rows: list[ResultRow] = []
-    for cfg, mis, h, sigma in _cells(trial_cfg):
+    for cfg, mis, h, sigma, v in _cells(trial_cfg):
         approx_powers = approx_power_allocation(cfg, trial_cfg.snr_db)
         cap = capacity(sigma, p_total, 1.0)
         if trial_cfg.exact_geometry:
-            spectrum = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
-            optimal = precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
+            spectrum, optimal = _decomposition(cfg, mis, h, exact_geometry=False)  # the paper's SVD precoder
             optimal_rate = np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total)), axis=-1)
-            zf, zf_sic = nulling_rates(h, sigma, p_total)
+            zf, zf_sic = nulling_rates(sigma, v, p_total)
         else:
             optimal_rate = cap
             zf, zf_sic = spectrum_nulling_rates(sigma, p_total)
         rates = (
             cap,
             optimal_rate,
-            codebook_best_rates(cfg, h, [cb], approx_powers)[0],
+            codebook_best_rates(cfg, h, sigma, v, [cb], approx_powers)[0],
             np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_powers), axis=-1),
             zf,
             zf_sic,
@@ -308,10 +321,10 @@ def run_codebook_bit_sweep(
     codebooks = [(l1, l2, method, _distinct_codebook(l1, l2, method))
                  for l1, l2 in bit_grid for method in ("sine", "linear")]
     rows: list[ResultRow] = []
-    for cfg, _, h, sigma in _cells(trial_cfg):
+    for cfg, _, h, sigma, v in _cells(trial_cfg):
         approx_powers = approx_power_allocation(cfg, trial_cfg.snr_db)
         cond = condition_numbers(sigma)
-        best = codebook_best_rates(cfg, h, [cb for *_, cb in codebooks], approx_powers)
+        best = codebook_best_rates(cfg, h, sigma, v, [cb for *_, cb in codebooks], approx_powers)
         for (l1, l2, method, _), rates in zip(codebooks, best):
             rows += _cell_rows(f"bit_sweep_L1{l1}_L2{l2}", cfg, {f"codebook-{method}": rates}, cond)
     return rows

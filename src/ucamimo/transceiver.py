@@ -282,20 +282,23 @@ def codebook_rates_many(
     return rates.reshape(len(hh), cb.size)
 
 
-def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, codebooks, powers) -> np.ndarray:
+def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, powers) -> np.ndarray:
     """Rate of each codebook's best entry on each of a (T, N, N) stack of channels; shape (K, T).
 
-    Row k equals `codebook_rates_many(cfg, h, codebooks[k], powers)
-    .max(axis=-1)` bit for bit, under any BLAS kernel.  H^H H and its
-    eigenbasis are built once for all K codebooks, and each codebook's
-    phasors once.
+    `sigma` and `v` are the channels' singular values, (T, N), and right
+    singular vectors as columns, (T, N, N), as the campaigns' cells give
+    them: one SVD of H on exact geometry, the paper's closed form on the
+    separable model.  Row k equals `codebook_rates_many(cfg, h,
+    codebooks[k], powers).max(axis=-1)` bit for bit, under any BLAS
+    kernel.  H^H H and the bound's view of (sigma, V) are built once for
+    all K codebooks, and each codebook's phasors once.
 
     An upper bound on every entry's rate prunes the entries that cannot
-    win.  Let r streams have power, M = V diag(w) V^H, K~ = Q~ P~ Q~^H and
-    Z_l = V^H D_l Q~ P~^(1/2) (N x r).  Sylvester's identity gives
-    det(I_r + G~_l^H G~_l) = det(I_N + diag(w)^(1/2) Z_l Z_l^H
-    diag(w)^(1/2)), and Hadamard's inequality bounds it by the product of
-    the diagonal: rate_l <= sum_m log2(1 + w_m e_m), e_m the squared norm
+    win.  Let r streams have power, M = V diag(w) V^H with w = sigma^2,
+    K~ = Q~ P~ Q~^H and Z_l = V^H D_l Q~ P~^(1/2) (N x r).  Sylvester's
+    identity gives det(I_r + G~_l^H G~_l) = det(I_N + diag(w)^(1/2)
+    Z_l Z_l^H diag(w)^(1/2)), and Hadamard's inequality bounds it by the
+    product of the diagonal: rate_l <= sum_m log2(1 + w_m e_m), e_m the squared norm
     of row m of Z_l.  V and D_l are unitary, so sum_m e_m = sum_k p_k, and
     with r < N the N - r weakest modes are bounded together by concavity:
     (N - r) log2(1 + w_(r+1) (sum p - sum_top e) / (N - r)), w_(r+1) the
@@ -321,22 +324,29 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, codebooks, powers) -> n
     maximum's own bits.
 
     The margin bounds, to first order, the float error of the bound and
-    of the exact score together.  Both see M^ = fl(H^H H).  With A =
+    of the exact score together.  The bound sees M~ = V diag(sigma^2) V^H,
+    the exact score M^ = fl(H^H H) of the built channel.  With A =
     D_l Q~ P~^(1/2), a rate moves by at most ||dM|| sum p nats when M
     does (its derivative is tr((I + A^H M A)^-1 A^H dM A)), and a positive
     definite X moves its log det by at most tr(X^-1) ||dX||.  Since
     |K~_nn'| <= sum p / N and sum_n |V_nm| <= sqrt N, sum_nn' |C_m,nn'| <=
     sum p.  So:
-    - `eigh` reproduces M^ within about N eps ||M^||, with V^ unitary to
-      about N eps.  Sylvester's identity and Hadamard's inequality hold
-      for V^ as it is, and sum p stands for the true sum of e within
-      N eps sum p: 2 N eps w_max sum p in all.
+    - The SVD is backward stable: M~ is the Gram matrix of H + E with
+      ||E|| a small multiple of N eps ||H||, so within a few N eps w_max
+      of H^H H, and M^ is within N eps w_max of it.  The closed form and
+      the built separable channel round the same unit phasors, so its M~
+      is as close.  Over the campaign workloads at seeds 1, 2024 and 5,
+      ||M~ - M^|| was at most 6.0 N eps w_max from the SVD and 1.5 N eps
+      w_max from the closed form, and V^H V within 1.25 N eps of I.
+      Sylvester's identity and Hadamard's inequality hold for M~ as it
+      is, and sum p stands for the true sum of e within N eps sum p:
+      8 N eps w_max sum p in all.
     - K~ comes from r-term products and each coefficient from two more
       complex products, and each feature from one: (r + 12) eps sum p in
       each e_m.  The real product sums N^2 terms, within N^2 eps
       sum_i |f_i c_i| <= N^2 eps sum p.  Over the top modes and the tail
-      that is 2 r (N^2 + r + 12) eps w_max sum p, and with `eigh` and the
-      rate sum's N + 2 roundings below 2 r (N + 4)^2 eps w_max sum p.
+      that is 2 r (N^2 + r + 12) eps w_max sum p, and with M~'s term and
+      the rate sum's N + 2 roundings below 2 r (N + 4)^2 eps w_max sum p.
     - The Gram score's two products leave its Gram matrix within
       2 N (N + 2) eps w_max sum p (|M_ij| <= w_max), so its log det within
       r times that; its Cholesky and logs add about
@@ -356,14 +366,15 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, codebooks, powers) -> n
     3 N^2 (N + 3) eps p_max / p_min on the antenna path: the margin per
     channel, in bits.  In the campaign workloads at seeds 1, 2024 and 5
     it is at most 1.9e-8 bit/s/Hz, and no exact rate passed its computed
-    bound by more than 1.4e-4 margins.
+    bound by more than 6.8e-5 margins.
     """
     hh, powers = _scorer_inputs(cfg, h, powers)
+    sigma, v = _checked_svd(sigma, v, hh.shape[:2])
     best = np.empty((len(codebooks), len(hh)))
     if len(hh) == 0:
         return best
     score = _pair_scorer(powers)
-    modes = _modes(hh, powers)
+    modes = _modes(sigma, v, powers)
     for row, cb in zip(best, codebooks):
         t = _codebook_phasors(cfg, cb)
         row[:] = _best_rates(score, hh, t, _entry_bounds(t, modes), modes.margin)
@@ -382,6 +393,15 @@ def _scorer_inputs(cfg: ArrayConfig, h, powers) -> tuple[np.ndarray, np.ndarray]
     for trial, entries in enumerate(h):
         hh[trial] = entries.conj().T @ entries
     return hh, powers
+
+
+def _checked_svd(sigma, v, shape=None) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and vectors as (T, N) and (T, N, N) arrays, with (T, N) = `shape` where it is given."""
+    sigma, v = np.asarray(sigma, dtype=float), np.asarray(v)
+    if sigma.ndim != 2 or v.shape != (*sigma.shape, sigma.shape[-1]) or shape not in (None, sigma.shape):
+        raise ValueError(f"singular values and vectors of T channels of N antennas must have shapes (T, N) "
+                         f"and (T, N, N), got {sigma.shape} and {v.shape}")
+    return sigma, v
 
 
 def _codebook_phasors(cfg: ArrayConfig, cb: Codebook) -> np.ndarray:
@@ -495,22 +515,23 @@ def _pair_products(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _modes(hh: np.ndarray, powers: np.ndarray) -> _Modes:
-    """The bound's view of a (T, N, N) stack of M = H^H H, from one stacked `eigh`.
+def _modes(sigma, v, powers: np.ndarray) -> _Modes:
+    """The bound's view of T channels' M = V diag(sigma^2) V^H, from their (T, N) sigma and (T, N, N) V.
 
-    Row (t, m) of the coefficients holds 2 conj(C_m,nn') of channel t
-    for each pair n < n' as its real and imaginary parts, [2 Re C,
-    -2 Im C], and then C_m,nn for each n: the weights of an entry's
-    phase features in e_m (`_entry_bounds`).  The pairs are built one n
+    The modes go in a stable sort of sigma, weakest first.  Row (t, m)
+    of the coefficients holds 2 conj(C_m,nn') of channel t for each pair
+    n < n' as its real and imaginary parts, [2 Re C, -2 Im C], and then
+    C_m,nn for each n: the weights of an entry's phase features in e_m
+    (`_entry_bounds`).  The pairs are built one n
     at a time, so no temporary holds more than T r N values.
     """
-    trials, n = hh.shape[:2]
+    trials, n = sigma.shape
     q = _stream_columns(n, powers)
     r = q.shape[1]
     k = q @ q.conj().T  # K~ = Q~ P~ Q~^H
-    w, v = np.linalg.eigh(hh)
-    w = np.maximum(w, 0.0)  # a rank-deficient M may give -eps; a larger w only raises the bound
-    v = np.swapaxes(v[:, :, n - r:], 1, 2)  # (T, r, N): V_nm of the r strongest modes
+    order = np.argsort(sigma, axis=-1, kind="stable")
+    w = np.take_along_axis(sigma, order, axis=-1) ** 2
+    v = np.swapaxes(np.take_along_axis(v, order[:, None, n - r:], axis=-1), 1, 2)  # (T, r, N): the r strongest
     pairs = n * (n - 1) // 2
     coef = np.empty((trials, r, n * n))
     c = _pair_products(v, coef[..., :2 * pairs].view(complex))  # V_nm conj(V_n'm)
@@ -581,37 +602,37 @@ def _best_rates(score, hh: np.ndarray, t: np.ndarray, bounds: np.ndarray, margin
 _RANK_TOL = 1e-12
 
 
-def _full_rank(sigma: np.ndarray) -> np.ndarray:
-    """Which rows of (..., N) singular values have a smallest one above `_RANK_TOL` times the largest."""
-    return np.min(sigma, axis=-1) > _RANK_TOL * np.max(sigma, axis=-1)
+def _kept(sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The nulling kernels' rank rule on (..., N) singular values: which rows are full rank, and the values.
+
+    A row whose smallest value is at most `_RANK_TOL` times its largest
+    is rank-deficient; its values come back as ones, so that no gain of
+    a row scored 0 is divided by.
+    """
+    full = np.min(sigma, axis=-1) > _RANK_TOL * np.max(sigma, axis=-1)
+    return full, np.where(full[..., None], sigma, 1.0)
 
 
-def nulling_rates(h: np.ndarray, sigma, p_total: float) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-power ZF and ZF-SIC sum rates of a (T, N, N) stack of channels; two (T,) arrays.
+def nulling_rates(sigma, v, p_total: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-power ZF and ZF-SIC sum rates of T channels from their SVDs U diag(sigma) V^H; two (T,) arrays.
 
-    `sigma` holds each channel's singular values, shape (T, N), as
-    `np.linalg.svd(h, compute_uv=False)` gives them.  At unit noise each
-    stream gets p = p_total/N, and ZF stream k sees SNR
-    p / [(H^H H)^{-1}]_kk.  ZF-SIC detects and subtracts the streams in
-    turn; its sum rate log2 det(I + p H^H H) does not depend on the
-    detection order, and it equals sum_k log2(1 + p sigma_k^2), so it
-    comes from `sigma` with no factorisation.  A channel whose smallest
-    singular value is at most `_RANK_TOL` times its largest is
-    rank-deficient and scores zero on both receivers, where neither can
+    `sigma` holds each channel's singular values, shape (T, N), and `v`
+    its right singular vectors as columns, shape (T, N, N).  At unit
+    noise each stream gets p = p_total/N, and ZF stream k sees SNR
+    p / [(H^H H)^-1]_kk with [(H^H H)^-1]_kk = sum_m |V_km|^2 / sigma_m^2,
+    so no Gram matrix is formed and the condition number is not squared.
+    ZF-SIC detects and subtracts the streams in turn; its sum rate
+    log2 det(I + p H^H H) does not depend on the detection order, and it
+    equals sum_k log2(1 + p sigma_k^2).  A channel rank-deficient by
+    `_kept`'s rule scores zero on both receivers, where neither can
     operate.  The campaigns run this on exact-geometry channels only;
     separable channels take `spectrum_nulling_rates`.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != h.shape[:-1]:
-        raise ValueError(f"singular values must have shape {h.shape[:-1]}, got {sigma.shape}")
-    full = _full_rank(sigma)
-    p = p_total / h.shape[-1]
-    invertible = h[full]
-    gram = np.swapaxes(invertible.conj(), -1, -2) @ invertible
-    diag_inv = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
-    zf = np.zeros(h.shape[:-2])
-    zf[full] = np.sum(np.log2(1.0 + p / diag_inv), axis=-1)
-    return zf, np.where(full, _rate_sum(sigma**2 * p), 0.0)
+    sigma, v = _checked_svd(sigma, v)
+    full, kept = _kept(sigma)
+    p = p_total / sigma.shape[-1]
+    diag_inv = np.sum((v.real**2 + v.imag**2) / kept[:, None, :] ** 2, axis=-1)
+    return np.where(full, _rate_sum(p / diag_inv), 0.0), np.where(full, _rate_sum(kept**2 * p), 0.0)
 
 
 def spectrum_nulling_rates(sigma, p_total: float) -> tuple[np.ndarray, np.ndarray]:
@@ -619,19 +640,15 @@ def spectrum_nulling_rates(sigma, p_total: float) -> tuple[np.ndarray, np.ndarra
 
     A separable channel is T_r C T_t^H with unit-modulus phase diagonals
     T_r, T_t and a circulant core C = Q diag(delta) Q^H, |delta_k| =
-    sigma_k.  So H^H H = T_t Q diag(sigma^2) Q^H T_t^H, and every diagonal
-    entry of its inverse is mean_k sigma_k^-2: at unit noise all N ZF
-    streams see SNR p / mean_k sigma_k^-2, p = p_total/N.  The ZF-SIC sum
-    is log2 det(I + p H^H H) = sum_k log2(1 + p sigma_k^2).
-    These are the sums of `nulling_rates` on the built channel, without
-    an SVD, inverse or QR.  Rows rank-deficient by its rule score zero on
-    both.
+    sigma_k.  So V = T_t Q has |V_km|^2 = 1/N, and every diagonal entry
+    of (H^H H)^-1 is mean_k sigma_k^-2: at unit noise all N ZF streams see
+    SNR p / mean_k sigma_k^-2, p = p_total/N.  The ZF-SIC sum is
+    log2 det(I + p H^H H) = sum_k log2(1 + p sigma_k^2).
+    These are the sums of `nulling_rates` on the closed-form SVD, with no
+    V.  Rows rank-deficient by its rule score zero on both.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[-1]
+    full, kept = _kept(sigma)
+    n = kept.shape[-1]
     p = p_total / n
-    full = _full_rank(sigma)
-    kept = np.where(full[..., None], sigma, 1.0)  # no division by a zero gain on a row scored 0
     zf = n * _rate_sum((p / np.mean(kept**-2.0, axis=-1))[..., None])
-    zf_sic = _rate_sum(kept**2 * p)
-    return np.where(full, zf, 0.0), np.where(full, zf_sic, 0.0)
+    return np.where(full, zf, 0.0), np.where(full, _rate_sum(kept**2 * p), 0.0)

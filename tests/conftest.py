@@ -2,8 +2,29 @@ import math
 
 import numpy as np
 
-from ucamimo import ArrayConfig, Misalignment, rotation_matrix
-from ucamimo.geometry import _require_far_field, rx_displacement, tx_displacement
+from ucamimo import EXACT_DISTANCE, ArrayConfig, Misalignment, rotation_matrix, sim
+from ucamimo.geometry import ANGLE_NAMES, _require_far_field, rx_displacement, tx_displacement
+
+
+def svd_of(h):
+    """(sigma, V) of a (T, N, N) stack from one `np.linalg.svd`: singular values and right singular vectors as columns."""
+    _, sigma, vh = np.linalg.svd(h)
+    return sigma, np.swapaxes(vh, -1, -2).conj()
+
+
+def stack_of(mis_list) -> Misalignment:
+    """One stacked misalignment, (T,) arrays, from T one-trial misalignments."""
+    return Misalignment(*(np.array([getattr(m, name) for m in mis_list]) for name in ANGLE_NAMES))
+
+
+def campaign_svd(cfg, mis, h, model):
+    """(sigma, V) of a stack as the campaigns' cells take it: one SVD with exact geometry, the closed form otherwise."""
+    return sim._decomposition(cfg, mis, h, model == EXACT_DISTANCE)
+
+
+def channels_svd(cfg, channels, model):
+    """`campaign_svd` of a list of one-trial `ChannelMatrix` channels, stacked."""
+    return campaign_svd(cfg, stack_of([c.mis for c in channels]), np.stack([c.entries for c in channels]), model)
 
 
 def random_config(rng, n_antennas=None, far_field=True):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import coordinate_distances, random_config, random_misalignment, separable_distances
+from conftest import coordinate_distances, random_config, random_misalignment, separable_distances, svd_of
 from ucamimo import (
     ArrayConfig,
     Misalignment,
@@ -354,7 +354,7 @@ def test_criterion_09_sic_determinant_identity():
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         p_total = float(rng.uniform(0.5, 100.0))
         noise = float(rng.uniform(0.2, 3.0))
-        _, zf_sic = nulling_rates(h[None], np.linalg.svd(h, compute_uv=False)[None], p_total / noise)
+        _, zf_sic = nulling_rates(*svd_of(h[None]), p_total / noise)
         rate = np.sum(zf_sic[0])
         scale = p_total / (n * noise)
         sign, logdet = np.linalg.slogdet(np.eye(n) + scale * h.conj().T @ h)

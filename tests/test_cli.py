@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import svd_of
 from ucamimo import Misalignment, build_channel, nulling_rates, search_beta_opt
 from ucamimo.cli import build_parser, main, parse_angle, parse_bit_grid, parse_float_list
 from ucamimo.design import water_fill
@@ -268,7 +269,7 @@ class TestSimulateCommand:
         assert rates["optimal-precoder"] == pytest.approx(cap, abs=5e-6)
         assert rates["identity"] == pytest.approx(cap, abs=5e-6)
         h = build_channel(arr, Misalignment())
-        _, zf_sic = nulling_rates(h.entries[None], np.linalg.svd(h.entries, compute_uv=False)[None], 10**1.5)
+        _, zf_sic = nulling_rates(*svd_of(h.entries[None]), 10**1.5)
         assert rates["zf-sic"] == pytest.approx(zf_sic[0], abs=5e-6)
 
     def test_missing_seed_is_usage_error(self):
@@ -292,6 +293,25 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "snr_db 4000 dB is outside the range" in captured.err
+
+    def test_exact_geometry_at_minus_20_db_scores_every_zf_row(self, tmp_path, capsys):
+        # at -20 dB the design picks beta near 4e-5, and some exact channels pass the rank rule
+        # while their Gram matrix is singular in float.  Its inverse raised "Singular matrix" on
+        # the whole run, which exited 3; the ZF from the cell's SVD forms no Gram matrix.  Rows of
+        # cond >= 1.36e11 still differ between BLAS kernels, and whether they should score 0 is
+        # the rank rule's open question (ROADMAP items 6 and 22), so no rate is pinned here
+        out = tmp_path / "low_snr.csv"
+        assert run_cli(["simulate", "--seed", "3", "--trials", "50", "--lambda", "0.004", "--snr-db", "-20",
+                        "--range-all", "deg:15", "--exact-geometry", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rates = {}
+        for line in out.read_text(encoding="utf-8").splitlines()[1:]:
+            _, n, dist, scheme, trial, rate, *_ = line.split(",")
+            rates[n, dist, trial, scheme] = float(rate)
+        zf = {key[:3]: rate for key, rate in rates.items() if key[3] == "zf" and key[2] != "-1"}
+        assert len(zf) == 4 * 5 * 50
+        for key, rate in zf.items():
+            assert math.isfinite(rate) and rate <= rates[(*key, "zf-sic")] + 1e-9, key
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     def test_out_of_range_azimuth_is_usage_error_for_every_seed(self, seed, capsys):
@@ -758,7 +778,7 @@ SCORER_BLOCK_CHILD = """
 import json, math, sys
 import numpy as np
 from ucamimo import APPROXIMATE, EXACT_DISTANCE, ArrayConfig, Misalignment, build_channels, build_codebook
-from ucamimo import codebook_best_rates, codebook_rates_many, transceiver, water_fill
+from ucamimo import codebook_best_rates, codebook_rates_many, sim, transceiver, water_fill
 rng = np.random.default_rng(75)
 cb = build_codebook(5, 3)
 default_block = transceiver._SCORE_BLOCK
@@ -795,7 +815,8 @@ for n, radius in ((4, 0.3162), (8, 0.4451), (12, 0.5396), (16, 0.6176)):
             if not np.array_equal(transceiver._pair_rates(transceiver._pair_scorer(powers), hh, t, trials, entries),
                                   whole[trials, entries]):
                 moved.append(f"{case} shuffled pairs")
-            if not np.array_equal(codebook_best_rates(cfg, h, [cb], powers)[0], whole.max(axis=-1)):
+            svd = sim._decomposition(cfg, mis, h, model == EXACT_DISTANCE)
+            if not np.array_equal(codebook_best_rates(cfg, h, *svd, [cb], powers)[0], whole.max(axis=-1)):
                 moved.append(f"{case} best entry")
 print(json.dumps(moved))
 """

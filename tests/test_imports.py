@@ -1,5 +1,6 @@
 """Every name a module under src/ucamimo imports is used in that module, the public surface is
-pinned, one function holds the number rule, and one function the rate sum."""
+pinned, one function holds the number rule, one function the rate sum, and no module inverts a
+matrix or takes an eigendecomposition."""
 
 import ast
 import importlib
@@ -128,14 +129,47 @@ def test_detector_finds_rate_sums():
 
 
 def test_one_function_holds_the_rate_sum():
-    # capacity, ZF and ZF-SIC all sum log2(1 + snr) through design._rate_sum.  The one
-    # log2(1 + x) left is the exact-geometry ZF over the Gram inverse's diagonal, whose form
-    # waits for the extended-precision oracle of the printed digits (ROADMAP item 6)
+    # capacity, ZF and ZF-SIC all sum log2(1 + snr) through design._rate_sum
     found = {path.stem: rate_sum_calls(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     assert {module: calls for module, calls in found.items() if calls} == {
         "design": [("_rate_sum", "np.log1p(snr)")],
-        "transceiver": [("nulling_rates", "np.log2(1.0 + p / diag_inv)")],
-    }, "see ROADMAP item 6 before moving the exact ZF line to log1p"
+    }
+
+
+# The decompositions that the cell's one (sigma, V) replaces: the normal equations' inverse
+# squares the condition number, and an eigh of H^H H recomputes a basis the SVD or the paper's
+# closed form already gives
+REPLACED_LINALG = {"inv", "eigh"}
+
+
+def replaced_linalg_uses(source: str) -> list[str]:
+    """Each `linalg.inv` or `linalg.eigh` that the source reads as an attribute or imports by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in REPLACED_LINALG:
+            if ast.unparse(node.value).split(".")[-1] == "linalg":
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+            found += [f"{node.module}.{alias.name}" for alias in node.names if alias.name in REPLACED_LINALG]
+    return found
+
+
+def test_detector_finds_replaced_linalg():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigh, svd\n"
+        "from scipy import linalg\n"
+        "def f(a):\n"
+        "    'Not np.linalg.inv(a).'\n"
+        "    g = np.linalg.inv\n"
+        "    return np.linalg.eigh(a), linalg.inv(a), np.linalg.svd(a), a.inv, np.linalg.pinv(a)\n"
+    )
+    assert sorted(replaced_linalg_uses(source)) == ["linalg.inv", "np.linalg.eigh", "np.linalg.inv", "numpy.linalg.eigh"]
+
+
+def test_no_inverse_or_eigendecomposition_in_the_package():
+    found = {path.name: replaced_linalg_uses(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert {name: uses for name, uses in found.items() if uses} == {}
 
 
 # Every public name of the package, and every public function and class that
@@ -231,9 +265,9 @@ SIGNATURES = {
     "spectrum.singular_values_many": "(n_s, betas, theta_o)",
     "transceiver.approx_power_allocation": "(cfg, snr_db)",
     "transceiver.build_codebook": "(l1_bits, l2_bits, quantization='sine')",
-    "transceiver.codebook_best_rates": "(cfg, h, codebooks, powers)",
+    "transceiver.codebook_best_rates": "(cfg, h, sigma, v, codebooks, powers)",
     "transceiver.codebook_rates_many": "(cfg, h, cb, powers)",
-    "transceiver.nulling_rates": "(h, sigma, p_total)",
+    "transceiver.nulling_rates": "(sigma, v, p_total)",
     "transceiver.precoded_rate": "(h, precoder, powers)",
     "transceiver.precoded_rates": "(h, f, powers)",
     "transceiver.precoder_from_angles": "(cfg, theta_cs, phi_cs)",

@@ -8,7 +8,15 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, coordinate_distances, previous_trial_angles, previous_water_fill_powers
+from conftest import (
+    bits,
+    campaign_svd,
+    coordinate_distances,
+    previous_trial_angles,
+    previous_water_fill_powers,
+    stack_of,
+    svd_of,
+)
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
@@ -87,10 +95,6 @@ def edge_misalignments(draw, n):
     theta_o = draw(st.sampled_from([mis.theta_o, math.pi / n, -math.pi / n]))
     phi_x, phi_y = draw(st.sampled_from([(mis.phi_x, mis.phi_y), (0.0, 0.0)]))
     return Misalignment(theta_o, mis.theta_cs, mis.phi_cs, phi_x, phi_y)
-
-
-def stack_of(mis_list) -> Misalignment:
-    return Misalignment(*(np.array([getattr(m, name) for m in mis_list]) for name in ANGLE_NAMES))
 
 
 @PROPERTY
@@ -290,9 +294,10 @@ def test_eigenbasis_bound_holds_for_every_entry(case, model, bits, quantization)
     # exact rate by more than the margin; so no exact rate may pass its bound by the margin
     cfg, mises, powers = case
     cb = build_codebook(*bits, quantization=quantization)
-    h = build_channels(cfg, stack_of(mises), model)
-    hh, powers = transceiver._scorer_inputs(cfg, h, powers)
-    modes = transceiver._modes(hh, powers)
+    mis = stack_of(mises)
+    h = build_channels(cfg, mis, model)
+    _, powers = transceiver._scorer_inputs(cfg, h, powers)
+    modes = transceiver._modes(*campaign_svd(cfg, mis, h, model), powers)
     bounds = transceiver._entry_bounds(transceiver._codebook_phasors(cfg, cb), modes)
     rates = codebook_rates_many(cfg, h, cb, powers)
     assert np.all(rates <= bounds + modes.margin[:, None])
@@ -326,8 +331,9 @@ def test_best_rates_equal_the_row_maximum(stack, model, data, books):
     cfg, mises = stack
     powers = data.draw(scorer_powers(cfg.n_antennas))
     codebooks = [build_codebook(*bits, quantization=quantization) for bits, quantization in books]
-    h = build_channels(cfg, stack_of(mises), model)
-    best = codebook_best_rates(cfg, h, codebooks, powers)
+    mis = stack_of(mises)
+    h = build_channels(cfg, mis, model)
+    best = codebook_best_rates(cfg, h, *campaign_svd(cfg, mis, h, model), codebooks, powers)
     for row, cb in zip(best, codebooks):
         np.testing.assert_array_equal(row, codebook_rates_many(cfg, h, cb, powers).max(axis=-1))
 
@@ -349,11 +355,11 @@ def test_codebook_rates_do_not_depend_on_rx_tilt_under_separable_model(link, snr
 @given(stack=stacks(), snr_db=st.floats(-10.0, 30.0))
 def test_closed_form_nulling_rates_match_numerical_receivers(stack, snr_db):
     # the separable campaigns score ZF and ZF-SIC from the spectrum; on well-conditioned stacks
-    # that equals the numerical receivers on the built channels.  Their ZF inverts H^H H, which
-    # squares the condition number: over 24,000 random separable channels its distance from the
-    # closed form stayed below 1.5e-15 cond^2 relative, and reached 5.7e-11 at cond in [100, 1000].
-    # So ZF is held to 1e-12 plus the inversion's N eps cond^2; the oracle test below says
-    # which side is right where the two differ.
+    # that equals the numerical receivers on the built channels' SVD.  ZF is held to 1e-12 plus
+    # N eps cond^2, the tolerance of the Gram inverse the numerical ZF once took: over 24,000
+    # random separable channels its distance from the closed form stayed below 1.5e-15 cond^2
+    # relative, and reached 5.7e-11 at cond in [100, 1000].  The oracle tests below say which
+    # side is right where the two differ.
     cfg, mises = stack
     mis = stack_of(mises)
     sigma = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
@@ -361,7 +367,7 @@ def test_closed_form_nulling_rates_match_numerical_receivers(stack, snr_db):
     assume(np.all(ratio > 1e-3))
     p_total = power_from_db(snr_db)
     h = build_channels(cfg, mis)
-    numerical_zf, numerical_zf_sic = nulling_rates(h, np.linalg.svd(h, compute_uv=False), p_total)
+    numerical_zf, numerical_zf_sic = nulling_rates(*svd_of(h), p_total)
     zf, zf_sic = spectrum_nulling_rates(sigma, p_total)
     np.testing.assert_allclose(zf_sic, numerical_zf_sic, rtol=1e-12, atol=0.0)
     inversion = cfg.n_antennas * np.finfo(float).eps / ratio**2
@@ -396,26 +402,47 @@ def zf_oracle(h: np.ndarray, p: float) -> float:
 
 
 def test_closed_form_zf_matches_extended_precision_oracle():
-    # The ill-conditioned cells of the default campaign (seed 2024, 4 mm carrier): there the
-    # numerical ZF prints other digits than the closed form on 398 of its 2,000 trial rows, and a
-    # 50-digit ZF of each built channel is closer to the closed form on every one of them.  This
+    # The ill-conditioned cells of the default campaign (seed 2024, 4 mm carrier).  A ZF from the
+    # Gram inverse printed other digits than the closed form on 398 of its 2,000 trial rows, and a
+    # 50-digit ZF of each built channel was closer to the closed form on every one of them.  This
     # samples the first five trials of four of those cells, the 18 with cond >= 1e4.  The closed
     # form's error follows the spectrum's error in sigma_min, and stayed below 3.1e-16 cond
-    # relative on all 398 rows.
+    # relative on all 398 rows.  The SVD form of `nulling_rates` squares no condition number: it
+    # is within 1.5e-16 cond of the oracle here, closer than the closed form on 10 of the 18
     cfg = sim.TrialConfig(seed=2024, n_trials=5, wavelength=0.004, n_antennas_list=(12, 16),
                           distances=(400.0, 500.0))
     p_total = power_from_db(cfg.snr_db)
     checked = 0
-    for acfg, _, h, sigma in sim._cells(cfg):
+    for acfg, _, h, sigma, _ in sim._cells(cfg):
         cond = condition_numbers(sigma)
         zf, _ = spectrum_nulling_rates(sigma, p_total)
-        numerical, _ = nulling_rates(h, np.linalg.svd(h, compute_uv=False), p_total)
+        numerical, _ = nulling_rates(*svd_of(h), p_total)
         for t in np.flatnonzero(np.isfinite(cond) & (cond >= 1e4)):
             oracle = zf_oracle(h[t], p_total / acfg.n_antennas)
             assert abs(zf[t] - oracle) <= 1e-15 * cond[t] * oracle, (acfg, t)
-            assert abs(zf[t] - oracle) < abs(numerical[t] - oracle), (acfg, t)
+            assert abs(numerical[t] - oracle) <= 1e-15 * cond[t] * oracle, (acfg, t)
             checked += 1
     assert checked == 18
+
+
+def test_exact_geometry_zf_matches_extended_precision_oracle():
+    # The exact-geometry golden's N = 16, 500 m cell (simulate_exact_seed2024.csv): clamped 15 degree
+    # draws of cond 2.2e6 to 6.2e7.  From the Gram inverse, which squares the condition number, its
+    # three zf rows were 1.6e-13 to 1.0e-12 off the 50-digit ZF of the same float64 channels, up to
+    # 2.4 % relative; from the cell's SVD they are within 5e-17 cond relative and print its digits
+    cfg = sim.TrialConfig(seed=2024, n_trials=3, wavelength=0.004, n_antennas_list=(16,), distances=(500.0,),
+                          angle_range_small=math.radians(15.0), exact_geometry=True)
+    p_total = power_from_db(cfg.snr_db)
+    [(acfg, _, h, sigma, v)] = sim._cells(cfg)
+    cond = condition_numbers(sigma)
+    zf, _ = nulling_rates(sigma, v, p_total)
+    printed = []
+    for t in range(cfg.n_trials):
+        oracle = zf_oracle(h[t], p_total / acfg.n_antennas)
+        assert abs(zf[t] - oracle) <= 1e-15 * cond[t] * oracle, t
+        assert f"{zf[t]:.9g}" == f"{oracle:.9g}", t
+        printed.append(f"{oracle:.9g}")
+    assert printed == ["1.90396673e-08", "2.26254774e-11", "4.21370852e-11"]
 
 
 @st.composite

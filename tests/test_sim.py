@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import svd_of
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
@@ -96,8 +97,7 @@ def reference_rate_sweep(cfg):
                 exact_powers = water_fill(sig, p_total)
                 if cfg.exact_geometry:
                     optimal = precoder_from_angles(arr, h.mis.theta_cs, h.mis.phi_cs)
-                    sigma = np.linalg.svd(h.entries, compute_uv=False)
-                    nulling = nulling_rates(h.entries[None], sigma[None], p_total)
+                    nulling = nulling_rates(*svd_of(h.entries[None]), p_total)
                     optimal_rate = precoded_rate(h, optimal, exact_powers).rate
                     zf, zf_sic = (float(rate[0]) for rate in nulling)
                 else:
@@ -294,7 +294,7 @@ class TestCampaignDraws:
 
     def test_cell_draws_equal_one_trial_draws(self):
         cfg = small_config(n_trials=40, angle_range_small=math.radians(15.0), n_antennas_list=(4, 8, 16, 64))
-        for acfg, mis, _, _ in sim._cells(cfg):
+        for acfg, mis, *_ in sim._cells(cfg):
             n = acfg.n_antennas
             for t in range(cfg.n_trials):
                 one = draw_misalignment(trial_rng(cfg.seed, t), cfg, n)
@@ -304,7 +304,7 @@ class TestCampaignDraws:
 
     def test_one_misalignment_per_antenna_count(self):
         cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 200.0, 300.0))
-        cells = [(acfg.n_antennas, mis) for acfg, mis, _, _ in sim._cells(cfg)]
+        cells = [(acfg.n_antennas, mis) for acfg, mis, *_ in sim._cells(cfg)]
         assert [n for n, _ in cells] == [4, 4, 4, 8, 8, 8]
         assert len({id(mis) for _, mis in cells}) == 2
         assert all(mis is cells[0][1] for n, mis in cells if n == 4)
@@ -313,7 +313,7 @@ class TestCampaignDraws:
         # 13 of the 40 rotations at 15 degrees exceed pi/16 for seed 3 and are clamped onto it
         cfg = TrialConfig(seed=3, n_trials=40, angle_range_small=math.radians(15.0),
                           n_antennas_list=(16,), distances=(500.0,), wavelength=0.004)
-        [(_, mis, _, _)] = sim._cells(cfg)
+        [(_, mis, *_)] = sim._cells(cfg)
         assert np.count_nonzero(np.abs(mis.theta_o) == math.pi / 16) == 13
         assert np.count_nonzero(np.abs(mis.theta_o) > math.pi / 16) == 0
 
@@ -345,24 +345,27 @@ class TestCampaignDraws:
 
     @pytest.mark.parametrize("exact_geometry", [False, True])
     def test_stacked_svds_per_cell(self, monkeypatch, exact_geometry):
-        # `_cells` takes one stacked SVD per exact-geometry cell, which the capacity row, the
-        # condition number and the nulling receivers share; the separable campaigns score every
-        # row from the closed-form spectrum and take no SVD
+        # `_cells` takes one full stacked SVD per exact-geometry cell, whose (sigma, V) the
+        # capacity row, the condition number, the nulling receivers and the codebook's bound
+        # share; the separable campaigns read the closed form and take no factorisation of a
+        # channel.  No scheme inverts a matrix or takes an eigendecomposition
         cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 300.0), exact_geometry=exact_geometry)
-        shapes = []
-        svd = np.linalg.svd
+        calls = []
 
-        def counted_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+        def counted(name, f):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a), args, kwargs))
+                return f(a, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        per_cell = [(cfg.n_trials, n, n) for n in (4, 4, 8, 8)] if exact_geometry else []
+        for name in ("svd", "eigh", "eig", "eigvalsh", "inv", "solve", "pinv"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        per_cell = [("svd", (cfg.n_trials, n, n), (), {}) for n in (4, 4, 8, 8)] if exact_geometry else []
         run_rate_sweep(cfg)
-        assert shapes == per_cell
-        shapes.clear()
+        assert calls == per_cell
+        calls.clear()
         run_codebook_bit_sweep(cfg, ((1, 1), (2, 1)))
-        assert shapes == per_cell
+        assert calls == per_cell
 
 
 class TestRateSweep:
@@ -411,7 +414,7 @@ class TestRateSweep:
         powers = water_fill(sig, 10**1.5)
         cap = float(np.sum(np.log2(1.0 + powers * sig**2)))
         assert rows["capacity"] == pytest.approx(cap, abs=1e-9)
-        zf, zf_sic = nulling_rates(h.entries[None], np.linalg.svd(h.entries, compute_uv=False)[None], 10**1.5)
+        zf, zf_sic = nulling_rates(*svd_of(h.entries[None]), 10**1.5)
         assert rows["zf"] == pytest.approx(zf[0], abs=1e-9)
         assert rows["zf-sic"] == pytest.approx(zf_sic[0], abs=1e-9)
 
@@ -435,12 +438,12 @@ class TestRateSweep:
 
     def test_receiver_faults_are_not_scored_as_zero(self, monkeypatch):
         # only a singular channel scores zero; any other error propagates.
-        # The exact-geometry ZF receiver's Gram inverse is the only inverse in the package;
-        # separable channels take the closed form, which inverts nothing.
+        # The exact-geometry cell's SVD is the only factorisation of a channel in the package;
+        # separable channels take the closed form, which factorises nothing.
         def broken(a):
             raise ValueError("receiver fault")
 
-        monkeypatch.setattr(np.linalg, "inv", broken)
+        monkeypatch.setattr(np.linalg, "svd", broken)
         with pytest.raises(ValueError, match="receiver fault"):
             run_rate_sweep(small_config(n_trials=1, distances=(100.0,), exact_geometry=True))
 
@@ -506,9 +509,9 @@ class TestCodebookBitSweep:
         # all of them in one call
         calls = []
 
-        def counted(cfg, h, codebooks, powers, score=sim.codebook_best_rates):
+        def counted(cfg, h, sigma, v, codebooks, powers, score=sim.codebook_best_rates):
             calls.append([cb.size for cb in codebooks])
-            return score(cfg, h, codebooks, powers)
+            return score(cfg, h, sigma, v, codebooks, powers)
 
         monkeypatch.setattr(sim, "codebook_best_rates", counted)
         n_antennas_list, distances = cells

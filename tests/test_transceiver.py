@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_misalignment
+from conftest import channels_svd, random_misalignment, svd_of
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
@@ -48,8 +48,7 @@ def rate_sum(sigmas, powers):
 
 def nulling(h, p_total):
     """Both nulling receivers on a stack of one channel: sum rates (zf, zf_sic), each (1,)."""
-    stack = np.asarray(h)[None]
-    return nulling_rates(stack, np.linalg.svd(stack, compute_uv=False), p_total)
+    return nulling_rates(*svd_of(np.asarray(h)[None]), p_total)
 
 
 def design_point(n=8, dist=100.0):
@@ -346,7 +345,7 @@ class TestStackedCodebookScorer:
             np.testing.assert_array_equal(codebook_rates_many(cfg, h, cb, powers), whole)
 
     @pytest.mark.parametrize("score", [codebook_rates_many, lambda cfg, h, cb, powers: codebook_best_rates(
-        cfg, h, [cb], powers)], ids=["all-entries", "best-entry"])
+        cfg, h, *svd_of(h), [cb], powers)], ids=["all-entries", "best-entry"])
     def test_peak_memory(self, score):
         # NumPy reports its data buffers to tracemalloc; buffers over the
         # whole 1,024-entry codebook peaked at 8.9 MiB.  The designed
@@ -447,23 +446,25 @@ class TestBestEntryScorer:
         # powered past the spread guard (r = N, no weak modes), and for one-entry codebooks
         cfg = design_point(n, 300.0)
         powers = approx_power_allocation(cfg, 15.0) if powers is None else powers
-        _, h = TestStackedCodebookScorer().stack(cfg, model, 5)
-        best = codebook_best_rates(cfg, h, self.CODEBOOKS, powers)
+        channels, h = TestStackedCodebookScorer().stack(cfg, model, 5)
+        best = codebook_best_rates(cfg, h, *channels_svd(cfg, channels, model), self.CODEBOOKS, powers)
         assert best.shape == (len(self.CODEBOOKS), 5)
         for row, cb in zip(best, self.CODEBOOKS):
             np.testing.assert_array_equal(row, codebook_rates_many(cfg, h, cb, powers).max(axis=-1))
 
     def test_empty_inputs(self):
         cfg = design_point(8, 300.0)
-        _, h = TestStackedCodebookScorer().stack(cfg, APPROXIMATE, 3)
+        channels, h = TestStackedCodebookScorer().stack(cfg, APPROXIMATE, 3)
+        sigma, v = channels_svd(cfg, channels, APPROXIMATE)
         for powers in (stream_allocation(8, 3), stream_allocation(8, 8)):
-            assert codebook_best_rates(cfg, h, [], powers).shape == (0, 3)
-            assert codebook_best_rates(cfg, h[:0], self.CODEBOOKS[:2], powers).shape == (2, 0)
+            assert codebook_best_rates(cfg, h, sigma, v, [], powers).shape == (0, 3)
+            assert codebook_best_rates(cfg, h[:0], sigma[:0], v[:0], self.CODEBOOKS[:2], powers).shape == (2, 0)
 
     def test_bound_prunes_most_entries(self, monkeypatch):
-        # on the `codebook` campaign's cell (N = 16, r = 9) the eigenbasis bound leaves 78 of
-        # the 1,024-entry codebook's 8,192 (entry, channel) pairs to the Cholesky: the first 8 of
-        # each channel and 14 more.  One eigh serves every codebook
+        # on the `codebook` campaign's cell (N = 16, r = 9) the eigenbasis bound, on the closed-form
+        # (sigma, V) the separable campaigns pass, leaves 80 of the 1,024-entry codebook's 8,192
+        # (entry, channel) pairs to the Cholesky: the first 8 of each channel and 16 more.  The
+        # scorer takes no factorisation of its own
         calls = []
 
         def counted(name, f):
@@ -472,45 +473,49 @@ class TestBestEntryScorer:
                 return f(a, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         cfg = design_point(16, 300.0)
-        _, h = TestStackedCodebookScorer().stack(cfg, APPROXIMATE, 8)
+        channels, h = TestStackedCodebookScorer().stack(cfg, APPROXIMATE, 8)
+        sigma, v = channels_svd(cfg, channels, APPROXIMATE)
+        for name in ("cholesky", "svd", "eigh", "eig", "inv", "qr"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         cb = build_codebook(7, 3)
-        codebook_best_rates(cfg, h, [cb, cb], approx_power_allocation(cfg, 15.0))
-        assert [shape for name, shape in calls if name == "eigh"] == [(8, 16, 16)]
+        codebook_best_rates(cfg, h, sigma, v, [cb, cb], approx_power_allocation(cfg, 15.0))
+        assert {name for name, _ in calls} == {"cholesky"}
         scored = sum(shape[0] for name, shape in calls if name == "cholesky")
         assert 2 * 8 * transceiver._FIRST_SCORED <= scored < 0.02 * 2 * 8 * cb.size
 
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
     def test_bound_prunes_most_entries_at_full_rank(self, monkeypatch, model):
         # on N = 8's 100 m design all 8 streams have power (spread 1.04, the antenna path);
-        # the bound, exact to first order in the spread, leaves 189 (separable) and 149 (exact)
-        # of the 256-entry codebook's 2,048 pairs to the Cholesky
+        # the bound, exact to first order in the spread, leaves 223 (separable, closed-form V)
+        # and 149 (exact, the SVD's V) of the 256-entry codebook's 2,048 pairs to the Cholesky
         cholesky = np.linalg.cholesky
         calls = []
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
         cfg = design_point(8, 100.0)
         powers = approx_power_allocation(cfg, 15.0)
         assert transceiver._antenna_path(powers)
-        _, h = TestStackedCodebookScorer().stack(cfg, model, 8)
+        channels, h = TestStackedCodebookScorer().stack(cfg, model, 8)
         cb = build_codebook(5, 3)
-        codebook_best_rates(cfg, h, [cb], powers)
+        codebook_best_rates(cfg, h, *channels_svd(cfg, channels, model), [cb], powers)
         scored = sum(shape[0] for shape in calls)
         assert 8 * transceiver._FIRST_SCORED <= scored < 0.15 * 8 * cb.size
 
     @pytest.mark.parametrize(
-        "h_shape, powers_shape, match",
+        "h_shape, sigma_shape, powers_shape, match",
         [
-            ((2, 8, 8), (2, 8), r"powers must have shape \(8,\)"),
-            ((2, 8, 4), (8,), r"channels must have shape \(T, 8, 8\)"),
+            ((2, 8, 8), (2, 8), (2, 8), r"powers must have shape \(8,\)"),
+            ((2, 8, 4), (2, 8), (8,), r"channels must have shape \(T, 8, 8\)"),
+            ((2, 8, 8), (3, 8), (8,), r"singular values and vectors"),
+            ((2, 8, 8), (2, 4), (8,), r"singular values and vectors"),
         ],
     )
-    def test_malformed_inputs_rejected(self, h_shape, powers_shape, match):
+    def test_malformed_inputs_rejected(self, h_shape, sigma_shape, powers_shape, match):
         cfg = design_point(8, 300.0)
         powers = np.full(powers_shape, SNR15 / 8)
+        sigma, v = np.ones(sigma_shape), np.ones((*sigma_shape, sigma_shape[-1]), dtype=complex)
         with pytest.raises(ValueError, match=match):
-            codebook_best_rates(cfg, np.ones(h_shape, dtype=complex), [build_codebook(3, 2)], powers)
+            codebook_best_rates(cfg, np.ones(h_shape, dtype=complex), sigma, v, [build_codebook(3, 2)], powers)
 
 
 def log_det_oracle(cfg, h, cb, powers):
@@ -565,10 +570,11 @@ class TestScorerOracle:
         calls = []
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
         cfg = design_point(8, 100.0)
-        h = build_channel(cfg, self.MISALIGNMENT, model).entries
+        channel = build_channel(cfg, self.MISALIGNMENT, model)
+        h = channel.entries
         cb = build_codebook(3, 2)
         powers = spread_allocation(8, transceiver._MAX_POWER_SPREAD, 1e-2)
-        best = codebook_best_rates(cfg, h[None], [cb], powers)[0, 0]
+        best = codebook_best_rates(cfg, h[None], *channels_svd(cfg, [channel], model), [cb], powers)[0, 0]
         assert sum(shape[0] for shape in calls) < cb.size
         assert best == codebook_rates_many(cfg, h[None], cb, powers).max()
         np.testing.assert_allclose(best, log_det_oracle(cfg, h, cb, powers).max(), rtol=0.0, atol=1e-13)
@@ -738,18 +744,19 @@ class TestZfReceivers:
         singular = build_channel(cfg, Misalignment(theta_o=math.pi / 8)).entries
         regular = build_channel(cfg, Misalignment()).entries
         h = np.stack([singular, regular])
-        sigma = np.linalg.svd(h, compute_uv=False)
-        zf, zf_sic = nulling_rates(h, sigma, SNR15)
+        sigma, v = svd_of(h)
+        zf, zf_sic = nulling_rates(sigma, v, SNR15)
         assert sigma[0, -1] <= 1e-12 * sigma[0, 0]
         np.testing.assert_array_equal(zf[0], 0.0)
         np.testing.assert_array_equal(zf_sic[0], 0.0)
         assert np.all(zf[1] > 0.0) and np.all(zf_sic[1] > 0.0)
 
-    @pytest.mark.parametrize("shape", [(2, 7), (1, 8), (2, 8, 1), (8,)])
-    def test_singular_values_must_match_the_stack(self, shape):
-        h = np.stack([build_channel(design_point(8), Misalignment()).entries] * 2)
-        with pytest.raises(ValueError, match="singular values must have shape"):
-            nulling_rates(h, np.ones(shape), SNR15)
+    @pytest.mark.parametrize("sigma_shape, v_shape", [((2, 7), (2, 8, 8)), ((1, 8), (2, 8, 8)),
+                                                      ((2, 8, 1), (2, 8, 8)), ((8,), (8, 8)),
+                                                      ((2, 8), (2, 8, 7)), ((2, 8), (2, 8))])
+    def test_singular_values_must_match_the_stack(self, sigma_shape, v_shape):
+        with pytest.raises(ValueError, match="singular values and vectors"):
+            nulling_rates(np.ones(sigma_shape), np.ones(v_shape, dtype=complex), SNR15)
 
     def test_spectrum_rates_by_hand(self):
         # a zero gain (beta = 0 gives exact zeros) scores 0 on both receivers without a
@@ -811,14 +818,14 @@ class TestZfSic:
                               n_antennas_list=(8, 16), distances=(100.0, 500.0), wavelength=0.004,
                               exact_geometry=True)
         clamped = 0
-        for acfg, mis, h, _ in sim._cells(cfg):
+        for acfg, mis, h, _, _ in sim._cells(cfg):
             n = acfg.n_antennas
             clamped += np.count_nonzero(np.abs(mis.theta_o) == math.pi / n)
             singular = build_channel(acfg, Misalignment(theta_o=math.pi / n)).entries
             stack = np.concatenate([h, singular[None]])
-            sigma = np.linalg.svd(stack, compute_uv=False)
+            sigma, v = svd_of(stack)
             assert sigma[-1, -1] <= 1e-12 * sigma[-1, 0]
-            zf, zf_sic = nulling_rates(stack, sigma, SNR15)
+            zf, zf_sic = nulling_rates(sigma, v, SNR15)
             assert zf[-1] == 0.0 and zf_sic[-1] == 0.0
             gram = np.swapaxes(h.conj(), -1, -2) @ h
             log_det = np.linalg.slogdet(np.eye(n) + (SNR15 / n) * gram)[1] / math.log(2.0)
