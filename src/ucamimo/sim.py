@@ -307,8 +307,9 @@ def run_codebook_bit_sweep(
     distance.  Within a cell every (L1, L2) pair is evaluated with both
     quantisation rules on the same per-trial channels.  Each codebook is
     built once per call, and one `codebook_best_rates` call per cell
-    scores all of them on the cell's stacked channels, each codebook in
-    its own entry blocks.
+    scores all of them on the cell's stacked channels: one bound pass
+    over all their entries, whose blocks may straddle codebooks, and two
+    rounds of exact scores.
     The linear baseline covers the shift disc twice, so every precoder in
     it has a twin; only its distinct half is scored (`_distinct_codebook`),
     and a row is the best rate over that half, which equals the full

@@ -44,8 +44,10 @@ _SCORE_BLOCK = 16384
 # below 5e-14 bit/s/Hz from -20 to 30 dB.
 _MAX_POWER_SPREAD = 1e3
 
-# Entries per channel that `codebook_best_rates` scores exactly before its bound prunes the rest.
-_FIRST_SCORED = 8
+# Entries per (codebook, channel) that `codebook_best_rates` scores exactly before its bound prunes
+# the rest.  Of 1, 2, 4 and 8, 2 left the fewest pairs to score on the benchmark's `bit_sweep` and
+# `rate_sweep` workloads at seeds 1, 2024 and 5, and as few as 4 on `rate_sweep_exact`.
+_FIRST_SCORED = 2
 
 _EPS = float(np.finfo(float).eps)
 
@@ -290,8 +292,9 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
     them: one SVD of H on exact geometry, the paper's closed form on the
     separable model.  Row k equals `codebook_rates_many(cfg, h,
     codebooks[k], powers).max(axis=-1)` bit for bit, under any BLAS
-    kernel.  H^H H and the bound's view of (sigma, V) are built once for
-    all K codebooks, and each codebook's phasors once.
+    kernel.  H^H H, the bound's view of (sigma, V) and the K codebooks'
+    phasors, one after another, are built once; one bound pass and two
+    rounds of exact scores serve all K codebooks.
 
     An upper bound on every entry's rate prunes the entries that cannot
     win.  Let r streams have power, M = V diag(w) V^H with w = sigma^2,
@@ -309,16 +312,19 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
 
     a real dot product of the entry's N^2 phase features
     [Re(t_n conj(t_n')), Im(t_n conj(t_n')), |t_n|^2] with the (channel,
-    mode) coefficients [2 Re C_nn', -2 Im C_nn', C_nn] (`_modes`), one
-    real matrix product per entry block for all T channels
-    (`_entry_bounds`).
+    mode) coefficients [2 Re C_nn', -2 Im C_nn', C_nn] (`_modes`).  Scaled
+    by w_m they give the mode's SNR w_m e_m, and with r < N one more row
+    per channel, sum_m C_m, gives sum_top e and with it the leaked power:
+    one real matrix product per entry block for all T channels and every
+    codebook's entries (`_entry_bounds`).
     The bound is exact for the aligned precoder and sees a stream's power
     leak into weak modes.  With every stream powered it is exact to first
     order in the power spread: at equal powers K~ = p I, every e_m = p and
     every bound is the rate that all unitary precoders share, so no entry
-    can be pruned and all are scored.  Each channel's _FIRST_SCORED entries
-    of largest bound are scored exactly, in one batched call, and then
-    every further entry whose bound reaches their best, less a margin.
+    can be pruned and all are scored.  Each (codebook, channel)'s
+    _FIRST_SCORED entries of largest bound are scored exactly, all in one
+    call, and then, in a second, every further entry whose bound reaches
+    its codebook's best on that channel, less a margin.
     The best is the largest exact score, and an exact score does not
     depend on which pairs share its call (`_pair_rates`), so it is the row
     maximum's own bits.
@@ -344,9 +350,15 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
     - K~ comes from r-term products and each coefficient from two more
       complex products, and each feature from one: (r + 12) eps sum p in
       each e_m.  The real product sums N^2 terms, within N^2 eps
-      sum_i |f_i c_i| <= N^2 eps sum p.  Over the top modes and the tail
-      that is 2 r (N^2 + r + 12) eps w_max sum p, and with M~'s term and
-      the rate sum's N + 2 roundings below 2 r (N + 4)^2 eps w_max sum p.
+      sum_i |f_i c_i| <= N^2 eps sum p.  Scaling a top mode's coefficients
+      by w_m adds one rounding, so w_m e_m is within (N^2 + r + 13) eps
+      w_m sum p.  The tail row sum_m C_m adds r - 1 roundings to each
+      coefficient and sums r modes' terms, so the leaked power, after its
+      subtraction, is within (r (N^2 + 2 r + 11) + 1) eps sum p, which the
+      single tail term carries with a gain w_(r+1) <= w_max.  Over the top
+      modes and the tail that is below r (2 N^2 + 3 r + 25) eps w_max
+      sum p, and with M~'s term and the r + 4 roundings of the two rate
+      sums and the factor N - r below 2 r (N + 4)^2 eps w_max sum p.
     - The Gram score's two products leave its Gram matrix within
       2 N (N + 2) eps w_max sum p (|M_ij| <= w_max), so its log det within
       r times that; its Cholesky and logs add about
@@ -370,15 +382,12 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
     """
     hh, powers = _scorer_inputs(cfg, h, powers)
     sigma, v = _checked_svd(sigma, v, hh.shape[:2])
-    best = np.empty((len(codebooks), len(hh)))
-    if len(hh) == 0:
-        return best
-    score = _pair_scorer(powers)
+    if len(hh) == 0 or not codebooks:
+        return np.empty((len(codebooks), len(hh)))
     modes = _modes(sigma, v, powers)
-    for row, cb in zip(best, codebooks):
-        t = _codebook_phasors(cfg, cb)
-        row[:] = _best_rates(score, hh, t, _entry_bounds(t, modes), modes.margin)
-    return best
+    t = np.concatenate([_codebook_phasors(cfg, cb) for cb in codebooks])
+    sizes = [cb.size for cb in codebooks]
+    return _best_rates(_pair_scorer(powers), hh, t, _entry_bounds(t, modes), modes.margin, sizes)
 
 
 def _scorer_inputs(cfg: ArrayConfig, h, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -405,8 +414,12 @@ def _checked_svd(sigma, v, shape=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _codebook_phasors(cfg: ArrayConfig, cb: Codebook) -> np.ndarray:
-    """Every entry's Tx shift phasors t_l, shape (L, N); elementwise, so a row has the bits of its entry's own call."""
-    return _phasors(cfg, tx_displacement(cfg, *cb.angle_pairs()))
+    """Every entry's Tx shift phasors t_l, shape (L, N), in entry order, from the angle grids.
+
+    One sine per azimuth and per polar, and elementwise, so a row has the bits of its entry's own call.
+    """
+    tau = tx_displacement(cfg, cb.theta_angles[:, None], cb.phi_angles[None, :])
+    return _phasors(cfg, tau).reshape(cb.size, cfg.n_antennas)
 
 
 def _antenna_path(powers: np.ndarray) -> bool:
@@ -496,8 +509,8 @@ def _pair_rates(score, hh: np.ndarray, t: np.ndarray, trials: np.ndarray, entrie
 class _Modes(NamedTuple):
     """What the eigenbasis bound needs of T channels' M = V diag(w) V^H, w ascending, for r streams."""
 
-    coef: np.ndarray  # (T r, N^2): each channel's r strongest modes' coefficients, channel-major (`_modes`)
-    top: np.ndarray  # (T, r): those modes' eigenvalues
+    coef: np.ndarray  # (T rows, N^2), channel-major: w_m C_m of the r strongest modes, then sum_m C_m if r < N
+    rank: int  # r, the streams with power
     tail: np.ndarray  # (T,): w_(r+1) / (N - r), the largest weak mode's gain per unit of leaked power
     total: float  # sum p, the power of all streams
     margin: np.ndarray  # (T,): the float error the bound and the exact score may have together, in bits
@@ -518,12 +531,14 @@ def _pair_products(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _modes(sigma, v, powers: np.ndarray) -> _Modes:
     """The bound's view of T channels' M = V diag(sigma^2) V^H, from their (T, N) sigma and (T, N, N) V.
 
-    The modes go in a stable sort of sigma, weakest first.  Row (t, m)
-    of the coefficients holds 2 conj(C_m,nn') of channel t for each pair
-    n < n' as its real and imaginary parts, [2 Re C, -2 Im C], and then
-    C_m,nn for each n: the weights of an entry's phase features in e_m
-    (`_entry_bounds`).  The pairs are built one n
-    at a time, so no temporary holds more than T r N values.
+    The modes go in a stable sort of sigma, weakest first.  The weights
+    of an entry's phase features in e_m (`_entry_bounds`) are 2 conj(C_m,nn')
+    for each pair n < n' as its real and imaginary parts, [2 Re C, -2 Im C],
+    and then C_m,nn for each n.  Row (t, m) holds them times w_m, so that
+    the product gives the mode's SNR w_m e_m; with r < N a last row per
+    channel holds their sum over the r modes, unscaled, whose product is
+    sum_top e.  The pairs are built one n at a time, so no temporary holds
+    more than T r N values.
     """
     trials, n = sigma.shape
     q = _stream_columns(n, powers)
@@ -533,15 +548,19 @@ def _modes(sigma, v, powers: np.ndarray) -> _Modes:
     w = np.take_along_axis(sigma, order, axis=-1) ** 2
     v = np.swapaxes(np.take_along_axis(v, order[:, None, n - r:], axis=-1), 1, 2)  # (T, r, N): the r strongest
     pairs = n * (n - 1) // 2
-    coef = np.empty((trials, r, n * n))
-    c = _pair_products(v, coef[..., :2 * pairs].view(complex))  # V_nm conj(V_n'm)
+    coef = np.empty((trials, r + (r < n), n * n))
+    top = coef[:, :r]
+    c = _pair_products(v, top[..., :2 * pairs].view(complex))  # V_nm conj(V_n'm)
     c *= 2.0 * k[np.triu_indices(n, 1)].conj()
-    np.multiply(v.real**2 + v.imag**2, k.diagonal().real, out=coef[..., 2 * pairs:])
+    np.multiply(v.real**2 + v.imag**2, k.diagonal().real, out=top[..., 2 * pairs:])
+    if r < n:
+        top.sum(axis=1, out=coef[:, r])
+    top *= w[:, n - r:, None]
     total = float(np.sum(powers))
     spread = powers.max() / powers.min() if _antenna_path(powers) else 0.0
     return _Modes(
-        coef=coef.reshape(trials * r, n * n),
-        top=w[:, n - r:],
+        coef=coef.reshape(-1, n * n),
+        rank=r,
         tail=w[:, n - r - 1] / (n - r) if r < n else np.zeros(trials),
         total=total,
         margin=(5.0 * r * (n + 4) ** 2 * (1.0 + w[:, -1] * total) + 3.0 * n * n * (n + 3) * spread) * _EPS / _LN2,
@@ -554,19 +573,20 @@ def _entry_bounds(t: np.ndarray, modes: _Modes) -> np.ndarray:
     `t` holds the entries' phasors, (L, N).  An entry's N^2 phase
     features are t_n conj(t_n') for each pair n < n' as its real and
     imaginary parts, then |t_n|^2 for each n.  One real matrix product per
-    entry block, the (b, N^2) features times the (N^2, T r) coefficients
-    of `_modes`, gives e_m for the r strongest modes of all T channels at
-    once, and one rate sum the bound of `codebook_best_rates`: the N - r
-    weakest modes enter it as N - r modes of gain w_(r+1) that share the
-    leaked power equally.  A block holds about 2 _SCORE_BLOCK reals in
-    the larger of its features and its product.
+    entry block, the (b, N^2) features times the coefficients of `_modes`,
+    gives w_m e_m for the r strongest modes of all T channels at once, and
+    with r < N each channel's sum_top e.  The bound of
+    `codebook_best_rates` sums log2(1 + w_m e_m) over the r modes and adds
+    (N - r) log2(1 + w_(r+1) leaked / (N - r)) for the weakest, leaked =
+    sum p - sum_top e.  A bound does not depend on its block, so the
+    entries of several codebooks may share one.  A block holds about
+    2 _SCORE_BLOCK reals in the larger of its features and its product.
     """
     size, n = t.shape
-    trials, r = modes.top.shape
+    trials, r = len(modes.margin), modes.rank
     pairs = n * (n - 1) // 2
-    per = max(1, 2 * _SCORE_BLOCK // max(n * n, trials * r))
+    per = max(1, 2 * _SCORE_BLOCK // max(n * n, len(modes.coef)))
     features = np.empty((min(per, size), n * n))
-    snr = np.empty((len(features), trials, n))
     bounds = np.empty((trials, size))
     for start in range(0, size, per):
         tb = t[start:start + per]
@@ -574,27 +594,38 @@ def _entry_bounds(t: np.ndarray, modes: _Modes) -> np.ndarray:
         feat = features[:b]
         _pair_products(tb, feat[:, :2 * pairs].view(complex))
         np.add(tb.real**2, tb.imag**2, out=feat[:, 2 * pairs:])
-        e = (feat @ modes.coef.T).reshape(b, trials, r)
-        block = snr[:b]
-        np.multiply(e, modes.top, out=block[..., :r])
+        e = (feat @ modes.coef.T).reshape(b, trials, -1)
+        bound = _rate_sum(e[..., :r])
         if r < n:
-            leaked = np.maximum(modes.total - e.sum(axis=-1), 0.0)
-            block[..., r:] = (leaked * modes.tail)[..., None]
-        bounds[:, start:start + b] = _rate_sum(block).T
+            leaked = np.maximum(modes.total - e[..., r], 0.0)
+            bound += (n - r) * _rate_sum((leaked * modes.tail)[..., None])
+        bounds[:, start:start + b] = bound.T
     return bounds
 
 
-def _best_rates(score, hh: np.ndarray, t: np.ndarray, bounds: np.ndarray, margin: np.ndarray) -> np.ndarray:
-    """Each channel's best rate by `score`, scoring only the entries whose bound can reach it; shape (T,)."""
-    trials, size = bounds.shape
-    first = min(_FIRST_SCORED, size)
-    picked = np.argpartition(bounds, size - first, axis=1)[:, size - first:]  # (T, first)
-    rows = np.repeat(np.arange(trials), first)
-    best = _pair_rates(score, hh, t, rows, picked.ravel()).reshape(trials, first).max(axis=1)
-    rest = bounds >= (best - margin)[:, None]
-    rest[rows, picked.ravel()] = False
+def _best_rates(score, hh: np.ndarray, t: np.ndarray, bounds: np.ndarray, margin: np.ndarray, sizes) -> np.ndarray:
+    """Each codebook's best rate by `score` on each channel, scoring only entries whose bound can reach it; (K, T).
+
+    The K codebooks' entries lie one after another in `t` and in the
+    columns of `bounds`, `sizes` of them each.  Two `_pair_rates` calls
+    score every pair: first each (codebook, channel)'s _FIRST_SCORED
+    entries of largest bound, then every other entry whose bound reaches
+    its own codebook's best less the channel's margin.
+    """
+    trials = len(bounds)
+    owner = np.repeat(np.arange(len(sizes)), sizes)  # each entry's codebook
+    picked = []
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        first = min(_FIRST_SCORED, size)
+        picked.append(start + np.argpartition(bounds[:, start:start + size], size - first, axis=1)[:, size - first:])
+    entries = np.concatenate(picked, axis=1).ravel()
+    rows = np.repeat(np.arange(trials), len(entries) // trials)
+    best = np.full((len(sizes), trials), -np.inf)
+    np.maximum.at(best, (owner[entries], rows), _pair_rates(score, hh, t, rows, entries))
+    rest = bounds >= (best - margin)[owner].T
+    rest[rows, entries] = False
     rows, entries = np.nonzero(rest)
-    np.maximum.at(best, rows, _pair_rates(score, hh, t, rows, entries))
+    np.maximum.at(best, (owner[entries], rows), _pair_rates(score, hh, t, rows, entries))
     return best
 
 

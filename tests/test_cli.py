@@ -772,8 +772,10 @@ for path, argv in json.loads(sys.argv[1]):
 # one ("one"), both on the Gram path.  Each is scored over the whole codebook in one block, in
 # blocks of 1, 7 and 33 (channel, entry) pairs, one channel at a time, and as a shuffled half of
 # the pairs; the child prints the cases whose rates are not equal bit for bit to the one-block
-# stacked call, and those whose best entry's rate from codebook_best_rates is not that call's row
-# maximum.
+# stacked call.  One codebook_best_rates call then scores five codebooks of 1 to 256 entries, the
+# 256-entry one twice, at the default block and in blocks of 33 pairs (66 entries of the bound),
+# so that entry blocks straddle codebooks; the child prints each row that is not its own
+# codebook's row maximum.
 SCORER_BLOCK_CHILD = """
 import json, math, sys
 import numpy as np
@@ -781,6 +783,7 @@ from ucamimo import APPROXIMATE, EXACT_DISTANCE, ArrayConfig, Misalignment, buil
 from ucamimo import codebook_best_rates, codebook_rates_many, sim, transceiver, water_fill
 rng = np.random.default_rng(75)
 cb = build_codebook(5, 3)
+books = [build_codebook(1, 0), cb, build_codebook(3, 2, quantization="linear"), build_codebook(0, 0), cb]
 default_block = transceiver._SCORE_BLOCK
 moved = []
 for n, radius in ((4, 0.3162), (8, 0.4451), (12, 0.5396), (16, 0.6176)):
@@ -815,9 +818,14 @@ for n, radius in ((4, 0.3162), (8, 0.4451), (12, 0.5396), (16, 0.6176)):
             if not np.array_equal(transceiver._pair_rates(transceiver._pair_scorer(powers), hh, t, trials, entries),
                                   whole[trials, entries]):
                 moved.append(f"{case} shuffled pairs")
+            maxima = [codebook_rates_many(cfg, h, book, powers).max(axis=-1) for book in books]
             svd = sim._decomposition(cfg, mis, h, model == EXACT_DISTANCE)
-            if not np.array_equal(codebook_best_rates(cfg, h, *svd, [cb], powers)[0], whole.max(axis=-1)):
-                moved.append(f"{case} best entry")
+            for count in (default_block // (n * n), 33):
+                transceiver._SCORE_BLOCK = count * n * n
+                best = codebook_best_rates(cfg, h, *svd, books, powers)
+                moved += [f"{case} best entry of codebook {k} in blocks of {count}"
+                          for k, maximum in enumerate(maxima) if not np.array_equal(best[k], maximum)]
+            transceiver._SCORE_BLOCK = default_block
 print(json.dumps(moved))
 """
 

@@ -102,6 +102,19 @@ class TestCodebook:
         rates = codebook_rates_many(cfg, h.entries[None], cb, approx_power_allocation(cfg, 15.0))
         assert rates.shape == (1, 16)
 
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_phasors_follow_the_angle_pairs(self, n):
+        # the scorers' phasors come from the two angle grids, one sine per azimuth and per
+        # polar, with the bits of the entry-by-entry displacement of every angle pair
+        cfg = ArrayConfig(n_antennas=n, wavelength=sim.DEFAULT_WAVELENGTH, radius_tx=0.6, radius_rx=0.5,
+                          distance=300.0)
+        for l1, l2 in [*sim.DEFAULT_BIT_GRID, (0, 3), (4, 0), (0, 0)]:
+            for cb in (build_codebook(l1, l2), build_codebook(l1, l2, quantization="linear"),
+                       sim._distinct_codebook(l1, l2, "linear")):
+                t = transceiver._codebook_phasors(cfg, cb)
+                np.testing.assert_array_equal(t, _phasors(cfg, tx_displacement(cfg, *cb.angle_pairs())))
+                assert t.shape == (cb.size, n)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             build_codebook(-1, 0)
@@ -452,6 +465,44 @@ class TestBestEntryScorer:
         for row, cb in zip(best, self.CODEBOOKS):
             np.testing.assert_array_equal(row, codebook_rates_many(cfg, h, cb, powers).max(axis=-1))
 
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    @pytest.mark.parametrize("dist, active", [pytest.param(300.0, 5, id="five"),
+                                              pytest.param(100.0, None, id="designed")])
+    @pytest.mark.parametrize("books", [
+        pytest.param([(3, 2, "sine")], id="one"),
+        pytest.param([(3, 2, "sine"), (3, 2, "sine")], id="repeated"),
+        pytest.param([(0, 0, "sine"), (3, 2, "sine"), (1, 0, "linear"), (0, 1, "sine"), (3, 2, "sine"),
+                      (4, 2, "linear")], id="mixed"),
+        pytest.param([(l1, l2, method) for l1, l2 in sim.DEFAULT_BIT_GRID for method in ("sine", "linear")],
+                     id="bit-grid"),
+        pytest.param([], id="empty"),
+    ])
+    def test_one_bound_pass_and_two_exact_rounds(self, monkeypatch, model, dist, active, books):
+        # whatever the number of codebooks, one call takes one bound pass over all their entries and
+        # two rounds of exact scores: each (codebook, channel)'s first entries, then the survivors.
+        # Codebooks of 1 and 2 entries hold no more than the first round takes, and a repeated
+        # codebook scores as itself.  The designed 100 m powers give every stream power (antenna
+        # path), five of eight streams the Gram path with weak modes
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapper
+
+        for name in ("_entry_bounds", "_pair_rates"):
+            monkeypatch.setattr(transceiver, name, counted(name, getattr(transceiver, name)))
+        cfg = design_point(8, dist)
+        powers = approx_power_allocation(cfg, 15.0) if active is None else stream_allocation(8, active)
+        codebooks = [sim._distinct_codebook(l1, l2, method) for l1, l2, method in books]
+        channels, h = TestStackedCodebookScorer().stack(cfg, model, 5)
+        best = codebook_best_rates(cfg, h, *channels_svd(cfg, channels, model), codebooks, powers)
+        assert sorted(calls) == (["_entry_bounds"] + 2 * ["_pair_rates"] if codebooks else [])
+        assert best.shape == (len(codebooks), 5)
+        for row, cb in zip(best, codebooks):
+            np.testing.assert_array_equal(row, codebook_rates_many(cfg, h, cb, powers).max(axis=-1))
+
     def test_empty_inputs(self):
         cfg = design_point(8, 300.0)
         channels, h = TestStackedCodebookScorer().stack(cfg, APPROXIMATE, 3)
@@ -462,9 +513,9 @@ class TestBestEntryScorer:
 
     def test_bound_prunes_most_entries(self, monkeypatch):
         # on the `codebook` campaign's cell (N = 16, r = 9) the eigenbasis bound, on the closed-form
-        # (sigma, V) the separable campaigns pass, leaves 80 of the 1,024-entry codebook's 8,192
-        # (entry, channel) pairs to the Cholesky: the first 8 of each channel and 16 more.  The
-        # scorer takes no factorisation of its own
+        # (sigma, V) the separable campaigns pass, leaves 66 of each copy of the 1,024-entry
+        # codebook's 8,192 (entry, channel) pairs to the Cholesky: the first 2 of each channel and
+        # 50 more.  The scorer takes no factorisation of its own
         calls = []
 
         def counted(name, f):
@@ -487,8 +538,8 @@ class TestBestEntryScorer:
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
     def test_bound_prunes_most_entries_at_full_rank(self, monkeypatch, model):
         # on N = 8's 100 m design all 8 streams have power (spread 1.04, the antenna path);
-        # the bound, exact to first order in the spread, leaves 223 (separable, closed-form V)
-        # and 149 (exact, the SVD's V) of the 256-entry codebook's 2,048 pairs to the Cholesky
+        # the bound, exact to first order in the spread, leaves 225 (separable, closed-form V)
+        # and 150 (exact, the SVD's V) of the 256-entry codebook's 2,048 pairs to the Cholesky
         cholesky = np.linalg.cholesky
         calls = []
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
@@ -564,8 +615,9 @@ class TestScorerOracle:
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
     def test_best_entry_matches_the_oracle_at_low_snr_and_the_guard(self, monkeypatch, model):
         # at -20 dB the antenna form's absolute error is largest next to the rates, and at the
-        # guard's spread the margin's spread term peaks.  The bound leaves only the first 8 of
-        # the 32 entries to the Cholesky on either model, and the best entry is still the oracle's
+        # guard's spread the margin's spread term peaks.  The bound leaves only 4 of the 32
+        # entries to the Cholesky on either model, the first 2 and 2 more, and the best entry is
+        # still the oracle's
         cholesky = np.linalg.cholesky
         calls = []
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
