@@ -25,7 +25,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .channel import APPROXIMATE, EXACT_DISTANCE, build_channels, dft_matrix
+from .channel import APPROXIMATE, EXACT_DISTANCE, build_channels
 from .design import (
     capacity,
     condition_numbers,
@@ -235,9 +235,11 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     """Rates of all schemes over the (antenna count, distance) grid.
 
     Each trial is drawn once, and each cell's trials are scored as one
-    batch: every scheme is one stacked call over the cell's channels, and
-    the codebook row is the best entry's rate, by `codebook_best_rates`
-    (the row maximum of `codebook_rates_many`, bit for bit).  The
+    batch: every scheme is one stacked call over the cell's channels.
+    One `codebook_best_rates` call scores two codebooks: the campaign's,
+    whose best entry's rate is the codebook row (the row maximum of
+    `codebook_rates_many`, bit for bit), and the one entry with zero
+    shift, t = 1, which is the DFT precoder: the identity row.  Each
     codebook is scored as `_distinct_codebook` gives it: with L2 = 0
     every entry is the DFT precoder, and one is scored.
     The capacity row and the condition number come from the singular
@@ -247,14 +249,17 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     and the optimal precoder, the SVD precoder with water-filling, reaches
     capacity exactly, so its row is the capacity row.  On exact geometry
     the nulling receivers read the cell's SVD (`nulling_rates`), and the
-    optimal precoder water-fills the closed-form spectrum.  A draw clamped
+    optimal precoder water-fills the closed-form spectrum and is scored by
+    `precoded_rates`: its powers are water-filled per trial, (T, N), while
+    the pair scorers take one (N,) vector and choose their path from it
+    per call, so per-trial powers would need a second path.  A draw clamped
     exactly onto the rotation bound yields a singular separable channel; the nulling receivers cannot operate there
     and score zero (the row's condition number is infinite, so such
     trials are visible).  `jobs` is accepted for compatibility; neither
     the output nor the scheduling depends on it.
     """
     p_total = power_from_db(trial_cfg.snr_db)
-    cb = _distinct_codebook(*trial_cfg.codebook_bits, SINE_UNIFORM)
+    codebooks = [_distinct_codebook(*trial_cfg.codebook_bits, SINE_UNIFORM), _distinct_codebook(0, 0, SINE_UNIFORM)]
     rows: list[ResultRow] = []
     for cfg, mis, h, sigma, v in _cells(trial_cfg):
         approx_powers = approx_power_allocation(cfg, trial_cfg.snr_db)
@@ -266,14 +271,8 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
         else:
             optimal_rate = cap
             zf, zf_sic = spectrum_nulling_rates(sigma, p_total)
-        rates = (
-            cap,
-            optimal_rate,
-            codebook_best_rates(cfg, h, sigma, v, [cb], approx_powers)[0],
-            np.sum(precoded_rates(h, dft_matrix(cfg.n_antennas), approx_powers), axis=-1),
-            zf,
-            zf_sic,
-        )
+        best, identity = codebook_best_rates(cfg, h, sigma, v, codebooks, approx_powers)
+        rates = (cap, optimal_rate, best, identity, zf, zf_sic)
         rows += _cell_rows("rate_sweep", cfg, dict(zip(RATE_SWEEP_SCHEMES, rates, strict=True)),
                            condition_numbers(sigma))
     return rows

@@ -206,15 +206,16 @@ def precoded_rates(h: np.ndarray, f: np.ndarray, powers) -> np.ndarray:
     `h` is a (..., N, N) stack of channels and `f` its precoders; the
     stream powers at unit noise are (N,) or one row per channel.  Row by
     row this is the split of `precoded_rate`.  With G = H F P^(1/2), the
-    QR factorisation of G stacked on the identity has a triangular factor
-    whose squared diagonal multiplies out to det(I + G^H G), so stream k
-    contributes 2*log2|r_kk| and the rates sum to log2 det(I + G^H G).
+    Cholesky factor L of I + G^H G has a squared diagonal that multiplies
+    out to det(I + G^H G), so stream k contributes 2*log2 L_kk and the
+    rates sum to log2 det(I + G^H G).  L_kk is |r_kk| of the QR of G
+    stacked on the identity, the interference-cancellation chain in
+    natural order.
     """
     g = (h @ f) * np.sqrt(_stream_powers(powers))[..., None, :]
-    n = g.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (*g.shape[:-2], n, n))
-    r = np.linalg.qr(np.concatenate([g, eye], axis=-2), mode="r")
-    return 2.0 * np.log2(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
+    a = np.swapaxes(g, -1, -2).conj() @ g
+    a += np.eye(g.shape[-1])
+    return 2.0 * np.log2(_cholesky_diagonal(a))
 
 
 def precoded_rate(h, precoder: np.ndarray, powers) -> RateReport:
@@ -434,10 +435,14 @@ def _stream_columns(n: int, powers: np.ndarray) -> np.ndarray:
     return dft_matrix(n)[:, active] * np.sqrt(powers[active])
 
 
+def _cholesky_diagonal(a: np.ndarray) -> np.ndarray:
+    """The real diagonal of the Cholesky factors of a (..., k, k) Hermitian positive definite stack; (..., k)."""
+    return np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1).real
+
+
 def _log_det(a: np.ndarray) -> np.ndarray:
     """Natural log-determinants of a (..., k, k) stack of Hermitian positive definite matrices, by Cholesky."""
-    chol = np.linalg.cholesky(a)
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+    return 2.0 * np.sum(np.log(_cholesky_diagonal(a)), axis=-1)
 
 
 def _entry_rates(x: np.ndarray, t_conj: np.ndarray, hh: np.ndarray, q_conj: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Every name a module under src/ucamimo imports is used in that module, the public surface is
 pinned, one function holds the number rule, one function the rate sum, and no module inverts a
-matrix or takes an eigendecomposition."""
+matrix or takes an eigendecomposition or a QR factorisation."""
 
 import ast
 import importlib
@@ -136,14 +136,15 @@ def test_one_function_holds_the_rate_sum():
     }
 
 
-# The decompositions that the cell's one (sigma, V) replaces: the normal equations' inverse
-# squares the condition number, and an eigh of H^H H recomputes a basis the SVD or the paper's
-# closed form already gives
-REPLACED_LINALG = {"inv", "eigh"}
+# The factorisations the package replaced: the normal equations' inverse squares the condition
+# number, an eigh of H^H H recomputes a basis that the cell's one (sigma, V) already gives, and
+# the QR of [G; I] has the Cholesky diagonal of I + G^H G as its |r_kk|.  Cholesky and SVD are
+# the package's only factorisations
+REPLACED_LINALG = {"inv", "eigh", "qr"}
 
 
 def replaced_linalg_uses(source: str) -> list[str]:
-    """Each `linalg.inv` or `linalg.eigh` that the source reads as an attribute or imports by name."""
+    """Each `linalg.inv`, `linalg.eigh` or `linalg.qr` that the source reads as an attribute or imports by name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in REPLACED_LINALG:
@@ -163,8 +164,11 @@ def test_detector_finds_replaced_linalg():
         "    'Not np.linalg.inv(a).'\n"
         "    g = np.linalg.inv\n"
         "    return np.linalg.eigh(a), linalg.inv(a), np.linalg.svd(a), a.inv, np.linalg.pinv(a)\n"
+        "def g(a):\n"
+        "    return np.linalg.qr(a, mode='r'), np.linalg.cholesky(a), a.qr\n"
     )
-    assert sorted(replaced_linalg_uses(source)) == ["linalg.inv", "np.linalg.eigh", "np.linalg.inv", "numpy.linalg.eigh"]
+    assert sorted(replaced_linalg_uses(source)) == [
+        "linalg.inv", "np.linalg.eigh", "np.linalg.inv", "np.linalg.qr", "numpy.linalg.eigh"]
 
 
 def test_no_inverse_or_eigendecomposition_in_the_package():

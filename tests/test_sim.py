@@ -17,7 +17,6 @@ from ucamimo import (
     build_channel,
     build_codebook,
     codebook_rates_many,
-    dft_matrix,
     nulling_rates,
     numerical_svd,
     precoder_from_angles,
@@ -71,10 +70,11 @@ def reference_rate_sweep(cfg):
     """The per-trial engine the batched one replaced.
 
     Each trial builds its channel alone and scores every scheme on it: the
-    precoded schemes with `precoded_rate`, the codebook and nulling
-    receivers with the stacked kernels on a stack of one, so a row cannot
-    depend on the rest of its cell.  Under the separable model the nulling
-    receivers and the optimal precoder take their closed forms on the
+    optimal precoder with `precoded_rate`, the codebook, the identity (the
+    DFT precoder, the t = 1 entry of `build_codebook(0, 0)`) and the
+    nulling receivers with the stacked kernels on a stack of one, so a row
+    cannot depend on the rest of its cell.  Under the separable model the
+    nulling receivers and the optimal precoder take their closed forms on the
     trial's spectrum: `spectrum_nulling_rates`, and the capacity (the
     properties in test_properties.py hold both to the numerical receivers
     and to the SVD precoder).  Under exact geometry they are the numerical
@@ -107,7 +107,7 @@ def reference_rate_sweep(cfg):
                     "capacity": capacity(sig, p_total, 1.0),
                     "optimal-precoder": optimal_rate,
                     "codebook": codebook_rates_many(arr, h.entries[None], cb, approx_powers)[0].max(),
-                    "identity": precoded_rate(h, dft_matrix(n), approx_powers).rate,
+                    "identity": codebook_rates_many(arr, h.entries[None], build_codebook(0, 0), approx_powers)[0, 0],
                     "zf": zf,
                     "zf-sic": zf_sic,
                 }

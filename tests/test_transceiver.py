@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import channels_svd, random_misalignment, svd_of
+from conftest import channels_svd, random_misalignment, stack_of, svd_of
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
@@ -13,6 +13,7 @@ from ucamimo import (
     Misalignment,
     approx_power_allocation,
     build_channel,
+    build_channels,
     build_codebook,
     closed_form_svd,
     codebook_best_rates,
@@ -24,7 +25,7 @@ from ucamimo import sim, transceiver
 from ucamimo.channel import _phasors
 from ucamimo.design import capacity, water_fill
 from ucamimo.geometry import tx_displacement
-from ucamimo.spectrum import singular_values
+from ucamimo.spectrum import singular_values, singular_values_many
 from ucamimo.transceiver import (
     RateReport,
     precoded_rate,
@@ -588,6 +589,13 @@ def log_det_oracle(cfg, h, cb, powers):
     return np.array(rates)
 
 
+def precoded_log_det_oracle(h, f, powers):
+    """log2 det(I + G^H G) of one channel at 40 digits, G = H F P^(1/2); the float64 inputs enter exactly."""
+    with mpmath.workdps(40):
+        g = mpmath.matrix(h.tolist()) * mpmath.matrix(f.tolist()) * mpmath.diag([mpmath.sqrt(p) for p in powers.tolist()])
+        return float(mpmath.log(mpmath.re(mpmath.det(mpmath.eye(len(powers)) + g.H * g)), 2))
+
+
 class TestScorerOracle:
     """Both scorer paths against an extended-precision log-det of the same float64 inputs."""
 
@@ -602,15 +610,42 @@ class TestScorerOracle:
         # full-rank powers up to the guard's spread take the antenna path, a wider spread and a
         # single active stream the Gram path.  The antenna form's error is absolute and grows
         # with the spread: at a spread of 1e9 it was 4.7e-12 bit/s/Hz at 30 dB and 3e-8 at
-        # -20 dB, so without the guard both tolerances fail
+        # -20 dB, so without the guard both tolerances fail.  The one entry of build_codebook(0, 0),
+        # t = 1, is the DFT precoder that the campaigns score as the identity row
         cfg = design_point(8, 100.0)
         h = build_channel(cfg, self.MISALIGNMENT, model).entries
-        cb = build_codebook(1, 1)
         one_stream = np.append(total, np.zeros(7))
         spreads = (1.0, 1e2, transceiver._MAX_POWER_SPREAD, 1e9)
         for powers in [*(spread_allocation(8, spread, total) for spread in spreads), one_stream]:
-            rates = codebook_rates_many(cfg, h[None], cb, powers)[0]
-            np.testing.assert_allclose(rates, log_det_oracle(cfg, h, cb, powers), **tolerance)
+            for cb in (build_codebook(1, 1), build_codebook(0, 0)):
+                rates = codebook_rates_many(cfg, h[None], cb, powers)[0]
+                np.testing.assert_allclose(rates, log_det_oracle(cfg, h, cb, powers), **tolerance)
+
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    @pytest.mark.parametrize("total, tolerance", [
+        pytest.param(SNR30, {"rtol": 1e-15, "atol": 0.0}, id="30dB"),
+        pytest.param(1e-2, {"rtol": 0.0, "atol": 1e-13}, id="-20dB"),
+    ])
+    def test_precoded_rates_with_per_trial_powers_match_the_oracle(self, model, total, tolerance):
+        # the exact optimal-precoder row's inputs: each trial's paper precoder at its true shift and
+        # its own water-filled powers, (T, N).  The Cholesky's per-stream split is held to the
+        # |r_kk| of a QR of [G; I], the interference-cancellation chain in natural order; it was
+        # within 2.9 eps max(1, |rate|) of it here, and within 42 eps on ill-conditioned random
+        # channels at 45-60 dB, where the Cholesky of I + G^H G squares G's condition number
+        cfg = design_point(8, 100.0)
+        rng = np.random.default_rng(23)
+        mis = stack_of([self.MISALIGNMENT, *(random_misalignment(rng, 8) for _ in range(3))])
+        h = build_channels(cfg, mis, model)
+        f = transceiver.precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
+        powers = water_fill(singular_values_many(8, cfg.beta, mis.theta_o), total)
+        rates = precoded_rates(h, f, powers)
+        oracle = [precoded_log_det_oracle(*trial) for trial in zip(h, f, powers)]
+        np.testing.assert_allclose(rates.sum(axis=-1), oracle, **tolerance)
+        g = (h @ f) * np.sqrt(powers)[:, None, :]
+        r = np.linalg.qr(np.concatenate([g, np.broadcast_to(np.eye(8), g.shape)], axis=1), mode="r")
+        qr_split = 2.0 * np.log2(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+        scale = np.maximum(1.0, np.abs(oracle))[:, None]
+        assert (np.abs(rates - qr_split) <= 8.0 * np.finfo(float).eps * scale).all()
 
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
     def test_best_entry_matches_the_oracle_at_low_snr_and_the_guard(self, monkeypatch, model):
