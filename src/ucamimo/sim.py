@@ -8,8 +8,11 @@ antenna counts, distances and codebook settings; only the rotation clamp
 to [-pi/N, pi/N] depends on the antenna count.  One generator, `_cells`,
 builds every cell of both campaigns: its channels as one (T, N, N) stack
 and their SVD's singular values and right singular vectors (sigma, V),
-the one decomposition of the cell, which every scheme reads.  All trials
-of a cell are scored as one batch, each scheme in one stacked call.
+the one decomposition of the cell, which every scheme reads: the paper's
+closed form on the separable model, one SVD with exact geometry.  ZF
+and ZF-SIC are one `nulling_rates` call per cell on either model.  All
+trials of a cell are scored as one batch, each scheme in one stacked
+call.
 Every command's output, the campaign CSVs and the CLI's other tables
 alike, prints its numbers by `table_texts` and goes out through
 `write_text`.
@@ -44,7 +47,6 @@ from .transceiver import (
     nulling_rates,
     precoded_rates,
     precoder_matrices,
-    spectrum_nulling_rates,
 )
 
 CSV_HEADER = "scenario,n_antennas,distance_m,scheme,trial,rate_bps_hz,beta,cond_number"
@@ -243,20 +245,20 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     codebook is scored as `_distinct_codebook` gives it: with L2 = 0
     every entry is the DFT precoder, and one is scored.
     The capacity row and the condition number come from the singular
-    values `_cells` yields, and the codebook's bound from them and V.  On
-    the separable model the nulling and optimal-precoder rows come from
-    the closed-form spectrum: ZF and ZF-SIC by `spectrum_nulling_rates`,
-    and the optimal precoder, the SVD precoder with water-filling, reaches
-    capacity exactly, so its row is the capacity row.  On exact geometry
-    the nulling receivers read the cell's SVD (`nulling_rates`), and the
-    optimal precoder water-fills the closed-form spectrum and is scored by
-    `precoded_rates`: its powers are water-filled per trial, (T, N), while
-    the pair scorers take one (N,) vector and choose their path from it
-    per call, so per-trial powers would need a second path.  A draw clamped
-    exactly onto the rotation bound yields a singular separable channel; the nulling receivers cannot operate there
-    and score zero (the row's condition number is infinite, so such
-    trials are visible).  `jobs` is accepted for compatibility; neither
-    the output nor the scheduling depends on it.
+    values `_cells` yields, and the codebook's bound from them and V.  ZF
+    and ZF-SIC read the cell's (sigma, V) on both models, one
+    `nulling_rates` call per cell.  The one per-model branch is the
+    optimal-precoder row.  On the separable model the optimal precoder,
+    the SVD precoder with water-filling, reaches capacity exactly, so its
+    row is the capacity row.  On exact geometry it water-fills the
+    closed-form spectrum and is scored by `precoded_rates`: its powers
+    are water-filled per trial, (T, N), while the pair scorers take one
+    (N,) vector and choose their path from it per call, so per-trial
+    powers would need a second path.  A draw clamped exactly onto the
+    rotation bound yields a singular separable channel; the nulling
+    receivers cannot operate there and score zero (the row's condition
+    number is infinite, so such trials are visible).  `jobs` is accepted
+    for compatibility; neither the output nor the scheduling depends on it.
     """
     p_total = power_from_db(trial_cfg.snr_db)
     codebooks = [_distinct_codebook(*trial_cfg.codebook_bits, SINE_UNIFORM), _distinct_codebook(0, 0, SINE_UNIFORM)]
@@ -267,10 +269,9 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
         if trial_cfg.exact_geometry:
             spectrum, optimal = _decomposition(cfg, mis, h, exact_geometry=False)  # the paper's SVD precoder
             optimal_rate = np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total)), axis=-1)
-            zf, zf_sic = nulling_rates(sigma, v, p_total)
         else:
             optimal_rate = cap
-            zf, zf_sic = spectrum_nulling_rates(sigma, p_total)
+        zf, zf_sic = nulling_rates(sigma, v, p_total)
         best, identity = codebook_best_rates(cfg, h, sigma, v, codebooks, approx_powers)
         rates = (cap, optimal_rate, best, identity, zf, zf_sic)
         rows += _cell_rows("rate_sweep", cfg, dict(zip(RATE_SWEEP_SCHEMES, rates, strict=True)),

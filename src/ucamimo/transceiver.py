@@ -406,11 +406,18 @@ def _scorer_inputs(cfg: ArrayConfig, h, powers) -> tuple[np.ndarray, np.ndarray]
 
 
 def _checked_svd(sigma, v, shape=None) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and vectors as (T, N) and (T, N, N) arrays, with (T, N) = `shape` where it is given."""
+    """Singular values and vectors as (T, N) and (T, N, N) arrays, with (T, N) = `shape` where it is given.
+
+    The values must be finite and nonnegative and the vectors finite: a
+    NaN would prune the codebook bound's entries, or pass the nulling
+    receivers' rank rule as a rank-deficient 0.
+    """
     sigma, v = np.asarray(sigma, dtype=float), np.asarray(v)
     if sigma.ndim != 2 or v.shape != (*sigma.shape, sigma.shape[-1]) or shape not in (None, sigma.shape):
         raise ValueError(f"singular values and vectors of T channels of N antennas must have shapes (T, N) "
                          f"and (T, N, N), got {sigma.shape} and {v.shape}")
+    if not ((sigma >= 0.0) & (sigma < math.inf)).all() or not np.isfinite(v).all():
+        raise ValueError("singular values must be finite and nonnegative, and singular vectors finite")
     return sigma, v
 
 
@@ -638,53 +645,29 @@ def _best_rates(score, hh: np.ndarray, t: np.ndarray, bounds: np.ndarray, margin
 _RANK_TOL = 1e-12
 
 
-def _kept(sigma) -> tuple[np.ndarray, np.ndarray]:
-    """The nulling kernels' rank rule on (..., N) singular values: which rows are full rank, and the values.
-
-    A row whose smallest value is at most `_RANK_TOL` times its largest
-    is rank-deficient; its values come back as ones, so that no gain of
-    a row scored 0 is divided by.
-    """
-    full = np.min(sigma, axis=-1) > _RANK_TOL * np.max(sigma, axis=-1)
-    return full, np.where(full[..., None], sigma, 1.0)
-
-
 def nulling_rates(sigma, v, p_total: float) -> tuple[np.ndarray, np.ndarray]:
     """Equal-power ZF and ZF-SIC sum rates of T channels from their SVDs U diag(sigma) V^H; two (T,) arrays.
 
     `sigma` holds each channel's singular values, shape (T, N), and `v`
-    its right singular vectors as columns, shape (T, N, N).  At unit
-    noise each stream gets p = p_total/N, and ZF stream k sees SNR
-    p / [(H^H H)^-1]_kk with [(H^H H)^-1]_kk = sum_m |V_km|^2 / sigma_m^2,
-    so no Gram matrix is formed and the condition number is not squared.
-    ZF-SIC detects and subtracts the streams in turn; its sum rate
-    log2 det(I + p H^H H) does not depend on the detection order, and it
-    equals sum_k log2(1 + p sigma_k^2).  A channel rank-deficient by
-    `_kept`'s rule scores zero on both receivers, where neither can
-    operate.  The campaigns run this on exact-geometry channels only;
-    separable channels take `spectrum_nulling_rates`.
+    its right singular vectors as columns, shape (T, N, N); `p_total`
+    must be positive and finite.  At unit noise each stream gets
+    p = p_total/N, and ZF stream k sees SNR p / [(H^H H)^-1]_kk with
+    [(H^H H)^-1]_kk = sum_m |V_km|^2 / sigma_m^2, so no Gram matrix is
+    formed and the condition number is not squared.  ZF-SIC detects and
+    subtracts the streams in turn; its sum rate log2 det(I + p H^H H)
+    does not depend on the detection order, and it equals
+    sum_k log2(1 + p sigma_k^2).  A channel whose smallest singular value
+    is at most `_RANK_TOL` times its largest is rank-deficient and scores
+    zero on both receivers, where neither can operate.  The campaigns run
+    this one kernel on both channel models: on the separable model they
+    pass the closed form V = T_t Q, whose |V_km|^2 = 1/N give every ZF
+    stream the SNR p / mean_k sigma_k^-2.
     """
     sigma, v = _checked_svd(sigma, v)
-    full, kept = _kept(sigma)
+    if not 0.0 < p_total < math.inf:
+        raise ValueError(f"p_total must be positive and finite, got {p_total}")
+    full = np.min(sigma, axis=-1) > _RANK_TOL * np.max(sigma, axis=-1)
+    kept = np.where(full[:, None], sigma, 1.0)  # no gain of a row scored 0 is divided by
     p = p_total / sigma.shape[-1]
     diag_inv = np.sum((v.real**2 + v.imag**2) / kept[:, None, :] ** 2, axis=-1)
     return np.where(full, _rate_sum(p / diag_inv), 0.0), np.where(full, _rate_sum(kept**2 * p), 0.0)
-
-
-def spectrum_nulling_rates(sigma, p_total: float) -> tuple[np.ndarray, np.ndarray]:
-    """ZF and ZF-SIC sum rates of separable channels from their singular values; two (...,) arrays.
-
-    A separable channel is T_r C T_t^H with unit-modulus phase diagonals
-    T_r, T_t and a circulant core C = Q diag(delta) Q^H, |delta_k| =
-    sigma_k.  So V = T_t Q has |V_km|^2 = 1/N, and every diagonal entry
-    of (H^H H)^-1 is mean_k sigma_k^-2: at unit noise all N ZF streams see
-    SNR p / mean_k sigma_k^-2, p = p_total/N.  The ZF-SIC sum is
-    log2 det(I + p H^H H) = sum_k log2(1 + p sigma_k^2).
-    These are the sums of `nulling_rates` on the closed-form SVD, with no
-    V.  Rows rank-deficient by its rule score zero on both.
-    """
-    full, kept = _kept(sigma)
-    n = kept.shape[-1]
-    p = p_total / n
-    zf = n * _rate_sum((p / np.mean(kept**-2.0, axis=-1))[..., None])
-    return np.where(full, zf, 0.0), np.where(full, _rate_sum(kept**2 * p), 0.0)

@@ -204,7 +204,7 @@ LAYER_NAMES = {
     "transceiver": {"Codebook", "RateReport",
                     "approx_power_allocation", "build_codebook", "codebook_best_rates", "codebook_rates_many",
                     "nulling_rates", "precoded_rate", "precoded_rates", "precoder_from_angles",
-                    "precoder_matrices", "spectrum_nulling_rates"},
+                    "precoder_matrices"},
     "sim": {"ResultRow", "TrialConfig", "csv_text", "draw_misalignment", "rows_to_csv",
             "run_codebook_bit_sweep", "run_rate_sweep", "table_texts", "trial_rng", "write_csv",
             "write_text"},
@@ -276,7 +276,6 @@ SIGNATURES = {
     "transceiver.precoded_rates": "(h, f, powers)",
     "transceiver.precoder_from_angles": "(cfg, theta_cs, phi_cs)",
     "transceiver.precoder_matrices": "(cfg, theta_cs, phi_cs)",
-    "transceiver.spectrum_nulling_rates": "(sigma, p_total)",
 }
 
 

@@ -40,7 +40,7 @@ from ucamimo import design, sim, transceiver
 from ucamimo.design import condition_numbers, power_from_db
 from ucamimo.geometry import ANGLE_NAMES, distance_matrix_exact, rx_ring_harmonics
 from ucamimo.spectrum import singular_values_many
-from ucamimo.transceiver import codebook_best_rates, codebook_rates_many, precoded_rate, spectrum_nulling_rates
+from ucamimo.transceiver import codebook_best_rates, codebook_rates_many, precoded_rate
 
 WAVELENGTH = 0.004
 DISTANCE = 100.0
@@ -354,12 +354,16 @@ def test_codebook_rates_do_not_depend_on_rx_tilt_under_separable_model(link, snr
 @PROPERTY
 @given(stack=stacks(), snr_db=st.floats(-10.0, 30.0))
 def test_closed_form_nulling_rates_match_numerical_receivers(stack, snr_db):
-    # the separable campaigns score ZF and ZF-SIC from the spectrum; on well-conditioned stacks
-    # that equals the numerical receivers on the built channels' SVD.  ZF is held to 1e-12 plus
-    # N eps cond^2, the tolerance of the Gram inverse the numerical ZF once took: over 24,000
-    # random separable channels its distance from the closed form stayed below 1.5e-15 cond^2
-    # relative, and reached 5.7e-11 at cond in [100, 1000].  The oracle tests below say which
-    # side is right where the two differ.
+    # the separable campaigns score ZF and ZF-SIC with `nulling_rates` on the closed-form SVD,
+    # the spectrum and V = T_t Q; on well-conditioned stacks that equals the numerical receivers
+    # on the built channels' SVD.  ZF is held to 1e-12 plus N eps cond^2, the tolerance of the
+    # Gram inverse the numerical ZF once took: over 24,000 random separable channels its distance
+    # from the closed form stayed below 1.5e-15 cond^2 relative, and reached 5.7e-11 at cond in
+    # [100, 1000].  The oracle tests below say which side is right where the two differ.
+    # |V_km|^2 = 1/N on the closed form, so every ZF stream sees p / mean sigma^-2 (the paper's
+    # ZF identity, written out below): the kernel is within 8 eps relative of it, and of
+    # sum log2(1 + p sigma^2); at most 6.4e-16 over these examples, and 1.1e-15 over the 4,000
+    # separable ZF and ZF-SIC values of a seed-5, 15 degree default campaign.
     cfg, mises = stack
     mis = stack_of(mises)
     sigma = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
@@ -368,10 +372,15 @@ def test_closed_form_nulling_rates_match_numerical_receivers(stack, snr_db):
     p_total = power_from_db(snr_db)
     h = build_channels(cfg, mis)
     numerical_zf, numerical_zf_sic = nulling_rates(*svd_of(h), p_total)
-    zf, zf_sic = spectrum_nulling_rates(sigma, p_total)
+    zf, zf_sic = nulling_rates(sigma, precoder_matrices(cfg, mis.theta_cs, mis.phi_cs), p_total)
     np.testing.assert_allclose(zf_sic, numerical_zf_sic, rtol=1e-12, atol=0.0)
     inversion = cfg.n_antennas * np.finfo(float).eps / ratio**2
     assert np.all(np.abs(zf - numerical_zf) <= (1e-12 + inversion) * zf)
+    n, p = cfg.n_antennas, p_total / cfg.n_antennas
+    closed_zf = n * np.log1p(p / np.mean(sigma**-2.0, axis=-1)) / math.log(2.0)
+    closed_zf_sic = np.sum(np.log1p(p * sigma**2), axis=-1) / math.log(2.0)
+    np.testing.assert_allclose(zf, closed_zf, rtol=8 * np.finfo(float).eps, atol=0.0)
+    np.testing.assert_allclose(zf_sic, closed_zf_sic, rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
 @PROPERTY
@@ -405,17 +414,19 @@ def test_closed_form_zf_matches_extended_precision_oracle():
     # The ill-conditioned cells of the default campaign (seed 2024, 4 mm carrier).  A ZF from the
     # Gram inverse printed other digits than the closed form on 398 of its 2,000 trial rows, and a
     # 50-digit ZF of each built channel was closer to the closed form on every one of them.  This
-    # samples the first five trials of four of those cells, the 18 with cond >= 1e4.  The closed
-    # form's error follows the spectrum's error in sigma_min, and stayed below 3.1e-16 cond
-    # relative on all 398 rows.  The SVD form of `nulling_rates` squares no condition number: it
-    # is within 1.5e-16 cond of the oracle here, closer than the closed form on 10 of the 18
+    # samples the first five trials of four of those cells, the 18 with cond >= 1e4.  The campaign
+    # scores them with `nulling_rates` on the cell's closed-form (sigma, V), whose error follows
+    # the spectrum's error in sigma_min: the closed-form ZF stayed below 3.1e-16 cond relative on
+    # all 398 rows, and this kernel on (sigma, V) is within 3.1e-16 cond of the oracle on these
+    # 18.  On the built channels' LAPACK SVD `nulling_rates` squares no condition number either:
+    # it is within 1.5e-16 cond of the oracle here, closer than the closed form on 10 of the 18
     cfg = sim.TrialConfig(seed=2024, n_trials=5, wavelength=0.004, n_antennas_list=(12, 16),
                           distances=(400.0, 500.0))
     p_total = power_from_db(cfg.snr_db)
     checked = 0
-    for acfg, _, h, sigma, _ in sim._cells(cfg):
+    for acfg, _, h, sigma, v in sim._cells(cfg):
         cond = condition_numbers(sigma)
-        zf, _ = spectrum_nulling_rates(sigma, p_total)
+        zf, _ = nulling_rates(sigma, v, p_total)
         numerical, _ = nulling_rates(*svd_of(h), p_total)
         for t in np.flatnonzero(np.isfinite(cond) & (cond >= 1e4)):
             oracle = zf_oracle(h[t], p_total / acfg.n_antennas)

@@ -38,7 +38,7 @@ from ucamimo.sim import (
     trial_rng,
 )
 from ucamimo.spectrum import singular_values
-from ucamimo.transceiver import precoded_rate, spectrum_nulling_rates
+from ucamimo.transceiver import precoded_rate
 
 
 def small_config(**kw):
@@ -74,12 +74,13 @@ def reference_rate_sweep(cfg):
     DFT precoder, the t = 1 entry of `build_codebook(0, 0)`) and the
     nulling receivers with the stacked kernels on a stack of one, so a row
     cannot depend on the rest of its cell.  Under the separable model the
-    nulling receivers and the optimal precoder take their closed forms on the
-    trial's spectrum: `spectrum_nulling_rates`, and the capacity (the
-    properties in test_properties.py hold both to the numerical receivers
-    and to the SVD precoder).  Under exact geometry they are the numerical
-    `nulling_rates` and `precoded_rate`.  A singular channel scores zero
-    for ZF and ZF-SIC.  Capacity row and condition number come from the
+    nulling receivers read the trial's closed-form SVD, its spectrum and
+    V = `precoder_from_angles` of the true shift, and the optimal precoder
+    takes the capacity (the properties in test_properties.py hold both to
+    the numerical receivers and to the SVD precoder).  Under exact
+    geometry the nulling receivers read the LAPACK SVD and the optimal
+    precoder is `precoded_rate`.  A singular channel scores zero for ZF
+    and ZF-SIC.  Capacity row and condition number come from the
     closed-form spectrum.
     """
     p_total = 10.0 ** (cfg.snr_db / 10.0)
@@ -95,14 +96,14 @@ def reference_rate_sweep(cfg):
                 h = trial_channel(cfg, arr, t)
                 sig = singular_values(n, arr.beta, h.mis.theta_o)
                 exact_powers = water_fill(sig, p_total)
+                optimal = precoder_from_angles(arr, h.mis.theta_cs, h.mis.phi_cs)
                 if cfg.exact_geometry:
-                    optimal = precoder_from_angles(arr, h.mis.theta_cs, h.mis.phi_cs)
                     nulling = nulling_rates(*svd_of(h.entries[None]), p_total)
                     optimal_rate = precoded_rate(h, optimal, exact_powers).rate
-                    zf, zf_sic = (float(rate[0]) for rate in nulling)
                 else:
+                    nulling = nulling_rates(sig[None], optimal[None], p_total)
                     optimal_rate = capacity(sig, p_total, 1.0)
-                    zf, zf_sic = (float(rate[0]) for rate in spectrum_nulling_rates(sig[None], p_total))
+                zf, zf_sic = (float(rate[0]) for rate in nulling)
                 rates = {
                     "capacity": capacity(sig, p_total, 1.0),
                     "optimal-precoder": optimal_rate,

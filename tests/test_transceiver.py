@@ -569,6 +569,19 @@ class TestBestEntryScorer:
         with pytest.raises(ValueError, match=match):
             codebook_best_rates(cfg, np.ones(h_shape, dtype=complex), sigma, v, [build_codebook(3, 2)], powers)
 
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    @pytest.mark.parametrize("part, value", [("sigma", math.nan), ("sigma", -1.0), ("sigma", math.inf),
+                                             ("v", math.nan), ("v", math.inf)])
+    def test_malformed_decomposition_rejected(self, model, part, value):
+        # unchecked, a NaN value in sigma prunes every entry but the first two and gives a lower best rate
+        cfg = design_point(8, 300.0)
+        channels, h = TestStackedCodebookScorer().stack(cfg, model, 2)
+        svd = dict(zip(("sigma", "v"), channels_svd(cfg, channels, model)))
+        svd[part][0, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            codebook_best_rates(cfg, h, svd["sigma"], svd["v"], [build_codebook(5, 3)],
+                                approx_power_allocation(cfg, 15.0))
+
 
 def log_det_oracle(cfg, h, cb, powers):
     """log2 det(I + G_l^H G_l) of every entry at 40 digits, G_l = H diag(t_l) Q P^(1/2).
@@ -845,11 +858,28 @@ class TestZfReceivers:
         with pytest.raises(ValueError, match="singular values and vectors"):
             nulling_rates(np.ones(sigma_shape), np.ones(v_shape, dtype=complex), SNR15)
 
+    @pytest.mark.parametrize("part, value", [("sigma", math.nan), ("sigma", -1.0), ("sigma", math.inf),
+                                             ("v", math.nan), ("v", complex(0.0, math.inf))])
+    def test_malformed_decomposition_rejected(self, part, value):
+        # unchecked, a NaN or negative value in sigma scores as a rank-deficient 0
+        svd = dict(zip(("sigma", "v"), svd_of(build_channel(design_point(8), Misalignment()).entries[None])))
+        svd[part][0, -1] = value
+        with pytest.raises(ValueError, match="finite"):
+            nulling_rates(svd["sigma"], svd["v"], SNR15)
+
+    @pytest.mark.parametrize("p_total", [0.0, -1.0, math.inf, math.nan])
+    def test_power_must_be_positive_and_finite(self, p_total):
+        sigma, v = svd_of(build_channel(design_point(8), Misalignment()).entries[None])
+        with pytest.raises(ValueError, match="p_total must be positive and finite"):
+            nulling_rates(sigma, v, p_total)
+
     def test_spectrum_rates_by_hand(self):
         # a zero gain (beta = 0 gives exact zeros) scores 0 on both receivers without a
-        # division warning; gains (1, 2) at p = 3 per stream give ZF 2 log2(1 + 3/(5/8)) and
-        # ZF-SIC log2(1 + 3) + log2(1 + 12)
-        zf, zf_sic = transceiver.spectrum_nulling_rates(np.array([[2.0, 0.0], [1.0, 2.0]]), 6.0)
+        # division warning; gains (1, 2) at p = 3 per stream, with |V_km|^2 = 1/2 as on the
+        # separable model's closed form, give ZF 2 log2(1 + 3/(5/8)) and ZF-SIC
+        # log2(1 + 3) + log2(1 + 12)
+        v = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+        zf, zf_sic = nulling_rates(np.array([[2.0, 0.0], [1.0, 2.0]]), np.stack([v, v]), 6.0)
         np.testing.assert_array_equal(zf[0], 0.0)
         np.testing.assert_array_equal(zf_sic[0], 0.0)
         assert zf[1] == pytest.approx(2.0 * math.log2(1.0 + 3.0 / 0.625), rel=1e-15)
