@@ -45,8 +45,10 @@ _SCORE_BLOCK = 16384
 _MAX_POWER_SPREAD = 1e3
 
 # Entries per (codebook, channel) that `codebook_best_rates` scores exactly before its bound prunes
-# the rest.  Of 1, 2, 4 and 8, 2 left the fewest pairs to score on the benchmark's `bit_sweep` and
-# `rate_sweep` workloads at seeds 1, 2024 and 5, and as few as 4 on `rate_sweep_exact`.
+# the rest.  On the benchmark's pass-0 campaigns at seeds 1, 2024 and 5, 2 left the fewest pairs to
+# score on `bit_sweep` (4.00/4.86/3.90 %, against 4.37/5.85/4.39 % for 1 and 4.11/4.88/4.05 % for 4).
+# 1 left slightly fewer on `rate_sweep` (2.42/2.39/3.71 % against 2.48/2.52/3.82 %) and on
+# `rate_sweep_exact` (2.11/1.82/2.00 % against 2.13/1.92/2.06 %), and 4 more on both.
 _FIRST_SCORED = 2
 
 _EPS = float(np.finfo(float).eps)
@@ -319,10 +321,29 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
     one real matrix product per entry block for all T channels and every
     codebook's entries (`_entry_bounds`).
     The bound is exact for the aligned precoder and sees a stream's power
-    leak into weak modes.  With every stream powered it is exact to first
-    order in the power spread: at equal powers K~ = p I, every e_m = p and
-    every bound is the rate that all unitary precoders share, so no entry
-    can be pruned and all are scored.  Each (codebook, channel)'s
+    leak into weak modes.
+
+    With every stream powered, r = N, Hadamard's bound is exact only to
+    first order in the power spread, and a second-order term is taken off.
+    Write X = I + W^(1/2) Z_l Z_l^H W^(1/2) as Delta^(1/2) (I + E)
+    Delta^(1/2), Delta = diag(1 + w_m e_m), so E is Hermitian with a zero
+    diagonal and |E_mm'|^2 = g_m g_m' |(Z_l Z_l^H)_mm'|^2 with g_m = w_m /
+    (1 + w_m e_m).  As log(1 + x) <= x - x^2/2 + x^3/3 for x > -1 and
+    tr E = 0, log det(I + E) <= -||E||_F^2 (1/2 - ||E||_2 / 3).  Z_l Z_l^H
+    is unitarily similar to K~, so its off-diagonal energy is O = sum p^2
+    - sum_m e_m^2 and every e_m lies in [p_min, p_max].  Hence ||E||_F^2
+    >= gamma O and ||E||_2 <= ||E||_F <= h sqrt(O), with gamma the product
+    of w / (1 + w p_max) over the two weakest modes and h = w_max / (1 +
+    w_max p_min), and
+
+        rate_l <= sum_m log2(1 + w_m e_m) - gamma O max(0, 1/2 - h sqrt(O) / 3) / ln 2,
+
+    exact at equal powers, where O = 0.  Each e_m is w_m e_m times 1 / w_m,
+    so the term needs no coefficient row of its own; where a w_m is 0 or
+    subnormal its inverse is taken as 0 and gamma as 0, which leaves
+    Hadamard's bound.  At equal powers K~ = p I, every e_m = p and every
+    bound is the rate that all unitary precoders share, so no entry can
+    be pruned and all are scored.  Each (codebook, channel)'s
     _FIRST_SCORED entries of largest bound are scored exactly, all in one
     call, and then, in a second, every further entry whose bound reaches
     its codebook's best on that channel, less a margin.
@@ -360,6 +381,18 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
       modes and the tail that is below r (2 N^2 + 3 r + 25) eps w_max
       sum p, and with M~'s term and the r + 4 roundings of the two rate
       sums and the factor N - r below 2 r (N + 4)^2 eps w_max sum p.
+    - At r = N, e_m = (w_m e_m) (1 / w_m) adds two roundings: it is within
+      (N^2 + N + 15) eps sum p.  So sum_m e_m^2 is within 2 (N^2 + N + 15)
+      eps (sum p)^2 + N eps sum p^2, and O, after its cancellation against
+      sum p^2, within 2 (N^2 + N + 15) eps (sum p)^2 + (2 N + 1) eps sum p^2.
+      Where its factor is positive the term moves by at most gamma / 2
+      per unit of O, and it is continuous where the factor reaches 0.
+      V^H V within 2 N eps of I moves the off-diagonal energy of Z_l Z_l^H
+      and the range of the e_m, and with them the term, by 5 N eps gamma
+      sum p^2, and the term's own arithmetic by 9 eps gamma sum p^2.  In
+      all, gamma (N^2 + 7 N + 25) eps (sum p)^2 nats: at most N^2 (N^2 +
+      7 N + 25) eps, as gamma <= 1 / p_max^2 and sum p <= N p_max, and 0
+      where gamma is.
     - The Gram score's two products leave its Gram matrix within
       2 N (N + 2) eps w_max sum p (|M_ij| <= w_max), so its log det within
       r times that; its Cholesky and logs add about
@@ -376,10 +409,11 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
       3 N^2 (N + 3) eps p_max / p_min, is absolute and grows with the
       spread up to _MAX_POWER_SPREAD.
     All of it is below 5 r (N + 4)^2 eps (1 + w_max sum p) nats, plus
-    3 N^2 (N + 3) eps p_max / p_min on the antenna path: the margin per
-    channel, in bits.  In the campaign workloads at seeds 1, 2024 and 5
-    it is at most 1.9e-8 bit/s/Hz, and no exact rate passed its computed
-    bound by more than 6.8e-5 margins.
+    3 N^2 (N + 3) eps p_max / p_min on the antenna path and the r = N
+    term's gamma (N^2 + 7 N + 25) eps (sum p)^2: the margin per channel,
+    in bits.  In the campaign workloads at seeds 1, 2024 and 5 it is at
+    most 1.9e-8 bit/s/Hz, and no exact rate passed its computed bound by
+    more than 2.0e-4 margins.
     """
     hh, powers = _scorer_inputs(cfg, h, powers)
     sigma, v = _checked_svd(sigma, v, hh.shape[:2])
@@ -526,6 +560,11 @@ class _Modes(NamedTuple):
     tail: np.ndarray  # (T,): w_(r+1) / (N - r), the largest weak mode's gain per unit of leaked power
     total: float  # sum p, the power of all streams
     margin: np.ndarray  # (T,): the float error the bound and the exact score may have together, in bits
+    # The second-order term's inputs, read at r = N only (inv_w, gamma and reach are 0 at r < N):
+    inv_w: np.ndarray  # (T, N): 1 / w_m, which turns w_m e_m back into e_m; 0 for a zero or subnormal w_m
+    square: float  # sum p^2, the squared Frobenius norm of Z_l Z_l^H
+    gamma: np.ndarray  # (T,): gamma / ln 2, gamma <= every g_m g_m'; 0 where some 1 / w_m is 0
+    reach: np.ndarray  # (T,): h / 3, h >= every g_m, so that ||E||_2 / 3 <= reach sqrt(O)
 
 
 def _pair_products(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -550,7 +589,9 @@ def _modes(sigma, v, powers: np.ndarray) -> _Modes:
     the product gives the mode's SNR w_m e_m; with r < N a last row per
     channel holds their sum over the r modes, unscaled, whose product is
     sum_top e.  The pairs are built one n at a time, so no temporary holds
-    more than T r N values.
+    more than T r N values.  At r = N each channel also gets 1 / w_m and
+    the constants gamma and h / 3 of the second-order term, from the
+    powers' p_max and p_min.
     """
     trials, n = sigma.shape
     q = _stream_columns(n, powers)
@@ -570,12 +611,24 @@ def _modes(sigma, v, powers: np.ndarray) -> _Modes:
     top *= w[:, n - r:, None]
     total = float(np.sum(powers))
     spread = powers.max() / powers.min() if _antenna_path(powers) else 0.0
+    if r < n:
+        inv_w, gamma, reach = np.zeros((trials, n)), np.zeros(trials), np.zeros(trials)
+    else:  # g_m = w_m / (1 + w_m e_m) with e_m in [p_min, p_max]
+        normal = w >= np.finfo(float).tiny  # a zero or subnormal w_m has no finite inverse
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=normal)
+        gamma = np.prod(w[:, :2] / (1.0 + w[:, :2] * powers.max()), axis=-1) * normal[:, 0]
+        reach = w[:, -1] / (1.0 + w[:, -1] * powers.min()) / 3.0
     return _Modes(
         coef=coef.reshape(-1, n * n),
         rank=r,
         tail=w[:, n - r - 1] / (n - r) if r < n else np.zeros(trials),
         total=total,
-        margin=(5.0 * r * (n + 4) ** 2 * (1.0 + w[:, -1] * total) + 3.0 * n * n * (n + 3) * spread) * _EPS / _LN2,
+        margin=(5.0 * r * (n + 4) ** 2 * (1.0 + w[:, -1] * total) + 3.0 * n * n * (n + 3) * spread
+                + (n * n + 7 * n + 25) * gamma * total**2) * _EPS / _LN2,
+        inv_w=inv_w,
+        square=float(np.sum(powers**2)),
+        gamma=gamma / _LN2,
+        reach=reach,
     )
 
 
@@ -590,9 +643,12 @@ def _entry_bounds(t: np.ndarray, modes: _Modes) -> np.ndarray:
     with r < N each channel's sum_top e.  The bound of
     `codebook_best_rates` sums log2(1 + w_m e_m) over the r modes and adds
     (N - r) log2(1 + w_(r+1) leaked / (N - r)) for the weakest, leaked =
-    sum p - sum_top e.  A bound does not depend on its block, so the
-    entries of several codebooks may share one.  A block holds about
-    2 _SCORE_BLOCK reals in the larger of its features and its product.
+    sum p - sum_top e; at r = N it takes off gamma O max(0, 1/2 - h
+    sqrt(O) / 3) / ln 2, with e_m = w_m e_m / w_m and O = sum p^2 - sum_m
+    e_m^2 from one multiply and one `einsum` per block.  A bound does not
+    depend on its block, so the entries of several codebooks may share
+    one.  A block holds about 2 _SCORE_BLOCK reals in the larger of its
+    features and its product.
     """
     size, n = t.shape
     trials, r = len(modes.margin), modes.rank
@@ -611,6 +667,10 @@ def _entry_bounds(t: np.ndarray, modes: _Modes) -> np.ndarray:
         if r < n:
             leaked = np.maximum(modes.total - e[..., r], 0.0)
             bound += (n - r) * _rate_sum((leaked * modes.tail)[..., None])
+        else:
+            u = e * modes.inv_w
+            off = np.maximum(modes.square - np.einsum("btm,btm->bt", u, u), 0.0)
+            bound -= modes.gamma * off * np.maximum(0.5 - modes.reach * np.sqrt(off), 0.0)
         bounds[:, start:start + b] = bound.T
     return bounds
 

@@ -250,19 +250,24 @@ def partial_powers(draw, n):
 
 
 @st.composite
-def full_powers(draw, n):
-    """Powers on every stream with p_max / p_min in [1, 1e3], the antenna path's range, at an SNR in [-20, 60] dB."""
-    spread = draw(st.floats(1.0, transceiver._MAX_POWER_SPREAD))
+def full_powers(draw, n, max_spread=transceiver._MAX_POWER_SPREAD):
+    """Powers on every stream with p_max / p_min in [1, max_spread], by default the antenna path's range,
+    at an SNR in [-20, 60] dB."""
+    spread = draw(st.floats(1.0, max_spread))
     exponents = [0.0, 1.0, *draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))]
     return powers_on(n, range(n), draw(st.floats(-20.0, 60.0)), spread ** -np.array(exponents))
 
 
 @st.composite
 def bound_stacks(draw):
-    """(array, misalignments, powers): a stack of three channels' draws and powers on r < N streams or on all."""
+    """(array, misalignments, powers): a stack of three channels' draws and powers on r < N streams or on all.
+
+    Full-rank powers are drawn twice: with spreads up to the antenna path's 1e3, and with spreads up to 2,
+    where the full-rank bound's second-order term is seldom clipped to 0.
+    """
     cfg, mises = draw(stacks())
     n = cfg.n_antennas
-    return cfg, mises, draw(st.one_of(partial_powers(n), full_powers(n)))
+    return cfg, mises, draw(st.one_of(partial_powers(n), full_powers(n), full_powers(n, 2.0)))
 
 
 # Bit pairs (L1, L2) of small codebooks: one entry, 8 entries or fewer, and more
@@ -270,6 +275,13 @@ SMALL_CODEBOOK_BITS = [(0, 0), (1, 1), (1, 2), (2, 1), (3, 0), (3, 2), (4, 2)]
 # Coaxial draws with no polar shift: M is circulant, so the DFT precoder, the one entry of a
 # (0, 0) codebook, is aligned with its modes, and designed powers go to the strongest of them
 ALIGNED = Misalignment(theta_o=0.0, theta_cs=0.3, phi_cs=0.0, phi_x=0.1)
+# Misaligned draws in the production ranges, for the designed cells below
+SHIFTED = (Misalignment(theta_o=0.1, theta_cs=0.7, phi_cs=0.1, phi_x=0.05, phi_y=-0.08),
+           Misalignment(theta_o=-0.05, theta_cs=-2.0, phi_cs=0.15, phi_x=-0.1),
+           Misalignment(theta_o=0.02, theta_cs=2.9, phi_cs=0.05, phi_y=0.1))
+# The designed 100 m arrays of N = 8 and 16 (beta_opt at 15 dB): water-filling powers every stream
+# nearly equally there (spread 1.04 and 1.17), the campaigns' full-rank cells
+DESIGNED_8, DESIGNED_16 = array_with_beta(8, 3.1116), array_with_beta(16, 5.9923)
 
 
 @PROPERTY
@@ -289,9 +301,20 @@ ALIGNED = Misalignment(theta_o=0.0, theta_cs=0.3, phi_cs=0.0, phi_x=0.1)
 @example(case=(array_with_beta(16, 6.0), (ALIGNED, Misalignment(theta_cs=-1.0), Misalignment(theta_cs=2.0)),
                np.full(16, power_from_db(-20.0) / 16)),
          model=APPROXIMATE, bits=(4, 2), quantization="linear")
+@example(case=(DESIGNED_8, SHIFTED, transceiver.approx_power_allocation(DESIGNED_8, 15.0)),
+         model=APPROXIMATE, bits=(4, 2), quantization="sine")
+@example(case=(DESIGNED_8, SHIFTED, transceiver.approx_power_allocation(DESIGNED_8, 15.0)),
+         model=EXACT_DISTANCE, bits=(4, 2), quantization="sine")
+@example(case=(DESIGNED_16, SHIFTED, transceiver.approx_power_allocation(DESIGNED_16, 15.0)),
+         model=APPROXIMATE, bits=(4, 2), quantization="sine")
+@example(case=(DESIGNED_16, SHIFTED, transceiver.approx_power_allocation(DESIGNED_16, 15.0)),
+         model=EXACT_DISTANCE, bits=(4, 2), quantization="sine")
 def test_eigenbasis_bound_holds_for_every_entry(case, model, bits, quantization):
     # codebook_best_rates leaves an entry unscored only when its bound is below the best
-    # exact rate by more than the margin; so no exact rate may pass its bound by the margin
+    # exact rate by more than the margin; so no exact rate may pass its bound by the margin.
+    # The designed N = 8 and 16 cells and the draws of spread at most 2 hold the full-rank
+    # bound's second-order term: twice the term, or gamma O with its factor
+    # max(0, 1/2 - h sqrt(O) / 3) dropped, fails here
     cfg, mises, powers = case
     cb = build_codebook(*bits, quantization=quantization)
     mis = stack_of(mises)

@@ -537,21 +537,25 @@ class TestBestEntryScorer:
         assert 2 * 8 * transceiver._FIRST_SCORED <= scored < 0.02 * 2 * 8 * cb.size
 
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
-    def test_bound_prunes_most_entries_at_full_rank(self, monkeypatch, model):
-        # on N = 8's 100 m design all 8 streams have power (spread 1.04, the antenna path);
-        # the bound, exact to first order in the spread, leaves 225 (separable, closed-form V)
-        # and 150 (exact, the SVD's V) of the 256-entry codebook's 2,048 pairs to the Cholesky
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_bound_prunes_most_entries_at_full_rank(self, monkeypatch, n, model):
+        # on the 100 m designs of N = 8 and 16 every stream has power, nearly equal (spread 1.04
+        # and 1.17, the antenna path).  With its second-order term the bound leaves 16 and 34
+        # (separable, closed-form V) and 17 and 36 (exact, the SVD's V) of the 256-entry
+        # codebook's 2,048 pairs to the Cholesky: the first 16 and a few more.  Hadamard's
+        # bound alone, exact only to first order in the spread, left 225 and 724 (separable)
+        # and 150 and 623 (exact)
         cholesky = np.linalg.cholesky
         calls = []
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
-        cfg = design_point(8, 100.0)
+        cfg = design_point(n, 100.0)
         powers = approx_power_allocation(cfg, 15.0)
         assert transceiver._antenna_path(powers)
         channels, h = TestStackedCodebookScorer().stack(cfg, model, 8)
         cb = build_codebook(5, 3)
         codebook_best_rates(cfg, h, *channels_svd(cfg, channels, model), [cb], powers)
         scored = sum(shape[0] for shape in calls)
-        assert 8 * transceiver._FIRST_SCORED <= scored < 0.15 * 8 * cb.size
+        assert 8 * transceiver._FIRST_SCORED <= scored < 0.025 * 8 * cb.size
 
     @pytest.mark.parametrize(
         "h_shape, sigma_shape, powers_shape, match",
@@ -581,6 +585,24 @@ class TestBestEntryScorer:
         with pytest.raises(ValueError, match="finite"):
             codebook_best_rates(cfg, h, svd["sigma"], svd["v"], [build_codebook(5, 3)],
                                 approx_power_allocation(cfg, 15.0))
+
+    @pytest.mark.parametrize("weakest", [0.0, 1e-160])
+    def test_zero_or_subnormal_mode_keeps_hadamards_bound(self, weakest):
+        # a w_m = sigma_m^2 that is zero or subnormal has no finite inverse, so that channel's
+        # full-rank bound drops its second-order term: finite, with no floating-point warning
+        cfg = design_point(8, 100.0)
+        channels, _ = TestStackedCodebookScorer().stack(cfg, APPROXIMATE, 2)
+        sigma, v = channels_svd(cfg, channels, APPROXIMATE)
+        sigma = sigma.copy()
+        sigma[0, np.argmin(sigma[0])] = weakest
+        modes = transceiver._modes(sigma, v, approx_power_allocation(cfg, 15.0))
+        t = transceiver._codebook_phasors(cfg, build_codebook(3, 2))
+        bounds = transceiver._entry_bounds(t, modes)
+        hadamard = transceiver._entry_bounds(t, modes._replace(gamma=np.zeros(2)))
+        assert modes.gamma[0] == 0.0 < modes.gamma[1]
+        assert np.isfinite(bounds).all()
+        np.testing.assert_array_equal(bounds[0], hadamard[0])
+        assert (bounds[1] < hadamard[1]).all()
 
 
 def log_det_oracle(cfg, h, cb, powers):
