@@ -6,13 +6,19 @@ depend on execution order.  Each trial is drawn once per campaign and the
 same draw serves every scenario cell, which pairs the comparisons across
 antenna counts, distances and codebook settings; only the rotation clamp
 to [-pi/N, pi/N] depends on the antenna count.  One generator, `_cells`,
-builds every cell of both campaigns: its channels as one (T, N, N) stack
-and their SVD's singular values and right singular vectors (sigma, V),
-the one decomposition of the cell, which every scheme reads: the paper's
-closed form on the separable model, one SVD with exact geometry.  ZF
-and ZF-SIC are one `nulling_rates` call per cell on either model.  All
-trials of a cell are scored as one batch, each scheme in one stacked
-call.
+builds the cells of both campaigns one antenna count at a time: the
+count's design, its clamped draws and its distance cells, stacked
+distance-major, each with its (T, N, N) channels and their one
+decomposition (sigma, V), the singular values and right singular vectors
+that every scheme reads: the paper's closed form on the separable model,
+one SVD per cell with exact geometry.  What does not depend on the
+distance is built once per antenna count: V = T_t Q on the separable
+model, the codebook phasors and, with exact geometry, the optimal
+precoder's closed form.  Each scheme that reads no per-distance power
+is one stacked call over all of the count's (D T) rows: capacity, ZF and
+ZF-SIC, the condition number and the designed powers; the codebook
+scorer takes one call per cell, since its powers follow the distance.
+Nothing is kept from one campaign call to the next.
 Every command's output, the campaign CSVs and the CLI's other tables
 alike, prints its numbers by `table_texts` and goes out through
 `write_text`.
@@ -25,11 +31,13 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import APPROXIMATE, EXACT_DISTANCE, build_channels
 from .design import (
+    DesignResult,
     capacity,
     condition_numbers,
     power_from_db,
@@ -40,10 +48,11 @@ from .geometry import _INTEGERS, TWO_PI, ArrayConfig, Misalignment, _require_eve
 from .spectrum import singular_values_many
 from .transceiver import (
     SINE_UNIFORM,
+    _approx_powers,
+    _best_entry_rates,
     _check_bit_counts,
+    _codebook_entries,
     _distinct_codebook,
-    approx_power_allocation,
-    codebook_best_rates,
     nulling_rates,
     precoded_rates,
     precoder_matrices,
@@ -106,7 +115,7 @@ class TrialConfig:
         _check_bit_counts(*self.codebook_bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRow:
     """One CSV row, its fields in `CSV_HEADER` order; trial = -1 marks a mean over all trials."""
 
@@ -173,17 +182,29 @@ def _campaign_draws(trial_cfg: TrialConfig) -> np.ndarray:
     return _draw_angles((trial_rng(trial_cfg.seed, t) for t in range(trial_cfg.n_trials)), trial_cfg)
 
 
-def _cells(trial_cfg: TrialConfig) -> Iterator[tuple[ArrayConfig, Misalignment, np.ndarray, np.ndarray, np.ndarray]]:
-    """Each scenario cell's arrays, misalignments, (T, N, N) channels and their (sigma, V).
+class _Cells(NamedTuple):
+    """One antenna count's distance cells, stacked distance-major."""
 
-    Cells come antenna count outermost.  Both radii are fixed per antenna
-    count to the optimum at the design distance, searched once per count;
-    sweeping the actual distance then scales beta inversely.  The trials
-    are drawn once per campaign and clamped once per antenna count, so
-    trial t equals `draw_misalignment(trial_rng(seed, t), trial_cfg, N)`.
-    (sigma, V) is the cell's one decomposition (`_decomposition`): the
-    paper's closed form on the separable model, one SVD of the built
-    channels with exact geometry.
+    cfgs: list[ArrayConfig]  # one per distance, in the campaign's order
+    betas: np.ndarray  # (D,): each cell's beta
+    h: np.ndarray  # (D, T, N, N): each cell's channels
+    sigma: np.ndarray  # (D, T, N): their singular values
+    v: np.ndarray  # (D, T, N, N): their right singular vectors; on the separable model one V for every D
+
+
+def _cells(trial_cfg: TrialConfig) -> Iterator[tuple[DesignResult, Misalignment, _Cells]]:
+    """Each antenna count's design, its clamped misalignments and its distance cells.
+
+    Antenna counts come in `n_antennas_list` order.  Both radii are fixed
+    per antenna count to the optimum at the design distance, searched once
+    per count; sweeping the actual distance then scales beta inversely.
+    The trials are drawn once per campaign and clamped once per antenna
+    count, so trial t equals `draw_misalignment(trial_rng(seed, t),
+    trial_cfg, N)`.  Each cell's channels are one `build_channels` call.
+    (sigma, V) is each cell's one decomposition: with exact geometry one
+    SVD of the cell's channels; on the separable model the paper's closed
+    form (`_closed_form`), the spectra of all D cells in one call and one
+    V, which depends on no distance, shared by reference by every cell.
     """
     theta_o, *rest = _campaign_draws(trial_cfg)
     model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
@@ -193,25 +214,46 @@ def _cells(trial_cfg: TrialConfig) -> Iterator[tuple[ArrayConfig, Misalignment, 
         )
         radius = float(design.radius_equal)
         mis = Misalignment(_clamp_rotation(theta_o, n), *rest)
-        for dist in trial_cfg.distances:
-            cfg = ArrayConfig(n, trial_cfg.wavelength, radius, radius, dist)
-            h = build_channels(cfg, mis, model)
-            yield cfg, mis, h, *_decomposition(cfg, mis, h, trial_cfg.exact_geometry)
+        cfgs = [ArrayConfig(n, trial_cfg.wavelength, radius, radius, dist) for dist in trial_cfg.distances]
+        betas = np.array([cfg.beta for cfg in cfgs])
+        h = np.array([build_channels(cfg, mis, model) for cfg in cfgs])
+        if trial_cfg.exact_geometry:
+            sigma, v = np.empty(h.shape[:-1]), np.empty_like(h)
+            for d, cell in enumerate(h):
+                _, sigma[d], vh = np.linalg.svd(cell)
+                np.conjugate(vh, out=v[d])
+            # V is a view of conj(V^H), laid out in V^H's memory order as swapaxes(vh).conj() lays
+            # it out: NumPy's order of adding a row of V (in `nulling_rates`) follows the layout
+            v = np.swapaxes(v, -1, -2)
+        else:
+            sigma, v = _closed_form(cfgs[0], betas, mis)
+            v = np.broadcast_to(v, h.shape)
+        yield design, mis, _Cells(cfgs, betas, h, sigma, v)
 
 
-def _decomposition(cfg: ArrayConfig, mis: Misalignment, h: np.ndarray, exact_geometry: bool):
-    """A cell's singular values and right singular vectors (sigma, V), shapes (T, N) and (T, N, N).
+def _closed_form(cfg: ArrayConfig, betas, mis: Misalignment) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's SVD of separable channels at each of an array of betas: (..., T, N) spectra and a (T, N, N) V.
 
-    With exact geometry they come from one SVD of the built channels.  On
-    the separable model they are the paper's closed form, with no
-    factorisation: the spectrum, in DFT order, and V = T_t Q, the
-    phase-corrected DFT that `precoder_matrices` builds.
+    The spectrum, in DFT order, depends on beta and the rotation; V = T_t
+    Q, the phase-corrected DFT that `precoder_matrices` builds, on the Tx
+    radius and the shift alone, so one V serves every distance of `cfg`'s
+    antenna count and radii.  No factorisation is taken.
     """
-    if exact_geometry:
-        _, sigma, vh = np.linalg.svd(h)
-        return sigma, np.swapaxes(vh, 1, 2).conj()
-    sigma = singular_values_many(cfg.n_antennas, cfg.beta, mis.theta_o)
+    sigma = singular_values_many(cfg.n_antennas, np.asarray(betas)[..., None], mis.theta_o)
     return sigma, precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
+
+
+def _best_rates_per_cell(cells: _Cells, codebooks, snr_db: float) -> list[np.ndarray]:
+    """Each distance cell's best rates of every codebook, (K, T), scored with the cell's designed powers.
+
+    The powers are water-filled on the rotation-free spectrum
+    (`approx_power_allocation`), one row per cell in one call; the
+    codebooks' phasors are built once for all the cells.
+    """
+    powers = _approx_powers(cells.h.shape[-1], cells.betas, snr_db)
+    entries = _codebook_entries(cells.cfgs[0], codebooks)
+    return [_best_entry_rates(cfg, cells.h[d], cells.sigma[d], cells.v[d], entries, powers[d])
+            for d, cfg in enumerate(cells.cfgs)]
 
 
 def _cell_rows(
@@ -236,9 +278,11 @@ def _cell_rows(
 def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     """Rates of all schemes over the (antenna count, distance) grid.
 
-    Each trial is drawn once, and each cell's trials are scored as one
-    batch: every scheme is one stacked call over the cell's channels.
-    One `codebook_best_rates` call scores two codebooks: the campaign's,
+    Each trial is drawn once, and the trials are scored in batches: the
+    capacity, ZF and ZF-SIC rows and the condition number are one stacked
+    call over all cells of an antenna count, and the codebook scorer one
+    call per cell.  That call, `codebook_best_rates`'s kernel on phasors
+    built once per antenna count, scores two codebooks: the campaign's,
     whose best entry's rate is the codebook row (the row maximum of
     `codebook_rates_many`, bit for bit), and the one entry with zero
     shift, t = 1, which is the DFT precoder: the identity row.  Each
@@ -246,12 +290,13 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     every entry is the DFT precoder, and one is scored.
     The capacity row and the condition number come from the singular
     values `_cells` yields, and the codebook's bound from them and V.  ZF
-    and ZF-SIC read the cell's (sigma, V) on both models, one
-    `nulling_rates` call per cell.  The one per-model branch is the
+    and ZF-SIC read the cells' (sigma, V) on both models, one
+    `nulling_rates` call per antenna count.  The one per-model branch is the
     optimal-precoder row.  On the separable model the optimal precoder,
     the SVD precoder with water-filling, reaches capacity exactly, so its
     row is the capacity row.  On exact geometry it water-fills the
-    closed-form spectrum and is scored by `precoded_rates`: its powers
+    closed-form spectrum, built once per antenna count, and is scored by
+    one `precoded_rates` call per antenna count: its powers
     are water-filled per trial, (T, N), while the pair scorers take one
     (N,) vector and choose their path from it per call, so per-trial
     powers would need a second path.  A draw clamped exactly onto the
@@ -263,19 +308,21 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     p_total = power_from_db(trial_cfg.snr_db)
     codebooks = [_distinct_codebook(*trial_cfg.codebook_bits, SINE_UNIFORM), _distinct_codebook(0, 0, SINE_UNIFORM)]
     rows: list[ResultRow] = []
-    for cfg, mis, h, sigma, v in _cells(trial_cfg):
-        approx_powers = approx_power_allocation(cfg, trial_cfg.snr_db)
-        cap = capacity(sigma, p_total, 1.0)
+    for _, mis, cells in _cells(trial_cfg):
+        n = cells.h.shape[-1]
+        cap = capacity(cells.sigma, p_total, 1.0)
         if trial_cfg.exact_geometry:
-            spectrum, optimal = _decomposition(cfg, mis, h, exact_geometry=False)  # the paper's SVD precoder
-            optimal_rate = np.sum(precoded_rates(h, optimal, water_fill(spectrum, p_total)), axis=-1)
+            spectrum, optimal = _closed_form(cells.cfgs[0], cells.betas, mis)  # the paper's SVD precoder
+            optimal_rate = np.sum(precoded_rates(cells.h, optimal, water_fill(spectrum, p_total)), axis=-1)
         else:
             optimal_rate = cap
-        zf, zf_sic = nulling_rates(sigma, v, p_total)
-        best, identity = codebook_best_rates(cfg, h, sigma, v, codebooks, approx_powers)
-        rates = (cap, optimal_rate, best, identity, zf, zf_sic)
-        rows += _cell_rows("rate_sweep", cfg, dict(zip(RATE_SWEEP_SCHEMES, rates, strict=True)),
-                           condition_numbers(sigma))
+        zf, zf_sic = (rate.reshape(cap.shape) for rate in
+                      nulling_rates(cells.sigma.reshape(-1, n), cells.v.reshape(-1, n, n), p_total))
+        cond = condition_numbers(cells.sigma)
+        best = _best_rates_per_cell(cells, codebooks, trial_cfg.snr_db)  # codebook and identity rows
+        for d, cfg in enumerate(cells.cfgs):
+            rates = (cap[d], optimal_rate[d], *best[d], zf[d], zf_sic[d])
+            rows += _cell_rows("rate_sweep", cfg, dict(zip(RATE_SWEEP_SCHEMES, rates, strict=True)), cond[d])
     return rows
 
 
@@ -306,8 +353,9 @@ def run_codebook_bit_sweep(
     antennas at 300 m by default, with radii designed for the design
     distance.  Within a cell every (L1, L2) pair is evaluated with both
     quantisation rules on the same per-trial channels.  Each codebook is
-    built once per call, and one `codebook_best_rates` call per cell
-    scores all of them on the cell's stacked channels: one bound pass
+    built once per call and its phasors once per antenna count, and one
+    scorer call per cell (`codebook_best_rates`'s kernel) scores all of
+    them on the cell's stacked channels: one bound pass
     over all their entries, whose blocks may straddle codebooks, and two
     rounds of exact scores.
     The linear baseline covers the shift disc twice, so every precoder in
@@ -322,13 +370,18 @@ def run_codebook_bit_sweep(
     codebooks = [(l1, l2, method, _distinct_codebook(l1, l2, method))
                  for l1, l2 in bit_grid for method in ("sine", "linear")]
     rows: list[ResultRow] = []
-    for cfg, _, h, sigma, v in _cells(trial_cfg):
-        approx_powers = approx_power_allocation(cfg, trial_cfg.snr_db)
-        cond = condition_numbers(sigma)
-        best = codebook_best_rates(cfg, h, sigma, v, [cb for *_, cb in codebooks], approx_powers)
-        for (l1, l2, method, _), rates in zip(codebooks, best):
-            rows += _cell_rows(f"bit_sweep_L1{l1}_L2{l2}", cfg, {f"codebook-{method}": rates}, cond)
+    for _, _, cells in _cells(trial_cfg):
+        cond = condition_numbers(cells.sigma)
+        best = _best_rates_per_cell(cells, [cb for *_, cb in codebooks], trial_cfg.snr_db)
+        for d, cfg in enumerate(cells.cfgs):
+            for (l1, l2, method, _), rates in zip(codebooks, best[d]):
+                rows += _cell_rows(f"bit_sweep_L1{l1}_L2{l2}", cfg, {f"codebook-{method}": rates}, cond[d])
     return rows
+
+
+# The number types whose equal nonzero values print alike, so that `table_texts` formats each once
+# per call; a complex 1+0j equals 1.0 but prints as 1+0j
+_SHARED_TEXT = frozenset({float, int})
 
 
 def table_texts(rows) -> list[list[str]]:
@@ -336,9 +389,31 @@ def table_texts(rows) -> list[list[str]]:
 
     A number, int or float, prints with 9 significant digits (.9g); a
     string prints as it is.  A whole table is one call, not one per row,
-    so tracing a CSV of thousands of rows records one span.
+    so tracing a CSV of thousands of rows records one span.  Within the
+    call each distinct nonzero float or int is formatted once and its
+    text reused, since a campaign repeats beta, the distance and each
+    trial's condition number over many rows; other values (NumPy scalars,
+    bools) are formatted as they come.  Every value prints what `.9g`
+    alone prints.
     """
-    return [[value if isinstance(value, str) else f"{value:.9g}" for value in row] for row in rows]
+    texts: dict = {}
+    table = []
+    for row in rows:
+        line = []
+        for value in row:
+            if isinstance(value, str):
+                line.append(value)
+                continue
+            # zeros are formatted each time: 0.0 and -0.0 are one key but print as 0 and -0
+            key = value if value and type(value) in _SHARED_TEXT else None
+            text = texts.get(key)
+            if text is None:
+                text = f"{value:.9g}"
+                if key is not None:
+                    texts[key] = text
+            line.append(text)
+        table.append(line)
+    return table
 
 
 def csv_text(header: str, rows) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ChannelMatrix, _phasors, dft_matrix
 from .design import _LN2, _rate_sum, power_from_db, water_fill
 from .geometry import _INTEGERS, ArrayConfig, tx_displacement
-from .spectrum import singular_values
+from .spectrum import singular_values_many
 
 SINE_UNIFORM = "sine"
 LINEAR = "linear"
@@ -235,10 +235,14 @@ def approx_power_allocation(cfg: ArrayConfig, snr_db: float) -> np.ndarray:
     Substitutes the aligned spectrum (theta_o = 0) for the true one, so
     only the distance, radii and wavelength are needed — no estimate of
     the rotation angle.  The loss is minor because the spectrum varies
-    slowly with rotation.
+    slowly with rotation.  The one-row form of `_approx_powers`.
     """
-    sig = singular_values(cfg.n_antennas, cfg.beta, 0.0)
-    return water_fill(sig, power_from_db(snr_db))
+    return _approx_powers(cfg.n_antennas, cfg.beta, snr_db)
+
+
+def _approx_powers(n: int, betas, snr_db: float) -> np.ndarray:
+    """`approx_power_allocation` of N antennas at each of an array of betas; shape (..., N), one row per beta."""
+    return water_fill(singular_values_many(n, betas, 0.0), power_from_db(snr_db))
 
 
 def codebook_rates_many(
@@ -297,7 +301,10 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
     codebooks[k], powers).max(axis=-1)` bit for bit, under any BLAS
     kernel.  H^H H, the bound's view of (sigma, V) and the K codebooks'
     phasors, one after another, are built once; one bound pass and two
-    rounds of exact scores serve all K codebooks.
+    rounds of exact scores serve all K codebooks.  The phasors depend on
+    N, R_t and lambda alone, so the campaigns build them once per antenna
+    count (`_codebook_entries`) and score each distance cell with this
+    function's kernel, `_best_entry_rates`.
 
     An upper bound on every entry's rate prunes the entries that cannot
     win.  Let r streams have power, M = V diag(w) V^H with w = sigma^2,
@@ -415,13 +422,34 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
     most 1.9e-8 bit/s/Hz, and no exact rate passed its computed bound by
     more than 2.0e-4 margins.
     """
+    return _best_entry_rates(cfg, h, sigma, v, _codebook_entries(cfg, codebooks), powers)
+
+
+class _Entries(NamedTuple):
+    """The entries of K codebooks, one codebook after another, as the best-entry scorer reads them.
+
+    They depend on N, the Tx radius and the wavelength alone, so a
+    campaign builds them once per antenna count for all its distances.
+    """
+
+    t: np.ndarray  # (L, N): every entry's Tx shift phasors
+    sizes: list[int]  # the K codebooks' entry counts, which sum to L
+
+
+def _codebook_entries(cfg: ArrayConfig, codebooks) -> _Entries:
+    """The K codebooks' `_codebook_phasors`, concatenated, with their sizes."""
+    t = [_codebook_phasors(cfg, cb) for cb in codebooks] or [np.empty((0, cfg.n_antennas), dtype=complex)]
+    return _Entries(np.concatenate(t), [cb.size for cb in codebooks])
+
+
+def _best_entry_rates(cfg: ArrayConfig, h, sigma, v, entries: _Entries, powers) -> np.ndarray:
+    """`codebook_best_rates` of codebooks whose entries are built (`_codebook_entries`); shape (K, T)."""
     hh, powers = _scorer_inputs(cfg, h, powers)
     sigma, v = _checked_svd(sigma, v, hh.shape[:2])
-    if len(hh) == 0 or not codebooks:
-        return np.empty((len(codebooks), len(hh)))
+    t, sizes = entries
+    if len(hh) == 0 or not sizes:
+        return np.empty((len(sizes), len(hh)))
     modes = _modes(sigma, v, powers)
-    t = np.concatenate([_codebook_phasors(cfg, cb) for cb in codebooks])
-    sizes = [cb.size for cb in codebooks]
     return _best_rates(_pair_scorer(powers), hh, t, _entry_bounds(t, modes), modes.margin, sizes)
 
 

@@ -19,7 +19,14 @@ def stack_of(mis_list) -> Misalignment:
 
 def campaign_svd(cfg, mis, h, model):
     """(sigma, V) of a stack as the campaigns' cells take it: one SVD with exact geometry, the closed form otherwise."""
-    return sim._decomposition(cfg, mis, h, model == EXACT_DISTANCE)
+    return svd_of(h) if model == EXACT_DISTANCE else sim._closed_form(cfg, cfg.beta, mis)
+
+
+def campaign_cells(trial_cfg):
+    """Each cell of a campaign as (array, misalignments, channels, sigma, V), flattened from `sim._cells`."""
+    for _, mis, cells in sim._cells(trial_cfg):
+        for d, cfg in enumerate(cells.cfgs):
+            yield cfg, mis, cells.h[d], cells.sigma[d], cells.v[d]
 
 
 def channels_svd(cfg, channels, model):

@@ -819,7 +819,8 @@ for n, radius in ((4, 0.3162), (8, 0.4451), (12, 0.5396), (16, 0.6176)):
                                   whole[trials, entries]):
                 moved.append(f"{case} shuffled pairs")
             maxima = [codebook_rates_many(cfg, h, book, powers).max(axis=-1) for book in books]
-            svd = sim._decomposition(cfg, mis, h, model == EXACT_DISTANCE)
+            _, sigma, vh = np.linalg.svd(h)
+            svd = (sigma, np.swapaxes(vh, 1, 2).conj()) if model == EXACT_DISTANCE else sim._closed_form(cfg, cfg.beta, mis)
             for count in (default_block // (n * n), 33):
                 transceiver._SCORE_BLOCK = count * n * n
                 best = codebook_best_rates(cfg, h, *svd, books, powers)

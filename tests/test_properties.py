@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bits,
+    campaign_cells,
     campaign_svd,
     coordinate_distances,
     previous_trial_angles,
@@ -327,6 +328,47 @@ def test_eigenbasis_bound_holds_for_every_entry(case, model, bits, quantization)
 
 
 @st.composite
+def zero_diagonal_hermitians(draw):
+    """A Hermitian E with a zero diagonal and ||E||_2 in (0, 1), real or complex, of order 2 to 8."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) + 1j * draw(st.sampled_from([0.0, 1.0])) * rng.standard_normal((n, n))
+    e = a + a.conj().T
+    np.fill_diagonal(e, 0.0)
+    return e * draw(st.floats(1e-3, 0.999)) / np.linalg.norm(e, 2)
+
+
+# a (J - I) of order 3, eigenvalues (2a, -a, -a): its cubic terms do not cancel, so there
+# -||E||_F^2 / 2 alone is not a bound
+ALL_PAIRS = 0.1 * (np.ones((3, 3)) - np.eye(3))
+
+
+def log_det_one_plus(e):
+    """log det(I + E) of a Hermitian E, from its eigenvalues."""
+    return float(np.sum(np.log1p(np.linalg.eigvalsh(e))))
+
+
+@PROPERTY
+@given(e=zero_diagonal_hermitians())
+@example(e=ALL_PAIRS)
+@example(e=-ALL_PAIRS)
+def test_second_order_term_bounds_log_det(e):
+    # the full-rank codebook bound's second-order term (`_entry_bounds`) rests on this: with
+    # tr E = 0 and log(1 + x) <= x - x^2/2 + x^3/3 for x > -1, log det(I + E) <=
+    # -||E||_F^2 (1/2 - ||E||_2 / 3)
+    frobenius2, spectral = float(np.sum(np.abs(e) ** 2)), float(np.linalg.norm(e, 2))
+    assert log_det_one_plus(e) <= -frobenius2 * (0.5 - spectral / 3.0) + 1e-12 * (1.0 + frobenius2)
+
+
+def test_plain_second_order_term_is_not_a_bound():
+    # at a (J - I), log det(I + E) = -3a^2 + 2a^3 + O(a^4) lies above -||E||_F^2 / 2 = -3a^2, so
+    # the cubic correction ||E||_2 / 3 cannot be dropped from the matrix-level bound
+    frobenius2 = float(np.sum(ALL_PAIRS**2))
+    assert log_det_one_plus(ALL_PAIRS) > -frobenius2 / 2.0 + 1e-4
+    assert log_det_one_plus(ALL_PAIRS) <= -frobenius2 * (0.5 - 0.2 / 3.0)
+
+
+@st.composite
 def scorer_powers(draw, n):
     """Powers on r < N streams, on one stream, on every stream equally, water-filled by design, or
     water-filled over random gains with every stream powered."""
@@ -447,7 +489,7 @@ def test_closed_form_zf_matches_extended_precision_oracle():
                           distances=(400.0, 500.0))
     p_total = power_from_db(cfg.snr_db)
     checked = 0
-    for acfg, _, h, sigma, v in sim._cells(cfg):
+    for acfg, _, h, sigma, v in campaign_cells(cfg):
         cond = condition_numbers(sigma)
         zf, _ = nulling_rates(sigma, v, p_total)
         numerical, _ = nulling_rates(*svd_of(h), p_total)
@@ -467,7 +509,7 @@ def test_exact_geometry_zf_matches_extended_precision_oracle():
     cfg = sim.TrialConfig(seed=2024, n_trials=3, wavelength=0.004, n_antennas_list=(16,), distances=(500.0,),
                           angle_range_small=math.radians(15.0), exact_geometry=True)
     p_total = power_from_db(cfg.snr_db)
-    [(acfg, _, h, sigma, v)] = sim._cells(cfg)
+    [(acfg, _, h, sigma, v)] = campaign_cells(cfg)
     cond = condition_numbers(sigma)
     zf, _ = nulling_rates(sigma, v, p_total)
     printed = []

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 import re
 import warnings
 from dataclasses import replace
@@ -7,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import svd_of
+from conftest import campaign_cells, svd_of
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
@@ -295,7 +297,7 @@ class TestCampaignDraws:
 
     def test_cell_draws_equal_one_trial_draws(self):
         cfg = small_config(n_trials=40, angle_range_small=math.radians(15.0), n_antennas_list=(4, 8, 16, 64))
-        for acfg, mis, *_ in sim._cells(cfg):
+        for acfg, mis, *_ in campaign_cells(cfg):
             n = acfg.n_antennas
             for t in range(cfg.n_trials):
                 one = draw_misalignment(trial_rng(cfg.seed, t), cfg, n)
@@ -305,7 +307,7 @@ class TestCampaignDraws:
 
     def test_one_misalignment_per_antenna_count(self):
         cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 200.0, 300.0))
-        cells = [(acfg.n_antennas, mis) for acfg, mis, *_ in sim._cells(cfg)]
+        cells = [(acfg.n_antennas, mis) for acfg, mis, *_ in campaign_cells(cfg)]
         assert [n for n, _ in cells] == [4, 4, 4, 8, 8, 8]
         assert len({id(mis) for _, mis in cells}) == 2
         assert all(mis is cells[0][1] for n, mis in cells if n == 4)
@@ -314,7 +316,7 @@ class TestCampaignDraws:
         # 13 of the 40 rotations at 15 degrees exceed pi/16 for seed 3 and are clamped onto it
         cfg = TrialConfig(seed=3, n_trials=40, angle_range_small=math.radians(15.0),
                           n_antennas_list=(16,), distances=(500.0,), wavelength=0.004)
-        [(_, mis, *_)] = sim._cells(cfg)
+        [(_, mis, *_)] = campaign_cells(cfg)
         assert np.count_nonzero(np.abs(mis.theta_o) == math.pi / 16) == 13
         assert np.count_nonzero(np.abs(mis.theta_o) > math.pi / 16) == 0
 
@@ -507,14 +509,14 @@ class TestCodebookBitSweep:
     @pytest.mark.parametrize("cells", [((4,), (300.0,)), ((4, 8), (100.0, 300.0))])
     def test_one_call_per_cell_scores_the_distinct_entries(self, monkeypatch, cells):
         # each cell scores every sine codebook whole and every linear one's distinct half,
-        # all of them in one call
+        # all of them in one call of `codebook_best_rates`'s kernel
         calls = []
 
-        def counted(cfg, h, sigma, v, codebooks, powers, score=sim.codebook_best_rates):
-            calls.append([cb.size for cb in codebooks])
-            return score(cfg, h, sigma, v, codebooks, powers)
+        def counted(cfg, h, sigma, v, entries, powers, score=sim._best_entry_rates):
+            calls.append(entries.sizes)
+            return score(cfg, h, sigma, v, entries, powers)
 
-        monkeypatch.setattr(sim, "codebook_best_rates", counted)
+        monkeypatch.setattr(sim, "_best_entry_rates", counted)
         n_antennas_list, distances = cells
         run_codebook_bit_sweep(small_config(n_trials=2, n_antennas_list=n_antennas_list, distances=distances))
         per_cell = [2 ** (l1 + l2) // d for l1, l2 in sim.DEFAULT_BIT_GRID for d in (1, 2)]
@@ -574,6 +576,93 @@ class TestCsv:
         assert data == rows_to_csv(rows).encode("utf-8")
         assert b"\r" not in data
         assert data.endswith(b"\n")
+
+
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_number_rule_reused_within_a_call_prints_each_value_alone(self, zeros):
+        # table_texts formats each distinct nonzero float or int once per call; every value must
+        # still print what its own .9g prints, 0.0 next to -0.0 and equal values of other types
+        values = [*zeros, 0, -0.0, 1, 1.0, True, 1, 1.0, math.nan, float("nan"), math.inf, -math.inf,
+                  5e-324, 1e308, 1e308, np.float64(1.0), np.float64(-0.0), np.float32(0.1), 0.10000000149011612,
+                  np.int64(7), 7, 7.0, np.float64(math.nan), "x", 2.5, np.float32(2.5)]
+        expected = [v if isinstance(v, str) else f"{v:.9g}" for v in values]
+        assert sim.table_texts([values, values[::-1]]) == [expected, expected[::-1]]
+
+
+class TestResultRow:
+    ROW = ResultRow("rate_sweep", 8, 100.0, "zf", 3, 12.5, 2.0, 1.25)
+
+    def test_replace_eq_and_hash(self):
+        # bench/selftest.py corrupts a row with dataclasses.replace
+        other = replace(self.ROW, rate_bps_hz=13.0)
+        assert other.rate_bps_hz == 13.0 and other.trial == 3 and other != self.ROW
+        assert replace(other, rate_bps_hz=12.5) == self.ROW
+        assert hash(replace(other, rate_bps_hz=12.5)) == hash(self.ROW)
+
+    def test_pickle_round_trip(self):
+        assert pickle.loads(pickle.dumps(self.ROW)) == self.ROW
+
+    def test_frozen_with_slots(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.ROW.rate_bps_hz = 0.0
+        assert not hasattr(self.ROW, "__dict__")
+
+
+class TestPerAntennaCountInputs:
+    """Each antenna count's distance-free inputs are built once per campaign call, and never kept."""
+
+    @pytest.mark.parametrize("exact_geometry", [False, True])
+    def test_build_counts(self, monkeypatch, exact_geometry):
+        cfg = small_config(n_trials=3, n_antennas_list=(4, 8, 12, 16), distances=(100.0, 200.0, 300.0, 400.0, 500.0),
+                           exact_geometry=exact_geometry)
+        built = {"phasors": [], "v": []}
+
+        def counted(key, f):
+            def wrapper(cfg_, *args):
+                built[key].append(cfg_.n_antennas)
+                return f(cfg_, *args)
+            return wrapper
+
+        monkeypatch.setattr(sim, "_codebook_entries", counted("phasors", sim._codebook_entries))
+        monkeypatch.setattr(sim, "precoder_matrices", counted("v", sim.precoder_matrices))
+        first = rows_to_csv(run_rate_sweep(cfg))
+        assert built == {"phasors": [4, 8, 12, 16], "v": [4, 8, 12, 16]}
+        # a second call builds them again: nothing is carried from one call to the next
+        assert rows_to_csv(run_rate_sweep(cfg)) == first
+        assert built == {"phasors": [4, 8, 12, 16] * 2, "v": [4, 8, 12, 16] * 2}
+        built["phasors"].clear()
+        built["v"].clear()
+        run_codebook_bit_sweep(cfg, ((1, 1), (2, 1)))
+        assert built == {"phasors": [4, 8, 12, 16], "v": [] if exact_geometry else [4, 8, 12, 16]}
+
+    def test_separable_v_is_shared_by_every_distance(self):
+        cfg = small_config(n_trials=3, n_antennas_list=(4, 8), distances=(100.0, 300.0, 500.0))
+        for design, mis, cells in sim._cells(cfg):
+            n = cells.cfgs[0].n_antennas
+            assert design == search_beta_opt(n, 0.0, cfg.snr_db, wavelength=cfg.wavelength,
+                                             distance=cfg.design_distance)
+            assert all(c.radius_tx == c.radius_rx == design.radius_equal for c in cells.cfgs)
+            assert cells.v.strides[0] == 0
+            np.testing.assert_array_equal(cells.v[0], precoder_from_angles(cells.cfgs[0], mis.theta_cs, mis.phi_cs))
+
+    @pytest.mark.parametrize("exact_geometry", [False, True])
+    def test_stacked_powers_equal_each_cells_allocation(self, monkeypatch, exact_geometry):
+        # the designed powers are one stacked call per antenna count; each cell's row must be
+        # approx_power_allocation of the cell's own array, bit for bit
+        cfg = small_config(n_trials=2, n_antennas_list=(4, 8, 16), distances=(100.0, 250.0, 500.0),
+                           exact_geometry=exact_geometry)
+        seen = []
+
+        def counted(acfg, h, sigma, v, entries, powers, score=sim._best_entry_rates):
+            seen.append((acfg, powers))
+            return score(acfg, h, sigma, v, entries, powers)
+
+        monkeypatch.setattr(sim, "_best_entry_rates", counted)
+        run_rate_sweep(cfg)
+        run_codebook_bit_sweep(cfg, ((1, 1),))
+        assert len(seen) == 2 * 3 * 3
+        for acfg, powers in seen:
+            assert powers.tobytes() == approx_power_allocation(acfg, cfg.snr_db).tobytes(), acfg
 
 
 class TestTrialConfigValidation:

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import channels_svd, random_misalignment, stack_of, svd_of
+from conftest import campaign_cells, channels_svd, random_misalignment, stack_of, svd_of
 from ucamimo import (
     APPROXIMATE,
     EXACT_DISTANCE,
@@ -957,7 +957,7 @@ class TestZfSic:
                               n_antennas_list=(8, 16), distances=(100.0, 500.0), wavelength=0.004,
                               exact_geometry=True)
         clamped = 0
-        for acfg, mis, h, _, _ in sim._cells(cfg):
+        for acfg, mis, h, _, _ in campaign_cells(cfg):
             n = acfg.n_antennas
             clamped += np.count_nonzero(np.abs(mis.theta_o) == math.pi / n)
             singular = build_channel(acfg, Misalignment(theta_o=math.pi / n)).entries
