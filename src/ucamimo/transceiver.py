@@ -28,21 +28,15 @@ LINEAR = "linear"
 # Polar range (radians) the codebook's centre-shift entries cover.
 _PHI_RANGE = (-0.175, 0.175)
 
-# Values per block of the codebook scorers (256 KiB of complex values):
-# N x N per (channel, entry) pair that a pair scorer takes (the pair's own
-# H^H H and its matrix), and, in the eigenbasis bound of
-# `codebook_best_rates`, 2 x _SCORE_BLOCK reals in the larger of an entry
-# block's phase features (N^2 per entry) and their product with the
-# channels' coefficients (T r per entry).  With the path's other buffers
-# the block stays in cache.  No rate depends on it, on either path, by
-# construction.
+# Values per block of the codebook scorers (256 KiB of complex values).
+# The pair scorer holds about (N + r)^2 complex values per (channel,
+# entry) pair, its H^H H, two r-row products and its r x r Gram matrix,
+# and takes about 2 x _SCORE_BLOCK of them per block; the eigenbasis bound
+# of `codebook_best_rates` holds 2 x _SCORE_BLOCK reals in the larger of
+# an entry block's phase features (N^2 per entry) and their product with
+# the channels' coefficients (T r per entry).  With the other buffers the
+# block stays in cache.  No rate depends on it, by construction.
 _SCORE_BLOCK = 16384
-
-# Largest p_max / p_min of a full-rank allocation that the codebook scorer
-# takes in the antenna basis, whose absolute error grows with the spread
-# (`codebook_rates_many` gives the oracle's numbers).  At the bound it is
-# below 5e-14 bit/s/Hz from -20 to 30 dB.
-_MAX_POWER_SPREAD = 1e3
 
 # Entries per (codebook, channel) that `codebook_best_rates` scores exactly before its bound prunes
 # the rest.  On the benchmark's pass-0 campaigns at seeds 1, 2024 and 5, 2 left the fewest pairs to
@@ -252,42 +246,26 @@ def codebook_rates_many(
 
     Entry l scores log2 det(I + G_l G_l^H) with G_l = H diag(t_l) Q P^(1/2),
     t_l the entry's shift phasors, Q the DFT and P = diag(p_k), the
-    stream powers at unit noise.  With M = H^H H, D_l = diag(t_l) and
-    G~_l the r columns of the active streams (the others are zero),
-    Sylvester's identity gives det(I_r + G~_l^H G~_l), and, when every
-    stream has power, det(P) det(K^-1 + D_l^H M D_l) with K = Q P Q^H.
-    Both matrices are Hermitian positive definite, so each log-determinant
-    is 2 sum log L_kk of its Cholesky factor.  Every (channel, entry) pair
-    goes through the path's pair scorer (`_pair_scorer`), in blocks of
-    about _SCORE_BLOCK / N^2 pairs that gather their channels' H^H H and
-    their entries' phasors, built once per call.  A rate depends neither
-    on the stack nor on the block nor on which pairs share it, under any
-    BLAS kernel, by construction: every matrix gets the same elementwise
-    arithmetic, its own BLAS products and its own LAPACK factorisation,
-    whatever else shares the call.  `codebook_best_rates` gives each
-    row's maximum at a fraction of the cost.
-
-    Antenna path, taken when every stream has power and p_max / p_min is
-    at most _MAX_POWER_SPREAD: K^-1 = Q P^-1 Q^H and sum log p_k are built
-    once per call.  A pair takes its phase products conj(t_l) t_l^T, one
-    elementwise product with M, one added K^-1 and one Cholesky, with no
-    matrix product.  The form's error is absolute and grows with the
-    power spread, since K^-1 holds 1/p_min next to 1/p_max.  Against a
-    40-digit oracle on two N = 8 channels (4 entries each, the exact and
-    the separable model) it was at most 1.4e-14 bit/s/Hz up to a spread
-    of 1e4 at 30 dB, as the Gram form's, and 4.7e-12 at 1e9.  At -20 dB,
-    where the rates are near 0.1, it was 2.2e-15 at a spread of 1, 9.3e-15
-    at 1e2, 4.6e-14 at 1e3, 2.6e-13 at 1e4 and 3e-8 at 1e9, against at
-    most 2e-15 for the Gram form; hence the guard.
-
-    Gram path, every other allocation: a pair's r x r Gram matrix
-    Q~^H D_l^H M D_l Q~ comes from two r-row matrix products
-    (`_entry_rates`).  It is formed transposed, which gives its complex
-    conjugate: the same real Cholesky diagonal.
+    stream powers at unit noise.  With Q~ and P~ the DFT columns and powers
+    of the r streams with power, G~_l = H D_l Q~ P~^(1/2) holds G_l's
+    nonzero columns (D_l = diag(t_l)), and Sylvester's identity gives
+    det(I_r + G~_l^H G~_l).  Its r x r Gram matrix P~^(1/2) Q~^H D_l^H M
+    D_l Q~ P~^(1/2), M = H^H H, comes from two r-row matrix products
+    (`_entry_rates`); it is formed transposed, which gives its complex
+    conjugate: the same real Cholesky diagonal L_kk, and the rate is
+    2 sum log2 L_kk.  The pairs are scored in blocks of about
+    2 _SCORE_BLOCK / (N + r)^2 that gather their channels' H^H H and
+    their entries' phasors; those and Q~ P~^(1/2) are built once per call.
+    A rate depends neither on the stack nor on the block nor on which
+    pairs share it, under any BLAS kernel, by construction: every matrix
+    gets the same elementwise arithmetic, its own BLAS products and its
+    own LAPACK factorisation, whatever else shares the call.
+    `codebook_best_rates` gives each row's maximum at a fraction of the
+    cost.
     """
     hh, powers = _scorer_inputs(cfg, h, powers)
     trials, entries = np.divmod(np.arange(len(hh) * cb.size), cb.size)
-    rates = _pair_rates(_pair_scorer(powers), hh, _codebook_phasors(cfg, cb), trials, entries)
+    rates = _pair_rates(hh, _codebook_phasors(cfg, cb), _stream_columns(cfg.n_antennas, powers), trials, entries)
     return rates.reshape(len(hh), cb.size)
 
 
@@ -400,27 +378,16 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
       all, gamma (N^2 + 7 N + 25) eps (sum p)^2 nats: at most N^2 (N^2 +
       7 N + 25) eps, as gamma <= 1 / p_max^2 and sum p <= N p_max, and 0
       where gamma is.
-    - The Gram score's two products leave its Gram matrix within
+    - The exact score's two products leave its Gram matrix within
       2 N (N + 2) eps w_max sum p (|M_ij| <= w_max), so its log det within
       r times that; its Cholesky and logs add about
       r^2 (r + 1) eps (1 + w_max sum p): below 3 r (N + 4)^2 eps
       (1 + w_max sum p).
-    - The antenna score's X = K^-1 + D_l^H M D_l has tr(X^-1) <= tr(K) =
-      sum p <= N p_max.  Its entries are within eps ((3 N + 8) / p_min +
-      (N + 4) w_max): K^-1's product and Q's departure from unitarity
-      (2 N + 3) / p_min, the elementwise arithmetic 3 (w_max + 1 / p_min)
-      and the Cholesky's backward error (N + 1) max X_ii.  So its log det
-      is within N eps ((3 N + 8) N p_max / p_min + (N + 4) w_max sum p).
-      At r = N the second term, like the logs of P and of the Cholesky
-      diagonal, is within the Gram score's allowance; the first, below
-      3 N^2 (N + 3) eps p_max / p_min, is absolute and grows with the
-      spread up to _MAX_POWER_SPREAD.
-    All of it is below 5 r (N + 4)^2 eps (1 + w_max sum p) nats, plus
-    3 N^2 (N + 3) eps p_max / p_min on the antenna path and the r = N
-    term's gamma (N^2 + 7 N + 25) eps (sum p)^2: the margin per channel,
-    in bits.  In the campaign workloads at seeds 1, 2024 and 5 it is at
-    most 1.9e-8 bit/s/Hz, and no exact rate passed its computed bound by
-    more than 2.0e-4 margins.
+    All of it is below 5 r (N + 4)^2 eps (1 + w_max sum p) nats, plus the
+    r = N term's gamma (N^2 + 7 N + 25) eps (sum p)^2: the margin per
+    channel, in bits.  In the campaign workloads at seeds 1, 2024 and 5
+    it is at most 1.9e-8 bit/s/Hz, and no exact rate passed its computed
+    bound by more than 2.0e-4 margins.
     """
     return _best_entry_rates(cfg, h, sigma, v, _codebook_entries(cfg, codebooks), powers)
 
@@ -449,8 +416,9 @@ def _best_entry_rates(cfg: ArrayConfig, h, sigma, v, entries: _Entries, powers) 
     t, sizes = entries
     if len(hh) == 0 or not sizes:
         return np.empty((len(sizes), len(hh)))
-    modes = _modes(sigma, v, powers)
-    return _best_rates(_pair_scorer(powers), hh, t, _entry_bounds(t, modes), modes.margin, sizes)
+    q = _stream_columns(len(powers), powers)
+    modes = _modes(sigma, v, powers, q)
+    return _best_rates(hh, t, q, _entry_bounds(t, modes), modes.margin, sizes)
 
 
 def _scorer_inputs(cfg: ArrayConfig, h, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -492,12 +460,6 @@ def _codebook_phasors(cfg: ArrayConfig, cb: Codebook) -> np.ndarray:
     return _phasors(cfg, tau).reshape(cb.size, cfg.n_antennas)
 
 
-def _antenna_path(powers: np.ndarray) -> bool:
-    """Whether the scorers take the antenna basis: every stream powered, within _MAX_POWER_SPREAD."""
-    # with some power positive, this also requires every power to be positive
-    return bool(powers.max() <= _MAX_POWER_SPREAD * powers.min())
-
-
 def _stream_columns(n: int, powers: np.ndarray) -> np.ndarray:
     """Q~ P~^(1/2): the DFT columns of the streams with power, times their amplitudes; shape (N, r)."""
     active = np.flatnonzero(powers > 0.0)
@@ -515,7 +477,7 @@ def _log_det(a: np.ndarray) -> np.ndarray:
 
 
 def _entry_rates(x: np.ndarray, t_conj: np.ndarray, hh: np.ndarray, q_conj: np.ndarray) -> np.ndarray:
-    """Gram-path rates of a (P, r, N) stack of first-product operands, the rows of (D_l Q~)^T; shape (P,).
+    """Rates of a (P, r, N) stack of first-product operands, the rows of (D_l Q~)^T; shape (P,).
 
     `t_conj` holds the pairs' conjugate phasors as (P, 1, N), and `hh`
     their channels' H^H H, (P, N, N).  Both products are stacked matmuls,
@@ -531,52 +493,19 @@ def _entry_rates(x: np.ndarray, t_conj: np.ndarray, hh: np.ndarray, q_conj: np.n
     return _log_det(gram) / _LN2
 
 
-def _pair_scorer(powers: np.ndarray):
-    """The exact scorer of `codebook_rates_many`'s path for these powers.
+def _pair_rates(hh: np.ndarray, t: np.ndarray, q: np.ndarray, trials: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Rate of entry entries[i] (phasors t[entries[i]]) on channel trials[i], with Q~ P~^(1/2) = `q`; shape (P,).
 
-    It maps a (P, N, N) stack of H^H H and the (P, N) phasors of the
-    entries paired with them to the P rates, each from its own pair.
+    The pairs are scored in blocks of 2 _SCORE_BLOCK / (N + r)^2, each pair with its own gathered H^H H.
     """
-    return _antenna_scorer(powers) if _antenna_path(powers) else _gram_scorer(powers)
-
-
-def _antenna_scorer(powers: np.ndarray):
-    """The antenna-path pair scorer: log det(P) + log det(K^-1 + conj(t) t^T o H^H H), powers all positive."""
-    q = dft_matrix(len(powers))
-    k_inv = (q / powers) @ q.conj().T
-    log_p = np.sum(np.log(powers))
-
-    def score(hh: np.ndarray, t: np.ndarray) -> np.ndarray:
-        a = t.conj()[:, :, None] * t[:, None, :]
-        a *= hh
-        a += k_inv
-        return (_log_det(a) + log_p) / _LN2
-
-    return score
-
-
-def _gram_scorer(powers: np.ndarray):
-    """The Gram-path pair scorer: log det(I_r + G~^H G~) over the r active streams."""
-    q = _stream_columns(len(powers), powers)
+    n, r = q.shape
+    per = max(1, 2 * _SCORE_BLOCK // (n + r) ** 2)
     q_conj = q.conj()
-
-    def score(hh: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return _entry_rates(t[:, None, :] * q.T, t.conj()[:, None, :], hh, q_conj)
-
-    return score
-
-
-def _pair_rates(score, hh: np.ndarray, t: np.ndarray, trials: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Rate of entry entries[i] (phasors t[entries[i]]) on channel trials[i], by `score`; shape (P,).
-
-    The pairs are scored in blocks of _SCORE_BLOCK / N^2, each pair with its own gathered H^H H.
-    """
-    n = hh.shape[-1]
-    per = max(1, _SCORE_BLOCK // (n * n))
     rates = np.empty(len(trials))
     for start in range(0, len(trials), per):
         pairs = slice(start, start + per)
-        rates[pairs] = score(hh[trials[pairs]], t[entries[pairs]])
+        tb = t[entries[pairs]]
+        rates[pairs] = _entry_rates(tb[:, None, :] * q.T, tb.conj()[:, None, :], hh[trials[pairs]], q_conj)
     return rates
 
 
@@ -607,9 +536,10 @@ def _pair_products(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _modes(sigma, v, powers: np.ndarray) -> _Modes:
+def _modes(sigma, v, powers: np.ndarray, q: np.ndarray) -> _Modes:
     """The bound's view of T channels' M = V diag(sigma^2) V^H, from their (T, N) sigma and (T, N, N) V.
 
+    `q` is the powers' Q~ P~^(1/2) (`_stream_columns`), which gives K~.
     The modes go in a stable sort of sigma, weakest first.  The weights
     of an entry's phase features in e_m (`_entry_bounds`) are 2 conj(C_m,nn')
     for each pair n < n' as its real and imaginary parts, [2 Re C, -2 Im C],
@@ -622,7 +552,6 @@ def _modes(sigma, v, powers: np.ndarray) -> _Modes:
     powers' p_max and p_min.
     """
     trials, n = sigma.shape
-    q = _stream_columns(n, powers)
     r = q.shape[1]
     k = q @ q.conj().T  # K~ = Q~ P~ Q~^H
     order = np.argsort(sigma, axis=-1, kind="stable")
@@ -638,7 +567,6 @@ def _modes(sigma, v, powers: np.ndarray) -> _Modes:
         top.sum(axis=1, out=coef[:, r])
     top *= w[:, n - r:, None]
     total = float(np.sum(powers))
-    spread = powers.max() / powers.min() if _antenna_path(powers) else 0.0
     if r < n:
         inv_w, gamma, reach = np.zeros((trials, n)), np.zeros(trials), np.zeros(trials)
     else:  # g_m = w_m / (1 + w_m e_m) with e_m in [p_min, p_max]
@@ -646,13 +574,13 @@ def _modes(sigma, v, powers: np.ndarray) -> _Modes:
         inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=normal)
         gamma = np.prod(w[:, :2] / (1.0 + w[:, :2] * powers.max()), axis=-1) * normal[:, 0]
         reach = w[:, -1] / (1.0 + w[:, -1] * powers.min()) / 3.0
+    margin = 5.0 * r * (n + 4) ** 2 * (1.0 + w[:, -1] * total) + (n * n + 7 * n + 25) * gamma * total**2
     return _Modes(
         coef=coef.reshape(-1, n * n),
         rank=r,
         tail=w[:, n - r - 1] / (n - r) if r < n else np.zeros(trials),
         total=total,
-        margin=(5.0 * r * (n + 4) ** 2 * (1.0 + w[:, -1] * total) + 3.0 * n * n * (n + 3) * spread
-                + (n * n + 7 * n + 25) * gamma * total**2) * _EPS / _LN2,
+        margin=margin * _EPS / _LN2,
         inv_w=inv_w,
         square=float(np.sum(powers**2)),
         gamma=gamma / _LN2,
@@ -703,8 +631,9 @@ def _entry_bounds(t: np.ndarray, modes: _Modes) -> np.ndarray:
     return bounds
 
 
-def _best_rates(score, hh: np.ndarray, t: np.ndarray, bounds: np.ndarray, margin: np.ndarray, sizes) -> np.ndarray:
-    """Each codebook's best rate by `score` on each channel, scoring only entries whose bound can reach it; (K, T).
+def _best_rates(hh: np.ndarray, t: np.ndarray, q: np.ndarray, bounds: np.ndarray, margin: np.ndarray,
+                sizes) -> np.ndarray:
+    """Each codebook's best rate on each channel, scoring only entries whose bound can reach it; (K, T).
 
     The K codebooks' entries lie one after another in `t` and in the
     columns of `bounds`, `sizes` of them each.  Two `_pair_rates` calls
@@ -721,11 +650,11 @@ def _best_rates(score, hh: np.ndarray, t: np.ndarray, bounds: np.ndarray, margin
     entries = np.concatenate(picked, axis=1).ravel()
     rows = np.repeat(np.arange(trials), len(entries) // trials)
     best = np.full((len(sizes), trials), -np.inf)
-    np.maximum.at(best, (owner[entries], rows), _pair_rates(score, hh, t, rows, entries))
+    np.maximum.at(best, (owner[entries], rows), _pair_rates(hh, t, q, rows, entries))
     rest = bounds >= (best - margin)[owner].T
     rest[rows, entries] = False
     rows, entries = np.nonzero(rest)
-    np.maximum.at(best, (owner[entries], rows), _pair_rates(score, hh, t, rows, entries))
+    np.maximum.at(best, (owner[entries], rows), _pair_rates(hh, t, q, rows, entries))
     return best
 
 

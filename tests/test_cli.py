@@ -767,15 +767,14 @@ for path, argv in json.loads(sys.argv[1]):
             sys.exit(f"{argv} failed")
 """
 
-# Scores each allocation that its JSON argument names: every stream powered ("all", the antenna
-# path, and "filled", water-filled at 30 dB over gains from 1 to 0.3), n/2 + 1 streams ("half") or
-# one ("one"), both on the Gram path.  Each is scored over the whole codebook in one block, in
-# blocks of 1, 7 and 33 (channel, entry) pairs, one channel at a time, and as a shuffled half of
-# the pairs; the child prints the cases whose rates are not equal bit for bit to the one-block
-# stacked call.  One codebook_best_rates call then scores five codebooks of 1 to 256 entries, the
-# 256-entry one twice, at the default block and in blocks of 33 pairs (66 entries of the bound),
-# so that entry blocks straddle codebooks; the child prints each row that is not its own
-# codebook's row maximum.
+# Scores each allocation that its JSON argument names: every stream powered ("all", and "filled",
+# water-filled at 30 dB over gains from 1 to 0.3), n/2 + 1 streams ("half") or one ("one").  Each
+# is scored over the whole codebook in one block, in blocks of 1, 7 and 33 (channel, entry) pairs,
+# one channel at a time, and as a shuffled half of the pairs; the child prints the cases whose
+# rates are not equal bit for bit to the one-block stacked call.  One codebook_best_rates call
+# then scores five codebooks of 1 to 256 entries, the 256-entry one twice, at the default block
+# and in blocks of 33 pairs (37 to 132 entries of the bound), so that entry blocks straddle
+# codebooks; the child prints each row that is not its own codebook's row maximum.
 SCORER_BLOCK_CHILD = """
 import json, math, sys
 import numpy as np
@@ -793,36 +792,38 @@ for n, radius in ((4, 0.3162), (8, 0.4451), (12, 0.5396), (16, 0.6176)):
     for active in json.loads(sys.argv[1]):
         if active == "filled":
             powers = water_fill(np.geomspace(1.0, 0.3, n), 1e3)
-            assert transceiver._antenna_path(powers)
+            assert (powers > 0).all()
         else:
             r = {"all": n, "half": n // 2 + 1, "one": 1}[active]
             powers = np.zeros(n)
             powers[:r] = 10**1.5 * np.geomspace(1.0, 0.1, r) / np.geomspace(1.0, 0.1, r).sum()
+        r = np.count_nonzero(powers)
+        pair_block = lambda count: -(-count * (n + r) ** 2 // 2)  # _SCORE_BLOCK of `count` pairs per block
         for model in (APPROXIMATE, EXACT_DISTANCE):
             case = f"N={n} {active} {model}"
             h = build_channels(cfg, mis, model)
             pairs = len(h) * cb.size
-            transceiver._SCORE_BLOCK = (pairs + 1) * n * n
+            transceiver._SCORE_BLOCK = pair_block(pairs + 1)
             whole = codebook_rates_many(cfg, h, cb, powers)
             for k in range(len(h)):
                 if not np.array_equal(codebook_rates_many(cfg, h[k:k + 1], cb, powers)[0], whole[k]):
                     moved.append(f"{case} channel {k} alone")
             for count in (1, 7, 33):
-                transceiver._SCORE_BLOCK = count * n * n
+                transceiver._SCORE_BLOCK = pair_block(count)
                 if not np.array_equal(codebook_rates_many(cfg, h, cb, powers), whole):
                     moved.append(f"{case} blocks of {count}")
             transceiver._SCORE_BLOCK = default_block
             trials, entries = np.divmod(rng.permutation(pairs)[: pairs // 2], cb.size)
             hh, _ = transceiver._scorer_inputs(cfg, h, powers)
             t = transceiver._codebook_phasors(cfg, cb)
-            if not np.array_equal(transceiver._pair_rates(transceiver._pair_scorer(powers), hh, t, trials, entries),
-                                  whole[trials, entries]):
+            q = transceiver._stream_columns(n, powers)
+            if not np.array_equal(transceiver._pair_rates(hh, t, q, trials, entries), whole[trials, entries]):
                 moved.append(f"{case} shuffled pairs")
             maxima = [codebook_rates_many(cfg, h, book, powers).max(axis=-1) for book in books]
             _, sigma, vh = np.linalg.svd(h)
             svd = (sigma, np.swapaxes(vh, 1, 2).conj()) if model == EXACT_DISTANCE else sim._closed_form(cfg, cfg.beta, mis)
-            for count in (default_block // (n * n), 33):
-                transceiver._SCORE_BLOCK = count * n * n
+            for count in (2 * default_block // (n + r) ** 2, 33):
+                transceiver._SCORE_BLOCK = pair_block(count)
                 best = codebook_best_rates(cfg, h, *svd, books, powers)
                 moved += [f"{case} best entry of codebook {k} in blocks of {count}"
                           for k, maximum in enumerate(maxima) if not np.array_equal(best[k], maximum)]
@@ -881,10 +882,10 @@ class TestGoldenBytes:
     @pytest.mark.skipif(not openblas_picks_its_kernel(), reason="needs an OpenBLAS built with DYNAMIC_ARCH")
     @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
     def test_full_rank_codebook_rates_do_not_depend_on_the_blas_kernel_partition(self, core):
-        # with every stream powered the scorer takes no matrix product, only elementwise
-        # arithmetic and one LAPACK Cholesky per matrix, so the block and the stack cannot move
-        # a rate under any kernel.  The Gram path's one zgemm per block moved 12 of the 48 cases
-        # of "all" under Haswell.  The eigenbasis bound, a dgemm, prunes the water-filled
+        # with every stream powered each entry takes its own N-row products and one LAPACK
+        # Cholesky, whatever block it shares, so the block and the stack cannot move a rate
+        # under any kernel.  An earlier Gram form with one zgemm per block moved 12 of the 48
+        # cases of "all" under Haswell.  The eigenbasis bound, a dgemm, prunes the water-filled
         # allocation's entries, and the best entry's rate must still be the row maximum
         assert scorer_cases_that_move(core, ["all", "filled"]) == []
 

@@ -46,7 +46,6 @@ from ucamimo.transceiver import codebook_best_rates, codebook_rates_many, precod
 WAVELENGTH = 0.004
 DISTANCE = 100.0
 CODEBOOK = build_codebook(2, 1)
-SCORER_CODEBOOK = build_codebook(4, 2)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -207,32 +206,6 @@ def test_codebook_rates_match_per_entry_rates(stack, model, snr_db):
     np.testing.assert_allclose(one, expected[0], rtol=1e-10, atol=0.0)
 
 
-@PROPERTY
-@given(stack=stacks(), model=st.sampled_from([APPROXIMATE, EXACT_DISTANCE]), snr_db=st.floats(-20.0, 30.0),
-       spread=st.floats(1.0, transceiver._MAX_POWER_SPREAD), data=st.data())
-def test_antenna_and_gram_forms_agree(stack, model, snr_db, spread, data):
-    # the scorer's two forms on full-rank powers within the guard's spread.  Both round H^H H,
-    # which costs a channel of condition number c up to eps c^2 of each form: c is kept at
-    # 1e3 or below.  The antenna form adds an absolute error of about eps times N times the
-    # spread (K^-1 holds 1/p_min next to 1/p_max) plus the sum of |log2 p_k| that its log det P
-    # cancels.  At low SNR, where the rates are small, that term dominates; over 3,563 random
-    # cases the difference past the relative term reached 1.14 times it
-    cfg, mises = stack
-    n = cfg.n_antennas
-    h = build_channels(cfg, stack_of(mises), model)
-    assume(np.all(np.linalg.cond(h) <= 1e3))
-    exponents = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-    weights = spread ** -np.array(exponents)
-    powers = power_from_db(snr_db) * weights / weights.sum()
-    hh, powers = transceiver._scorer_inputs(cfg, h, powers)
-    trials, entries = np.divmod(np.arange(len(hh) * SCORER_CODEBOOK.size), SCORER_CODEBOOK.size)
-    hh, t = hh[trials], transceiver._codebook_phasors(cfg, SCORER_CODEBOOK)[entries]
-    antenna = transceiver._antenna_scorer(powers)(hh, t)
-    gram = transceiver._gram_scorer(powers)(hh, t)
-    atol = 4.0 * np.finfo(float).eps * (n * spread + np.sum(np.abs(np.log2(powers))))
-    np.testing.assert_allclose(antenna, gram, rtol=1e-13, atol=atol)
-
-
 def powers_on(n: int, active, snr_db: float, weights) -> np.ndarray:
     """Stream powers at unit noise: the given weights on the `active` streams, summing to the SNR."""
     weights = np.asarray(weights, dtype=float)
@@ -251,9 +224,8 @@ def partial_powers(draw, n):
 
 
 @st.composite
-def full_powers(draw, n, max_spread=transceiver._MAX_POWER_SPREAD):
-    """Powers on every stream with p_max / p_min in [1, max_spread], by default the antenna path's range,
-    at an SNR in [-20, 60] dB."""
+def full_powers(draw, n, max_spread=1e9):
+    """Powers on every stream with p_max / p_min in [1, max_spread], at an SNR in [-20, 60] dB."""
     spread = draw(st.floats(1.0, max_spread))
     exponents = [0.0, 1.0, *draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2))]
     return powers_on(n, range(n), draw(st.floats(-20.0, 60.0)), spread ** -np.array(exponents))
@@ -263,8 +235,8 @@ def full_powers(draw, n, max_spread=transceiver._MAX_POWER_SPREAD):
 def bound_stacks(draw):
     """(array, misalignments, powers): a stack of three channels' draws and powers on r < N streams or on all.
 
-    Full-rank powers are drawn twice: with spreads up to the antenna path's 1e3, and with spreads up to 2,
-    where the full-rank bound's second-order term is seldom clipped to 0.
+    Full-rank powers are drawn twice: with spreads up to 1e9, and with spreads up to 2, where the full-rank
+    bound's second-order term is seldom clipped to 0.
     """
     cfg, mises = draw(stacks())
     n = cfg.n_antennas
@@ -321,7 +293,8 @@ def test_eigenbasis_bound_holds_for_every_entry(case, model, bits, quantization)
     mis = stack_of(mises)
     h = build_channels(cfg, mis, model)
     _, powers = transceiver._scorer_inputs(cfg, h, powers)
-    modes = transceiver._modes(*campaign_svd(cfg, mis, h, model), powers)
+    modes = transceiver._modes(*campaign_svd(cfg, mis, h, model), powers,
+                               transceiver._stream_columns(cfg.n_antennas, powers))
     bounds = transceiver._entry_bounds(transceiver._codebook_phasors(cfg, cb), modes)
     rates = codebook_rates_many(cfg, h, cb, powers)
     assert np.all(rates <= bounds + modes.margin[:, None])

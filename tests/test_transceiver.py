@@ -308,6 +308,14 @@ def spread_allocation(n, spread, total=SNR15):
     return weights * 2.0 ** np.round(np.log2(total / weights.sum()))
 
 
+def pair_block(pairs, n, r):
+    """The `_SCORE_BLOCK` at which the pair scorer takes `pairs` (channel, entry) pairs of r streams per block.
+
+    A block holds 2 _SCORE_BLOCK // (N + r)^2 pairs, so twice this block, c (N + r)^2 or one more, gives c.
+    """
+    return -(-pairs * (n + r) ** 2 // 2)
+
+
 class TestStackedCodebookScorer:
     def stack(self, cfg, model, count, seed=67):
         rng = np.random.default_rng(seed)
@@ -344,18 +352,17 @@ class TestStackedCodebookScorer:
     def test_rates_do_not_depend_on_the_entry_block(self, monkeypatch, model, n, l1, l2, active):
         # blocks of 1, per - 1, per and per + 1 (channel, entry) pairs, where per is the
         # default block's pair count when that splits the stack's pairs in at least three,
-        # each against one block larger than all of them.  Either path takes N x N values per pair;
-        # with every stream active the antenna path runs
+        # each against one block larger than all of them
         cfg = design_point(n, 300.0)
         cb = build_codebook(l1, l2)
         powers = stream_allocation(n, active)
         _, h = self.stack(cfg, model, 3)
-        values, pairs = n * n, len(h) * cb.size
-        per = min(transceiver._SCORE_BLOCK // values, pairs // 3)
-        monkeypatch.setattr(transceiver, "_SCORE_BLOCK", (pairs + 1) * values)
+        pairs = len(h) * cb.size
+        per = min(2 * transceiver._SCORE_BLOCK // (n + active) ** 2, pairs // 3)
+        monkeypatch.setattr(transceiver, "_SCORE_BLOCK", pair_block(pairs + 1, n, active))
         whole = codebook_rates_many(cfg, h, cb, powers)
         for count in (1, per - 1, per, per + 1):
-            monkeypatch.setattr(transceiver, "_SCORE_BLOCK", count * values)
+            monkeypatch.setattr(transceiver, "_SCORE_BLOCK", pair_block(count, n, active))
             np.testing.assert_array_equal(codebook_rates_many(cfg, h, cb, powers), whole)
 
     @pytest.mark.parametrize("score", [codebook_rates_many, lambda cfg, h, cb, powers: codebook_best_rates(
@@ -363,11 +370,12 @@ class TestStackedCodebookScorer:
     def test_peak_memory(self, score):
         # NumPy reports its data buffers to tracemalloc; buffers over the
         # whole 1,024-entry codebook peaked at 8.9 MiB.  The designed
-        # allocation gives 9 streams power (Gram path), the equal one all 16 (antenna path)
+        # allocation gives 9 streams power, the equal and the spread ones all 16, where a pair's
+        # buffers are largest, about (2N)^2 values
         cfg = design_point(16, 300.0)
         cb = build_codebook(7, 3)
         _, h = self.stack(cfg, APPROXIMATE, 8)
-        for powers in (approx_power_allocation(cfg, 15.0), stream_allocation(16, 16)):
+        for powers in (approx_power_allocation(cfg, 15.0), stream_allocation(16, 16), spread_allocation(16, 1e9)):
             score(cfg, h, cb, powers)
             tracemalloc.start()
             try:
@@ -393,22 +401,21 @@ class TestStackedCodebookScorer:
         cb = build_codebook(l1, l2)
         _, h = self.stack(cfg, APPROXIMATE, 4)
         codebook_rates_many(cfg, h, cb, stream_allocation(n, active))
-        # one Cholesky per block of (channel, entry) pairs, N x N values per pair on either path
-        per = max(1, transceiver._SCORE_BLOCK // (n * n))
+        # one Cholesky per block of (channel, entry) pairs, (N + r)^2 values per pair: the pair's
+        # H^H H, its two r-row products and its r x r Gram matrix
+        per = max(1, 2 * transceiver._SCORE_BLOCK // (n + active) ** 2)
         assert len(calls) == math.ceil(4 * cb.size / per)
         assert all(shape[0] <= per and shape[1:] == (active, active) for shape in calls)
 
-    @pytest.mark.parametrize("powers, antenna, rank", [
-        pytest.param(stream_allocation(8, 8), True, 8, id="equal"),
-        pytest.param(spread_allocation(8, transceiver._MAX_POWER_SPREAD), True, 8, id="at-the-guard"),
-        pytest.param(spread_allocation(8, np.nextafter(transceiver._MAX_POWER_SPREAD, math.inf)), False, 8,
-                     id="past-the-guard"),
-        pytest.param(np.append(stream_allocation(7, 7), 0.0), False, 7, id="one-zero-power"),
+    @pytest.mark.parametrize("powers, rank", [
+        pytest.param(stream_allocation(8, 8), 8, id="equal"),
+        pytest.param(spread_allocation(8, 1e3), 8, id="spread-1e3"),
+        pytest.param(spread_allocation(8, 1e9), 8, id="spread-1e9"),
+        pytest.param(np.append(stream_allocation(7, 7), 0.0), 7, id="one-zero-power"),
     ])
-    def test_path_follows_the_powers(self, monkeypatch, powers, antenna, rank):
-        # the antenna path takes one Cholesky per block of (channel, entry) pairs, here all 96
-        # of them, and no matrix product; the Gram path two products per Cholesky, of the
-        # active streams' r x r matrices
+    def test_one_form_for_every_allocation(self, monkeypatch, powers, rank):
+        # whatever the powers, one Cholesky per block of (channel, entry) pairs, here all 96 of
+        # them, of the active streams' r x r Gram matrices, and two matrix products per Cholesky
         calls = []
 
         def counted(name, f):
@@ -425,7 +432,7 @@ class TestStackedCodebookScorer:
         codebook_rates_many(cfg, h, cb, powers)
         shapes = [shape for name, shape in calls if name == "cholesky"]
         assert shapes == [(3 * cb.size, rank, rank)]
-        assert sum(name == "matmul" for name, _ in calls) == (0 if antenna else 2 * len(shapes))
+        assert sum(name == "matmul" for name, _ in calls) == 2 * len(shapes)
 
     @pytest.mark.parametrize(
         "h_shape, powers_shape, match",
@@ -453,11 +460,11 @@ class TestBestEntryScorer:
         pytest.param(8, stream_allocation(8, 5), id="8-five"),
         pytest.param(16, None, id="16-designed"),
         pytest.param(12, stream_allocation(12, 12), id="12-equal"),
-        pytest.param(8, spread_allocation(8, 1e4), id="8-past-the-guard"),
+        pytest.param(8, spread_allocation(8, 1e4), id="8-spread-1e4"),
     ])
     def test_rows_equal_the_row_maximum(self, model, n, powers):
-        # bit for bit, on the antenna path, on the Gram path with r < N and with every stream
-        # powered past the spread guard (r = N, no weak modes), and for one-entry codebooks
+        # bit for bit, with r < N, with every stream powered equally and with a wide spread
+        # (r = N, no weak modes), and for one-entry codebooks
         cfg = design_point(n, 300.0)
         powers = approx_power_allocation(cfg, 15.0) if powers is None else powers
         channels, h = TestStackedCodebookScorer().stack(cfg, model, 5)
@@ -540,7 +547,7 @@ class TestBestEntryScorer:
     @pytest.mark.parametrize("n", [8, 16])
     def test_bound_prunes_most_entries_at_full_rank(self, monkeypatch, n, model):
         # on the 100 m designs of N = 8 and 16 every stream has power, nearly equal (spread 1.04
-        # and 1.17, the antenna path).  With its second-order term the bound leaves 16 and 34
+        # and 1.17).  With its second-order term the bound leaves 16 and 34
         # (separable, closed-form V) and 17 and 36 (exact, the SVD's V) of the 256-entry
         # codebook's 2,048 pairs to the Cholesky: the first 16 and a few more.  Hadamard's
         # bound alone, exact only to first order in the spread, left 225 and 724 (separable)
@@ -550,7 +557,7 @@ class TestBestEntryScorer:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
         cfg = design_point(n, 100.0)
         powers = approx_power_allocation(cfg, 15.0)
-        assert transceiver._antenna_path(powers)
+        assert (powers > 0).all()
         channels, h = TestStackedCodebookScorer().stack(cfg, model, 8)
         cb = build_codebook(5, 3)
         codebook_best_rates(cfg, h, *channels_svd(cfg, channels, model), [cb], powers)
@@ -586,6 +593,19 @@ class TestBestEntryScorer:
             codebook_best_rates(cfg, h, svd["sigma"], svd["v"], [build_codebook(5, 3)],
                                 approx_power_allocation(cfg, 15.0))
 
+    def test_one_dft_per_scorer_call(self, monkeypatch):
+        # Q~ P~^(1/2), the DFT columns of the powered streams, is built once per call and serves
+        # the bound's K~ and every exact score
+        calls = []
+        monkeypatch.setattr(transceiver, "dft_matrix", lambda n, dft=transceiver.dft_matrix: calls.append(n) or dft(n))
+        cfg = design_point(8, 300.0)
+        channels, h = TestStackedCodebookScorer().stack(cfg, EXACT_DISTANCE, 3)
+        powers = approx_power_allocation(cfg, 15.0)
+        codebook_best_rates(cfg, h, *channels_svd(cfg, channels, EXACT_DISTANCE), self.CODEBOOKS, powers)
+        assert calls == [8]
+        codebook_rates_many(cfg, h, self.CODEBOOKS[2], powers)
+        assert calls == [8, 8]
+
     @pytest.mark.parametrize("weakest", [0.0, 1e-160])
     def test_zero_or_subnormal_mode_keeps_hadamards_bound(self, weakest):
         # a w_m = sigma_m^2 that is zero or subnormal has no finite inverse, so that channel's
@@ -595,7 +615,8 @@ class TestBestEntryScorer:
         sigma, v = channels_svd(cfg, channels, APPROXIMATE)
         sigma = sigma.copy()
         sigma[0, np.argmin(sigma[0])] = weakest
-        modes = transceiver._modes(sigma, v, approx_power_allocation(cfg, 15.0))
+        powers = approx_power_allocation(cfg, 15.0)
+        modes = transceiver._modes(sigma, v, powers, transceiver._stream_columns(8, powers))
         t = transceiver._codebook_phasors(cfg, build_codebook(3, 2))
         bounds = transceiver._entry_bounds(t, modes)
         hadamard = transceiver._entry_bounds(t, modes._replace(gamma=np.zeros(2)))
@@ -632,25 +653,24 @@ def precoded_log_det_oracle(h, f, powers):
 
 
 class TestScorerOracle:
-    """Both scorer paths against an extended-precision log-det of the same float64 inputs."""
+    """The scorers against an extended-precision log-det of the same float64 inputs."""
 
     MISALIGNMENT = Misalignment(theta_o=0.1, theta_cs=0.7, phi_cs=0.1, phi_x=0.05, phi_y=-0.08)
 
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
     @pytest.mark.parametrize("total, tolerance", [
         pytest.param(SNR30, {"rtol": 1e-15, "atol": 0.0}, id="30dB"),
-        pytest.param(1e-2, {"rtol": 0.0, "atol": 1e-13}, id="-20dB"),
+        pytest.param(1e-2, {"rtol": 0.0, "atol": 1e-14}, id="-20dB"),
     ])
     def test_rates_match_extended_precision_oracle(self, model, total, tolerance):
-        # full-rank powers up to the guard's spread take the antenna path, a wider spread and a
-        # single active stream the Gram path.  The antenna form's error is absolute and grows
-        # with the spread: at a spread of 1e9 it was 4.7e-12 bit/s/Hz at 30 dB and 3e-8 at
-        # -20 dB, so without the guard both tolerances fail.  The one entry of build_codebook(0, 0),
-        # t = 1, is the DFT precoder that the campaigns score as the identity row
+        # full-rank powers of spreads from 1 to 1e9 and a single active stream.  At -20 dB the
+        # rates are near 0.1, so an absolute error shows most; the scorer was within 2.1e-15
+        # bit/s/Hz of the oracle on every spread.  The one entry of build_codebook(0, 0), t = 1,
+        # is the DFT precoder that the campaigns score as the identity row
         cfg = design_point(8, 100.0)
         h = build_channel(cfg, self.MISALIGNMENT, model).entries
         one_stream = np.append(total, np.zeros(7))
-        spreads = (1.0, 1e2, transceiver._MAX_POWER_SPREAD, 1e9)
+        spreads = (1.0, 1e2, 1e3, 1e9)
         for powers in [*(spread_allocation(8, spread, total) for spread in spreads), one_stream]:
             for cb in (build_codebook(1, 1), build_codebook(0, 0)):
                 rates = codebook_rates_many(cfg, h[None], cb, powers)[0]
@@ -683,11 +703,10 @@ class TestScorerOracle:
         assert (np.abs(rates - qr_split) <= 8.0 * np.finfo(float).eps * scale).all()
 
     @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
-    def test_best_entry_matches_the_oracle_at_low_snr_and_the_guard(self, monkeypatch, model):
-        # at -20 dB the antenna form's absolute error is largest next to the rates, and at the
-        # guard's spread the margin's spread term peaks.  The bound leaves only 4 of the 32
-        # entries to the Cholesky on either model, the first 2 and 2 more, and the best entry is
-        # still the oracle's
+    def test_best_entry_matches_the_oracle_at_low_snr(self, monkeypatch, model):
+        # at -20 dB the rates are near 0.1, so an absolute error shows most.  The bound leaves
+        # only the first 2 of the 32 entries to the Cholesky on either model, and the best entry
+        # is the oracle's within 1e-14
         cholesky = np.linalg.cholesky
         calls = []
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
@@ -695,11 +714,11 @@ class TestScorerOracle:
         channel = build_channel(cfg, self.MISALIGNMENT, model)
         h = channel.entries
         cb = build_codebook(3, 2)
-        powers = spread_allocation(8, transceiver._MAX_POWER_SPREAD, 1e-2)
+        powers = spread_allocation(8, 1e3, 1e-2)
         best = codebook_best_rates(cfg, h[None], *channels_svd(cfg, [channel], model), [cb], powers)[0, 0]
         assert sum(shape[0] for shape in calls) < cb.size
         assert best == codebook_rates_many(cfg, h[None], cb, powers).max()
-        np.testing.assert_allclose(best, log_det_oracle(cfg, h, cb, powers).max(), rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(best, log_det_oracle(cfg, h, cb, powers).max(), rtol=0.0, atol=1e-14)
 
 
 def twin_of_each_entry(cb):
