@@ -11,14 +11,14 @@ count's design, its clamped draws and its distance cells, stacked
 distance-major, each with its (T, N, N) channels and their one
 decomposition (sigma, V), the singular values and right singular vectors
 that every scheme reads: the paper's closed form on the separable model,
-one SVD per cell with exact geometry.  What does not depend on the
-distance is built once per antenna count: V = T_t Q on the separable
-model, the codebook phasors and, with exact geometry, the optimal
-precoder's closed form.  Each scheme that reads no per-distance power
-is one stacked call over all of the count's (D T) rows: capacity, ZF and
-ZF-SIC, the condition number and the designed powers; the codebook
-scorer takes one call per cell, since its powers follow the distance.
-Nothing is kept from one campaign call to the next.
+one stacked SVD of the count's channels with exact geometry.  What does
+not depend on the distance is built once per antenna count: V = T_t Q
+on the separable model, the codebook phasors and, with exact geometry,
+the optimal precoder's closed form.  Each scheme is one stacked call
+over all of the count's (D T) rows: capacity, ZF and ZF-SIC, the
+condition number, the designed powers (one row per cell) and the
+codebook scorer, `codebook_best_rates`, which reads each cell's own
+power row.  Nothing is kept from one campaign call to the next.
 Every command's output, the campaign CSVs and the CLI's other tables
 alike, prints its numbers by `table_texts` and goes out through
 `write_text`.
@@ -49,10 +49,9 @@ from .spectrum import singular_values_many
 from .transceiver import (
     SINE_UNIFORM,
     _approx_powers,
-    _best_entry_rates,
     _check_bit_counts,
-    _codebook_entries,
     _distinct_codebook,
+    codebook_best_rates,
     nulling_rates,
     precoded_rates,
     precoder_matrices,
@@ -202,9 +201,10 @@ def _cells(trial_cfg: TrialConfig) -> Iterator[tuple[DesignResult, Misalignment,
     count, so trial t equals `draw_misalignment(trial_rng(seed, t),
     trial_cfg, N)`.  Each cell's channels are one `build_channels` call.
     (sigma, V) is each cell's one decomposition: with exact geometry one
-    SVD of the cell's channels; on the separable model the paper's closed
-    form (`_closed_form`), the spectra of all D cells in one call and one
-    V, which depends on no distance, shared by reference by every cell.
+    SVD stacked over all D cells' channels; on the separable model the
+    paper's closed form (`_closed_form`), the spectra of all D cells in one
+    call and one V, which depends on no distance, shared by reference by
+    every cell.
     """
     theta_o, *rest = _campaign_draws(trial_cfg)
     model = EXACT_DISTANCE if trial_cfg.exact_geometry else APPROXIMATE
@@ -218,13 +218,10 @@ def _cells(trial_cfg: TrialConfig) -> Iterator[tuple[DesignResult, Misalignment,
         betas = np.array([cfg.beta for cfg in cfgs])
         h = np.array([build_channels(cfg, mis, model) for cfg in cfgs])
         if trial_cfg.exact_geometry:
-            sigma, v = np.empty(h.shape[:-1]), np.empty_like(h)
-            for d, cell in enumerate(h):
-                _, sigma[d], vh = np.linalg.svd(cell)
-                np.conjugate(vh, out=v[d])
+            _, sigma, vh = np.linalg.svd(h)
             # V is a view of conj(V^H), laid out in V^H's memory order as swapaxes(vh).conj() lays
             # it out: NumPy's order of adding a row of V (in `nulling_rates`) follows the layout
-            v = np.swapaxes(v, -1, -2)
+            v = np.swapaxes(vh.conj(), -1, -2)
         else:
             sigma, v = _closed_form(cfgs[0], betas, mis)
             v = np.broadcast_to(v, h.shape)
@@ -241,19 +238,6 @@ def _closed_form(cfg: ArrayConfig, betas, mis: Misalignment) -> tuple[np.ndarray
     """
     sigma = singular_values_many(cfg.n_antennas, np.asarray(betas)[..., None], mis.theta_o)
     return sigma, precoder_matrices(cfg, mis.theta_cs, mis.phi_cs)
-
-
-def _best_rates_per_cell(cells: _Cells, codebooks, snr_db: float) -> list[np.ndarray]:
-    """Each distance cell's best rates of every codebook, (K, T), scored with the cell's designed powers.
-
-    The powers are water-filled on the rotation-free spectrum
-    (`approx_power_allocation`), one row per cell in one call; the
-    codebooks' phasors are built once for all the cells.
-    """
-    powers = _approx_powers(cells.h.shape[-1], cells.betas, snr_db)
-    entries = _codebook_entries(cells.cfgs[0], codebooks)
-    return [_best_entry_rates(cfg, cells.h[d], cells.sigma[d], cells.v[d], entries, powers[d])
-            for d, cfg in enumerate(cells.cfgs)]
 
 
 def _cell_rows(
@@ -279,10 +263,10 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     """Rates of all schemes over the (antenna count, distance) grid.
 
     Each trial is drawn once, and the trials are scored in batches: the
-    capacity, ZF and ZF-SIC rows and the condition number are one stacked
-    call over all cells of an antenna count, and the codebook scorer one
-    call per cell.  That call, `codebook_best_rates`'s kernel on phasors
-    built once per antenna count, scores two codebooks: the campaign's,
+    capacity, ZF and ZF-SIC rows, the condition number and the codebook
+    scorer are each one stacked call over all cells of an antenna count.
+    The scorer, `codebook_best_rates` on the count's stacked cells and
+    their designed power rows, scores two codebooks: the campaign's,
     whose best entry's rate is the codebook row (the row maximum of
     `codebook_rates_many`, bit for bit), and the one entry with zero
     shift, t = 1, which is the DFT precoder: the identity row.  Each
@@ -296,14 +280,15 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
     the SVD precoder with water-filling, reaches capacity exactly, so its
     row is the capacity row.  On exact geometry it water-fills the
     closed-form spectrum, built once per antenna count, and is scored by
-    one `precoded_rates` call per antenna count: its powers
-    are water-filled per trial, (T, N), while the pair scorers take one
-    (N,) vector and choose their path from it per call, so per-trial
-    powers would need a second path.  A draw clamped exactly onto the
-    rotation bound yields a singular separable channel; the nulling
-    receivers cannot operate there and score zero (the row's condition
-    number is infinite, so such trials are visible).  `jobs` is accepted
-    for compatibility; neither the output nor the scheduling depends on it.
+    one `precoded_rates` call per antenna count: its powers are
+    water-filled per trial, (T, N), while the codebook scorer builds Q~
+    P~^(1/2), the stream count r and the bound's modes from one power row
+    per cell, so it cannot score per-trial powers.  A draw clamped
+    exactly onto the rotation bound yields a singular separable channel;
+    the nulling receivers cannot operate there and score zero (the row's
+    condition number is infinite, so such trials are visible).  `jobs` is
+    accepted for compatibility; neither the output nor the scheduling
+    depends on it.
     """
     p_total = power_from_db(trial_cfg.snr_db)
     codebooks = [_distinct_codebook(*trial_cfg.codebook_bits, SINE_UNIFORM), _distinct_codebook(0, 0, SINE_UNIFORM)]
@@ -319,7 +304,8 @@ def run_rate_sweep(trial_cfg: TrialConfig, jobs: int = 1) -> list[ResultRow]:
         zf, zf_sic = (rate.reshape(cap.shape) for rate in
                       nulling_rates(cells.sigma.reshape(-1, n), cells.v.reshape(-1, n, n), p_total))
         cond = condition_numbers(cells.sigma)
-        best = _best_rates_per_cell(cells, codebooks, trial_cfg.snr_db)  # codebook and identity rows
+        powers = _approx_powers(n, cells.betas, trial_cfg.snr_db)
+        best = codebook_best_rates(cells.cfgs[0], cells.h, cells.sigma, cells.v, codebooks, powers)  # (D, 2, T)
         for d, cfg in enumerate(cells.cfgs):
             rates = (cap[d], optimal_rate[d], *best[d], zf[d], zf_sic[d])
             rows += _cell_rows("rate_sweep", cfg, dict(zip(RATE_SWEEP_SCHEMES, rates, strict=True)), cond[d])
@@ -353,11 +339,11 @@ def run_codebook_bit_sweep(
     antennas at 300 m by default, with radii designed for the design
     distance.  Within a cell every (L1, L2) pair is evaluated with both
     quantisation rules on the same per-trial channels.  Each codebook is
-    built once per call and its phasors once per antenna count, and one
-    scorer call per cell (`codebook_best_rates`'s kernel) scores all of
-    them on the cell's stacked channels: one bound pass
-    over all their entries, whose blocks may straddle codebooks, and two
-    rounds of exact scores.
+    built once per call and its phasors once per antenna count, in one
+    `codebook_best_rates` call per antenna count on its stacked cells,
+    which scores all of them on each cell's channels: one bound pass over
+    all their entries, whose blocks may straddle codebooks, and two rounds
+    of exact scores.
     The linear baseline covers the shift disc twice, so every precoder in
     it has a twin; only its distinct half is scored (`_distinct_codebook`),
     and a row is the best rate over that half, which equals the full
@@ -370,9 +356,11 @@ def run_codebook_bit_sweep(
     codebooks = [(l1, l2, method, _distinct_codebook(l1, l2, method))
                  for l1, l2 in bit_grid for method in ("sine", "linear")]
     rows: list[ResultRow] = []
+    books = [cb for *_, cb in codebooks]
     for _, _, cells in _cells(trial_cfg):
         cond = condition_numbers(cells.sigma)
-        best = _best_rates_per_cell(cells, [cb for *_, cb in codebooks], trial_cfg.snr_db)
+        powers = _approx_powers(cells.h.shape[-1], cells.betas, trial_cfg.snr_db)
+        best = codebook_best_rates(cells.cfgs[0], cells.h, cells.sigma, cells.v, books, powers)
         for d, cfg in enumerate(cells.cfgs):
             for (l1, l2, method, _), rates in zip(codebooks, best[d]):
                 rows += _cell_rows(f"bit_sweep_L1{l1}_L2{l2}", cfg, {f"codebook-{method}": rates}, cond[d])

@@ -270,19 +270,24 @@ def codebook_rates_many(
 
 
 def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, powers) -> np.ndarray:
-    """Rate of each codebook's best entry on each of a (T, N, N) stack of channels; shape (K, T).
+    """Rate of each codebook's best entry on each of a (..., T, N, N) stack of channels; shape (..., K, T).
 
-    `sigma` and `v` are the channels' singular values, (T, N), and right
-    singular vectors as columns, (T, N, N), as the campaigns' cells give
-    them: one SVD of H on exact geometry, the paper's closed form on the
-    separable model.  Row k equals `codebook_rates_many(cfg, h,
-    codebooks[k], powers).max(axis=-1)` bit for bit, under any BLAS
-    kernel.  H^H H, the bound's view of (sigma, V) and the K codebooks'
-    phasors, one after another, are built once; one bound pass and two
-    rounds of exact scores serve all K codebooks.  The phasors depend on
-    N, R_t and lambda alone, so the campaigns build them once per antenna
-    count (`_codebook_entries`) and score each distance cell with this
-    function's kernel, `_best_entry_rates`.
+    `sigma` and `v` are the channels' singular values, (..., T, N), and
+    right singular vectors as columns, (..., T, N, N), as the campaigns'
+    cells give them: one SVD of H on exact geometry, the paper's closed
+    form on the separable model.  `powers` holds one row of stream powers
+    per cell, (..., N).  The axes before T are cells of one antenna count,
+    Tx radius and wavelength, which may differ in distance and powers; a
+    (T, N, N) stack is one cell.  Row k of a cell equals
+    `codebook_rates_many(cfg, h, codebooks[k], powers).max(axis=-1)` of
+    that cell bit for bit, under any BLAS kernel.  The K codebooks'
+    phasors, one after another, depend on N, R_t and lambda alone and are
+    built once per call; each cell is then scored as a call on that cell
+    alone would score it: H^H H and the bound's view of (sigma, V) are
+    built once per cell, and one bound pass and two rounds of exact scores
+    serve all K codebooks.  A `v` broadcast along the cell axes, as the
+    separable model's one V = T_t Q for every distance, is read as it is.
+    The campaigns make one call per antenna count on its distance cells.
 
     An upper bound on every entry's rate prunes the entries that cannot
     win.  Let r streams have power, M = V diag(w) V^H with w = sigma^2,
@@ -389,36 +394,24 @@ def codebook_best_rates(cfg: ArrayConfig, h: np.ndarray, sigma, v, codebooks, po
     it is at most 1.9e-8 bit/s/Hz, and no exact rate passed its computed
     bound by more than 2.0e-4 margins.
     """
-    return _best_entry_rates(cfg, h, sigma, v, _codebook_entries(cfg, codebooks), powers)
-
-
-class _Entries(NamedTuple):
-    """The entries of K codebooks, one codebook after another, as the best-entry scorer reads them.
-
-    They depend on N, the Tx radius and the wavelength alone, so a
-    campaign builds them once per antenna count for all its distances.
-    """
-
-    t: np.ndarray  # (L, N): every entry's Tx shift phasors
-    sizes: list[int]  # the K codebooks' entry counts, which sum to L
-
-
-def _codebook_entries(cfg: ArrayConfig, codebooks) -> _Entries:
-    """The K codebooks' `_codebook_phasors`, concatenated, with their sizes."""
+    h, powers = np.asarray(h), np.asarray(powers, dtype=float)
+    cells = h.shape[:-3]
+    sigma, v = _checked_svd(sigma, v, (*h.shape[:-2], cfg.n_antennas))
+    if powers.shape[:-1] != cells:
+        raise ValueError(f"stream powers must have shape {(*cells, cfg.n_antennas)}, one row per cell, "
+                         f"got {powers.shape}")
     t = [_codebook_phasors(cfg, cb) for cb in codebooks] or [np.empty((0, cfg.n_antennas), dtype=complex)]
-    return _Entries(np.concatenate(t), [cb.size for cb in codebooks])
-
-
-def _best_entry_rates(cfg: ArrayConfig, h, sigma, v, entries: _Entries, powers) -> np.ndarray:
-    """`codebook_best_rates` of codebooks whose entries are built (`_codebook_entries`); shape (K, T)."""
-    hh, powers = _scorer_inputs(cfg, h, powers)
-    sigma, v = _checked_svd(sigma, v, hh.shape[:2])
-    t, sizes = entries
-    if len(hh) == 0 or not sizes:
-        return np.empty((len(sizes), len(hh)))
-    q = _stream_columns(len(powers), powers)
-    modes = _modes(sigma, v, powers, q)
-    return _best_rates(hh, t, q, _entry_bounds(t, modes), modes.margin, sizes)
+    t, sizes = np.concatenate(t), [cb.size for cb in codebooks]
+    best = []
+    for cell in np.ndindex(cells):
+        hh, p = _scorer_inputs(cfg, h[cell], powers[cell])
+        if len(hh) == 0 or not sizes:
+            best.append(np.empty((len(sizes), len(hh))))
+            continue
+        q = _stream_columns(len(p), p)
+        modes = _modes(sigma[cell], v[cell], p, q)
+        best.append(_best_rates(hh, t, q, _entry_bounds(t, modes), modes.margin, sizes))
+    return np.reshape(best, (*cells, len(sizes), h.shape[-3]))
 
 
 def _scorer_inputs(cfg: ArrayConfig, h, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -436,16 +429,16 @@ def _scorer_inputs(cfg: ArrayConfig, h, powers) -> tuple[np.ndarray, np.ndarray]
 
 
 def _checked_svd(sigma, v, shape=None) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and vectors as (T, N) and (T, N, N) arrays, with (T, N) = `shape` where it is given.
+    """Singular values and vectors as (T, N) and (T, N, N) arrays, or (..., T, N) = `shape` and (..., T, N, N).
 
     The values must be finite and nonnegative and the vectors finite: a
     NaN would prune the codebook bound's entries, or pass the nulling
     receivers' rank rule as a rank-deficient 0.
     """
     sigma, v = np.asarray(sigma, dtype=float), np.asarray(v)
-    if sigma.ndim != 2 or v.shape != (*sigma.shape, sigma.shape[-1]) or shape not in (None, sigma.shape):
-        raise ValueError(f"singular values and vectors of T channels of N antennas must have shapes (T, N) "
-                         f"and (T, N, N), got {sigma.shape} and {v.shape}")
+    if sigma.ndim < 2 or sigma.shape != (shape or sigma.shape[:2]) or v.shape != (*sigma.shape, sigma.shape[-1]):
+        raise ValueError(f"singular values and vectors of T channels of N antennas must have shapes (T, N) and "
+                         f"(T, N, N), with the channels' leading cell axes, got {sigma.shape} and {v.shape}")
     if not ((sigma >= 0.0) & (sigma < math.inf)).all() or not np.isfinite(v).all():
         raise ValueError("singular values must be finite and nonnegative, and singular vectors finite")
     return sigma, v

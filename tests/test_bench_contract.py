@@ -20,7 +20,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+from ucamimo import sim  # noqa: E402
 
 SEED = 1
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -100,3 +103,17 @@ def test_package_names_the_benchmark_uses_exist():
     assert any(ref.startswith("ucamimo.transceiver.") for _, ref in refs)
     missing = [f"{where}: {ref}" for where, ref in refs if not resolves(ref)]
     assert not missing, "benchmark reads package names that do not exist:\n" + "\n".join(missing)
+
+
+def test_traced_campaign_scores_each_antenna_count_in_one_public_call():
+    # the tracer wraps public functions only, so a pass's codebook scoring is timed as
+    # `transceiver.codebook_self_s` only while the campaigns call `codebook_best_rates` itself
+    cfg = sim.TrialConfig(seed=SEED, n_trials=2, n_antennas_list=(4, 8, 12), distances=(100.0, 300.0))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        sim.run_rate_sweep(cfg)
+    spans = tracer.take()
+    scorer = [span for span in spans if span[tracing.NAME] == "transceiver.codebook_best_rates"]
+    assert len(scorer) == len(cfg.n_antennas_list)
+    assert all(span[tracing.ERROR] is None for span in scorer)
+    assert tracing.layer_metrics(spans)["transceiver.codebook_self_s"] > 0.0

@@ -25,7 +25,7 @@ from ucamimo import (
     search_beta_opt,
 )
 from ucamimo.design import capacity, condition_numbers, water_fill
-from ucamimo import sim
+from ucamimo import sim, transceiver
 from ucamimo.geometry import ANGLE_NAMES, ArrayConfig
 from ucamimo.sim import (
     AGGREGATE_TRIAL,
@@ -348,10 +348,11 @@ class TestCampaignDraws:
 
     @pytest.mark.parametrize("exact_geometry", [False, True])
     def test_stacked_svds_per_cell(self, monkeypatch, exact_geometry):
-        # `_cells` takes one full stacked SVD per exact-geometry cell, whose (sigma, V) the
-        # capacity row, the condition number, the nulling receivers and the codebook's bound
-        # share; the separable campaigns read the closed form and take no factorisation of a
-        # channel.  No scheme inverts a matrix or takes an eigendecomposition
+        # `_cells` takes one full SVD per antenna count with exact geometry, stacked over its
+        # (D, T) channels, whose (sigma, V) the capacity row, the condition number, the nulling
+        # receivers and the codebook's bound share; the separable campaigns read the closed form
+        # and take no factorisation of a channel.  No scheme inverts a matrix or takes an
+        # eigendecomposition
         cfg = small_config(n_antennas_list=(4, 8), distances=(100.0, 300.0), exact_geometry=exact_geometry)
         calls = []
 
@@ -363,12 +364,12 @@ class TestCampaignDraws:
 
         for name in ("svd", "eigh", "eig", "eigvalsh", "inv", "solve", "pinv"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        per_cell = [("svd", (cfg.n_trials, n, n), (), {}) for n in (4, 4, 8, 8)] if exact_geometry else []
+        per_count = [("svd", (2, cfg.n_trials, n, n), (), {}) for n in (4, 8)] if exact_geometry else []
         run_rate_sweep(cfg)
-        assert calls == per_cell
+        assert calls == per_count
         calls.clear()
         run_codebook_bit_sweep(cfg, ((1, 1), (2, 1)))
-        assert calls == per_cell
+        assert calls == per_count
 
 
 class TestRateSweep:
@@ -508,19 +509,19 @@ class TestCodebookBitSweep:
 
     @pytest.mark.parametrize("cells", [((4,), (300.0,)), ((4, 8), (100.0, 300.0))])
     def test_one_call_per_cell_scores_the_distinct_entries(self, monkeypatch, cells):
-        # each cell scores every sine codebook whole and every linear one's distinct half,
-        # all of them in one call of `codebook_best_rates`'s kernel
+        # each cell scores every sine codebook whole and every linear one's distinct half, all
+        # of them in one `codebook_best_rates` call per antenna count on its stacked distance cells
         calls = []
 
-        def counted(cfg, h, sigma, v, entries, powers, score=sim._best_entry_rates):
-            calls.append(entries.sizes)
-            return score(cfg, h, sigma, v, entries, powers)
+        def counted(cfg, h, sigma, v, codebooks, powers, score=sim.codebook_best_rates):
+            calls.append(([cb.size for cb in codebooks], h.shape[:-3]))
+            return score(cfg, h, sigma, v, codebooks, powers)
 
-        monkeypatch.setattr(sim, "_best_entry_rates", counted)
+        monkeypatch.setattr(sim, "codebook_best_rates", counted)
         n_antennas_list, distances = cells
         run_codebook_bit_sweep(small_config(n_trials=2, n_antennas_list=n_antennas_list, distances=distances))
         per_cell = [2 ** (l1 + l2) // d for l1, l2 in sim.DEFAULT_BIT_GRID for d in (1, 2)]
-        assert calls == [per_cell] * (len(n_antennas_list) * len(distances))
+        assert calls == [(per_cell, (len(distances),))] * len(n_antennas_list)
 
     @pytest.mark.parametrize("cfg", [
         small_config(seed=2024, n_trials=3, n_antennas_list=(16,), distances=(300.0,)),
@@ -623,17 +624,19 @@ class TestPerAntennaCountInputs:
                 return f(cfg_, *args)
             return wrapper
 
-        monkeypatch.setattr(sim, "_codebook_entries", counted("phasors", sim._codebook_entries))
+        # each codebook's phasors: the rate sweep scores two codebooks, the bit sweep below four
+        monkeypatch.setattr(transceiver, "_codebook_phasors", counted("phasors", transceiver._codebook_phasors))
         monkeypatch.setattr(sim, "precoder_matrices", counted("v", sim.precoder_matrices))
         first = rows_to_csv(run_rate_sweep(cfg))
-        assert built == {"phasors": [4, 8, 12, 16], "v": [4, 8, 12, 16]}
+        assert built == {"phasors": [4, 4, 8, 8, 12, 12, 16, 16], "v": [4, 8, 12, 16]}
         # a second call builds them again: nothing is carried from one call to the next
         assert rows_to_csv(run_rate_sweep(cfg)) == first
-        assert built == {"phasors": [4, 8, 12, 16] * 2, "v": [4, 8, 12, 16] * 2}
+        assert built == {"phasors": [4, 4, 8, 8, 12, 12, 16, 16] * 2, "v": [4, 8, 12, 16] * 2}
         built["phasors"].clear()
         built["v"].clear()
         run_codebook_bit_sweep(cfg, ((1, 1), (2, 1)))
-        assert built == {"phasors": [4, 8, 12, 16], "v": [] if exact_geometry else [4, 8, 12, 16]}
+        assert built == {"phasors": [n for n in (4, 8, 12, 16) for _ in range(4)],
+                         "v": [] if exact_geometry else [4, 8, 12, 16]}
 
     def test_separable_v_is_shared_by_every_distance(self):
         cfg = small_config(n_trials=3, n_antennas_list=(4, 8), distances=(100.0, 300.0, 500.0))
@@ -653,16 +656,19 @@ class TestPerAntennaCountInputs:
                            exact_geometry=exact_geometry)
         seen = []
 
-        def counted(acfg, h, sigma, v, entries, powers, score=sim._best_entry_rates):
+        def counted(acfg, h, sigma, v, codebooks, powers, score=sim.codebook_best_rates):
             seen.append((acfg, powers))
-            return score(acfg, h, sigma, v, entries, powers)
+            return score(acfg, h, sigma, v, codebooks, powers)
 
-        monkeypatch.setattr(sim, "_best_entry_rates", counted)
+        monkeypatch.setattr(sim, "codebook_best_rates", counted)
         run_rate_sweep(cfg)
         run_codebook_bit_sweep(cfg, ((1, 1),))
-        assert len(seen) == 2 * 3 * 3
+        assert len(seen) == 2 * 3
         for acfg, powers in seen:
-            assert powers.tobytes() == approx_power_allocation(acfg, cfg.snr_db).tobytes(), acfg
+            assert powers.shape == (len(cfg.distances), acfg.n_antennas)
+            for row, dist in zip(powers, cfg.distances, strict=True):
+                cell = replace(acfg, distance=dist)
+                assert row.tobytes() == approx_power_allocation(cell, cfg.snr_db).tobytes(), cell
 
 
 class TestTrialConfigValidation:

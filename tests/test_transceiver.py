@@ -519,6 +519,39 @@ class TestBestEntryScorer:
             assert codebook_best_rates(cfg, h, sigma, v, [], powers).shape == (0, 3)
             assert codebook_best_rates(cfg, h[:0], sigma[:0], v[:0], self.CODEBOOKS[:2], powers).shape == (2, 0)
 
+    @pytest.mark.parametrize("model", [APPROXIMATE, EXACT_DISTANCE])
+    def test_stacked_cells_equal_one_cell_calls(self, monkeypatch, model):
+        # a stack of three distance cells of one array, each with its own designed powers (every
+        # stream powered at 100 m, some at 500 m), scores each cell as a call on that cell alone
+        # does, bit for bit.  On the separable model the cells share one V = T_t Q, broadcast
+        # with stride 0 as the campaigns pass it, and every cell's V reaches the bound unchanged
+        cells = [design_point(8, dist) for dist in (100.0, 250.0, 500.0)]
+        rng = np.random.default_rng(5)
+        mis = stack_of([random_misalignment(rng, 8) for _ in range(4)])
+        h = np.stack([build_channels(cfg, mis, model) for cfg in cells])
+        if model == EXACT_DISTANCE:
+            sigma, v = svd_of(h)
+        else:
+            sigma, v = sim._closed_form(cells[0], [cfg.beta for cfg in cells], mis)
+            v = np.broadcast_to(v, h.shape)
+            assert v.strides[0] == 0
+        powers = np.stack([approx_power_allocation(cfg, 15.0) for cfg in cells])
+        assert (powers[0] > 0).all() and not (powers[-1] > 0).all()
+        seen = []
+
+        def modes(sigma_, v_, *args, f=transceiver._modes):
+            seen.append(v_)
+            return f(sigma_, v_, *args)
+
+        monkeypatch.setattr(transceiver, "_modes", modes)
+        best = codebook_best_rates(cells[0], h, sigma, v, self.CODEBOOKS, powers)
+        assert best.shape == (3, len(self.CODEBOOKS), 4)
+        assert [v_.strides for v_ in seen] == [v.strides[1:]] * 3
+        assert all(np.shares_memory(v_, v) for v_ in seen)
+        for d, cfg in enumerate(cells):
+            np.testing.assert_array_equal(best[d], codebook_best_rates(cfg, h[d], sigma[d], v[d], self.CODEBOOKS,
+                                                                       powers[d]))
+
     def test_bound_prunes_most_entries(self, monkeypatch):
         # on the `codebook` campaign's cell (N = 16, r = 9) the eigenbasis bound, on the closed-form
         # (sigma, V) the separable campaigns pass, leaves 66 of each copy of the 1,024-entry
@@ -571,12 +604,21 @@ class TestBestEntryScorer:
             ((2, 8, 4), (2, 8), (8,), r"channels must have shape \(T, 8, 8\)"),
             ((2, 8, 8), (3, 8), (8,), r"singular values and vectors"),
             ((2, 8, 8), (2, 4), (8,), r"singular values and vectors"),
+            # a stack of three cells: sigma's (and so v's) leading axes, v's alone (one that would
+            # broadcast), the powers' leading axes, and one power row for the whole stack
+            ((3, 2, 8, 8), (2, 2, 8), (3, 8), r"singular values and vectors"),
+            ((3, 2, 8, 8), ((3, 2, 8), (1, 2, 8, 8)), (3, 8), r"singular values and vectors"),
+            ((3, 2, 8, 8), (3, 2, 8), (2, 8), r"powers must have shape \(3, 8\)"),
+            ((3, 2, 8, 8), (3, 2, 8), (8,), r"powers must have shape \(3, 8\)"),
         ],
     )
     def test_malformed_inputs_rejected(self, h_shape, sigma_shape, powers_shape, match):
+        # sigma_shape is sigma's shape, whose v is (*sigma_shape, N), or a (sigma's, v's) pair
         cfg = design_point(8, 300.0)
         powers = np.full(powers_shape, SNR15 / 8)
-        sigma, v = np.ones(sigma_shape), np.ones((*sigma_shape, sigma_shape[-1]), dtype=complex)
+        sigma_shape, v_shape = sigma_shape if isinstance(sigma_shape[0], tuple) else (
+            sigma_shape, (*sigma_shape, sigma_shape[-1]))
+        sigma, v = np.ones(sigma_shape), np.ones(v_shape, dtype=complex)
         with pytest.raises(ValueError, match=match):
             codebook_best_rates(cfg, np.ones(h_shape, dtype=complex), sigma, v, [build_codebook(3, 2)], powers)
 
@@ -605,6 +647,32 @@ class TestBestEntryScorer:
         assert calls == [8]
         codebook_rates_many(cfg, h, self.CODEBOOKS[2], powers)
         assert calls == [8, 8]
+
+    def test_second_order_term_by_hand(self):
+        # at r = N the bound is sum_m log2(1 + w_m e_m) - gamma O (1/2 - h sqrt(O) / 3) / ln 2
+        # where 0 < h sqrt(O) / 3 < 1/2, with e_m the squared norm of row m of Z_l = V^H D_l Q~ P~^(1/2)
+        # in ascending mode order and O = sum p^2 - sum_m e_m^2.  Powers with spread 2 put
+        # reach sqrt(O) near 0.3, where the cubic correction is about 1e-3 of the bound
+        cfg = design_point(8, 100.0)
+        channels, _ = TestStackedCodebookScorer().stack(cfg, APPROXIMATE, 2)
+        sigma, v = channels_svd(cfg, channels, APPROXIMATE)
+        powers = spread_allocation(8, 2.0)
+        q = transceiver._stream_columns(8, powers)
+        modes = transceiver._modes(sigma, v, powers, q)
+        t = transceiver._codebook_phasors(cfg, build_codebook(3, 2))
+        bounds = transceiver._entry_bounds(t, modes)
+        order = np.argsort(sigma, axis=-1, kind="stable")
+        w = np.take_along_axis(sigma, order, axis=-1) ** 2
+        np.testing.assert_allclose(modes.inv_w, 1.0 / w, rtol=1e-15)
+        assert modes.square == np.sum(powers**2)
+        for c, vc in enumerate(np.take_along_axis(v, order[:, None, :], axis=-1)):
+            for entry, t_l in enumerate(t):
+                e = np.sum(np.abs(vc.conj().T @ (t_l[:, None] * q)) ** 2, axis=-1)
+                off = modes.square - np.sum(e**2)
+                reach = modes.reach[c] * np.sqrt(off)
+                assert 0.1 < reach < 0.5
+                by_hand = np.sum(np.log2(1.0 + e / modes.inv_w[c])) - modes.gamma[c] * off * (0.5 - reach)
+                np.testing.assert_allclose(bounds[c, entry], by_hand, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("weakest", [0.0, 1e-160])
     def test_zero_or_subnormal_mode_keeps_hadamards_bound(self, weakest):
